@@ -212,8 +212,14 @@ let check g t =
     executed;
   Hashtbl.iter
     (fun _ records ->
+      (* a zero-length execution at the instant another one starts ran
+         before it, so equal starts order by finish *)
       let sorted =
-        List.sort (fun (a : record) b -> Rat.compare a.start b.start) records
+        List.sort
+          (fun (a : record) b ->
+            let c = Rat.compare a.start b.start in
+            if c <> 0 then c else Rat.compare a.finish b.finish)
+          records
       in
       let rec scan = function
         | a :: (b :: _ as rest) ->

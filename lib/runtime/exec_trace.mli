@@ -92,7 +92,9 @@ val check : Taskgraph.Graph.t -> t -> violation list
 (** Validates that an execution trace complies with the real-time
     semantics of Sec. II (the conditions Prop. 4.1 promises): every job
     within its WCET, no start before invocation, task-graph precedence
-    respected within each frame, and mutual exclusion per processor.
+    respected within each frame, and mutual exclusion per processor (a
+    zero-length execution at the start of another one is not an
+    overlap).
     Returns all violations (empty = compliant).  Used as a self-check on
     the engines in the test suite. *)
 

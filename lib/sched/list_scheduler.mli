@@ -13,6 +13,15 @@ val schedule :
     The result maps and starts every job; it satisfies arrival,
     precedence and mutual exclusion by construction — only deadlines can
     be violated, which {!Static_schedule.check} reports.
+    Released jobs wait for their arrival in a heap and started jobs for
+    their completion in another, so a graph of [n] jobs and [E] edges
+    schedules in [O((n + E) log n)] (times [M] for the processor scan).
+
+    A zero-WCET job finishes at the instant it starts and releases its
+    successors at that instant.  Because the static order breaks equal
+    start times by job id ({!Static_schedule.jobs_on}), such a job
+    started on a processor moves behind a job of positive WCET and
+    smaller id that starts there at the same instant.
     @raise Invalid_argument on a rank array of the wrong length or
     [n_procs <= 0]. *)
 

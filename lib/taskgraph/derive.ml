@@ -167,10 +167,16 @@ let derive ?(reduce = true) ~wcet net =
       in
       let m = Array.length jobs_arr in
       (* step 3: precedence edges between <J-ordered related jobs.
-         Instead of the all-pairs O(m^2) scan, walk each job's related
-         process columns (per-process job-id lists, ascending) and merge
-         their tails — same edges, same (a ascending, then b ascending)
-         insertion order, at O(E + m * degree). *)
+         Job a relates to every later job of its own process column and
+         of each directly priority-related one (per-process job-id
+         arrays, ascending).  Every column is chained to itself, so
+         linking a only to the next job of each related column keeps
+         the reachability of the full relation, and the transitive
+         reduction of either graph is the same unique DAG.  That
+         generator graph has O(m * degree) edges; raw_edges counts the
+         full relation from the column tail lengths without building
+         it, unless the unreduced graph is asked for.  Each job's
+         successors are inserted in ascending id order either way. *)
       let dag = Digraph.create m in
       let cols = Array.make n [] in
       for a = m - 1 downto 0 do
@@ -189,39 +195,26 @@ let derive ?(reduce = true) ~wcet net =
       (* cur.(q): first position in cols.(q) holding a job id > a; each
          cursor only moves forward over the whole sweep *)
       let cur = Array.make n 0 in
+      let raw_edges = ref 0 in
       for a = 0 to m - 1 do
-        let p = jobs_arr.(a).Job.proc in
-        let qs = nbrs.(p) in
+        let targets = ref [] in
         List.iter
           (fun q ->
             let col = cols.(q) in
             let len = Array.length col in
             while cur.(q) < len && col.(cur.(q)) <= a do
               cur.(q) <- cur.(q) + 1
-            done)
-          qs;
-        (* ascending merge of the related columns' tails *)
-        let qs_arr = Array.of_list qs in
-        let kcols = Array.length qs_arr in
-        let pos = Array.init kcols (fun i -> cur.(qs_arr.(i))) in
-        let continue = ref true in
-        while !continue do
-          let best = ref (-1) and best_b = ref max_int in
-          for i = 0 to kcols - 1 do
-            let col = cols.(qs_arr.(i)) in
-            if pos.(i) < Array.length col && col.(pos.(i)) < !best_b then begin
-              best := i;
-              best_b := col.(pos.(i))
-            end
-          done;
-          if !best < 0 then continue := false
-          else begin
-            Digraph.add_edge dag a !best_b;
-            pos.(!best) <- pos.(!best) + 1
-          end
-        done
+            done;
+            raw_edges := !raw_edges + (len - cur.(q));
+            if not reduce then
+              for i = cur.(q) to len - 1 do
+                targets := col.(i) :: !targets
+              done
+            else if cur.(q) < len then targets := col.(cur.(q)) :: !targets)
+          nbrs.(jobs_arr.(a).Job.proc);
+        List.iter (Digraph.add_edge dag a) (List.sort Int.compare !targets)
       done;
-      let raw_edges = Digraph.n_edges dag in
+      let raw_edges = !raw_edges in
       (* step 5: transitive reduction *)
       let dag = if reduce then Digraph.transitive_reduction dag else dag in
       Ok

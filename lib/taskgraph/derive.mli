@@ -48,7 +48,10 @@ type t = {
   graph : Graph.t;
   hyperperiod : Rt_util.Rat.t;
   servers : server_info list;
-  raw_edges : int;  (** edge count before transitive reduction *)
+  raw_edges : int;
+      (** edge count of the full step-3 relation, before transitive
+          reduction.  When reducing, this count is computed from the
+          per-process job columns; the full relation is not built. *)
   order : int list;  (** job ids in the total invocation order [<J] *)
 }
 
@@ -61,7 +64,12 @@ val pp_error : Format.formatter -> error -> unit
 
 val derive : ?reduce:bool -> wcet:wcet_map -> Fppn.Network.t -> (t, error) result
 (** [reduce] (default true) controls the final transitive reduction —
-    switchable for the ablation benchmark. *)
+    switchable for the ablation benchmark.  With [~reduce:false] the
+    graph is the full step-3 relation, each job's successors in
+    ascending id order.  Reducing starts from a sparse generator with
+    the same reachability (each job linked to the next job of each
+    related process), so the result is the unique transitive reduction
+    of the full relation, its successors in descending id order. *)
 
 val derive_exn : ?reduce:bool -> wcet:wcet_map -> Fppn.Network.t -> t
 

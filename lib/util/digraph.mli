@@ -25,6 +25,13 @@ val preds : t -> int -> int list
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 val edges : t -> (int * int) list
+(** Every edge, by ascending source node; each node's successors come
+    in {e reverse} insertion order, unlike {!succs}.
+    {!transitive_reduction} inserts its kept edges in this order, so
+    reducing a graph whose successors were inserted in ascending id
+    order (as task-graph derivation does) yields successors in
+    descending id order. *)
+
 val copy : t -> t
 
 val topo_sort : t -> int list option

@@ -287,6 +287,55 @@ let prop_graph_acyclic =
       let _, d = derive_random params in
       Rt_util.Digraph.is_acyclic (Graph.dag d.Derive.graph))
 
+(* step 3 links each job to the next job of every related column only;
+   the reduced graph must still be exactly the transitive reduction of
+   the full <J relation, in the same adjacency order, with the same raw
+   edge count *)
+let dense_net_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* n_periodic = int_range 1 8 in
+    let* n_sporadic = int_range 0 4 in
+    let* channel_density = oneofl [ 0.2; 0.5; 0.9 ] in
+    let* max_burst = int_range 1 3 in
+    return
+      {
+        Fppn_apps.Randgen.default_params with
+        seed;
+        n_periodic;
+        n_sporadic;
+        channel_density;
+        max_burst;
+      })
+
+let prop_reduction_of_full_relation =
+  qprop "derive = transitive reduction of derive ~reduce:false" ~count:200
+    dense_net_gen (fun params ->
+      let net = Fppn_apps.Randgen.network params in
+      let wcet =
+        Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 10) (Derive.const_wcet Rat.one) net
+      in
+      let d = Derive.derive_exn ~wcet net in
+      let full = Derive.derive_exn ~reduce:false ~wcet net in
+      let reference = Rt_util.Digraph.transitive_reduction (Graph.dag full.Derive.graph) in
+      let g = d.Derive.graph in
+      let rec sorted cmp = function
+        | a :: (b :: _ as rest) -> cmp a b < 0 && sorted cmp rest
+        | [ _ ] | [] -> true
+      in
+      d.Derive.raw_edges = full.Derive.raw_edges
+      && full.Derive.raw_edges = Graph.n_edges full.Derive.graph
+      && Graph.edges g = Rt_util.Digraph.edges reference
+      && List.for_all
+           (fun i ->
+             Graph.preds g i = Rt_util.Digraph.preds reference i
+             && Graph.succs g i = Rt_util.Digraph.succs reference i
+             (* the full relation is built in ascending id order, so its
+                reduction lists successors in descending order *)
+             && sorted Int.compare (Graph.succs full.Derive.graph i)
+             && sorted (fun a b -> Int.compare b a) (Graph.succs g i))
+           (List.init (Graph.n_jobs g) Fun.id))
+
 let () =
   Alcotest.run "derive"
     [
@@ -313,5 +362,6 @@ let () =
           prop_job_counts;
           prop_edges_follow_the_total_order;
           prop_graph_acyclic;
+          prop_reduction_of_full_relation;
         ] );
     ]

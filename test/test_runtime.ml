@@ -93,6 +93,53 @@ let test_engine_precedence_order () =
       done)
     (Taskgraph.Graph.edges g)
 
+let test_engine_zero_wcet_complies () =
+  (* a zero-WCET job executes as an empty interval at its start, possibly
+     at the instant the next job on its processor starts; the engine must
+     stay deterministic and its trace compliant *)
+  let net = Fppn_apps.Fig1.network () in
+  let frames = 2 in
+  let inputs = Fppn_apps.Fig1.input_feed ~samples:64 in
+  let zd =
+    Semantics.signature
+      (Semantics.run ~inputs net
+         (Semantics.invocations ~sporadic:[]
+            ~horizon:(Rat.mul (ms 200) (Rat.of_int frames))
+            net))
+  in
+  let cases =
+    ("every WCET zero", Derive.const_wcet Rat.zero)
+    :: List.map
+         (fun proc ->
+           let name = Process.name proc in
+           ( name ^ " zero",
+             fun p -> if p = name then Rat.zero else Fppn_apps.Fig1.wcet p ))
+         (Array.to_list (Network.processes net))
+  in
+  List.iter
+    (fun (label, wcet) ->
+      let d = Derive.derive_exn ~wcet net in
+      List.iter
+        (fun n_procs ->
+          (* deadlines may be missed on M = 1; compliance may not fail *)
+          let sched =
+            List_scheduler.schedule_with ~heuristic:Sched.Priority.Alap_edf
+              ~n_procs d.Derive.graph
+          in
+          let r =
+            Engine.run net d sched
+              { (Engine.default_config ~frames ~n_procs ()) with Engine.inputs }
+          in
+          let case = Printf.sprintf "%s, M=%d" label n_procs in
+          Alcotest.(check bool) (case ^ ": deterministic") true
+            (eq_sig zd (Engine.signature r));
+          Alcotest.(check (list string)) (case ^ ": trace compliant") []
+            (List.map
+               (Format.asprintf "%a" Exec_trace.pp_violation)
+               (Exec_trace.check d.Derive.graph (Engine.trace r))))
+        [ 1; 2 ])
+    cases
+
 let test_engine_mutual_exclusion () =
   let net, d = fig1 () in
   let sched = schedule_for d in
@@ -378,6 +425,7 @@ let () =
             test_engine_respects_wcet_and_deadlines;
           Alcotest.test_case "precedence order" `Quick test_engine_precedence_order;
           Alcotest.test_case "mutual exclusion" `Quick test_engine_mutual_exclusion;
+          Alcotest.test_case "zero WCET" `Quick test_engine_zero_wcet_complies;
         ] );
       ( "determinism",
         [ Alcotest.test_case "matches zero-delay" `Quick test_engine_matches_zero_delay ] );

@@ -6,6 +6,7 @@ module Derive = Taskgraph.Derive
 module Priority = Sched.Priority
 module Static_schedule = Sched.Static_schedule
 module List_scheduler = Sched.List_scheduler
+module Pqueue = Rt_util.Pqueue
 
 let ms = Rat.of_int
 let rat = Alcotest.testable Rat.pp Rat.equal
@@ -233,6 +234,205 @@ let test_cosched_auto_parallel_equals_sequential () =
           | _ -> Alcotest.failf "%s: pool changed feasibility verdict" name))
     [ Cosched.Fair; Cosched.Slots ]
 
+(* --- zero WCET ---------------------------------------------------------------- *)
+
+let structural_violations g s =
+  List.filter
+    (function Static_schedule.Deadline _ -> false | _ -> true)
+    (Static_schedule.check g s)
+
+(* every heuristic on M = 1..4: no exception, every job placed, and no
+   arrival, precedence or overlap violation *)
+let check_zero_wcet label g =
+  List.iter
+    (fun heuristic ->
+      for n_procs = 1 to 4 do
+        let case =
+          Printf.sprintf "%s, %s, M=%d" label (Priority.to_string heuristic)
+            n_procs
+        in
+        match List_scheduler.schedule_with ~heuristic ~n_procs g with
+        | s ->
+          Alcotest.(check int) (case ^ ": every job scheduled") (Graph.n_jobs g)
+            (Static_schedule.n_jobs s);
+          Alcotest.(check (list string))
+            (case ^ ": no structural violation") []
+            (List.map
+               (Format.asprintf "%a" (Static_schedule.pp_violation g))
+               (structural_violations g s))
+        | exception e ->
+          Alcotest.failf "%s: raised %s" case (Printexc.to_string e)
+      done)
+    Priority.all
+
+let test_zero_wcet_fig1 () =
+  (* a zero-WCET job finishes at the instant it starts; its successors
+     must still be released at that instant *)
+  let net = Fppn_apps.Fig1.network () in
+  Array.iter
+    (fun proc ->
+      let name = Fppn.Process.name proc in
+      let wcet p = if p = name then Rat.zero else Fppn_apps.Fig1.wcet p in
+      check_zero_wcet ("fig1, " ^ name ^ " zero")
+        (Derive.derive_exn ~wcet net).Derive.graph)
+    (Fppn.Network.processes net);
+  check_zero_wcet "fig1, every WCET zero"
+    (Derive.derive_exn ~wcet:(Derive.const_wcet Rat.zero) net).Derive.graph
+
+(* --- heap scheduler vs the quadratic reference --------------------------------- *)
+
+(* The list scheduler as it was before its event loop moved to heaps:
+   every event sweeps all jobs for due arrivals and for completions.
+   Kept verbatim as the differential reference; it cannot schedule a
+   zero-WCET job that has successors. *)
+let reference_schedule ~rank ~n_procs g =
+  Fppn_obs.Trace.with_span "sched.list" @@ fun () ->
+  let n = Graph.n_jobs g in
+  if Array.length rank <> n then
+    invalid_arg "List_scheduler.schedule: rank array size mismatch";
+  if n_procs <= 0 then invalid_arg "List_scheduler.schedule: no processors";
+  let entries =
+    Array.make n { Static_schedule.proc = 0; start = Rat.zero }
+  in
+  let started = Array.make n false in
+  let finish_time = Array.make n Rat.zero in
+  let missing_preds = Array.init n (fun i -> List.length (Graph.preds g i)) in
+  let proc_free = Array.make n_procs Rat.zero in
+  (* ready queue ordered by schedule priority *)
+  let ready = Pqueue.create ~cmp:(fun a b -> Int.compare rank.(a) rank.(b)) in
+  (* future wake-up times: arrivals of jobs whose predecessors are done,
+     and completions that release successors or processors *)
+  let events = Pqueue.create ~cmp:Rat.compare in
+  let pending_arrival = Array.make n false in
+  let release now i =
+    (* all predecessors done; becomes ready at max(now, A_i) *)
+    let j = Graph.job g i in
+    if Rat.(j.Job.arrival <= now) then Pqueue.push ready i
+    else if not pending_arrival.(i) then begin
+      pending_arrival.(i) <- true;
+      Pqueue.push events j.Job.arrival
+    end
+  in
+  Array.iteri
+    (fun i _ -> if missing_preds.(i) = 0 then release Rat.zero i)
+    entries;
+  (* also re-check arrival-released jobs at each event time *)
+  let scheduled_count = ref 0 in
+  let rec dispatch now =
+    (* move arrival-pending jobs whose time has come *)
+    for i = 0 to n - 1 do
+      if
+        pending_arrival.(i)
+        && Rat.((Graph.job g i).Job.arrival <= now)
+      then begin
+        pending_arrival.(i) <- false;
+        Pqueue.push ready i
+      end
+    done;
+    (* find a free processor: smallest free time <= now, lowest index *)
+    let free = ref (-1) in
+    for p = n_procs - 1 downto 0 do
+      if Rat.(proc_free.(p) <= now) then free := p
+    done;
+    if !free >= 0 then
+      match Pqueue.pop ready with
+      | None -> ()
+      | Some i ->
+        let p = !free in
+        entries.(i) <- { Static_schedule.proc = p; start = now };
+        started.(i) <- true;
+        incr scheduled_count;
+        let e = Rat.add now (Graph.job g i).Job.wcet in
+        finish_time.(i) <- e;
+        proc_free.(p) <- e;
+        Pqueue.push events e;
+        dispatch now
+  in
+  dispatch Rat.zero;
+  let completed_up_to = ref Rat.zero in
+  let complete_jobs now =
+    (* successors of jobs finishing at or before [now] become eligible *)
+    for i = 0 to n - 1 do
+      if
+        started.(i)
+        && Rat.(finish_time.(i) <= now)
+        && Rat.(finish_time.(i) > !completed_up_to)
+      then
+        List.iter
+          (fun s ->
+            missing_preds.(s) <- missing_preds.(s) - 1;
+            if missing_preds.(s) = 0 then release now s)
+          (Graph.succs g i)
+    done;
+    completed_up_to := Rat.max !completed_up_to now
+  in
+  let rec run () =
+    match Pqueue.pop events with
+    | None -> ()
+    | Some t ->
+      complete_jobs t;
+      dispatch t;
+      run ()
+  in
+  run ();
+  assert (!scheduled_count = n || n = 0);
+  Static_schedule.make ~n_procs entries
+
+let same_schedule g a b =
+  let n_procs = Static_schedule.n_procs a in
+  n_procs = Static_schedule.n_procs b
+  && List.for_all
+       (fun i ->
+         let ea = Static_schedule.entry a i and eb = Static_schedule.entry b i in
+         ea.Static_schedule.proc = eb.Static_schedule.proc
+         && Rat.equal ea.Static_schedule.start eb.Static_schedule.start)
+       (List.init (Graph.n_jobs g) Fun.id)
+  && List.for_all
+       (fun p -> Static_schedule.jobs_on a p = Static_schedule.jobs_on b p)
+       (List.init n_procs Fun.id)
+
+let matches_reference ?(procs = [ 1; 2; 3; 4 ]) g =
+  List.for_all
+    (fun heuristic ->
+      let rank = Priority.rank g heuristic in
+      List.for_all
+        (fun n_procs ->
+          same_schedule g
+            (List_scheduler.schedule ~rank ~n_procs g)
+            (reference_schedule ~rank ~n_procs g))
+        procs)
+    Priority.all
+
+(* the built-in apps the CLI names, plus the allocation probe;
+   random-wide (16500 one-job processes) is left out, the quadratic
+   reference is too slow on it for `dune runtest` *)
+let test_reference_apps () =
+  let fft = Fppn_apps.Fft.default_params in
+  let random =
+    Fppn_apps.Randgen.network { Fppn_apps.Randgen.default_params with seed = 42 }
+  in
+  List.iter
+    (fun (label, procs, net, wcet) ->
+      let g = (Derive.derive_exn ~wcet net).Derive.graph in
+      Alcotest.(check bool) (label ^ ": same schedules as the reference") true
+        (matches_reference ~procs g))
+    [
+      ("fig1", [ 1; 2; 3; 4 ], Fppn_apps.Fig1.network (), Fppn_apps.Fig1.wcet);
+      ("fft", [ 1; 2; 3; 4 ], Fppn_apps.Fft.network fft, Fppn_apps.Fft.wcet_map fft);
+      ( "fft-overhead", [ 1; 2; 3; 4 ],
+        Fppn_apps.Fft.network_with_overhead_job fft,
+        Fppn_apps.Fft.wcet_map_with_overhead fft ~overhead:(ms 41) );
+      ( "automotive", [ 1; 2; 3; 4 ], Fppn_apps.Automotive.network (),
+        Fppn_apps.Automotive.wcet );
+      ("fms", [ 1; 2; 3; 4 ], Fppn_apps.Fms.reduced (), Fppn_apps.Fms.wcet);
+      ("fms-original", [ 2 ], Fppn_apps.Fms.original (), Fppn_apps.Fms.wcet);
+      ( "random", [ 1; 2; 3; 4 ], random,
+        Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 10) (Derive.const_wcet Rat.one)
+          random );
+      ( "alloc-probe", [ 1; 2; 3; 4 ], Fppn_apps.Alloc_probe.network (),
+        Fppn_apps.Alloc_probe.wcet );
+    ]
+
 (* --- priority optimizer ----------------------------------------------------- *)
 
 let test_optimizer_never_worse () =
@@ -369,28 +569,31 @@ let random_params_gen =
     let* n_sporadic = int_range 0 2 in
     let* heuristic = oneofl Priority.all in
     let* n_procs = int_range 1 4 in
-    return (seed, n_periodic, n_sporadic, heuristic, n_procs))
+    (* 0: every WCET positive; k: roughly one process in k costs nothing *)
+    let* zero_every = oneofl [ 0; 2; 3; 4 ] in
+    return (seed, n_periodic, n_sporadic, heuristic, n_procs, zero_every))
 
 let prop_schedule_structurally_valid =
   qprop "list schedules satisfy arrival/precedence/mutual-exclusion"
-    random_params_gen (fun (seed, n_periodic, n_sporadic, heuristic, n_procs) ->
+    ~count:200 random_params_gen
+    (fun (seed, n_periodic, n_sporadic, heuristic, n_procs, zero_every) ->
       let params =
         { Fppn_apps.Randgen.default_params with seed; n_periodic; n_sporadic }
       in
       let net = Fppn_apps.Randgen.network params in
-      let wcet =
+      let base =
         Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 20) (Derive.const_wcet Rat.one) net
+      in
+      let wcet p =
+        if zero_every > 0 && Hashtbl.hash (seed, p) mod zero_every = 0 then
+          Rat.zero
+        else base p
       in
       let d = Derive.derive_exn ~wcet net in
       let g = d.Derive.graph in
       let s = List_scheduler.schedule_with ~heuristic ~n_procs g in
       (* deadlines may be missed; the structural constraints may not *)
-      List.for_all
-        (function
-          | Static_schedule.Deadline _ -> true
-          | Static_schedule.Arrival _ | Static_schedule.Precedence _
-          | Static_schedule.Overlap _ -> false)
-        (Static_schedule.check g s))
+      structural_violations g s = [])
 
 let prop_exact_dominates_heuristic =
   qprop "exact B&B never exceeds the heuristic makespan" ~count:20
@@ -438,6 +641,37 @@ let prop_necessary_condition_is_necessary =
         (* a feasible schedule exists: the necessary condition must hold *)
         Taskgraph.Analysis.necessary_condition g ~processors:n_procs = Ok ())
 
+(* Randgen nets with sporadic servers, bursts and sparse to dense
+   channels; positive WCETs, since the reference cannot schedule a
+   zero-WCET job that has successors *)
+let dense_params_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* n_periodic = int_range 2 8 in
+    let* n_sporadic = int_range 0 3 in
+    let* channel_density = oneofl [ 0.2; 0.5; 0.9 ] in
+    let* max_burst = int_range 1 3 in
+    let* scale = int_range 5 25 in
+    return
+      ( { Fppn_apps.Randgen.default_params with
+          seed;
+          n_periodic;
+          n_sporadic;
+          channel_density;
+          max_burst;
+        },
+        scale ))
+
+let prop_heap_matches_reference =
+  qprop "heap list scheduler = quadratic reference (5 heuristics, M=1..4)"
+    ~count:300 dense_params_gen (fun (params, scale) ->
+      let net = Fppn_apps.Randgen.network params in
+      let wcet =
+        Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 scale)
+          (Derive.const_wcet Rat.one) net
+      in
+      matches_reference (Derive.derive_exn ~wcet net).Derive.graph)
+
 let () =
   Alcotest.run "sched"
     [
@@ -467,6 +701,9 @@ let () =
             test_cosched_auto_parallel_equals_sequential;
           Alcotest.test_case "auto on a pool" `Quick
             test_auto_parallel_equals_sequential;
+          Alcotest.test_case "zero WCET on fig1" `Quick test_zero_wcet_fig1;
+          Alcotest.test_case "built-in apps match the reference" `Quick
+            test_reference_apps;
         ] );
       ( "exact",
         [
@@ -488,5 +725,6 @@ let () =
           prop_schedule_structurally_valid;
           prop_necessary_condition_is_necessary;
           prop_exact_dominates_heuristic;
+          prop_heap_matches_reference;
         ] );
     ]

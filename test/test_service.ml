@@ -565,6 +565,24 @@ let test_service_retire_and_duplicate () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "freed bandwidth admits the tenant again"
 
+let test_service_zero_wcet_tenant () =
+  (* zero-WCET jobs with successors once tripped the list scheduler's
+     completion bookkeeping (Assert_failure); registration must answer
+     with a verdict instead of raising, whichever processes cost nothing *)
+  let net = Fppn_apps.Fig1.network () in
+  List.iteri
+    (fun i (label, wcet) ->
+      let svc = Service.create ~procs:2 ~frames:1 () in
+      match Service.register svc ~name:(Printf.sprintf "zero%d" i) ~wcet net with
+      | Ok _ | Error _ -> ()
+      | exception e ->
+        Alcotest.failf "%s: register raised %s" label (Printexc.to_string e))
+    [
+      ("every WCET zero", Derive.const_wcet Rat.zero);
+      ( "FilterB zero",
+        fun p -> if p = "FilterB" then Rat.zero else Fppn_apps.Fig1.wcet p );
+    ]
+
 let () =
   Alcotest.run "service"
     [
@@ -607,5 +625,7 @@ let () =
           Alcotest.test_case "backpressure" `Quick test_service_backpressure;
           Alcotest.test_case "retire + duplicate" `Quick
             test_service_retire_and_duplicate;
+          Alcotest.test_case "zero-WCET tenant" `Quick
+            test_service_zero_wcet_tenant;
         ] );
     ]
