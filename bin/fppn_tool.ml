@@ -1702,10 +1702,11 @@ let serve_cmd =
           let r = Service.run_epoch ~pool svc in
           reports := r :: !reports;
           Printf.printf
-            "epoch %d: drained %d, consumed %d, dropped %d, backpressure %d, \
-             jobs %d, misses %d (%.4fs)\n"
+            "epoch %d: drained %d, consumed %d, dropped %d, unhandled %d, \
+             backpressure %d, jobs %d, misses %d (%.4fs)\n"
             r.Service.epoch r.Service.events_drained r.Service.events_consumed
-            r.Service.events_dropped (Service.backpressure svc)
+            r.Service.events_dropped r.Service.events_unhandled
+            (Service.backpressure svc)
             r.Service.jobs_executed r.Service.deadline_misses r.Service.wall_s
         done;
         if verify then oracle := Some (Service.verify ~pool svc));

@@ -51,20 +51,16 @@ let is_valid_sporadic_trace t stamps =
   (* window check: for the i-th stamp s, the stamps in (s - T, s] must
      number at most m.  Checking windows anchored at each stamp is
      sufficient because a maximal violating window can always be slid
-     right until its right edge hits a stamp. *)
+     right until its right edge hits a stamp.  On an ascending trace
+     those stamps are a suffix of the first i + 1, so there are at most
+     m of them iff the (i - m)-th stamp lies at or before s - T. *)
   let arr = Array.of_list stamps in
-  let n = Array.length arr in
-  let window_ok i =
-    let s = arr.(i) in
-    let lo = Rat.sub s t.period in
-    let count = ref 0 in
-    for j = 0 to i do
-      if Rat.(arr.(j) > lo) then incr count
-    done;
-    !count <= t.burst
+  let m = t.burst in
+  let rec all_windows i =
+    i >= Array.length arr
+    || (Rat.( <= ) arr.(i - m) (Rat.sub arr.(i) t.period) && all_windows (i + 1))
   in
-  let rec all_windows i = i >= n || (window_ok i && all_windows (i + 1)) in
-  ascending stamps && non_negative && all_windows 0
+  ascending stamps && non_negative && all_windows m
 
 let random_sporadic_trace t prng ~horizon ~density =
   if density < 0.0 || density > 1.0 then

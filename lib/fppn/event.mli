@@ -38,7 +38,9 @@ val is_valid_sporadic_trace : t -> Rt_util.Rat.t list -> bool
 (** Checks the sporadic constraint: stamps ascending, non-negative, and
     at most [m_e] of them in any half-closed window [(t, t+T_e]].
     Always true of the empty trace.  Periodic generators accept exactly
-    their own stamp sequence prefix. *)
+    their own stamp sequence prefix.  O(n) in the trace length: on an
+    ascending trace it suffices that [s_i − s_(i−m_e) >= T_e] for every
+    [i >= m_e]. *)
 
 val random_sporadic_trace :
   t -> Rt_util.Prng.t -> horizon:Rt_util.Rat.t -> density:float -> Rt_util.Rat.t list

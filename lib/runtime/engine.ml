@@ -51,8 +51,12 @@ let output_history r = Lazy.force r.output_history
 let overhead_segments r = Lazy.force r.overhead_segments
 
 (* Map every (server job id, frame) to the real sporadic event it
-   handles, applying the Fig. 2 boundary rule.  Returns the map plus the
-   events that fall beyond the last simulated window. *)
+   handles, applying the Fig. 2 boundary rule.  The server windows tile
+   the time line: window [w] ends at [b = w·T_s] and is slot
+   [w mod S + 1] of frame [w / S] ([H = S·T_s]), so a stamp's window
+   follows from [s / T_s] and its position in the window's subset is its
+   rank among the ascending stamps there — one pass per server.  Returns
+   the map plus the events that fall beyond the last simulated window. *)
 let assign_sporadic_events net (derived : Derive.t) ~frames ~hyperperiod traces =
   let g = derived.Derive.graph in
   let assigned : (int * int, Rat.t) Hashtbl.t = Hashtbl.create 64 in
@@ -71,40 +75,35 @@ let assign_sporadic_events net (derived : Derive.t) ~frames ~hyperperiod traces 
       let ts = s.Derive.server_period in
       let burst = Process.burst (Network.process net p) in
       let slots_per_frame = Rat.to_int_exn (Rat.div hyperperiod ts) in
-      let in_window ~b stamp =
-        let lo = Rat.sub b ts in
-        if s.Derive.boundary_closed_right then Rat.(stamp > lo) && Rat.(stamp <= b)
-        else Rat.(stamp >= lo) && Rat.(stamp < b)
+      let windows = frames * slots_per_frame in
+      (* the w with s in (b - T_s, b], respectively [b - T_s, b) *)
+      let window stamp =
+        let q = Rat.div stamp ts in
+        if s.Derive.boundary_closed_right then Rat.ceil q else Rat.floor q + 1
       in
-      let consumed = Hashtbl.create 16 in
-      (* no real events: every slot of this server is 'false' and the
-         whole window scan (frames · slots rational steps) is a no-op *)
-      if stamps <> [] then
-      for frame = 0 to frames - 1 do
-        for slot = 1 to slots_per_frame do
-          let rel = Rat.mul ts (Rat.of_int (slot - 1)) in
-          let b = Rat.add (Rat.mul hyperperiod (Rat.of_int frame)) rel in
-          (* positions within the subset, in stamp order *)
-          let idx = ref 0 in
-          List.iteri
-            (fun i stamp ->
-              if (not (Hashtbl.mem consumed i)) && in_window ~b stamp then begin
-                incr idx;
-                if !idx <= burst then begin
-                  Hashtbl.replace consumed i ();
-                  let k = ((slot - 1) * burst) + !idx in
-                  let job_id = Graph.find_job g ~proc:p ~k in
-                  Hashtbl.replace assigned (job_id, frame) stamp
-                end
-              end)
-            stamps
-        done
-      done;
-      List.iteri
-        (fun i stamp ->
-          if not (Hashtbl.mem consumed i) then
-            unhandled := (name, stamp) :: !unhandled)
-        stamps)
+      if stamps <> [] then begin
+        (* server jobs ascending k: job k handles position
+           (k - 1) mod burst + 1 of slot (k - 1) / burst + 1 *)
+        let jobs = Array.of_list (Graph.jobs_of_process g p) in
+        let current = ref (-1) and rank = ref 0 in
+        List.iter
+          (fun stamp ->
+            let w = window stamp in
+            if w = !current then incr rank
+            else begin
+              current := w;
+              rank := 1
+            end;
+            (* a valid trace has at most m stamps per window, as
+               T_s <= T; the rank test keeps a job index in its slot *)
+            if w < windows && !rank <= burst then
+              let slot = w mod slots_per_frame in
+              Hashtbl.replace assigned
+                (jobs.((slot * burst) + !rank - 1), w / slots_per_frame)
+                stamp
+            else unhandled := (name, stamp) :: !unhandled)
+          stamps
+      end)
     derived.Derive.servers;
   (assigned, List.rev !unhandled)
 

@@ -132,7 +132,19 @@ val sporadic_assignment :
 (** The window mapping of Sec. IV / Fig. 2, exposed for the
     timed-automata backend and for tests: maps [(server job id, frame)]
     to the real event stamp that slot handles; the second component
-    lists the events left for the window after the simulated horizon. *)
+    lists the events left for the window after the simulated horizon.
+
+    A server of period [T_s] has [S = H / T_s] windows per frame, and
+    they tile the time line: window [w] ends at [b = w·T_s], covers
+    [(b − T_s, b\]] when the sporadic has priority over its user and
+    [\[b − T_s, b)] otherwise, and is slot [w mod S + 1] of frame
+    [w / S].  A stamp [s] thus lies in window [⌈s / T_s⌉], respectively
+    [⌊s / T_s⌋ + 1], and takes the server job of its rank among the
+    stamps of that window.  One pass over each trace does it all:
+    O(stamps + server jobs), independent of [frames].  Stamps in
+    windows [w >= frames·S] are unhandled.
+    @raise Invalid_argument as {!run} when a trace violates its
+    generator's [(m, T)] constraint. *)
 
 val signature : result -> (string * Fppn.Value.t list) list
 (** Channel write sequences (internal + external outputs), sorted by

@@ -26,6 +26,7 @@ type epoch_report = {
   events_drained : int;
   events_dropped : int;
   events_consumed : int;
+  events_unhandled : int;
   jobs_executed : int;
   deadline_misses : int;
   wall_s : float;
@@ -103,22 +104,20 @@ let run_epoch ?pool t =
   t.backpressure_seen <- bp;
   let events = Ingest.drain t.queue in
   let drained = List.length events in
-  let by_tenant = Hashtbl.create 16 in
+  (* resident name -> its events, newest first *)
+  let by_tenant = Hashtbl.create 64 in
+  List.iter (fun ten -> Hashtbl.replace by_tenant ten.Tenant.name []) t.residents;
   let unaddressed = ref 0 in
   List.iter
     (fun (ev : Ingest.event) ->
-      if find t ev.Ingest.ev_tenant = None then incr unaddressed
-      else
-        let prev =
-          Option.value (Hashtbl.find_opt by_tenant ev.Ingest.ev_tenant)
-            ~default:[]
-        in
-        Hashtbl.replace by_tenant ev.Ingest.ev_tenant (ev :: prev))
+      match Hashtbl.find_opt by_tenant ev.Ingest.ev_tenant with
+      | None -> incr unaddressed
+      | Some prev -> Hashtbl.replace by_tenant ev.Ingest.ev_tenant (ev :: prev))
     events;
   let legalized_for ten =
-    match Hashtbl.find_opt by_tenant ten.Tenant.name with
-    | None -> ([], 0)
-    | Some evs ->
+    match Hashtbl.find by_tenant ten.Tenant.name with
+    | [] -> ([], 0)
+    | evs ->
       let horizon =
         Rat.mul (Rat.of_int t.frames) (Tenant.hyperperiod ten)
       in
@@ -142,19 +141,13 @@ let run_epoch ?pool t =
     | Some pool -> Pool.parallel_map pool run work
     | None -> Array.map run work
   in
-  let consumed =
-    Array.fold_left
-      (fun acc (_, (sporadic, _)) ->
-        acc
-        + List.fold_left (fun a (_, stamps) -> a + List.length stamps) 0 sporadic)
-      0 work
+  let sum field =
+    Array.fold_left (fun acc (o : Tenant.outcome) -> acc + field o) 0 outcomes
   in
-  let jobs =
-    Array.fold_left (fun acc (o : Tenant.outcome) -> acc + o.executed) 0 outcomes
-  in
-  let misses =
-    Array.fold_left (fun acc (o : Tenant.outcome) -> acc + o.misses) 0 outcomes
-  in
+  let consumed = sum (fun o -> o.consumed) in
+  let unhandled = sum (fun o -> o.unhandled) in
+  let jobs = sum (fun o -> o.executed) in
+  let misses = sum (fun o -> o.misses) in
   t.epochs <- t.epochs + 1;
   t.dropped_total <- t.dropped_total + dropped;
   Metrics.incr m_epochs;
@@ -169,6 +162,7 @@ let run_epoch ?pool t =
     events_drained = drained;
     events_dropped = dropped;
     events_consumed = consumed;
+    events_unhandled = unhandled;
     jobs_executed = jobs;
     deadline_misses = misses;
     wall_s;
@@ -197,6 +191,7 @@ let epoch_report_to_json r =
       ("events_drained", Json.Int r.events_drained);
       ("events_dropped", Json.Int r.events_dropped);
       ("events_consumed", Json.Int r.events_consumed);
+      ("events_unhandled", Json.Int r.events_unhandled);
       ("jobs_executed", Json.Int r.jobs_executed);
       ("deadline_misses", Json.Int r.deadline_misses);
       ("wall_s", Json.Float r.wall_s);

@@ -21,7 +21,15 @@ type epoch_report = {
   epoch : int;  (** 1-based epoch number just completed *)
   events_drained : int;  (** pulled off the queue this epoch *)
   events_dropped : int;  (** unknown tenant/process, out of horizon, or thinned by the [(m,T)] rule *)
-  events_consumed : int;  (** fed into tenant engines this epoch *)
+  events_consumed : int;  (** handled by a tenant's server job this epoch *)
+  events_unhandled : int;
+      (** legal, but in the epoch's final server window
+          ([(frames·H − T_s, frames·H)] when the sporadic has priority
+          over its user, [\[frames·H − T_s, frames·H)] otherwise): the
+          subset that would handle them arrives at the next epoch's
+          origin, so the engine leaves them unhandled.  Every drained
+          event is counted once: [events_drained = events_consumed +
+          events_dropped + events_unhandled]. *)
   jobs_executed : int;
   deadline_misses : int;
   wall_s : float;

@@ -83,22 +83,29 @@ type outcome = {
   signature : (string * Fppn.Value.t list) list;
   executed : int;
   misses : int;
+  consumed : int;
+  unhandled : int;
 }
 
 let run_epoch t ~frames ~sporadic =
   let cfg = config t ~frames ~sporadic in
   let r = Engine.run t.plan.net t.plan.derive t.plan.schedule cfg in
   let signature = Engine.signature r in
+  let unhandled = List.length r.Engine.unhandled_events in
+  let consumed =
+    List.fold_left (fun acc (_, stamps) -> acc + List.length stamps) 0 sporadic
+    - unhandled
+  in
   t.epochs_run <- t.epochs_run + 1;
-  t.events_consumed <-
-    t.events_consumed
-    + List.fold_left (fun acc (_, stamps) -> acc + List.length stamps) 0 sporadic;
+  t.events_consumed <- t.events_consumed + consumed;
   t.last_events <- sporadic;
   t.last_signature <- Some signature;
   {
     signature;
     executed = r.Engine.stats.Runtime.Exec_trace.executed;
     misses = r.Engine.stats.Runtime.Exec_trace.misses;
+    consumed;
+    unhandled;
   }
 
 let standalone_signature t ~frames =

@@ -48,7 +48,9 @@ type t = {
   load : Rt_util.Rat.t;  (** Prop. 3.1 precedence-aware load *)
   lower_bound : int;  (** [⌈Load⌉] *)
   mutable epochs_run : int;
-  mutable events_consumed : int;  (** sporadic events fed so far *)
+  mutable events_consumed : int;
+      (** sporadic events fed so far that a server job handled; those
+          left in an epoch's final server window are not counted *)
   mutable last_events : (string * Rt_util.Rat.t list) list;
       (** the sporadic traces of the most recent epoch *)
   mutable last_signature : (string * Fppn.Value.t list) list option;
@@ -82,6 +84,12 @@ type outcome = {
   signature : (string * Fppn.Value.t list) list;
   executed : int;  (** jobs the engine ran this epoch *)
   misses : int;  (** deadline misses this epoch *)
+  consumed : int;  (** stamps a server job handled this epoch *)
+  unhandled : int;
+      (** stamps the engine left unhandled this epoch
+          ([Runtime.Engine.result.unhandled_events]): legal stamps in
+          the epoch's final server window, whose subset arrives only
+          at the next epoch's origin *)
 }
 
 val run_epoch :

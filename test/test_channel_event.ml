@@ -197,6 +197,72 @@ let prop_random_traces_valid =
       let t = Event.random_sporadic_trace e prng ~horizon:(ms 3000) ~density:1.0 in
       Event.is_valid_sporadic_trace e t)
 
+(* The (m,T) check as it was before it became linear: every stamp's
+   window (s - T, s] is counted by a scan of all earlier stamps.  Kept
+   verbatim as the differential reference. *)
+let reference_is_valid_sporadic_trace (t : Event.t) stamps =
+  let rec ascending = function
+    | [] | [ _ ] -> true
+    | a :: (b :: _ as rest) -> Rat.(a <= b) && ascending rest
+  in
+  let non_negative = List.for_all (fun s -> Rat.sign s >= 0) stamps in
+  (* window check: for the i-th stamp s, the stamps in (s - T, s] must
+     number at most m.  Checking windows anchored at each stamp is
+     sufficient because a maximal violating window can always be slid
+     right until its right edge hits a stamp. *)
+  let arr = Array.of_list stamps in
+  let n = Array.length arr in
+  let window_ok i =
+    let s = arr.(i) in
+    let lo = Rat.sub s t.period in
+    let count = ref 0 in
+    for j = 0 to i do
+      if Rat.(arr.(j) > lo) then incr count
+    done;
+    !count <= t.burst
+  in
+  let rec all_windows i = i >= n || (window_ok i && all_windows (i + 1)) in
+  ascending stamps && non_negative && all_windows 0
+
+(* Traces around the (m,T) boundary: stamps on a grid of 1/den, mostly
+   ascending with repeats, sometimes shuffled or shifted negative; the
+   period is a small rational too, so windows end exactly on stamps. *)
+let validity_case =
+  QCheck2.Gen.(
+    let* burst = int_range 1 4 in
+    let* period = map2 Rat.make (int_range 1 12) (int_range 1 4) in
+    let* den = int_range 1 4 in
+    let* steps = list_size (int_range 0 14) (int_range 0 6) in
+    let* shape = int_range 0 9 in
+    let* shift = int_range (-3) 3 in
+    let ascending =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (at, acc) step -> (at + step, Rat.make (at + step) den :: acc))
+              (0, []) steps))
+    in
+    let stamps =
+      match shape with
+      | 0 -> List.rev ascending
+      | 1 -> List.map (fun s -> Rat.add s (Rat.make shift den)) ascending
+      | 2 -> ascending @ ascending
+      | _ -> ascending
+    in
+    return (Event.sporadic ~burst ~min_period:period ~deadline:period (), stamps))
+
+let print_validity_case ((e : Event.t), stamps) =
+  Printf.sprintf "m=%d T=%s [%s]" e.burst (Rat.to_string e.period)
+    (String.concat "; " (List.map Rat.to_string stamps))
+
+let prop_validity_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~print:print_validity_case
+       ~name:"linear (m,T) check = quadratic reference" validity_case
+       (fun (e, stamps) ->
+         Event.is_valid_sporadic_trace e stamps
+         = reference_is_valid_sporadic_trace e stamps))
+
 let test_pp () =
   let s = Format.asprintf "%a" Event.pp (Event.periodic ~period:(ms 200) ~deadline:(ms 200) ()) in
   Alcotest.(check string) "periodic pp" "periodic 200ms" s;
@@ -233,5 +299,6 @@ let () =
           Alcotest.test_case "random trace" `Quick test_random_sporadic_trace;
           Alcotest.test_case "pretty printing" `Quick test_pp;
           prop_random_traces_valid;
+          prop_validity_matches_reference;
         ] );
     ]

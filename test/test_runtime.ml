@@ -11,6 +11,9 @@ module Exec_time = Runtime.Exec_time
 module Exec_trace = Runtime.Exec_trace
 module Platform = Runtime.Platform
 module Uniproc_fp = Runtime.Uniproc_fp
+module Graph = Taskgraph.Graph
+module Prng = Rt_util.Prng
+module Randgen = Fppn_apps.Randgen
 
 let ms = Rat.of_int
 let rat = Alcotest.testable Rat.pp Rat.equal
@@ -200,8 +203,10 @@ let test_engine_matches_zero_delay () =
 
 (* --- sporadic boundary rule (Fig. 2) ----------------------------------- *)
 
-(* Sporadic S configures periodic user U; U emits (k, cfg) pairs. *)
-let boundary_net ~sporadic_first =
+(* Sporadic S configures periodic user U (100 ms); U emits (k, cfg)
+   pairs.  A deadline at or below U's period gives S's server a
+   fractional period (footnote 3). *)
+let server_net ~sporadic_first ~burst ~min_period ~deadline =
   let b = Network.Builder.create "boundary" in
   Network.Builder.add_process b
     (Process.make ~name:"U"
@@ -212,7 +217,7 @@ let boundary_net ~sporadic_first =
             ctx.Process.write "o" (V.Pair (V.Int ctx.Process.job_index, cfg)))));
   Network.Builder.add_process b
     (Process.make ~name:"S"
-       ~event:(Event.sporadic ~min_period:(ms 100) ~deadline:(ms 150) ())
+       ~event:(Event.sporadic ~burst ~min_period ~deadline ())
        (Process.Native
           (fun ctx -> ctx.Process.write "cfg" (V.Int (100 + ctx.Process.job_index)))));
   Network.Builder.add_channel b ~kind:Fppn.Channel.Blackboard ~writer:"S"
@@ -221,6 +226,9 @@ let boundary_net ~sporadic_first =
   else Network.Builder.add_priority b "U" "S";
   Network.Builder.add_output b ~owner:"U" "o";
   Network.Builder.finish_exn b
+
+let boundary_net ~sporadic_first =
+  server_net ~sporadic_first ~burst:1 ~min_period:(ms 100) ~deadline:(ms 150)
 
 let boundary_run ~sporadic_first =
   let net = boundary_net ~sporadic_first in
@@ -320,6 +328,209 @@ let test_unhandled_horizon_events () =
   Alcotest.(check (list (pair string rat))) "event reported unhandled"
     [ ("S", ms 250) ]
     rt.Engine.unhandled_events
+
+(* --- sporadic assignment vs the window-scan reference ------------------ *)
+
+(* [Engine.sporadic_assignment] as it was before it became one pass per
+   server: every (frame, slot) window rescans every stamp.  Kept
+   verbatim as the differential reference. *)
+let reference_assign_sporadic_events net (derived : Derive.t) ~frames ~hyperperiod traces =
+  let g = derived.Derive.graph in
+  let assigned : (int * int, Rat.t) Hashtbl.t = Hashtbl.create 64 in
+  let unhandled = ref [] in
+  List.iter
+    (fun (s : Derive.server_info) ->
+      let p = s.Derive.sporadic in
+      let name = Process.name (Network.process net p) in
+      let stamps =
+        match List.assoc_opt name traces with Some l -> l | None -> []
+      in
+      let ev = Process.event (Network.process net p) in
+      if not (Event.is_valid_sporadic_trace ev stamps) then
+        invalid_arg
+          (Printf.sprintf "Engine.run: sporadic trace of %S violates (m,T)" name);
+      let ts = s.Derive.server_period in
+      let burst = Process.burst (Network.process net p) in
+      let slots_per_frame = Rat.to_int_exn (Rat.div hyperperiod ts) in
+      let in_window ~b stamp =
+        let lo = Rat.sub b ts in
+        if s.Derive.boundary_closed_right then Rat.(stamp > lo) && Rat.(stamp <= b)
+        else Rat.(stamp >= lo) && Rat.(stamp < b)
+      in
+      let consumed = Hashtbl.create 16 in
+      (* no real events: every slot of this server is 'false' and the
+         whole window scan (frames · slots rational steps) is a no-op *)
+      if stamps <> [] then
+      for frame = 0 to frames - 1 do
+        for slot = 1 to slots_per_frame do
+          let rel = Rat.mul ts (Rat.of_int (slot - 1)) in
+          let b = Rat.add (Rat.mul hyperperiod (Rat.of_int frame)) rel in
+          (* positions within the subset, in stamp order *)
+          let idx = ref 0 in
+          List.iteri
+            (fun i stamp ->
+              if (not (Hashtbl.mem consumed i)) && in_window ~b stamp then begin
+                incr idx;
+                if !idx <= burst then begin
+                  Hashtbl.replace consumed i ();
+                  let k = ((slot - 1) * burst) + !idx in
+                  let job_id = Graph.find_job g ~proc:p ~k in
+                  Hashtbl.replace assigned (job_id, frame) stamp
+                end
+              end)
+            stamps
+        done
+      done;
+      List.iteri
+        (fun i stamp ->
+          if not (Hashtbl.mem consumed i) then
+            unhandled := (name, stamp) :: !unhandled)
+        stamps)
+    derived.Derive.servers;
+  (assigned, List.rev !unhandled)
+
+(* The assignment as comparable data: the [Hashtbl.fold] order of the
+   map, the unhandled list, or the text of the exception raised. *)
+let assignment_outcome assign =
+  match assign () with
+  | assigned, unhandled ->
+    Ok (Hashtbl.fold (fun key stamp acc -> (key, stamp) :: acc) assigned [], unhandled)
+  | exception e -> Error (Printexc.to_string e)
+
+(* Keep each ascending stamp that has fewer than m kept ones in its
+   window (s - T, s]. *)
+let thin_to_valid (ev : Event.t) stamps =
+  List.rev
+    (List.fold_left
+       (fun kept s ->
+         let lo = Rat.sub s ev.Event.period in
+         if List.length (List.filter (fun x -> Rat.(x > lo)) kept) < ev.Event.burst
+         then s :: kept
+         else kept)
+       [] stamps)
+
+(* One trace over [horizon] for a server of period [ts]: random, on the
+   window edges k·T_s (up to m copies each), on the edges nudged by
+   1/3 ms either way, or an over-dense grid that mostly violates
+   (m,T). *)
+let stamps_for prng (ev : Event.t) ~ts ~horizon =
+  let edges nudge =
+    List.concat_map
+      (fun k ->
+        if Prng.int prng 3 = 0 then []
+        else
+          let s = Rat.add (Rat.mul ts (Rat.of_int k)) nudge in
+          List.init (1 + Prng.int prng ev.Event.burst) (fun _ -> s))
+      (List.init (Rat.ceil (Rat.div horizon ts) + 1) Fun.id)
+    |> List.filter (fun s -> Rat.sign s >= 0 && Rat.(s < horizon))
+    |> List.sort Rat.compare |> thin_to_valid ev
+  in
+  match Prng.int prng 4 with
+  | 0 ->
+    Event.random_sporadic_trace ev prng ~horizon
+      ~density:(0.2 +. Prng.float prng 0.8)
+  | 1 -> edges Rat.zero
+  | 2 -> edges (Rat.make (Prng.int_in prng (-1) 1) 3)
+  | _ ->
+    let step = Rat.make (1 + Prng.int prng 30) (1 + Prng.int prng 2) in
+    List.init
+      (min 200 (Rat.ceil (Rat.div horizon step)))
+      (fun k -> Rat.mul step (Rat.of_int k))
+
+let fms_reduced =
+  lazy
+    (let net = Fppn_apps.Fms.reduced () in
+     (net, Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet net))
+
+let automotive =
+  lazy
+    (let net = Fppn_apps.Automotive.network () in
+     (net, Derive.derive_exn ~wcet:Fppn_apps.Automotive.wcet net))
+
+(* A network, its derivation, a frame count and traces over frames + 1
+   hyperperiods, so that some stamps fall past the last window. *)
+let assignment_case ~family ~seed ~frames =
+  let prng = Prng.create seed in
+  let drawn_traces net (d : Derive.t) =
+    let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int (frames + 1)) in
+    List.filter_map
+      (fun (s : Derive.server_info) ->
+        let proc = Network.process net s.Derive.sporadic in
+        if Prng.int prng 8 = 0 then None
+        else
+          Some
+            ( Process.name proc,
+              stamps_for prng (Process.event proc) ~ts:s.Derive.server_period
+                ~horizon ))
+      d.Derive.servers
+  in
+  match family with
+  | 0 | 1 | 2 | 3 | 4 | 5 ->
+    (* Randgen, 1-3 sporadics of burst 1-3, either boundary rule *)
+    let spec =
+      Randgen.spec_of_params
+        {
+          Randgen.seed;
+          n_periodic = 1 + Prng.int prng 4;
+          n_sporadic = 1 + Prng.int prng 3;
+          periods = [ 50; 100; 200 ];
+          channel_density = 0.3;
+          max_burst = 1 + Prng.int prng 3;
+        }
+    in
+    let flipped =
+      {
+        spec with
+        Randgen.sporadics =
+          List.map
+            (fun sp -> { sp with Randgen.sp_higher = Prng.bool prng })
+            spec.Randgen.sporadics;
+      }
+    in
+    let net =
+      match Randgen.build flipped with
+      | Ok net -> net
+      | Error _ -> Randgen.build_exn spec
+    in
+    let d = Derive.derive_exn ~wcet:(Derive.const_wcet (ms 1)) net in
+    (net, d, frames, drawn_traces net d)
+  | 6 | 7 ->
+    let net =
+      server_net ~sporadic_first:(Prng.bool prng)
+        ~burst:(Prng.int_in prng 1 3)
+        ~min_period:(ms (100 * Prng.int_in prng 1 3))
+        ~deadline:(ms (List.nth [ 30; 40; 70; 100; 150 ] (Prng.int prng 5)))
+    in
+    let d = Derive.derive_exn ~wcet:(Derive.const_wcet (ms 1)) net in
+    (net, d, frames, drawn_traces net d)
+  | 8 ->
+    let net, d = Lazy.force fms_reduced in
+    let frames = 1 + (frames mod 3) in
+    let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int (frames + 1)) in
+    ( net,
+      d,
+      frames,
+      Fppn_apps.Fms.random_config_traces ~seed ~horizon
+        ~density:(0.2 +. Prng.float prng 0.8) net )
+  | _ ->
+    let net, d = Lazy.force automotive in
+    let frames = frames * 2 in
+    let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int (frames + 1)) in
+    (net, d, frames, Fppn_apps.Automotive.knock_burst ~horizon)
+
+let prop_assignment_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400
+       ~name:"one-pass sporadic assignment = window-scan reference"
+       ~print:(fun (family, seed, frames) ->
+         Printf.sprintf "family %d, seed %d, frames %d" family seed frames)
+       QCheck2.Gen.(triple (int_range 0 9) (int_range 0 100_000) (int_range 1 12))
+       (fun (family, seed, frames) ->
+         let net, d, frames, traces = assignment_case ~family ~seed ~frames in
+         assignment_outcome (fun () -> Engine.sporadic_assignment net d ~frames traces)
+         = assignment_outcome (fun () ->
+               reference_assign_sporadic_events net d ~frames
+                 ~hyperperiod:d.Derive.hyperperiod traces)))
 
 (* --- overhead model ----------------------------------------------------- *)
 
@@ -437,6 +648,7 @@ let () =
             test_boundary_assignment_slots;
           Alcotest.test_case "unhandled horizon events" `Quick
             test_unhandled_horizon_events;
+          prop_assignment_matches_reference;
         ] );
       ( "overhead",
         [

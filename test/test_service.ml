@@ -511,9 +511,10 @@ let test_service_end_to_end () =
         Alcotest.(check int) "epoch number" epoch r.Service.epoch;
         Alcotest.(check int) "every event accounted for" 150
           (r.Service.events_drained);
-        Alcotest.(check int) "drained = consumed + dropped"
+        Alcotest.(check int) "drained = consumed + dropped + unhandled"
           r.Service.events_drained
-          (r.Service.events_consumed + r.Service.events_dropped);
+          (r.Service.events_consumed + r.Service.events_dropped
+           + r.Service.events_unhandled);
         Alcotest.(check bool) "work happened" true (r.Service.jobs_executed > 0)
       done;
       (* the oracle: every tenant's co-resident epoch equals its
@@ -522,6 +523,62 @@ let test_service_end_to_end () =
         (fun (name, ok) ->
           Alcotest.(check bool) (Printf.sprintf "oracle %s" name) true ok)
         (Service.verify ~pool svc))
+
+(* U periodic 100 ms, S sporadic (min period 100 ms) configuring it,
+   with U -> S: S's server windows are [b - 100, b), so over 2 frames
+   a stamp in [100, 200) is legal input yet left to the window ending
+   at the next epoch's origin. *)
+let final_window_net () =
+  let module B = Fppn.Network.Builder in
+  let module P = Fppn.Process in
+  let b = B.create "final-window" in
+  let nop _ = () in
+  B.add_process b
+    (P.make ~name:"U"
+       ~event:(Fppn.Event.periodic ~period:(ms 100) ~deadline:(ms 100) ())
+       (P.Native nop));
+  B.add_process b
+    (P.make ~name:"S"
+       ~event:(Fppn.Event.sporadic ~min_period:(ms 100) ~deadline:(ms 150) ())
+       (P.Native nop));
+  B.add_channel b ~kind:Fppn.Channel.Blackboard ~writer:"S" ~reader:"U" "cfg";
+  B.add_priority b "U" "S";
+  B.finish_exn b
+
+let test_service_final_window_unhandled () =
+  let svc = Service.create ~procs:2 ~frames:2 () in
+  let ten =
+    match
+      Service.register svc ~name:"t" ~wcet:(Derive.const_wcet (ms 10))
+        (final_window_net ())
+    with
+    | Ok ten -> ten
+    | Error r -> Alcotest.failf "rejected: %s" (Json.to_string (Admission.reason_to_json r))
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "queued" true
+        (Service.submit svc ~tenant:"t" ~process:"S" ~stamp:(ms s)))
+    [ 20; 150 ];
+  let r = Service.run_epoch svc in
+  Alcotest.(check (list int)) "drained, consumed, dropped, unhandled"
+    [ 2; 1; 0; 1 ]
+    [
+      r.Service.events_drained;
+      r.Service.events_consumed;
+      r.Service.events_dropped;
+      r.Service.events_unhandled;
+    ];
+  Alcotest.(check int) "tenant counts only the handled stamp" 1
+    ten.Tenant.events_consumed;
+  let rt =
+    Runtime.Engine.run ten.Tenant.plan.Tenant.net ten.Tenant.plan.Tenant.derive
+      ten.Tenant.plan.Tenant.schedule
+      (Tenant.config ten ~frames:2 ~sporadic:ten.Tenant.last_events)
+  in
+  Alcotest.(check (list (pair string string))) "the engine leaves S@150"
+    [ ("S", "150") ]
+    (List.map (fun (n, s) -> (n, Rat.to_string s)) rt.Runtime.Engine.unhandled_events)
 
 let test_service_backpressure () =
   let svc = Service.create ~queue_capacity:8 ~procs:2 ~frames:1 () in
@@ -622,6 +679,8 @@ let () =
         [
           Alcotest.test_case "end to end with async producers" `Quick
             test_service_end_to_end;
+          Alcotest.test_case "final-window stamps unhandled" `Quick
+            test_service_final_window_unhandled;
           Alcotest.test_case "backpressure" `Quick test_service_backpressure;
           Alcotest.test_case "retire + duplicate" `Quick
             test_service_retire_and_duplicate;
