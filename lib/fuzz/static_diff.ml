@@ -119,7 +119,49 @@ module Certificate = Fppn_lint.Certificate
 module Model = Fppn_lint.Model
 module Engine = Runtime.Engine
 module Derive = Taskgraph.Derive
+module Graph = Taskgraph.Graph
+module Network = Fppn.Network
 module Metrics = Fppn_obs.Metrics
+
+(* Per-job descendant bitsets, built in one reverse-topological sweep:
+   O(J^2) bits, which is why the certificate replaced this as the
+   engine's gate. *)
+let closure_conflicts_ordered (g : Graph.t) net =
+  let n = Graph.n_jobs g in
+  let pairs =
+    List.filter_map
+      (fun (c : Network.channel_decl) ->
+        let w = Network.find net c.Network.writer
+        and r = Network.find net c.Network.reader in
+        if w = r then None else Some (w, r))
+      (Network.channels net)
+  in
+  pairs = []
+  ||
+  let wds = (n + 62) / 63 in
+  let reach = Array.make (n * wds) 0 in
+  List.iter
+    (fun v ->
+      let base = v * wds in
+      reach.(base + (v / 63)) <- reach.(base + (v / 63)) lor (1 lsl (v mod 63));
+      List.iter
+        (fun s ->
+          let sb = s * wds in
+          for w = 0 to wds - 1 do
+            reach.(base + w) <- reach.(base + w) lor reach.(sb + w)
+          done)
+        (Graph.succs g v))
+    (List.rev (Graph.topo_order g));
+  let ordered a b =
+    reach.((a * wds) + (b / 63)) land (1 lsl (b mod 63)) <> 0
+    || reach.((b * wds) + (a / 63)) land (1 lsl (a mod 63)) <> 0
+  in
+  List.for_all
+    (fun (w, r) ->
+      List.for_all
+        (fun a -> List.for_all (ordered a) (Graph.jobs_of_process g r))
+        (Graph.jobs_of_process g w))
+    pairs
 
 type certify_summary = {
   cc_cases : int;
@@ -145,13 +187,9 @@ let certify ?(log = fun _ -> ()) ?(max_periodic = 6) ?(max_sporadic = 2) ~seed
   and mismatches = ref 0
   and disagreements = ref 0 in
   let metrics_were = Metrics.enabled () in
-  let cross_check_was = !Engine.closure_cross_check in
   Metrics.set_enabled true;
-  Engine.closure_cross_check := true;
   Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled metrics_were;
-      Engine.closure_cross_check := cross_check_was)
+    ~finally:(fun () -> Metrics.set_enabled metrics_were)
     (fun () ->
       for i = 1 to budget do
         let base = Campaign.draw_spec prng ~max_periodic ~max_sporadic in
@@ -189,17 +227,25 @@ let certify ?(log = fun _ -> ()) ?(max_periodic = 6) ?(max_sporadic = 2) ~seed
           | Error _ -> ()
           | Ok d ->
             let g = d.Derive.graph in
-            let legacy = Engine.closure_conflicts_ordered g net in
+            let legacy = closure_conflicts_ordered g net in
             (* the class sweep and the job-level closure must agree on
                every buildable spec (randgen never produces a
-               fold-hazard, so there is no abstention to excuse) *)
-            if ok <> legacy then begin
-              incr disagreements;
-              log
-                (Printf.sprintf
-                   "case %d: certificate %b vs job closure %b on %s" i ok
-                   legacy spec.Randgen.label)
-            end;
+               fold-hazard, so there is no abstention to excuse), both
+               the model's certificate and the one the engine gates
+               [run_sharded] on *)
+            let engine_ok =
+              Certificate.shardable (Certificate.of_network net)
+            in
+            List.iter
+              (fun (what, verdict) ->
+                if verdict <> legacy then begin
+                  incr disagreements;
+                  log
+                    (Printf.sprintf
+                       "case %d: %s certificate %b vs job closure %b on %s" i
+                       what verdict legacy spec.Randgen.label)
+                end)
+              [ ("model", ok); ("engine", engine_ok) ];
             let sched =
               List_scheduler.schedule_with
                 ~heuristic:Sched.Priority.Alap_edf ~n_procs:2 g

@@ -63,10 +63,17 @@ val pp : Format.formatter -> summary -> unit
     or be provably order-violating — unbuildable, since
     [Randgen.build] refuses exactly the Def. 2.1 violations
     {!Fppn_apps.Randgen.seed_race} plants.  Every buildable case also
-    cross-checks the certificate against the legacy job-level closure
-    ([Engine.closure_conflicts_ordered]), both directly and via
-    [Engine.closure_cross_check], which stays enabled for the whole
-    campaign. *)
+    checks two certificates against the legacy job-level closure
+    ({!closure_conflicts_ordered}): the spec model's, and the one
+    [Engine.run_sharded] gates on ([Certificate.of_network]).  Each
+    verdict that differs from the closure counts a disagreement. *)
+
+val closure_conflicts_ordered : Taskgraph.Graph.t -> Fppn.Network.t -> bool
+(** The legacy job-level check: every pair of jobs of
+    channel-conflicting processes is ordered by a precedence path,
+    decided with per-job descendant bitsets — O(J^2) bits.  The
+    ground-truth oracle the certificate is tested against; no engine
+    path calls it. *)
 
 type certify_summary = {
   cc_cases : int;
@@ -92,8 +99,7 @@ val certify :
   unit ->
   certify_summary
 (** Runs [budget] cases on 2 processors / 2 shards / 2 frames with
-    metrics and {!Runtime.Engine.closure_cross_check} enabled
-    (restored afterwards). *)
+    metrics enabled (restored afterwards). *)
 
 val certify_passed : certify_summary -> bool
 (** No mismatches, no disagreements, at least one engaged accept and

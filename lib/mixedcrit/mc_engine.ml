@@ -1,12 +1,8 @@
 module Rat = Rt_util.Rat
-module Pqueue = Rt_util.Pqueue
-module Network = Fppn.Network
-module Process = Fppn.Process
 module Netstate = Fppn.Netstate
 module Graph = Taskgraph.Graph
 module Job = Taskgraph.Job
 module Derive = Taskgraph.Derive
-module Static_schedule = Sched.Static_schedule
 module Exec_time = Runtime.Exec_time
 module Exec_trace = Runtime.Exec_trace
 module Engine = Runtime.Engine
@@ -38,214 +34,50 @@ type result = {
   lo_misses : int;
 }
 
-type proc_state = {
-  order : int array;
-  mutable frame : int;
-  mutable pos : int;
-  mutable busy_until : Rat.t option;
-  mutable running : (int * Exec_trace.record) option;
-}
-
 let run net ~spec (dual : Dual_schedule.t) config =
   let derived = dual.Dual_schedule.derived in
-  let g = derived.Derive.graph in
-  let h = derived.Derive.hyperperiod in
-  let n = Graph.n_jobs g in
-  if config.frames <= 0 then invalid_arg "Mc_engine.run: frames must be positive";
-  if Static_schedule.n_procs dual.Dual_schedule.lo_schedule <> config.n_procs then
-    invalid_arg "Mc_engine.run: schedule and config processor counts differ";
-  let assigned, _unhandled =
-    Engine.sporadic_assignment net derived ~frames:config.frames config.sporadic
+  (* true durations are sampled against the criticality budget: C_HI
+     for HI jobs, so jitter near the full budget overruns C_LO *)
+  let budget j =
+    if Spec.is_hi spec j then Spec.wcet_hi spec j.Job.proc_name
+    else Spec.budget_lo spec j
   in
-  let state = Netstate.create net in
-  let sched = dual.Dual_schedule.lo_schedule in
-  let procs =
-    Array.init config.n_procs (fun p ->
-        {
-          order = Array.of_list (Static_schedule.jobs_on sched p);
-          frame = 0;
-          pos = 0;
-          busy_until = None;
-          running = None;
-        })
+  let derived =
+    { derived with Derive.graph = Graph.map_wcet budget derived.Derive.graph }
   in
-  let completions = Array.make n 0 in
-  let records = ref [] in
-  let mode_switches = ref [] in
-  let dropped_lo = ref 0 in
-  (* processors advance through frames independently, so degradation is
-     tracked per frame *)
-  let degraded = Array.make config.frames false in
-  let events = Pqueue.create ~cmp:Rat.compare in
-  let now = ref Rat.zero in
-  let frame_base frame = Rat.mul h (Rat.of_int frame) in
-  let preds_done frame job =
-    List.for_all (fun p -> completions.(p) > frame) (Graph.preds g job)
+  let switches = ref [] and dropped = ref 0 in
+  let monitor =
+    {
+      Engine.is_hi = Spec.is_hi spec;
+      budget_lo = Spec.budget_lo spec;
+      on_switch = (fun frame t -> switches := (frame, t) :: !switches);
+      on_drop = (fun () -> incr dropped);
+    }
   in
-  let relative_deadline job =
-    Process.deadline (Network.process net (Graph.job g job).Job.proc)
-  in
-  let switch_to_hi frame =
-    if not degraded.(frame) then begin
-      degraded.(frame) <- true;
-      mode_switches := (frame, !now) :: !mode_switches
-    end
-  in
-  let finish_round ps =
-    ps.pos <- ps.pos + 1;
-    if ps.pos >= Array.length ps.order then begin
-      ps.pos <- 0;
-      ps.frame <- ps.frame + 1
-    end
-  in
-  let skip_record ?(invoked = !now) ~job ~frame () =
-    let j = Graph.job g job in
-    records :=
+  let r =
+    Engine.run_reference ~monitor net derived dual.Dual_schedule.lo_schedule
       {
-        Exec_trace.job;
-        label = Job.label j;
-        frame;
-        proc = Static_schedule.proc sched job;
-        invoked;
-        start = !now;
-        finish = !now;
-        deadline = Rat.add invoked (relative_deadline job);
-        skipped = true;
+        Engine.platform = Runtime.Platform.create ~n_procs:config.n_procs ();
+        exec = config.exec;
+        frames = config.frames;
+        sporadic = config.sporadic;
+        inputs = config.inputs;
       }
-      :: !records
   in
-  let advance ps =
-    match ps.busy_until with
-    | Some t when Rat.(t <= !now) ->
-      let job, record = Option.get ps.running in
-      completions.(job) <- completions.(job) + 1;
-      records := { record with Exec_trace.finish = t } :: !records;
-      ps.busy_until <- None;
-      ps.running <- None;
-      finish_round ps;
-      true
-    | Some _ ->
-      (* overrun detection: a HI job still running past its C_LO budget
-         degrades the frame *)
-      (match ps.running with
-      | Some (job, record) ->
-        let j = Graph.job g job in
-        if Spec.is_hi spec j
-           && (not degraded.(ps.frame))
-           && Rat.(Rat.add record.Exec_trace.start (Spec.budget_lo spec j) <= !now)
-        then switch_to_hi ps.frame
-      | None -> ());
-      false
-    | None ->
-      if ps.frame >= config.frames || Array.length ps.order = 0 then false
-      else begin
-        let job = ps.order.(ps.pos) in
-        let j = Graph.job g job in
-        let base = frame_base ps.frame in
-        let invocation = Rat.add base j.Job.arrival in
-        (* degraded frame: drop not-yet-started LO jobs immediately *)
-        if degraded.(ps.frame) && not (Spec.is_hi spec j) then begin
-          incr dropped_lo;
-          skip_record ~invoked:invocation ~job ~frame:ps.frame ();
-          completions.(job) <- completions.(job) + 1;
-          finish_round ps;
-          true
-        end
-        else if Rat.(invocation > !now) then begin
-          Pqueue.push events invocation;
-          false
-        end
-        else if not (preds_done ps.frame job) then false
-        else begin
-          let stamp =
-            if j.Job.is_server then Hashtbl.find_opt assigned (job, ps.frame)
-            else Some invocation
-          in
-          match stamp with
-          | None ->
-            skip_record ~invoked:invocation ~job ~frame:ps.frame ();
-            completions.(job) <- completions.(job) + 1;
-            finish_round ps;
-            true
-          | Some invoked ->
-            Netstate.run_job ~inputs:config.inputs state ~proc:j.Job.proc
-              ~now:invoked;
-            (* true duration sampled against the criticality budget *)
-            let budget =
-              if Spec.is_hi spec j then Spec.wcet_hi spec j.Job.proc_name
-              else Spec.budget_lo spec j
-            in
-            let duration = Exec_time.sample config.exec { j with Job.wcet = budget } in
-            let finish = Rat.add !now duration in
-            (* if this HI job will overrun C_LO, schedule the detection *)
-            if Spec.is_hi spec j then begin
-              let detect = Rat.add !now (Spec.budget_lo spec j) in
-              if Rat.(detect < finish) then Pqueue.push events detect
-            end;
-            ps.busy_until <- Some finish;
-            ps.running <-
-              Some
-                ( job,
-                  {
-                    Exec_trace.job;
-                    label = Job.label j;
-                    frame = ps.frame;
-                    proc = Static_schedule.proc sched job;
-                    invoked;
-                    start = !now;
-                    finish;
-                    deadline = Rat.add invoked (relative_deadline job);
-                    skipped = false;
-                  } );
-            Pqueue.push events finish;
-            true
-        end
-      end
-  in
-  Pqueue.push events Rat.zero;
-  let rec fixpoint () =
-    let changed = Array.fold_left (fun acc ps -> advance ps || acc) false procs in
-    if changed then fixpoint ()
-  in
-  let rec loop () =
-    match Pqueue.pop events with
-    | None -> ()
-    | Some t ->
-      if Rat.(t >= !now) then begin
-        now := t;
-        fixpoint ()
-      end;
-      loop ()
-  in
-  loop ();
-  let trace =
-    List.sort
-      (fun (a : Exec_trace.record) b ->
-        let c = Rat.compare a.Exec_trace.start b.Exec_trace.start in
-        if c <> 0 then c
-        else
-          let c = Int.compare a.Exec_trace.proc b.Exec_trace.proc in
-          if c <> 0 then c
-          else
-            let c = Int.compare a.Exec_trace.frame b.Exec_trace.frame in
-            if c <> 0 then c else Int.compare a.Exec_trace.job b.Exec_trace.job)
-      !records
-  in
+  let trace = Engine.trace r in
   let miss_count keep =
     List.length
       (List.filter
-         (fun (r : Exec_trace.record) ->
-           (not r.Exec_trace.skipped)
-           && Exec_trace.missed r
-           && keep (Graph.job g r.Exec_trace.job))
+         (fun (x : Exec_trace.record) ->
+           Exec_trace.missed x && keep (Graph.job derived.Derive.graph x.job))
          trace)
   in
   {
     trace;
-    channel_history = Netstate.channel_history state;
-    output_history = Netstate.output_history state;
-    mode_switches = List.rev !mode_switches;
-    dropped_lo = !dropped_lo;
+    channel_history = Engine.channel_history r;
+    output_history = Engine.output_history r;
+    mode_switches = List.rev !switches;
+    dropped_lo = !dropped;
     hi_misses = miss_count (Spec.is_hi spec);
     lo_misses = miss_count (fun j -> not (Spec.is_hi spec j));
   }

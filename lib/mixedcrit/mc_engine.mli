@@ -40,5 +40,12 @@ type result = {
 }
 
 val run : Fppn.Network.t -> spec:Spec.t -> Dual_schedule.t -> config -> result
+(** {!Runtime.Engine.run_reference} on the LO schedule and a
+    zero-overhead platform of [n_procs] processors, with a
+    {!Runtime.Engine.monitor} attached and every job's WCET replaced by
+    its criticality budget.
+    @raise Invalid_argument as {!Runtime.Engine.run}: [frames <= 0], a
+    processor-count mismatch, or sporadic events of an unknown or
+    periodic process or violating their generator's [(m, T)]. *)
 
 val signature : result -> (string * Fppn.Value.t list) list

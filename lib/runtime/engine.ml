@@ -120,8 +120,14 @@ type proc_state = {
       (** job id + its record-in-progress while busy *)
 }
 
-(* Validation + sporadic-window assignment shared by both interpreter
-   cores. *)
+type monitor = {
+  is_hi : Job.t -> bool;
+  budget_lo : Job.t -> Rat.t;
+  on_switch : int -> Rat.t -> unit;
+  on_drop : unit -> unit;
+}
+
+(* Validation + sporadic-window assignment shared by every core. *)
 let prologue net (derived : Derive.t) sched config =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
@@ -144,21 +150,28 @@ let prologue net (derived : Derive.t) sched config =
   assign_sporadic_events net derived ~frames:config.frames
     ~hyperperiod:derived.Derive.hyperperiod config.sporadic
 
-let overhead_segments_of config ~frame_base ~overhead_end =
+let frame_base h frame = Rat.mul h (Rat.of_int frame)
+
+let overhead_segments_of config h =
   List.filter_map
     (fun frame ->
-      let from = frame_base frame and till = overhead_end frame in
-      if Rat.(till > from) then Some (frame, from, till) else None)
+      let from = frame_base h frame
+      and oh = Platform.frame_overhead config.platform ~frame in
+      if Rat.sign oh > 0 then Some (frame, from, Rat.add from oh) else None)
     (List.init config.frames Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Reference core: exact rational arithmetic, polling fixpoint.         *)
 (*                                                                      *)
-(* This is the seed interpreter, kept verbatim as the semantic ground   *)
-(* truth the compiled tick core is differentially tested against.       *)
+(* The seed interpreter: the semantic ground truth the compiled tick    *)
+(* core is differentially tested against.  An optional criticality      *)
+(* monitor turns it into the mode-switched policy of the mixed-         *)
+(* criticality extension; without one, the monitor's branches are       *)
+(* inert and the core is the plain reference.                           *)
 (* ------------------------------------------------------------------ *)
 
-let exec_rat net (derived : Derive.t) sched config ~assigned ~unhandled_events =
+let exec_rat ?monitor net (derived : Derive.t) sched config ~assigned
+    ~unhandled_events =
   let g = derived.Derive.graph in
   let h = derived.Derive.hyperperiod in
   let state = Netstate.create net in
@@ -180,48 +193,90 @@ let exec_rat net (derived : Derive.t) sched config ~assigned ~unhandled_events =
   let records = ref [] in
   let events = Pqueue.create ~cmp:Rat.compare in
   let now = ref Rat.zero in
-  let frame_base frame = Rat.mul h (Rat.of_int frame) in
-  let overhead_end frame =
-    Rat.add (frame_base frame)
-      (Platform.frame_overhead config.platform ~frame)
-  in
+  (* monitor: processors advance through frames independently, so HI
+     mode is a per-frame state *)
+  let degraded = Array.make config.frames false in
+  let is_hi j = match monitor with Some m -> m.is_hi j | None -> false in
   let preds_done frame job =
     List.for_all (fun p -> completions.(p) > frame) (Graph.preds g job)
   in
-  let relative_deadline job =
-    Process.deadline (Network.process net (Graph.job g job).Job.proc)
+  let record ps job j ~invoked ~finish ~skipped =
+    {
+      Exec_trace.job;
+      label = Job.label j;
+      frame = ps.frame;
+      proc = Static_schedule.proc sched job;
+      invoked;
+      start = !now;
+      finish;
+      deadline =
+        Rat.add invoked (Process.deadline (Network.process net j.Job.proc));
+      skipped;
+    }
+  in
+  (* the job is done for this frame: step the static order *)
+  let complete ps job =
+    completions.(job) <- completions.(job) + 1;
+    ps.pos <- ps.pos + 1;
+    if ps.pos >= Array.length ps.order then begin
+      ps.pos <- 0;
+      ps.frame <- ps.frame + 1
+    end;
+    true
   in
   (* one attempt to make progress on processor [p]; true if state changed *)
   let advance ps =
     match ps.busy_until with
     | Some t when Rat.(t <= !now) ->
       (* job completes *)
-      let job, record = Option.get ps.running in
-      completions.(job) <- completions.(job) + 1;
-      records := { record with Exec_trace.finish = t } :: !records;
+      let job, r = Option.get ps.running in
+      records := { r with Exec_trace.finish = t } :: !records;
       ps.busy_until <- None;
       ps.running <- None;
-      ps.pos <- ps.pos + 1;
-      if ps.pos >= Array.length ps.order then begin
-        ps.pos <- 0;
-        ps.frame <- ps.frame + 1
-      end;
-      true
-    | Some _ -> false
+      complete ps job
+    | Some _ ->
+      (* monitor: a HI job still running at start + C_LO degrades its
+         frame *)
+      (match (monitor, ps.running) with
+      | Some m, Some (job, r) ->
+        let j = Graph.job g job in
+        if
+          m.is_hi j
+          && (not degraded.(ps.frame))
+          && Rat.(Rat.add r.Exec_trace.start (m.budget_lo j) <= !now)
+        then begin
+          degraded.(ps.frame) <- true;
+          m.on_switch ps.frame !now
+        end
+      | _ -> ());
+      false
     | None ->
       if ps.frame >= config.frames || Array.length ps.order = 0 then false
       else begin
         let job = ps.order.(ps.pos) in
         let j = Graph.job g job in
-        let base = frame_base ps.frame in
+        let base = frame_base h ps.frame in
         (* For periodic jobs the invocation occurs at A_i.  For server
            slots the real event may arrive earlier, but only at the
            boundary b = A_i can a slot be declared 'false' (Sec. IV), so
            the round synchronizes on A_i in both cases — conservative
            and sufficient for Prop. 4.1. *)
         let invocation = Rat.add base j.Job.arrival in
-        let earliest = Rat.max invocation (overhead_end ps.frame) in
-        if Rat.(earliest > !now) then begin
+        let earliest =
+          Rat.max invocation
+            (Rat.add base
+               (Platform.frame_overhead config.platform ~frame:ps.frame))
+        in
+        if degraded.(ps.frame) && not (is_hi j) then begin
+          (* monitor: a degraded frame drops the LO jobs its processors
+             reach, before any wait *)
+          Option.iter (fun m -> m.on_drop ()) monitor;
+          records :=
+            record ps job j ~invoked:invocation ~finish:!now ~skipped:true
+            :: !records;
+          complete ps job
+        end
+        else if Rat.(earliest > !now) then begin
           Pqueue.push events earliest;
           false
         end
@@ -229,32 +284,15 @@ let exec_rat net (derived : Derive.t) sched config ~assigned ~unhandled_events =
         else begin
           let stamp =
             if j.Job.is_server then Hashtbl.find_opt assigned (job, ps.frame)
-            else Some (Rat.add base j.Job.arrival)
+            else Some invocation
           in
           match stamp with
           | None ->
             (* 'false' job: skip without executing *)
-            let b = Rat.add base j.Job.arrival in
             records :=
-              {
-                Exec_trace.job;
-                label = Job.label j;
-                frame = ps.frame;
-                proc = Static_schedule.proc sched job;
-                invoked = b;
-                start = !now;
-                finish = !now;
-                deadline = Rat.add b (relative_deadline job);
-                skipped = true;
-              }
+              record ps job j ~invoked:invocation ~finish:!now ~skipped:true
               :: !records;
-            completions.(job) <- completions.(job) + 1;
-            ps.pos <- ps.pos + 1;
-            if ps.pos >= Array.length ps.order then begin
-              ps.pos <- 0;
-              ps.frame <- ps.frame + 1
-            end;
-            true
+            complete ps job
           | Some invoked ->
             (* execute the job body now; duration covers the WCET model
                plus per-access synchronisation overhead *)
@@ -273,21 +311,15 @@ let exec_rat net (derived : Derive.t) sched config ~assigned ~unhandled_events =
                    (Rat.of_int !accesses))
             in
             let finish = Rat.add !now duration in
+            (match monitor with
+            | Some m when m.is_hi j ->
+              (* monitor: wake up at the C_LO expiry if the job overruns *)
+              let detect = Rat.add !now (m.budget_lo j) in
+              if Rat.(detect < finish) then Pqueue.push events detect
+            | _ -> ());
             ps.busy_until <- Some finish;
             ps.running <-
-              Some
-                ( job,
-                  {
-                    Exec_trace.job;
-                    label = Job.label j;
-                    frame = ps.frame;
-                    proc = Static_schedule.proc sched job;
-                    invoked;
-                    start = !now;
-                    finish;
-                    deadline = Rat.add invoked (relative_deadline job);
-                    skipped = false;
-                  } );
+              Some (job, record ps job j ~invoked ~finish ~skipped:false);
             Pqueue.push events finish;
             true
         end
@@ -298,10 +330,15 @@ let exec_rat net (derived : Derive.t) sched config ~assigned ~unhandled_events =
     let changed = Array.fold_left (fun acc ps -> advance ps || acc) false procs in
     if changed then fixpoint ()
   in
+  (* blocked processors re-push [earliest] on every poll; coalescing the
+     duplicates skips the no-op fixpoint per duplicate.  A degrade is no
+     processor transition, though, so under a monitor the drops it
+     enables wait for the next popped instant, duplicates included. *)
+  let pop =
+    if Option.is_none monitor then Pqueue.pop_distinct else Pqueue.pop
+  in
   let rec loop () =
-    (* blocked processors re-push [earliest] on every poll; coalescing
-       the duplicates here skips the no-op fixpoint per duplicate *)
-    match Pqueue.pop_distinct events with
+    match pop events with
     | None -> ()
     | Some t ->
       if Rat.(t >= !now) then begin
@@ -330,8 +367,7 @@ let exec_rat net (derived : Derive.t) sched config ~assigned ~unhandled_events =
     output_history = lazy (Netstate.output_history state);
     stats = Exec_trace.stats trace;
     unhandled_events;
-    overhead_segments =
-      lazy (overhead_segments_of config ~frame_base ~overhead_end);
+    overhead_segments = lazy (overhead_segments_of config h);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -483,6 +519,233 @@ let pooled_state net =
     pool := Some (net, st);
     st
 
+(* Flat predecessor segments: job [j]'s predecessors are
+   [pred_job.(pred_off.(j)) .. pred_job.(pred_off.(j + 1) - 1)]. *)
+let pred_segments g =
+  let n = Graph.n_jobs g in
+  let pred_off = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    pred_off.(j + 1) <- pred_off.(j) + List.length (Graph.preds g j)
+  done;
+  let pred_job = Array.make (max 1 pred_off.(n)) 0 in
+  for j = 0 to n - 1 do
+    List.iteri (fun i q -> pred_job.(pred_off.(j) + i) <- q) (Graph.preds g j)
+  done;
+  (pred_off, pred_job)
+
+(* sporadic stamps in a flat (frame, job) table, absent = [min_int];
+   empty when the run has no real events *)
+let stamp_table plan ~n ~frames =
+  if Hashtbl.length plan.stamp_t = 0 then [||]
+  else begin
+    let a = Array.make (n * frames) min_int in
+    Hashtbl.iter
+      (fun (j, f) s -> if f < frames then a.((f * n) + j) <- s)
+      plan.stamp_t;
+    a
+  end
+
+(* [Timebase.of_ticks] behind a one-entry cache: invocation instants
+   repeat across jobs, so the conversion is all but free *)
+let rat_cache tb =
+  let last_tick = ref min_int and last_rat = ref Rat.zero in
+  fun tick ->
+    if tick = !last_tick then !last_rat
+    else begin
+      let r = Timebase.of_ticks tb tick in
+      last_tick := tick;
+      last_rat := r;
+      r
+    end
+
+(* Job records as packed parallel columns of grid ticks: the buffers
+   of the tick and sharded cores, the replay template, and what a
+   result materializes its trace from. *)
+type recs = {
+  r_job : int array;
+  r_frame : int array;
+  r_invoked : int array;
+  r_start : int array;
+  r_finish : int array;
+  r_deadline : int array;
+  r_skip : Bytes.t;
+}
+
+let make_recs cap =
+  let col () = Array.make cap 0 in
+  {
+    r_job = col ();
+    r_frame = col ();
+    r_invoked = col ();
+    r_start = col ();
+    r_finish = col ();
+    r_deadline = col ();
+    r_skip = Bytes.make cap '\000';
+  }
+
+let set_rec r i job frame invoked start finish deadline skipped =
+  r.r_job.(i) <- job;
+  r.r_frame.(i) <- frame;
+  r.r_invoked.(i) <- invoked;
+  r.r_start.(i) <- start;
+  r.r_finish.(i) <- finish;
+  r.r_deadline.(i) <- deadline;
+  if skipped then Bytes.set r.r_skip i '\001'
+
+(* records [0, len) of [src] to [dst] from index [pos] *)
+let blit_recs src dst ~pos ~len =
+  let col a b = Array.blit a 0 b pos len in
+  col src.r_job dst.r_job;
+  col src.r_frame dst.r_frame;
+  col src.r_invoked dst.r_invoked;
+  col src.r_start dst.r_start;
+  col src.r_finish dst.r_finish;
+  col src.r_deadline dst.r_deadline;
+  Bytes.blit src.r_skip 0 dst.r_skip pos len
+
+(* the first [len] records in a fresh buffer of [cap] (default [len]) *)
+let copy_recs ?cap r len =
+  let d = make_recs (Option.value cap ~default:len) in
+  blit_recs r d ~pos:0 ~len;
+  d
+
+(* sorted by (start, processor, frame, job), the reference trace order *)
+let sort_recs plan r =
+  let m = Array.length r.r_job in
+  let cmp a b =
+    let c = Int.compare r.r_start.(a) r.r_start.(b) in
+    if c <> 0 then c
+    else
+      let c =
+        Int.compare plan.proc_of.(r.r_job.(a)) plan.proc_of.(r.r_job.(b))
+      in
+      if c <> 0 then c
+      else
+        let c = Int.compare r.r_frame.(a) r.r_frame.(b) in
+        if c <> 0 then c else Int.compare r.r_job.(a) r.r_job.(b)
+  in
+  let perm = Array.init m Fun.id in
+  Array.sort cmp perm;
+  let pick a = Array.init m (fun i -> a.(perm.(i))) in
+  {
+    r_job = pick r.r_job;
+    r_frame = pick r.r_frame;
+    r_invoked = pick r.r_invoked;
+    r_start = pick r.r_start;
+    r_finish = pick r.r_finish;
+    r_deadline = pick r.r_deadline;
+    r_skip = Bytes.init m (fun i -> Bytes.get r.r_skip perm.(i));
+  }
+
+(* The result of a packed-record core (tick or sharded): statistics,
+   the common [engine.*] counters, history snapshots that decouple the
+   result from the pooled [state], and the lazily sorted trace.  The
+   result owns [recs].  With [template = (tpl_frame, t)], frames after
+   [tpl_frame] were replayed: each is [t], the template frame's records,
+   shifted by whole hyperperiods — so it counts [t]'s per-frame figures,
+   whose misses and responses are shift-invariant. *)
+let packed_result (derived : Derive.t) config plan state ~unhandled_events
+    ?template recs =
+  let g = derived.Derive.graph in
+  let frames = config.frames in
+  let executed = ref 0
+  and skipped = ref 0
+  and misses = ref 0
+  and max_resp = ref 0
+  and max_frame = ref (-1) in
+  let tally r ~times ~frame_shift =
+    for i = 0 to Array.length r.r_job - 1 do
+      if Bytes.get r.r_skip i <> '\000' then skipped := !skipped + times
+      else begin
+        executed := !executed + times;
+        if r.r_finish.(i) > r.r_deadline.(i) then misses := !misses + times;
+        let resp = r.r_finish.(i) - r.r_invoked.(i) in
+        if resp > !max_resp then max_resp := resp;
+        if r.r_frame.(i) + frame_shift > !max_frame then
+          max_frame := r.r_frame.(i) + frame_shift
+      end
+    done
+  in
+  tally recs ~times:1 ~frame_shift:0;
+  Option.iter
+    (fun (tpl_frame, t) ->
+      let k = frames - 1 - tpl_frame in
+      tally t ~times:k ~frame_shift:k)
+    template;
+  if Metrics.enabled () then begin
+    Metrics.add (Metrics.counter "engine.jobs_executed") !executed;
+    Metrics.add (Metrics.counter "engine.jobs_skipped") !skipped;
+    Metrics.add (Metrics.counter "engine.deadline_misses") !misses;
+    Metrics.add (Metrics.counter "engine.frames") frames
+  end;
+  let trace =
+    lazy
+      begin
+        (* records sit in completion order; sort them and materialize
+           rationals only here.  Replayed frames all follow the
+           event-loop frames and are disjoint from each other, so
+           sorted blocks concatenate sorted. *)
+        let labels =
+          Array.init (Graph.n_jobs g) (fun j -> Job.label (Graph.job g j))
+        in
+        (* prepends [r] shifted by [shift] hyperperiods onto [acc] *)
+        let emit r shift acc =
+          let dt = shift * plan.h_t in
+          let rat tick = Timebase.of_ticks plan.tb (tick + dt) in
+          let acc = ref acc in
+          for i = Array.length r.r_job - 1 downto 0 do
+            let j = r.r_job.(i) in
+            acc :=
+              {
+                Exec_trace.job = j;
+                label = labels.(j);
+                frame = r.r_frame.(i) + shift;
+                proc = plan.proc_of.(j);
+                invoked = rat r.r_invoked.(i);
+                start = rat r.r_start.(i);
+                finish = rat r.r_finish.(i);
+                deadline = rat r.r_deadline.(i);
+                skipped = Bytes.get r.r_skip i <> '\000';
+              }
+              :: !acc
+          done;
+          !acc
+        in
+        let acc = ref [] in
+        Option.iter
+          (fun (tpl_frame, t) ->
+            let t = sort_recs plan t in
+            for f = frames - 1 downto tpl_frame + 1 do
+              acc := emit t (f - tpl_frame) !acc
+            done)
+          template;
+        emit (sort_recs plan recs) 0 !acc
+      end
+  in
+  (* O(#channels) snapshots: the next run may reset and reuse [state],
+     and these keep reading the arrays this run wrote *)
+  let materialize snaps =
+    List.map (fun (c, s) -> (c, Fppn.Channel.snapshot_history s)) snaps
+  in
+  let chan_snap = Netstate.channel_snapshot state in
+  let out_snap = Netstate.output_snapshot state in
+  {
+    trace;
+    channel_history = lazy (materialize chan_snap);
+    output_history = lazy (materialize out_snap);
+    stats =
+      {
+        Exec_trace.executed = !executed;
+        skipped = !skipped;
+        misses = !misses;
+        max_response = Timebase.of_ticks plan.tb !max_resp;
+        frames = !max_frame + 1;
+      };
+    unhandled_events;
+    overhead_segments =
+      lazy (overhead_segments_of config derived.Derive.hyperperiod);
+  }
+
 (* Per-plan engine scratch: every working array of [exec_ticks] whose
    shape depends only on the compiled plan and the schedule.  The plan
    memo hands back the same plan object across repeated identical runs,
@@ -505,21 +768,8 @@ type tick_scratch = {
   sc_w_proc : int array;
   sc_w_frame : int array;
   sc_w_len : int array;
-  (* completed records as packed parallel arrays (grown on demand) *)
-  sc_s_job : int array ref;
-  sc_s_frame : int array ref;
-  sc_s_invoked : int array ref;
-  sc_s_start : int array ref;
-  sc_s_finish : int array ref;
-  sc_s_deadline : int array ref;
-  sc_s_skip : Bytes.t ref;
-  (* replay template, captured in job start order *)
-  sc_p_job : int array;
-  sc_p_invoked : int array;
-  sc_p_start : int array;
-  sc_p_finish : int array;
-  sc_p_deadline : int array;
-  sc_p_skip : Bytes.t;
+  mutable sc_recs : recs;  (* completed records, grown on demand *)
+  sc_tpl : recs;  (* replay template, captured in job start order *)
   sc_events : Iheap.t;
   sc_hot : int array;
   (* compacted replay program (executed bodies + deduped invocation
@@ -540,21 +790,12 @@ type tick_scratch = {
 let make_scratch (derived : Derive.t) sched plan ~n_procs ~cap0 =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
-  let pred_off = Array.make (n + 1) 0 in
-  for j = 0 to n - 1 do
-    pred_off.(j + 1) <- pred_off.(j) + List.length (Graph.preds g j)
-  done;
+  let pred_off, pred_job = pred_segments g in
   let m_edges = pred_off.(n) in
-  let pred_job = Array.make (max 1 m_edges) 0 in
   let succ_off = Array.make (n + 1) 0 in
-  for j = 0 to n - 1 do
-    let i = ref pred_off.(j) in
-    List.iter
-      (fun q ->
-        pred_job.(!i) <- q;
-        incr i;
-        succ_off.(q + 1) <- succ_off.(q + 1) + 1)
-      (Graph.preds g j)
+  for i = 0 to m_edges - 1 do
+    let q = pred_job.(i) in
+    succ_off.(q + 1) <- succ_off.(q + 1) + 1
   done;
   for q = 0 to n - 1 do
     succ_off.(q + 1) <- succ_off.(q + 1) + succ_off.(q)
@@ -583,19 +824,8 @@ let make_scratch (derived : Derive.t) sched plan ~n_procs ~cap0 =
     sc_w_proc = Array.make (max 1 m_edges) 0;
     sc_w_frame = Array.make (max 1 m_edges) 0;
     sc_w_len = Array.make n 0;
-    sc_s_job = ref (Array.make cap0 0);
-    sc_s_frame = ref (Array.make cap0 0);
-    sc_s_invoked = ref (Array.make cap0 0);
-    sc_s_start = ref (Array.make cap0 0);
-    sc_s_finish = ref (Array.make cap0 0);
-    sc_s_deadline = ref (Array.make cap0 0);
-    sc_s_skip = ref (Bytes.make cap0 '\000');
-    sc_p_job = Array.make (max 1 n) 0;
-    sc_p_invoked = Array.make (max 1 n) 0;
-    sc_p_start = Array.make (max 1 n) 0;
-    sc_p_finish = Array.make (max 1 n) 0;
-    sc_p_deadline = Array.make (max 1 n) 0;
-    sc_p_skip = Bytes.make (max 1 n) '\000';
+    sc_recs = make_recs cap0;
+    sc_tpl = make_recs (max 1 n);
     sc_events = Iheap.create ~capacity:(max 16 (2 * n_procs)) ();
     sc_hot = Array.make ((n_procs + 62) / 63) 0;
     sc_r_proc = Array.make (max 1 n) 0;
@@ -641,8 +871,8 @@ let pooled_scratch derived sched plan ~n_procs ~cap0 =
       ps.t_missing <- 0)
     sc.sc_procs;
   (* skip flags are only ever set, never cleared, on the hot path *)
-  Bytes.fill !(sc.sc_s_skip) 0 (Bytes.length !(sc.sc_s_skip)) '\000';
-  Bytes.fill sc.sc_p_skip 0 (Bytes.length sc.sc_p_skip) '\000';
+  Bytes.fill sc.sc_recs.r_skip 0 (Bytes.length sc.sc_recs.r_skip) '\000';
+  Bytes.fill sc.sc_tpl.r_skip 0 (Bytes.length sc.sc_tpl.r_skip) '\000';
   sc
 
 let exec_ticks net (derived : Derive.t) sched config ~assigned:_
@@ -654,19 +884,8 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
   let state = pooled_state net in
   Netstate.set_inputs state config.inputs;
   Netstate.set_access_counting state (plan.per_access_t > 0);
-  (* sporadic stamps in a flat (frame, job) table; absent = [min_int].
-     Runs without real events skip the table entirely. *)
-  let have_stamps = Hashtbl.length plan.stamp_t > 0 in
-  let stamp_arr =
-    if not have_stamps then [||]
-    else begin
-      let a = Array.make (n * frames) min_int in
-      Hashtbl.iter
-        (fun (j, f) s -> if f < frames then a.((f * n) + j) <- s)
-        plan.stamp_t;
-      a
-    end
-  in
+  let stamp_arr = stamp_table plan ~n ~frames in
+  let have_stamps = Array.length stamp_arr > 0 in
   (* Steady-state replay: with per-job deterministic durations, no
      sporadic stamps and zero per-access cost, the schedule of any
      steady frame whose window is self-contained is the template
@@ -696,61 +915,22 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
   let w_proc = sc.sc_w_proc in
   let w_frame = sc.sc_w_frame in
   let w_len = sc.sc_w_len in
-  let s_job = sc.sc_s_job in
-  let s_frame = sc.sc_s_frame in
-  let s_invoked = sc.sc_s_invoked in
-  let s_start = sc.sc_s_start in
-  let s_finish = sc.sc_s_finish in
-  let s_deadline = sc.sc_s_deadline in
-  let s_skip = sc.sc_s_skip in
   let s_n = ref 0 in
   let push_rec job frame invoked start finish deadline skipped =
     let i = !s_n in
-    if i = Array.length !s_job then begin
+    if i = Array.length sc.sc_recs.r_job then
       (* replay declined after frame 1: grow to the full horizon *)
-      let cap = n * frames in
-      let grow a =
-        let na = Array.make cap 0 in
-        Array.blit !a 0 na 0 i;
-        a := na
-      in
-      grow s_job;
-      grow s_frame;
-      grow s_invoked;
-      grow s_start;
-      grow s_finish;
-      grow s_deadline;
-      let nb = Bytes.make cap '\000' in
-      Bytes.blit !s_skip 0 nb 0 i;
-      s_skip := nb
-    end;
-    !s_job.(i) <- job;
-    !s_frame.(i) <- frame;
-    !s_invoked.(i) <- invoked;
-    !s_start.(i) <- start;
-    !s_finish.(i) <- finish;
-    !s_deadline.(i) <- deadline;
-    if skipped then Bytes.set !s_skip i '\001';
+      sc.sc_recs <- copy_recs sc.sc_recs i ~cap:(n * frames);
+    set_rec sc.sc_recs i job frame invoked start finish deadline skipped;
     s_n := i + 1
   in
   (* template, captured in job start order — the order bodies must
      re-run in for channel histories to stay bit-identical *)
-  let p_job = sc.sc_p_job in
-  let p_invoked = sc.sc_p_invoked in
-  let p_start = sc.sc_p_start in
-  let p_finish = sc.sc_p_finish in
-  let p_deadline = sc.sc_p_deadline in
-  let p_skip = sc.sc_p_skip in
+  let tpl = sc.sc_tpl in
   let tpl_n = ref 0 in
   let capture frame job invoked start finish deadline skipped =
     if replay_candidate && frame = tpl_frame && !tpl_n < n then begin
-      let i = !tpl_n in
-      p_job.(i) <- job;
-      p_invoked.(i) <- invoked;
-      p_start.(i) <- start;
-      p_finish.(i) <- finish;
-      p_deadline.(i) <- deadline;
-      if skipped then Bytes.set p_skip i '\001';
+      set_rec tpl !tpl_n job frame invoked start finish deadline skipped;
       incr tpl_n
     end
   in
@@ -781,19 +961,8 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
   let nw = (n_procs + 62) / 63 in
   let hot = sc.sc_hot in
   let set_hot p = hot.(p / 63) <- hot.(p / 63) lor (1 lsl (p mod 63)) in
-  (* model-time rationals survive only inside job bodies ([ctx.now]);
-     arrivals repeat across jobs, so a one-entry cache makes the
-     conversion all but free *)
-  let last_tick = ref min_int and last_rat = ref Rat.zero in
-  let now_rat tick =
-    if tick = !last_tick then !last_rat
-    else begin
-      let r = Timebase.of_ticks plan.tb tick in
-      last_tick := tick;
-      last_rat := r;
-      r
-    end
-  in
+  (* model-time rationals survive only inside job bodies ([ctx.now]) *)
+  let now_rat = rat_cache plan.tb in
   let wake job =
     if w_len.(job) > 0 then begin
       let c = completions.(job) in
@@ -995,7 +1164,7 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
          procs
     &&
     let ok = ref true in
-    let sf = !s_finish and sfr = !s_frame in
+    let sf = sc.sc_recs.r_finish and sfr = sc.sc_recs.r_frame in
     for i = 0 to !s_n - 1 do
       if sf.(i) >= (sfr.(i) + 1) * plan.h_t then ok := false
     done;
@@ -1019,8 +1188,8 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
     let n_u = ref 0 in
     let k = ref 0 in
     for i = 0 to n - 1 do
-      if Bytes.get p_skip i = '\000' then begin
-        let inv = p_invoked.(i) in
+      if Bytes.get tpl.r_skip i = '\000' then begin
+        let inv = tpl.r_invoked.(i) in
         let j = ref 0 in
         while !j < !n_u && u_tick.(!j) <> inv do
           incr j
@@ -1030,7 +1199,7 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
           u_tick.(!n_u) <- inv;
           incr n_u
         end;
-        r_proc.(!k) <- plan.body_proc.(p_job.(i));
+        r_proc.(!k) <- plan.body_proc.(tpl.r_job.(i));
         r_uidx.(!k) <- !j;
         incr k
       end
@@ -1075,174 +1244,19 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
      else Trace.with_span "engine.eventloop" run_all
    end
    else Trace.with_span "engine.eventloop" run_all);
-  (* statistics over the packed records; replayed frames contribute the
-     template's per-frame counts, whose miss and response figures are
-     shift-invariant *)
-  let executed = ref 0
-  and skipped = ref 0
-  and misses = ref 0
-  and max_resp = ref 0
-  and max_frame = ref (-1) in
-  (let sj = !s_skip
-   and sfin = !s_finish
-   and sdl = !s_deadline
-   and sin = !s_invoked
-   and sfr = !s_frame in
-   for i = 0 to !s_n - 1 do
-     if Bytes.get sj i <> '\000' then incr skipped
-     else begin
-       incr executed;
-       if sfin.(i) > sdl.(i) then incr misses;
-       let resp = sfin.(i) - sin.(i) in
-       if resp > !max_resp then max_resp := resp;
-       if sfr.(i) > !max_frame then max_frame := sfr.(i)
-     end
-   done);
-  if !replayed then begin
-    let ex_t = ref 0 and sk_t = ref 0 and mi_t = ref 0 in
-    for i = 0 to n - 1 do
-      if Bytes.get p_skip i <> '\000' then incr sk_t
-      else begin
-        incr ex_t;
-        if p_finish.(i) > p_deadline.(i) then incr mi_t
-      end
-    done;
-    let k = frames - 1 - tpl_frame in
-    executed := !executed + (k * !ex_t);
-    skipped := !skipped + (k * !sk_t);
-    misses := !misses + (k * !mi_t);
-    if !ex_t > 0 then max_frame := frames - 1
-  end;
+  (* the scratch buffers belong to the pool and are overwritten by the
+     next run, so the result owns exact-length copies — a few dozen
+     entries when replay kept the records implicit *)
+  let result =
+    packed_result derived config plan state ~unhandled_events
+      ?template:(if !replayed then Some (tpl_frame, copy_recs tpl n) else None)
+      (copy_recs sc.sc_recs !s_n)
+  in
   if Metrics.enabled () then begin
-    Metrics.add (Metrics.counter "engine.jobs_executed") !executed;
-    Metrics.add (Metrics.counter "engine.jobs_skipped") !skipped;
-    Metrics.add (Metrics.counter "engine.deadline_misses") !misses;
-    Metrics.add (Metrics.counter "engine.frames") frames;
     Metrics.add (Metrics.counter "engine.queue_pushes") !q_pushes;
     if !replayed then Metrics.incr (Metrics.counter "engine.replays")
   end;
-  (* the scratch arrays belong to the pool and are overwritten by the
-     next run, so the (lazily built) trace captures exact-length copies
-     now — a few dozen entries when replay kept the records implicit *)
-  let c_n = !s_n in
-  let c_job = Array.sub !s_job 0 c_n
-  and c_frame = Array.sub !s_frame 0 c_n
-  and c_invoked = Array.sub !s_invoked 0 c_n
-  and c_start = Array.sub !s_start 0 c_n
-  and c_finish = Array.sub !s_finish 0 c_n
-  and c_deadline = Array.sub !s_deadline 0 c_n
-  and c_skip = Bytes.sub !s_skip 0 c_n in
-  let cp_job = if !replayed then Array.copy p_job else [||]
-  and cp_invoked = if !replayed then Array.copy p_invoked else [||]
-  and cp_start = if !replayed then Array.copy p_start else [||]
-  and cp_finish = if !replayed then Array.copy p_finish else [||]
-  and cp_deadline = if !replayed then Array.copy p_deadline else [||]
-  and cp_skip = if !replayed then Bytes.copy p_skip else Bytes.empty in
-  let trace =
-    lazy
-      begin
-        (* completed records sit in completion order; sort a permutation
-           by (start, proc, frame, job) — the reference trace order —
-           and materialize rationals only here.  With replay, frames
-           0-1 all precede frame 2 and each template frame is disjoint
-           from the next, so sorted blocks concatenate sorted. *)
-        let m = c_n in
-        let sj = c_job
-        and sfr = c_frame
-        and sin = c_invoked
-        and sst = c_start
-        and sfin = c_finish
-        and sdl = c_deadline
-        and ssk = c_skip in
-        let cmp a b =
-          let c = Int.compare sst.(a) sst.(b) in
-          if c <> 0 then c
-          else
-            let c = Int.compare plan.proc_of.(sj.(a)) plan.proc_of.(sj.(b)) in
-            if c <> 0 then c
-            else
-              let c = Int.compare sfr.(a) sfr.(b) in
-              if c <> 0 then c else Int.compare sj.(a) sj.(b)
-        in
-        let perm = Array.init m Fun.id in
-        Array.sort cmp perm;
-        let pick a = Array.init m (fun i -> a.(perm.(i))) in
-        let job = pick sj
-        and frame = pick sfr
-        and invoked = pick sin
-        and start = pick sst
-        and finish = pick sfin
-        and deadline = pick sdl in
-        let skipped = Bytes.init m (fun i -> Bytes.get ssk perm.(i)) in
-        let labels =
-          Array.init n (fun j -> Job.label (Graph.job g j))
-        in
-        let den = Timebase.den plan.tb in
-        let acc = ref [] in
-        if !replayed then begin
-          let tcmp a b =
-            let c = Int.compare cp_start.(a) cp_start.(b) in
-            if c <> 0 then c
-            else
-              let c =
-                Int.compare plan.proc_of.(cp_job.(a)) plan.proc_of.(cp_job.(b))
-              in
-              if c <> 0 then c else Int.compare cp_job.(a) cp_job.(b)
-          in
-          let tperm = Array.init n Fun.id in
-          Array.sort tcmp tperm;
-          let tpick a = Array.init n (fun i -> a.(tperm.(i))) in
-          let tjob = tpick cp_job
-          and tinv = tpick cp_invoked
-          and tstart = tpick cp_start
-          and tfin = tpick cp_finish
-          and tdl = tpick cp_deadline in
-          let tskip = Bytes.init n (fun i -> Bytes.get cp_skip tperm.(i)) in
-          let tframe = Array.make n tpl_frame in
-          for f = frames - 1 downto tpl_frame + 1 do
-            acc :=
-              Exec_trace.of_ticks ~den ~labels ~procs:plan.proc_of ~count:n
-                ~job:tjob ~frame:tframe ~invoked:tinv ~start:tstart
-                ~finish:tfin ~deadline:tdl ~skipped:tskip
-                ~tick_shift:((f - tpl_frame) * plan.h_t)
-                ~frame_shift:(f - tpl_frame) !acc
-          done
-        end;
-        Exec_trace.of_ticks ~den ~labels ~procs:plan.proc_of ~count:m ~job
-          ~frame ~invoked ~start ~finish ~deadline ~skipped ~tick_shift:0
-          ~frame_shift:0 !acc
-      end
-  in
-  let rat = Timebase.of_ticks plan.tb in
-  let h = derived.Derive.hyperperiod in
-  let frame_base frame = Rat.mul h (Rat.of_int frame) in
-  let overhead_end frame =
-    Rat.add (frame_base frame) (Platform.frame_overhead config.platform ~frame)
-  in
-  (* O(#channels) snapshots decouple the result from the pooled state:
-     the next run may reset and reuse [state], and these keep reading
-     the arrays this run wrote *)
-  let chan_snap = Netstate.channel_snapshot state in
-  let out_snap = Netstate.output_snapshot state in
-  let materialize snaps =
-    List.map (fun (c, s) -> (c, Fppn.Channel.snapshot_history s)) snaps
-  in
-  {
-    trace;
-    channel_history = lazy (materialize chan_snap);
-    output_history = lazy (materialize out_snap);
-    stats =
-      {
-        Exec_trace.executed = !executed;
-        skipped = !skipped;
-        misses = !misses;
-        max_response = rat !max_resp;
-        frames = !max_frame + 1;
-      };
-    unhandled_events;
-    overhead_segments =
-      lazy (overhead_segments_of config ~frame_base ~overhead_end);
-  }
+  result
 
 (* One-entry, domain-local memo of the compiled plan.  Benchmarks and
    periodic re-simulation call [run] repeatedly with identical
@@ -1307,11 +1321,12 @@ let run net derived sched config =
         Trace.with_span "engine.exec.rat" (fun () ->
             exec_rat net derived sched config ~assigned ~unhandled_events))
 
-let run_reference net derived sched config =
+let run_reference ?monitor net derived sched config =
   Trace.with_span "engine.run_reference" (fun () ->
       let assigned, unhandled_events = prologue net derived sched config in
       Trace.with_span "engine.exec.rat" (fun () ->
-          exec_rat net derived sched config ~assigned ~unhandled_events))
+          exec_rat ?monitor net derived sched config ~assigned
+            ~unhandled_events))
 
 (* ------------------------------------------------------------------ *)
 (* Sharded core: the tick engine cut into K communicating shards.      *)
@@ -1335,7 +1350,7 @@ let run_reference net derived sched config =
 (*                                                                     *)
 (* Bit-identity with the sequential engine holds because every pair of *)
 (* jobs touching a common channel is ordered by a precedence path      *)
-(* (checked once per plan via the graph's transitive closure) and      *)
+(* (proven once per network by the static certificate) and             *)
 (* durations are >= 1 tick, so the path separates the pair strictly in *)
 (* time: the sequential engine runs the two bodies in path order, and  *)
 (* so does every sharded interleaving — in-shard by the sorted walk,   *)
@@ -1347,58 +1362,6 @@ let run_reference net derived sched config =
 (* back to the sequential core, so [run_sharded] is total on exactly   *)
 (* [run]'s domain and always returns [run]'s answer.                   *)
 (* ------------------------------------------------------------------ *)
-
-(* Every pair of jobs of channel-conflicting processes must be ordered
-   by a precedence path, else two bodies touching one channel could
-   race (or replay in the wrong order) across shards.  Networks whose
-   channel accessors are directly priority-related always pass: the
-   derivation orders every such job pair by construction (Def. 2.1),
-   and transitive reduction preserves reachability.  Checked with a
-   per-job descendant bitset built in one reverse-topological sweep —
-   O(J^2) memory, so this is no longer how [run_sharded] gates itself
-   (the static certificate below is); it survives as the debug
-   cross-validation oracle and for tests. *)
-let closure_conflicts_ordered (g : Graph.t) net =
-  let n = Graph.n_jobs g in
-  let pairs =
-    List.filter_map
-      (fun (c : Network.channel_decl) ->
-        let w = Network.find net c.Network.writer
-        and r = Network.find net c.Network.reader in
-        if w = r then None else Some (w, r))
-      (Network.channels net)
-  in
-  pairs = []
-  || begin
-          let wds = (n + 62) / 63 in
-          let reach = Array.make (n * wds) 0 in
-          List.iter
-            (fun v ->
-              let base = v * wds in
-              reach.(base + (v / 63)) <-
-                reach.(base + (v / 63)) lor (1 lsl (v mod 63));
-              List.iter
-                (fun s ->
-                  let sb = s * wds in
-                  for w = 0 to wds - 1 do
-                    reach.(base + w) <- reach.(base + w) lor reach.(sb + w)
-                  done)
-                (Graph.succs g v))
-            (List.rev (Graph.topo_order g));
-          let ordered a b =
-            reach.((a * wds) + (b / 63)) land (1 lsl (b mod 63)) <> 0
-            || reach.((b * wds) + (a / 63)) land (1 lsl (a mod 63)) <> 0
-          in
-          List.for_all
-            (fun (w, r) ->
-              List.for_all
-                (fun a ->
-                  List.for_all
-                    (fun b -> ordered a b)
-                    (Graph.jobs_of_process g r))
-                (Graph.jobs_of_process g w))
-            pairs
-        end
 
 (* Shard-crossing routing, fixed per (plan, schedule, K): the flat
    predecessor segments annotated with a mailbox id per crossing edge,
@@ -1427,20 +1390,8 @@ let build_shard_plan net (derived : Derive.t) sched plan ~k =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let part = Partition.make ~shards:k derived sched in
-  let pred_off = Array.make (n + 1) 0 in
-  for j = 0 to n - 1 do
-    pred_off.(j + 1) <- pred_off.(j) + List.length (Graph.preds g j)
-  done;
+  let pred_off, pred_job = pred_segments g in
   let m_edges = pred_off.(n) in
-  let pred_job = Array.make (max 1 m_edges) 0 in
-  for j = 0 to n - 1 do
-    let i = ref pred_off.(j) in
-    List.iter
-      (fun q ->
-        pred_job.(!i) <- q;
-        incr i)
-      (Graph.preds g j)
-  done;
   let shard_of_job j = part.Partition.shard_of_proc.(plan.proc_of.(j)) in
   let pred_mb = Array.make (max 1 m_edges) (-1) in
   let out_off = Array.make (n + 1) 0 in
@@ -1509,50 +1460,26 @@ let pooled_shard_plan net derived sched plan ~k =
    per-channel path-ordering proven on (process, hyperperiod-phase)
    classes, independent of the job count — this is what lifted the old
    16384-job closure cap.  The verdict depends only on the network, so
-   it is DLS-memoized on physical equality like the plans above.  With
-   [closure_cross_check] on, every decision is re-derived with the
-   legacy job-bitset closure and a certificate that accepts what the
-   closure rejects is a hard error (the reverse is a permitted
-   conservative abstention, e.g. past the class-sweep budget). *)
-let closure_cross_check = ref false
-
+   it is DLS-memoized on physical equality like the plans above. *)
 let certificate_key : (Network.t * bool) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let certified_shardable net (derived : Derive.t) =
+let certified_shardable net =
   let pool = Domain.DLS.get certificate_key in
-  let ok =
-    match !pool with
-    | Some (n, ok) when n == net -> ok
-    | _ ->
-      let t0 = Trace.now_ns () in
-      let ok =
-        Trace.with_span "engine.certify" (fun () ->
-            Fppn_lint.Certificate.shardable
-              (Fppn_lint.Certificate.of_network net))
-      in
-      if Metrics.enabled () then
-        Metrics.add
-          (Metrics.counter "engine.certify_ticks")
-          (Trace.now_ns () - t0);
-      pool := Some (net, ok);
-      ok
-  in
-  if !closure_cross_check then begin
+  match !pool with
+  | Some (n, ok) when n == net -> ok
+  | _ ->
     let t0 = Trace.now_ns () in
-    let legacy = closure_conflicts_ordered derived.Derive.graph net in
+    let ok =
+      Trace.with_span "engine.certify" (fun () ->
+          Fppn_lint.Certificate.(shardable (of_network net)))
+    in
     if Metrics.enabled () then
       Metrics.add
-        (Metrics.counter "engine.closure_check_ticks")
+        (Metrics.counter "engine.certify_ticks")
         (Trace.now_ns () - t0);
-    if ok && not legacy then
-      invalid_arg
-        (Printf.sprintf
-           "Engine: certificate accepts network %s but the job-closure check \
-            finds an unordered channel pair"
-           (Network.name net))
-  end;
-  ok
+    pool := Some (net, ok);
+    ok
 
 (* Sense-reversing frame barrier with a bounded spin followed by
    mutex/condvar parking.  A pure spin is fine when every shard owns a
@@ -1620,13 +1547,7 @@ let barrier_await b ~bail =
   end
 
 type shard_recs = {
-  sr_job : int array;
-  sr_frame : int array;
-  sr_invoked : int array;
-  sr_start : int array;
-  sr_finish : int array;
-  sr_deadline : int array;
-  sr_skip : Bytes.t;
+  sr : recs;
   mutable sr_n : int;
   mutable sr_msgs : int;
 }
@@ -1647,17 +1568,8 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
   let state = pooled_state net in
   Netstate.set_inputs state config.inputs;
   Netstate.set_access_counting state false;
-  let have_stamps = Hashtbl.length plan.stamp_t > 0 in
-  let stamp_arr =
-    if not have_stamps then [||]
-    else begin
-      let a = Array.make (n * frames) min_int in
-      Hashtbl.iter
-        (fun (j, f) s -> if f < frames then a.((f * n) + j) <- s)
-        plan.stamp_t;
-      a
-    end
-  in
+  let stamp_arr = stamp_table plan ~n ~frames in
+  let have_stamps = Array.length stamp_arr > 0 in
   Array.iter (fun a -> Atomic.set a 0) sp.sp_mb_timing;
   Array.iter (fun a -> Atomic.set a 0) sp.sp_mb_body;
   let orders = Array.init n_procs (Static_schedule.order_on sched) in
@@ -1689,18 +1601,7 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
             0
             part.Partition.procs_of_shard.(s)
         in
-        let cap = max 1 cap in
-        {
-          sr_job = Array.make cap 0;
-          sr_frame = Array.make cap 0;
-          sr_invoked = Array.make cap 0;
-          sr_start = Array.make cap 0;
-          sr_finish = Array.make cap 0;
-          sr_deadline = Array.make cap 0;
-          sr_skip = Bytes.make cap '\000';
-          sr_n = 0;
-          sr_msgs = 0;
-        })
+        { sr = make_recs (max 1 cap); sr_n = 0; sr_msgs = 0 })
   in
   let pred_off = sp.sp_pred_off
   and pred_job = sp.sp_pred_job
@@ -1714,6 +1615,11 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
     let procs = part.Partition.procs_of_shard.(s) in
     let np = Array.length procs in
     let r = recs.(s) in
+    let buf = r.sr in
+    (* the counts live in locals until the shard finishes: the shards'
+       small [shard_recs] may share a cache line, and per-job writes
+       there would bounce it between the domains *)
+    let n_rec = ref 0 and msgs = ref 0 in
     let pos = Array.make (max 1 np) 0 in
     let prevf = Array.make (max 1 np) 0 in
     let donef = Array.make (max 1 np) false in
@@ -1772,25 +1678,25 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
                       else min_int
                     else invocation
                   in
-                  let ri = r.sr_n in
+                  let ri = !n_rec in
                   let finish =
                     if stamp = min_int then begin
-                      r.sr_invoked.(ri) <- invocation;
-                      r.sr_deadline.(ri) <- invocation + plan.dl_rel_t.(job);
-                      Bytes.set r.sr_skip ri '\001';
+                      buf.r_invoked.(ri) <- invocation;
+                      buf.r_deadline.(ri) <- invocation + plan.dl_rel_t.(job);
+                      Bytes.set buf.r_skip ri '\001';
                       !t
                     end
                     else begin
-                      r.sr_invoked.(ri) <- stamp;
-                      r.sr_deadline.(ri) <- stamp + plan.dl_rel_t.(job);
+                      buf.r_invoked.(ri) <- stamp;
+                      buf.r_deadline.(ri) <- stamp + plan.dl_rel_t.(job);
                       !t + durs.(job)
                     end
                   in
-                  r.sr_job.(ri) <- job;
-                  r.sr_frame.(ri) <- f;
-                  r.sr_start.(ri) <- !t;
-                  r.sr_finish.(ri) <- finish;
-                  r.sr_n <- ri + 1;
+                  buf.r_job.(ri) <- job;
+                  buf.r_frame.(ri) <- f;
+                  buf.r_start.(ri) <- !t;
+                  buf.r_finish.(ri) <- finish;
+                  n_rec := ri + 1;
                   if finish > frame_end then begin
                     Atomic.set spilled true;
                     abort_wake ()
@@ -1802,7 +1708,7 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
                     let mb = out_mb.(o) in
                     Atomic.set mb_time.(mb) finish;
                     Atomic.set mb_timing.(mb) (f + 1);
-                    r.sr_msgs <- r.sr_msgs + 1
+                    incr msgs
                   done;
                   Atomic.incr epoch;
                   progress := true;
@@ -1839,8 +1745,8 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
        before anyone enters, so either all shards run this phase and
        its barriers, or none do. *)
     if not (bail ()) then begin
-      let m = r.sr_n in
-      let sj = r.sr_job and sfr = r.sr_frame and sst = r.sr_start in
+      let m = !n_rec in
+      let sj = buf.r_job and sfr = buf.r_frame and sst = buf.r_start in
       let perm = Array.init m Fun.id in
       Array.sort
         (fun a b ->
@@ -1855,16 +1761,7 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
               in
               if c <> 0 then c else Int.compare sj.(a) sj.(b))
         perm;
-      let last_tick = ref min_int and last_rat = ref Rat.zero in
-      let now_rat tick =
-        if tick = !last_tick then !last_rat
-        else begin
-          let rt = Timebase.of_ticks plan.tb tick in
-          last_tick := tick;
-          last_rat := rt;
-          rt
-        end
-      in
+      let now_rat = rat_cache plan.tb in
       let idx = ref 0 in
       for f = 0 to frames - 1 do
         let advancing = ref true in
@@ -1894,12 +1791,12 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
               else incr ei
             done;
             if not (bail ()) then begin
-              if Bytes.get r.sr_skip ri = '\000' then
+              if Bytes.get buf.r_skip ri = '\000' then
                 Netstate.run_job_fast state ~proc:plan.body_proc.(job)
-                  ~now:(now_rat r.sr_invoked.(ri));
+                  ~now:(now_rat buf.r_invoked.(ri));
               for o = out_off.(job) to out_off.(job + 1) - 1 do
                 Atomic.set mb_body.(out_mb.(o)) (f + 1);
-                r.sr_msgs <- r.sr_msgs + 1
+                incr msgs
               done;
               Atomic.incr epoch;
               incr idx
@@ -1908,7 +1805,9 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
         done;
         barrier_await b_body ~bail
       done
-    end
+    end;
+    r.sr_n <- !n_rec;
+    r.sr_msgs <- !msgs
   in
   let guarded s () =
     try run_shard s
@@ -1926,45 +1825,17 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
   if bail () then None
   else begin
     let total = Array.fold_left (fun acc r -> acc + r.sr_n) 0 recs in
-    let c_job = Array.make (max 1 total) 0
-    and c_frame = Array.make (max 1 total) 0
-    and c_invoked = Array.make (max 1 total) 0
-    and c_start = Array.make (max 1 total) 0
-    and c_finish = Array.make (max 1 total) 0
-    and c_deadline = Array.make (max 1 total) 0
-    and c_skip = Bytes.make (max 1 total) '\000' in
-    let off = ref 0 in
-    Array.iter
-      (fun r ->
-        Array.blit r.sr_job 0 c_job !off r.sr_n;
-        Array.blit r.sr_frame 0 c_frame !off r.sr_n;
-        Array.blit r.sr_invoked 0 c_invoked !off r.sr_n;
-        Array.blit r.sr_start 0 c_start !off r.sr_n;
-        Array.blit r.sr_finish 0 c_finish !off r.sr_n;
-        Array.blit r.sr_deadline 0 c_deadline !off r.sr_n;
-        Bytes.blit r.sr_skip 0 c_skip !off r.sr_n;
-        off := !off + r.sr_n)
-      recs;
-    let executed = ref 0
-    and skipped = ref 0
-    and misses = ref 0
-    and max_resp = ref 0
-    and max_frame = ref (-1) in
-    for i = 0 to total - 1 do
-      if Bytes.get c_skip i <> '\000' then incr skipped
-      else begin
-        incr executed;
-        if c_finish.(i) > c_deadline.(i) then incr misses;
-        let resp = c_finish.(i) - c_invoked.(i) in
-        if resp > !max_resp then max_resp := resp;
-        if c_frame.(i) > !max_frame then max_frame := c_frame.(i)
-      end
-    done;
+    let all = make_recs total in
+    ignore
+      (Array.fold_left
+         (fun pos r ->
+           blit_recs r.sr all ~pos ~len:r.sr_n;
+           pos + r.sr_n)
+         0 recs);
+    let result =
+      packed_result derived config plan state ~unhandled_events all
+    in
     if Metrics.enabled () then begin
-      Metrics.add (Metrics.counter "engine.jobs_executed") !executed;
-      Metrics.add (Metrics.counter "engine.jobs_skipped") !skipped;
-      Metrics.add (Metrics.counter "engine.deadline_misses") !misses;
-      Metrics.add (Metrics.counter "engine.frames") frames;
       Metrics.incr (Metrics.counter "engine.sharded_runs");
       Metrics.set_gauge (Metrics.gauge "engine.shards") (float_of_int k);
       Metrics.add
@@ -1974,66 +1845,7 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
         (Metrics.gauge "engine.shard_cut_edges")
         (float_of_int part.Partition.cut_edges)
     end;
-    let trace =
-      lazy
-        begin
-          let cmp a b =
-            let c = Int.compare c_start.(a) c_start.(b) in
-            if c <> 0 then c
-            else
-              let c =
-                Int.compare plan.proc_of.(c_job.(a)) plan.proc_of.(c_job.(b))
-              in
-              if c <> 0 then c
-              else
-                let c = Int.compare c_frame.(a) c_frame.(b) in
-                if c <> 0 then c else Int.compare c_job.(a) c_job.(b)
-          in
-          let perm = Array.init total Fun.id in
-          Array.sort cmp perm;
-          let pick a = Array.init total (fun i -> a.(perm.(i))) in
-          let job = pick c_job
-          and frame = pick c_frame
-          and invoked = pick c_invoked
-          and start = pick c_start
-          and finish = pick c_finish
-          and deadline = pick c_deadline in
-          let skipped = Bytes.init total (fun i -> Bytes.get c_skip perm.(i)) in
-          let labels = Array.init n (fun j -> Job.label (Graph.job g j)) in
-          Exec_trace.of_ticks ~den:(Timebase.den plan.tb) ~labels
-            ~procs:plan.proc_of ~count:total ~job ~frame ~invoked ~start
-            ~finish ~deadline ~skipped ~tick_shift:0 ~frame_shift:0 []
-        end
-    in
-    let rat = Timebase.of_ticks plan.tb in
-    let h = derived.Derive.hyperperiod in
-    let frame_base frame = Rat.mul h (Rat.of_int frame) in
-    let overhead_end frame =
-      Rat.add (frame_base frame)
-        (Platform.frame_overhead config.platform ~frame)
-    in
-    let chan_snap = Netstate.channel_snapshot state in
-    let out_snap = Netstate.output_snapshot state in
-    let materialize snaps =
-      List.map (fun (c, s) -> (c, Fppn.Channel.snapshot_history s)) snaps
-    in
-    Some
-      {
-        trace;
-        channel_history = lazy (materialize chan_snap);
-        output_history = lazy (materialize out_snap);
-        stats =
-          {
-            Exec_trace.executed = !executed;
-            skipped = !skipped;
-            misses = !misses;
-            max_response = rat !max_resp;
-            frames = !max_frame + 1;
-          };
-        unhandled_events;
-        overhead_segments =
-          lazy (overhead_segments_of config ~frame_base ~overhead_end);
-      }
+    Some result
   end
 
 let run_sharded ?shards net derived sched config =
@@ -2062,7 +1874,7 @@ let run_sharded ?shards net derived sched config =
               plan.per_access_t > 0
               || not (Array.for_all (fun d -> d >= 1) durs)
             then fallback ()
-            else if not (certified_shardable net derived) then fallback ()
+            else if not (certified_shardable net) then fallback ()
             else begin
               let sp = pooled_shard_plan net derived sched plan ~k in
                 match

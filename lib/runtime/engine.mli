@@ -100,28 +100,34 @@ val run_sharded :
     counted by the [engine.shard_fallbacks] metric.  Raises as
     {!run}. *)
 
-val closure_conflicts_ordered : Taskgraph.Graph.t -> Fppn.Network.t -> bool
-(** The legacy job-level check: every pair of jobs of
-    channel-conflicting processes is ordered by a precedence path,
-    decided with per-job descendant bitsets — O(J^2) bits, kept as the
-    ground-truth oracle for the certificate (tests, fuzzing,
-    {!closure_cross_check}).  No longer gates {!run_sharded}. *)
-
-val closure_cross_check : bool ref
-(** Debug mode (default [false]): when set, every {!run_sharded}
-    shardability decision is re-derived with
-    {!closure_conflicts_ordered} (timed into the
-    [engine.closure_check_ticks] metric), and a certificate that
-    accepts a network the job-closure rejects raises
-    [Invalid_argument].  The reverse — certificate abstains where the
-    closure would accept, e.g. beyond the class-sweep budget — is a
-    permitted conservative fallback. *)
+(** A criticality monitor for {!run_reference}: the dual-criticality
+    mode switch of the mixed-criticality extension, layered on the
+    online policy.  Every frame starts in LO mode.  When a job with
+    [is_hi] starts, the run also wakes up at [start + budget_lo job]; if
+    the job is still running then, its frame degrades to HI mode
+    ([on_switch frame instant], once per frame).  From then on, every
+    job without [is_hi] that a processor reaches in that frame is
+    dropped — recorded [skipped], its precedence obligations waived,
+    [on_drop] called — before any invocation, overhead or precedence
+    wait.  A degrade moves no processor, so one already polled at the
+    switch instant sees it at its next wake-up.  Running jobs complete
+    normally; the next frame starts in LO mode again.  Execution times
+    are sampled from the derived graph, so a caller maps each job's
+    WCET to its criticality budget first. *)
+type monitor = {
+  is_hi : Taskgraph.Job.t -> bool;
+  budget_lo : Taskgraph.Job.t -> Rt_util.Rat.t;  (** [C_LO] of a HI job *)
+  on_switch : int -> Rt_util.Rat.t -> unit;  (** frame, switch instant *)
+  on_drop : unit -> unit;
+}
 
 val run_reference :
+  ?monitor:monitor ->
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
 (** {!run} forced onto the exact rational interpreter core — the
     semantic ground truth the compiled tick core is differentially
-    tested against.  Raises as {!run}. *)
+    tested against.  Without [monitor] it is exactly that reference;
+    with one, the mode-switched policy above.  Raises as {!run}. *)
 
 val sporadic_assignment :
   Fppn.Network.t ->

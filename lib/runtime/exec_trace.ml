@@ -14,33 +14,6 @@ type record = {
 
 type t = record list
 
-(* Materialize one block of records kept by the tick engine as packed
-   parallel int arrays (times in grid ticks of denominator [den]).
-   Replayed hyperperiod frames are the same block under a tick/frame
-   shift, so the engine's lazy trace is a fold of [of_ticks] calls over
-   decreasing shifts — rationals are only ever built here, on demand. *)
-let of_ticks ~den ~labels ~procs ~count ~job ~frame ~invoked ~start ~finish
-    ~deadline ~skipped ~tick_shift ~frame_shift acc =
-  let rat k = if den = 1 then Rat.of_int k else Rat.make k den in
-  let acc = ref acc in
-  for i = count - 1 downto 0 do
-    let j = job.(i) in
-    acc :=
-      {
-        job = j;
-        label = labels.(j);
-        frame = frame.(i) + frame_shift;
-        proc = procs.(j);
-        invoked = rat (invoked.(i) + tick_shift);
-        start = rat (start.(i) + tick_shift);
-        finish = rat (finish.(i) + tick_shift);
-        deadline = rat (deadline.(i) + tick_shift);
-        skipped = Bytes.get skipped i <> '\000';
-      }
-      :: !acc
-  done;
-  !acc
-
 let missed r = (not r.skipped) && Rat.(r.finish > r.deadline)
 let response_time r = Rat.sub r.finish r.invoked
 

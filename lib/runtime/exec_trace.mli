@@ -18,29 +18,6 @@ type record = {
 
 type t = record list
 
-val of_ticks :
-  den:int ->
-  labels:string array ->
-  procs:int array ->
-  count:int ->
-  job:int array ->
-  frame:int array ->
-  invoked:int array ->
-  start:int array ->
-  finish:int array ->
-  deadline:int array ->
-  skipped:Bytes.t ->
-  tick_shift:int ->
-  frame_shift:int ->
-  t ->
-  t
-(** Prepends [count] records held as packed parallel arrays of grid
-    ticks (denominator [den]) onto an accumulator, adding [tick_shift]
-    ticks to every time and [frame_shift] to every frame index —
-    the materialization step of the tick engine's lazy traces, where a
-    replayed hyperperiod frame is the recorded template block under a
-    shift.  [labels] and [procs] are indexed by job id. *)
-
 val missed : record -> bool
 (** [finish > deadline], never true of skipped jobs. *)
 

@@ -191,58 +191,62 @@ let run_indexed pool ~grain n body =
     Array.init units (fun u -> Atomic.make (pack (u * n / units) ((u + 1) * n / units)))
   in
   let errors = Atomic.make None in
+  (* a failure abandons the indices past it, but every smaller index
+     still runs: units start in any order, and a late one must not skip
+     the smallest failing index because a later one failed first *)
+  let below_failure i =
+    match Atomic.get errors with None -> true | Some (j, _, _) -> i < j
+  in
   let unit_body u =
     let own = ranges.(u) in
     let continue = ref true in
     while !continue do
-      if Atomic.get errors <> None then continue := false
-      else begin
-        (* claim an adaptive block from the front of our own range *)
-        let rec claim () =
-          let r = Atomic.get own in
-          let lo = unpack_lo r and hi = unpack_hi r in
-          if lo >= hi then -1
-          else begin
-            let b = min (hi - lo) (max grain ((hi - lo) / 8)) in
-            if Atomic.compare_and_set own r (pack (lo + b) hi) then pack lo (lo + b)
-            else claim ()
-          end
-        in
-        let block = claim () in
-        if block >= 0 then begin
-          let stop = unpack_hi block in
-          for i = unpack_lo block to stop - 1 do
+      (* claim an adaptive block from the front of our own range *)
+      let rec claim () =
+        let r = Atomic.get own in
+        let lo = unpack_lo r and hi = unpack_hi r in
+        if lo >= hi then -1
+        else begin
+          let b = min (hi - lo) (max grain ((hi - lo) / 8)) in
+          if Atomic.compare_and_set own r (pack (lo + b) hi) then pack lo (lo + b)
+          else claim ()
+        end
+      in
+      let block = claim () in
+      if block >= 0 then begin
+        let stop = unpack_hi block in
+        for i = unpack_lo block to stop - 1 do
+          if below_failure i then
             try body i
             with e -> record_error errors i e (Printexc.get_raw_backtrace ())
-          done
-        end
-        else begin
-          (* own range dry: steal the upper half of the fullest victim *)
-          let victim = ref (-1) and best = ref 0 in
-          for v = 0 to units - 1 do
-            if v <> u then begin
-              let r = Atomic.get ranges.(v) in
-              let rem = unpack_hi r - unpack_lo r in
-              if rem > !best then begin
-                best := rem;
-                victim := v
-              end
+        done
+      end
+      else begin
+        (* own range dry: steal the upper half of the fullest victim *)
+        let victim = ref (-1) and best = ref 0 in
+        for v = 0 to units - 1 do
+          if v <> u then begin
+            let r = Atomic.get ranges.(v) in
+            let rem = unpack_hi r - unpack_lo r in
+            if rem > !best then begin
+              best := rem;
+              victim := v
             end
-          done;
-          if !victim < 0 then continue := false
-          else begin
-            let slot = ranges.(!victim) in
-            let r = Atomic.get slot in
-            let lo = unpack_lo r and hi = unpack_hi r in
-            if hi > lo then begin
-              let mid = hi - ((hi - lo + 1) / 2) in
-              if Atomic.compare_and_set slot r (pack lo mid) then begin
-                Atomic.set own (pack mid hi);
-                Atomic.incr steal_counter
-              end
-            end
-            (* contended or drained meanwhile: rescan *)
           end
+        done;
+        if !victim < 0 then continue := false
+        else begin
+          let slot = ranges.(!victim) in
+          let r = Atomic.get slot in
+          let lo = unpack_lo r and hi = unpack_hi r in
+          if hi > lo then begin
+            let mid = hi - ((hi - lo + 1) / 2) in
+            if Atomic.compare_and_set slot r (pack lo mid) then begin
+              Atomic.set own (pack mid hi);
+              Atomic.incr steal_counter
+            end
+          end
+          (* contended or drained meanwhile: rescan *)
         end
       end
     done

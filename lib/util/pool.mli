@@ -91,7 +91,9 @@ val parallel_map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 
     If one or more applications raise, the exception raised for the
     {e smallest} input index is re-raised in the caller (after all
-    in-flight blocks have drained); remaining blocks are abandoned.
+    in-flight blocks have drained): every index below the smallest
+    failure seen so far still runs, whichever unit reaches it last, and
+    the indices past it are abandoned.
     With [jobs = 1] the applications run left to right in the calling
     domain and the first exception propagates immediately. *)
 

@@ -207,7 +207,7 @@ let prop_agrees_with_closure =
           (* wherever the legacy check is computable (the old engine cap
              was 16384 jobs) the quotient sweep must agree exactly *)
           Graph.n_jobs g > 16384
-          || ok = Engine.closure_conflicts_ordered g net))
+          || ok = Fppn_fuzz.Static_diff.closure_conflicts_ordered g net))
 
 (* --- the headline run: >16384 jobs through the sharded path ------------- *)
 

@@ -16,8 +16,13 @@ module Dual_schedule = Mixedcrit.Dual_schedule
 module Mc_engine = Mixedcrit.Mc_engine
 module Exec_time = Runtime.Exec_time
 module Exec_trace = Runtime.Exec_trace
+module Engine = Runtime.Engine
+module Automotive = Fppn_apps.Automotive
 
 let ms = Rat.of_int
+
+let qtest ?(count = 100) ~name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
 
 (* --- Graph.induced / map_wcet --------------------------------------------- *)
 
@@ -245,6 +250,13 @@ let test_all_lo_equals_plain_engine () =
       dual.Dual_schedule.lo_schedule
       (Runtime.Engine.default_config ~frames:3 ~n_procs:2 ())
   in
+  let reference =
+    Runtime.Engine.run_reference net dual.Dual_schedule.derived
+      dual.Dual_schedule.lo_schedule
+      (Runtime.Engine.default_config ~frames:3 ~n_procs:2 ())
+  in
+  Alcotest.(check bool) "trace equals the reference core's" true
+    (mc.Mc_engine.trace = Runtime.Engine.trace reference);
   Alcotest.(check bool) "no switches" true (mc.Mc_engine.mode_switches = []);
   Alcotest.(check bool) "identical channel histories" true
     (List.equal
@@ -255,6 +267,199 @@ let test_all_lo_equals_plain_engine () =
   Alcotest.(check int) "same record count"
     (List.length (Runtime.Engine.trace plain))
     (List.length mc.Mc_engine.trace)
+
+(* The same through the sporadic servers: automotive knock bursts,
+   no HI process.  'false' server slots are skipped, never dropped. *)
+let test_all_lo_sporadic_servers () =
+  let net = Automotive.network () in
+  let spec =
+    Spec.of_list ~default_criticality:Spec.Lo ~wcet_lo:Automotive.wcet ~hi:[]
+  in
+  let dual = Dual_schedule.build_exn ~n_procs:2 ~spec net in
+  let frames = 4 in
+  let sporadic =
+    Automotive.knock_burst
+      ~horizon:
+        (Rat.mul dual.Dual_schedule.derived.Derive.hyperperiod
+           (Rat.of_int frames))
+  in
+  let inputs = Automotive.input_feed in
+  let mc =
+    Mc_engine.run net ~spec dual
+      { (Mc_engine.default_config ~frames ~n_procs:2 ()) with
+        Mc_engine.sporadic; inputs }
+  in
+  let config =
+    { (Engine.default_config ~frames ~n_procs:2 ()) with
+      Engine.sporadic; inputs }
+  in
+  let plain =
+    Engine.run net dual.Dual_schedule.derived dual.Dual_schedule.lo_schedule
+      config
+  in
+  let reference =
+    Engine.run_reference net dual.Dual_schedule.derived
+      dual.Dual_schedule.lo_schedule config
+  in
+  Alcotest.(check bool) "no switches" true (mc.Mc_engine.mode_switches = []);
+  Alcotest.(check int) "nothing dropped" 0 mc.Mc_engine.dropped_lo;
+  Alcotest.(check bool) "identical channel histories" true
+    (List.equal
+       (fun (n1, h1) (n2, h2) -> n1 = n2 && List.equal V.equal h1 h2)
+       (Mc_engine.signature mc) (Engine.signature plain));
+  Alcotest.(check bool) "trace equals the reference core's" true
+    (mc.Mc_engine.trace = Engine.trace reference);
+  Alcotest.(check bool) "some server slots skipped" true
+    (List.exists (fun (r : Exec_trace.record) -> r.skipped) mc.Mc_engine.trace)
+
+let test_rejects_foreign_sporadic_names () =
+  let net = mc_net () in
+  let spec = mc_spec () in
+  let dual = Dual_schedule.build_exn ~n_procs:2 ~spec net in
+  List.iter
+    (fun name ->
+      let config =
+        { (Mc_engine.default_config ~frames:2 ~n_procs:2 ()) with
+          Mc_engine.sporadic = [ (name, [ ms 5 ]) ] }
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "events for %s rejected" name)
+        true
+        (try
+           ignore (Mc_engine.run net ~spec dual config);
+           false
+         with Invalid_argument _ -> true))
+    [ "Nope"; "Logger" ]
+
+(* A degraded frame drops the LO jobs a processor reaches at once, even
+   before their invocation: HI overruns of the injection loop degrade
+   every frame early, and the later ignition jobs are shed as soon as
+   their processor reaches them. *)
+let test_drop_before_invocation () =
+  let net = Automotive.network () in
+  let spec =
+    Spec.of_list ~default_criticality:Spec.Lo ~wcet_lo:Automotive.wcet
+      ~hi:[ ("CrankSensor", ms 3); ("InjectionCtrl", ms 6) ]
+  in
+  let dual = Dual_schedule.build_exn ~n_procs:2 ~spec net in
+  let frames = 3 in
+  let r =
+    Mc_engine.run net ~spec dual
+      { (Mc_engine.default_config ~frames ~n_procs:2 ()) with
+        Mc_engine.exec = Exec_time.profile (Spec.wcet_hi spec);
+        sporadic =
+          Automotive.knock_burst
+            ~horizon:
+              (Rat.mul dual.Dual_schedule.derived.Derive.hyperperiod
+                 (Rat.of_int frames));
+        inputs = Automotive.input_feed }
+  in
+  Alcotest.(check int) "every frame degrades" frames
+    (List.length r.Mc_engine.mode_switches);
+  Alcotest.(check int) "HI deadlines protected" 0 r.Mc_engine.hi_misses;
+  Alcotest.(check bool) "a LO job dropped before its invocation" true
+    (List.exists
+       (fun (x : Exec_trace.record) -> x.skipped && Rat.(x.start < x.invoked))
+       r.Mc_engine.trace)
+
+(* The monitor's invariants under jittered durations: drops are LO jobs
+   of degraded frames, skipped no earlier than the switch; each switch
+   is the C_LO expiry of a HI job of its frame that was still running
+   then; HI jobs never miss. *)
+let prop_monitor_invariants =
+  let spec = mc_spec () in
+  let dual = Dual_schedule.build_exn ~n_procs:2 ~spec (mc_net ()) in
+  let job (x : Exec_trace.record) =
+    Graph.job dual.Dual_schedule.derived.Derive.graph x.job
+  in
+  let hi x = Spec.is_hi spec (job x) in
+  qtest ~name:"drops, switch instants and HI misses" ~count:60
+    QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 1 20))
+    (fun (seed, frames) ->
+      let r =
+        run_mc ~frames ~exec:(Exec_time.uniform ~seed ~min_fraction:0.3) ()
+      in
+      let drops =
+        List.filter (fun (x : Exec_trace.record) -> x.skipped) r.Mc_engine.trace
+      in
+      r.Mc_engine.hi_misses = 0
+      && List.length drops = r.Mc_engine.dropped_lo
+      && List.for_all
+           (fun (x : Exec_trace.record) ->
+             (not (hi x))
+             &&
+             match List.assoc_opt x.frame r.Mc_engine.mode_switches with
+             | Some t -> Rat.(x.start >= t)
+             | None -> false)
+           drops
+      && List.for_all
+           (fun (f, t) ->
+             List.exists
+               (fun (x : Exec_trace.record) ->
+                 x.frame = f && hi x && (not x.skipped)
+                 && Rat.equal (Rat.add x.start (Spec.budget_lo spec (job x))) t
+                 && Rat.(x.finish > t))
+               r.Mc_engine.trace)
+           r.Mc_engine.mode_switches)
+
+(* A degrade is no processor transition: a processor polled earlier in
+   the same sweep sees it at the next queued wakeup.  Here L waits on A
+   on processor 0 while A and B overrun their 10 ms budgets on
+   processors 1 and 2; both detections are queued at 10 ms, so the
+   second one drops L at 10 ms rather than at A's completion. *)
+let test_drop_at_the_next_wakeup () =
+  let b = Network.Builder.create "wakeup" in
+  let add name body =
+    Network.Builder.add_process b
+      (Process.make ~name
+         ~event:(Event.periodic ~period:(ms 100) ~deadline:(ms 100) ())
+         (Process.Native body))
+  in
+  add "A" (fun ctx -> ctx.Process.write "ab" (V.Int 1));
+  add "B" (fun ctx -> ctx.Process.write "b_out" (V.Int 2));
+  add "L" (fun ctx -> ctx.Process.write "l_out" (ctx.Process.read "ab"));
+  Network.Builder.add_channel b ~kind:Fppn.Channel.Blackboard ~writer:"A"
+    ~reader:"L" "ab";
+  Network.Builder.add_priority b "A" "L";
+  Network.Builder.add_output b ~owner:"B" "b_out";
+  Network.Builder.add_output b ~owner:"L" "l_out";
+  let net = Network.Builder.finish_exn b in
+  let spec =
+    Spec.of_list ~default_criticality:Spec.Lo
+      ~wcet_lo:(Derive.wcet_of_list (ms 5) [ ("A", ms 10); ("B", ms 10) ])
+      ~hi:[ ("A", ms 30); ("B", ms 30) ]
+  in
+  let derived = Derive.derive_exn ~wcet:(Spec.wcet_lo spec) net in
+  let proc_of j =
+    match j.Job.proc_name with "L" -> (0, 10) | "A" -> (1, 0) | _ -> (2, 0)
+  in
+  let lo_schedule =
+    Sched.Static_schedule.make ~n_procs:3
+      (Array.map
+         (fun j ->
+           let proc, start = proc_of j in
+           { Sched.Static_schedule.proc; start = ms start })
+         (Graph.jobs derived.Derive.graph))
+  in
+  let dual =
+    { Dual_schedule.derived; lo_schedule; hi = None;
+      heuristic = Sched.Priority.Alap_edf }
+  in
+  let r =
+    Mc_engine.run net ~spec dual
+      { (Mc_engine.default_config ~n_procs:3 ()) with
+        Mc_engine.exec = Exec_time.profile (Spec.wcet_hi spec) }
+  in
+  Alcotest.(check (list (pair int (testable Rat.pp Rat.equal))))
+    "one switch at the budget expiry" [ (0, ms 10) ] r.Mc_engine.mode_switches;
+  let l =
+    List.find
+      (fun (x : Exec_trace.record) -> x.label = "L[1]")
+      r.Mc_engine.trace
+  in
+  Alcotest.(check bool) "L dropped" true l.skipped;
+  Alcotest.(check bool) "at the duplicate wakeup" true
+    (Rat.equal l.start (ms 10))
 
 let () =
   Alcotest.run "mixedcrit"
@@ -282,5 +487,14 @@ let () =
           Alcotest.test_case "partial overruns" `Quick test_partial_overrun_pattern;
           Alcotest.test_case "all-LO equals plain engine" `Quick
             test_all_lo_equals_plain_engine;
+          Alcotest.test_case "all-LO through sporadic servers" `Quick
+            test_all_lo_sporadic_servers;
+          Alcotest.test_case "foreign sporadic names rejected" `Quick
+            test_rejects_foreign_sporadic_names;
+          Alcotest.test_case "drop before the invocation" `Quick
+            test_drop_before_invocation;
+          Alcotest.test_case "drop at the next wakeup" `Quick
+            test_drop_at_the_next_wakeup;
+          prop_monitor_invariants;
         ] );
     ]

@@ -81,6 +81,34 @@ let test_exception_propagates_smallest_index () =
             Alcotest.(check int) "smallest failing index wins" 2 i))
     [ 1; 4 ]
 
+let test_late_unit_still_runs_smallest_failure () =
+  (* two units over [0, 16) with one-index claims: the caller's unit
+     holds index 0 until the worker's unit has failed at 8 (and has had
+     time to record it), then must still reach index 1 and report its
+     smaller failure *)
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let failed = Atomic.make false in
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      match
+        Pool.parallel_for ~chunk:1 pool 16 (fun i ->
+            if i = 0 then begin
+              while
+                (not (Atomic.get failed)) && Unix.gettimeofday () < deadline
+              do
+                Domain.cpu_relax ()
+              done;
+              Unix.sleepf 0.02
+            end
+            else if i = 1 then raise (Boom 1)
+            else if i = 8 then begin
+              Atomic.set failed true;
+              raise (Boom 8)
+            end)
+      with
+      | () -> Alcotest.fail "expected Boom"
+      | exception Boom i ->
+        Alcotest.(check int) "index 1 fails first in index order" 1 i)
+
 let test_nested_maps () =
   (* a task body may itself use the pool: waiters help drain the queue,
      so this must not deadlock even with a single worker *)
@@ -136,6 +164,8 @@ let () =
           Alcotest.test_case "empty and singleton" `Quick test_empty_and_singleton;
           Alcotest.test_case "smallest-index exception" `Quick
             test_exception_propagates_smallest_index;
+          Alcotest.test_case "late unit still runs the smallest failure" `Quick
+            test_late_unit_still_runs_smallest_failure;
           Alcotest.test_case "nested maps" `Quick test_nested_maps;
           Alcotest.test_case "reuse and shutdown" `Quick test_pool_reuse_and_shutdown;
           Alcotest.test_case "chunk sizes" `Quick test_chunking;
