@@ -629,7 +629,7 @@ let simulate_term, simulate_doc =
       }
     in
     (* sharded and sequential runs are bit-identical, so everything
-       printed below is independent of the shard count — the shard-gate
+       printed below is independent of the shard count — the gate alias
        byte-compares this command's output across --shards values *)
     let r =
       if shards = 1 then Engine.run app.net d s config

@@ -558,9 +558,9 @@ let rat_cache tb =
       r
     end
 
-(* Job records as packed parallel columns of grid ticks: the buffers
-   of the tick and sharded cores, the replay template, and what a
-   result materializes its trace from. *)
+(* Job records as packed parallel columns of grid ticks: the tick
+   core's buffers, the replay template, and what a result materializes
+   its trace from. *)
 type recs = {
   r_job : int array;
   r_frame : int array;
@@ -592,21 +592,17 @@ let set_rec r i job frame invoked start finish deadline skipped =
   r.r_deadline.(i) <- deadline;
   if skipped then Bytes.set r.r_skip i '\001'
 
-(* records [0, len) of [src] to [dst] from index [pos] *)
-let blit_recs src dst ~pos ~len =
-  let col a b = Array.blit a 0 b pos len in
-  col src.r_job dst.r_job;
-  col src.r_frame dst.r_frame;
-  col src.r_invoked dst.r_invoked;
-  col src.r_start dst.r_start;
-  col src.r_finish dst.r_finish;
-  col src.r_deadline dst.r_deadline;
-  Bytes.blit src.r_skip 0 dst.r_skip pos len
-
 (* the first [len] records in a fresh buffer of [cap] (default [len]) *)
 let copy_recs ?cap r len =
   let d = make_recs (Option.value cap ~default:len) in
-  blit_recs r d ~pos:0 ~len;
+  let col a b = Array.blit a 0 b 0 len in
+  col r.r_job d.r_job;
+  col r.r_frame d.r_frame;
+  col r.r_invoked d.r_invoked;
+  col r.r_start d.r_start;
+  col r.r_finish d.r_finish;
+  col r.r_deadline d.r_deadline;
+  Bytes.blit r.r_skip 0 d.r_skip 0 len;
   d
 
 (* sorted by (start, processor, frame, job), the reference trace order *)
@@ -637,7 +633,7 @@ let sort_recs plan r =
     r_skip = Bytes.init m (fun i -> Bytes.get r.r_skip perm.(i));
   }
 
-(* The result of a packed-record core (tick or sharded): statistics,
+(* The result of the tick core, sequential or sharded: statistics,
    the common [engine.*] counters, history snapshots that decouple the
    result from the pooled [state], and the lazily sorted trace.  The
    result owns [recs].  With [template = (tpl_frame, t)], frames after
@@ -875,12 +871,28 @@ let pooled_scratch derived sched plan ~n_procs ~cap0 =
   Bytes.fill sc.sc_tpl.r_skip 0 (Bytes.length sc.sc_tpl.r_skip) '\000';
   sc
 
-let exec_ticks net (derived : Derive.t) sched config ~assigned:_
-    ~unhandled_events plan =
+(* A sharded run declines: its caller falls back to the sequential
+   core. *)
+exception Shard_fallback
+
+(* The tick core.  With [bodies], the same event loop runs once as a
+   pure timing pass — valid only for plans with fixed durations and no
+   per-access cost, whose timing does not depend on the bodies.  It runs
+   no body, no replay, and records no per-job span or queue-depth
+   counter; it appends every record at job start, which is the order
+   the sequential engine runs bodies in, into a buffer the result then
+   owns, and hands that buffer to [bodies] before the result snapshots
+   the histories.  It raises [Shard_fallback] when the records cannot
+   be run frame by frame: a record finishing past its frame end, or
+   fewer than n·frames records (an order-infeasible schedule stranded
+   some processors). *)
+let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
+    plan =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let frames = config.frames in
   let n_procs = config.platform.Platform.n_procs in
+  let deferred = Option.is_some bodies in
   let state = pooled_state net in
   Netstate.set_inputs state config.inputs;
   Netstate.set_access_counting state (plan.per_access_t > 0);
@@ -898,13 +910,17 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
      the captured template and materialized on demand. *)
   let tpl_frame = if plan.first_t = plan.steady_t then 0 else 1 in
   let replay_candidate =
-    plan.dur_t <> None && plan.per_access_t = 0 && (not have_stamps)
-    && frames > tpl_frame + 1
+    (not deferred) && plan.dur_t <> None && plan.per_access_t = 0
+    && (not have_stamps) && frames > tpl_frame + 1
   in
   (* completed records as packed parallel arrays; presized for the head
-     frames when replay may make the rest implicit, grown once if not *)
+     frames when replay may make the rest implicit, grown once if not.
+     A deferred run writes its own full-horizon buffer and leaves the
+     pooled one small. *)
   let cap0 =
-    max 1 (if replay_candidate then (tpl_frame + 1) * n else n * frames)
+    max 1
+      (if replay_candidate || deferred then (tpl_frame + 1) * n
+       else n * frames)
   in
   let sc = pooled_scratch derived sched plan ~n_procs ~cap0 in
   let procs = sc.sc_procs in
@@ -915,13 +931,18 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
   let w_proc = sc.sc_w_proc in
   let w_frame = sc.sc_w_frame in
   let w_len = sc.sc_w_len in
+  let recs =
+    ref (if deferred then make_recs (max 1 (n * frames)) else sc.sc_recs)
+  in
   let s_n = ref 0 in
   let push_rec job frame invoked start finish deadline skipped =
     let i = !s_n in
-    if i = Array.length sc.sc_recs.r_job then
+    if i = Array.length !recs.r_job then begin
       (* replay declined after frame 1: grow to the full horizon *)
-      sc.sc_recs <- copy_recs sc.sc_recs i ~cap:(n * frames);
-    set_rec sc.sc_recs i job frame invoked start finish deadline skipped;
+      recs := copy_recs !recs i ~cap:(n * frames);
+      sc.sc_recs <- !recs
+    end;
+    set_rec !recs i job frame invoked start finish deadline skipped;
     s_n := i + 1
   in
   (* template, captured in job start order — the order bodies must
@@ -938,8 +959,8 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
      single immutable-bool branch per site when tracing is off; job
      labels are pre-interned so per-job spans never hash on dispatch,
      and spans open/close through the preallocated ring without any
-     closure allocation *)
-  let tracing = Trace.enabled () in
+     closure allocation.  A timing pass records none of them. *)
+  let tracing = Trace.enabled () && not deferred in
   let span_ids =
     if tracing then
       Array.init n (fun j -> Trace.intern (Job.label (Graph.job g j)))
@@ -1000,8 +1021,9 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
         let job = ps.t_job in
         completions.(job) <- completions.(job) + 1;
         (* the record was final at start time *)
-        push_rec job ps.t_frame ps.t_invoked ps.t_start ps.t_finish
-          ps.t_deadline false;
+        if not deferred then
+          push_rec job ps.t_frame ps.t_invoked ps.t_start ps.t_finish
+            ps.t_deadline false;
         if tracing && ps.t_finish > ps.t_deadline then
           Trace.instant_id miss_id;
         ps.t_busy <- false;
@@ -1064,8 +1086,9 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
             let a0 =
               if plan.per_access_t = 0 then 0 else Netstate.access_count state
             in
-            Netstate.run_job_fast state ~proc:plan.body_proc.(job)
-              ~now:(now_rat stamp);
+            if not deferred then
+              Netstate.run_job_fast state ~proc:plan.body_proc.(job)
+                ~now:(now_rat stamp);
             if tracing then Trace.span_end ();
             let duration =
               (match plan.dur_t with
@@ -1085,6 +1108,8 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
             ps.t_start <- !now;
             ps.t_finish <- finish;
             ps.t_deadline <- deadline;
+            if deferred then
+              push_rec job ps.t_frame stamp !now finish deadline false;
             capture ps.t_frame job stamp !now finish deadline false;
             push_event finish p;
             true
@@ -1164,7 +1189,7 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
          procs
     &&
     let ok = ref true in
-    let sf = sc.sc_recs.r_finish and sfr = sc.sc_recs.r_frame in
+    let sf = !recs.r_finish and sfr = !recs.r_frame in
     for i = 0 to !s_n - 1 do
       if sf.(i) >= (sfr.(i) + 1) * plan.h_t then ok := false
     done;
@@ -1244,13 +1269,25 @@ let exec_ticks net (derived : Derive.t) sched config ~assigned:_
      else Trace.with_span "engine.eventloop" run_all
    end
    else Trace.with_span "engine.eventloop" run_all);
-  (* the scratch buffers belong to the pool and are overwritten by the
-     next run, so the result owns exact-length copies — a few dozen
-     entries when replay kept the records implicit *)
   let result =
-    packed_result derived config plan state ~unhandled_events
-      ?template:(if !replayed then Some (tpl_frame, copy_recs tpl n) else None)
-      (copy_recs sc.sc_recs !s_n)
+    match bodies with
+    | None ->
+      (* the scratch buffers belong to the pool and are overwritten by
+         the next run, so the result owns exact-length copies — a few
+         dozen entries when replay kept the records implicit *)
+      packed_result derived config plan state ~unhandled_events
+        ?template:
+          (if !replayed then Some (tpl_frame, copy_recs tpl n) else None)
+        (copy_recs !recs !s_n)
+    | Some run_bodies ->
+      let r = !recs in
+      if !s_n < n * frames then raise Shard_fallback;
+      for i = 0 to !s_n - 1 do
+        if r.r_finish.(i) > (r.r_frame.(i) + 1) * plan.h_t then
+          raise Shard_fallback
+      done;
+      run_bodies state r;
+      packed_result derived config plan state ~unhandled_events r
   in
   if Metrics.enabled () then begin
     Metrics.add (Metrics.counter "engine.queue_pushes") !q_pushes;
@@ -1316,7 +1353,7 @@ let run net derived sched config =
       match compiled_plan net derived sched config ~assigned with
       | Some plan ->
         Trace.with_span "engine.exec.ticks" (fun () ->
-            exec_ticks net derived sched config ~assigned ~unhandled_events plan)
+            exec_ticks net derived sched config ~unhandled_events plan)
       | None ->
         Trace.with_span "engine.exec.rat" (fun () ->
             exec_rat net derived sched config ~assigned ~unhandled_events))
@@ -1329,47 +1366,40 @@ let run_reference ?monitor net derived sched config =
             ~unhandled_events))
 
 (* ------------------------------------------------------------------ *)
-(* Sharded core: the tick engine cut into K communicating shards.      *)
+(* Sharded core: the tick engine's timeline, job bodies on K shards.   *)
 (*                                                                     *)
 (* When every duration is a fixed, strictly positive tick count and    *)
-(* channel accesses cost nothing, the timing recurrence               *)
+(* channel accesses cost nothing, the timing of every round does not   *)
+(* depend on the job bodies.  The tick core's event loop then runs     *)
+(* once as a timing pass with the bodies deferred: it yields [run]'s   *)
+(* records, in the order the sequential engine runs their bodies.      *)
+(* Only the bodies run on K domains: each shard walks its own          *)
+(* processors' records in that order, grouped by frame, and waits on   *)
+(* single-writer single-reader mailboxes for the bodies of cross-shard *)
+(* predecessors.  A frame barrier separates the frames, so a mailbox   *)
+(* is one word per cut edge, reused every frame.                       *)
 (*                                                                     *)
-(*   start(j,f) = max(invocation, overhead end, previous job's finish  *)
-(*                on j's processor, finish of every same-frame          *)
-(*                predecessor)                                         *)
-(*                                                                     *)
-(* is independent of the job bodies.  The run then splits into two     *)
-(* deterministic phases: phase 1 solves the recurrence shard-locally   *)
-(* on machine integers, exchanging finish ticks of shard-crossing      *)
-(* precedence edges through single-writer single-reader mailboxes;     *)
-(* phase 2 re-executes the bodies against the shared network state,    *)
-(* each shard walking its own records in (frame, start, processor,     *)
-(* job) order and waiting on the same mailboxes for cross-shard        *)
-(* predecessors' bodies.  Frame barriers separate the frames in both   *)
-(* phases, so a mailbox is one word per edge, reused every frame.      *)
-(*                                                                     *)
-(* Bit-identity with the sequential engine holds because every pair of *)
-(* jobs touching a common channel is ordered by a precedence path      *)
-(* (proven once per network by the static certificate) and             *)
-(* durations are >= 1 tick, so the path separates the pair strictly in *)
-(* time: the sequential engine runs the two bodies in path order, and  *)
-(* so does every sharded interleaving — in-shard by the sorted walk,   *)
-(* cross-shard by the mailbox waits.  Frames interleave identically    *)
-(* because phase 1 verifies no job spills past its frame boundary.     *)
-(* Whenever any precondition fails — rational-only plan, sampled or    *)
-(* zero durations, per-access costs, unordered channel conflicts,      *)
-(* frame spill, a stalled (order-infeasible) schedule — the run falls  *)
-(* back to the sequential core, so [run_sharded] is total on exactly   *)
-(* [run]'s domain and always returns [run]'s answer.                   *)
+(* Trace and stats come from [run]'s own event loop, so bit-identity   *)
+(* needs only the body order.  Every pair of jobs touching a common    *)
+(* channel is ordered by a precedence path (proven once per network by *)
+(* the static certificate); the sequential engine runs the pair in     *)
+(* path order, and so does every sharded interleaving — in-shard by    *)
+(* the walk, cross-shard by the mailbox waits.  Each wait points       *)
+(* backwards in one sequential order, so none can deadlock.  Frames    *)
+(* run apart as in the sequential engine because no record finishes   *)
+(* past its frame end.  Whenever any precondition fails — rational-    *)
+(* only plan, sampled or zero durations, per-access costs, unordered   *)
+(* channel conflicts, frame spill, an order-infeasible schedule — the  *)
+(* run falls back to the sequential core, so [run_sharded] is total on *)
+(* exactly [run]'s domain and always returns [run]'s answer.           *)
 (* ------------------------------------------------------------------ *)
 
 (* Shard-crossing routing, fixed per (plan, schedule, K): the flat
    predecessor segments annotated with a mailbox id per crossing edge,
    the per-job list of mailboxes to publish into, and the mailbox words
    themselves.  A mailbox belongs to exactly one edge, so it has one
-   writing and one reading shard; [sp_mb_time] carries the producer's
-   finish tick and is published before the phase tag, so a reader that
-   observes tag [f+1] reads frame [f]'s value. *)
+   writing and one reading shard; its word is the number of frames
+   whose producer body has run. *)
 type shard_plan = {
   sp_plan : tick_plan;
   sp_sched : Static_schedule.t;
@@ -1377,13 +1407,10 @@ type shard_plan = {
   sp_k : int;
   sp_part : Partition.t;
   sp_pred_off : int array;
-  sp_pred_job : int array;
-  sp_pred_mb : int array;  (* aligned with [sp_pred_job]; -1 = in-shard *)
+  sp_pred_mb : int array;  (* aligned with the predecessor segments; -1 = in-shard *)
   sp_out_off : int array;
   sp_out_mb : int array;
-  sp_mb_time : int Atomic.t array;
-  sp_mb_timing : int Atomic.t array;  (* phase-1 tag: frame + 1 *)
-  sp_mb_body : int Atomic.t array;  (* phase-2 tag: frame + 1 *)
+  sp_mb_body : int Atomic.t array;
 }
 
 let build_shard_plan net (derived : Derive.t) sched plan ~k =
@@ -1421,7 +1448,6 @@ let build_shard_plan net (derived : Derive.t) sched plan ~k =
       end
     done
   done;
-  let atoms () = Array.init (max 1 !n_mb) (fun _ -> Atomic.make 0) in
   {
     sp_plan = plan;
     sp_sched = sched;
@@ -1429,13 +1455,10 @@ let build_shard_plan net (derived : Derive.t) sched plan ~k =
     sp_k = k;
     sp_part = part;
     sp_pred_off = pred_off;
-    sp_pred_job = pred_job;
     sp_pred_mb = pred_mb;
     sp_out_off = out_off;
     sp_out_mb = out_mb;
-    sp_mb_time = atoms ();
-    sp_mb_timing = atoms ();
-    sp_mb_body = atoms ();
+    sp_mb_body = Array.init (max 1 !n_mb) (fun _ -> Atomic.make 0);
   }
 
 let shard_plan_key : shard_plan option ref Domain.DLS.key =
@@ -1494,8 +1517,7 @@ let certified_shardable net =
 
    [bail] lets waiters leave when another shard aborted.  Spinners poll
    it; parked waiters re-check it on every wakeup, so abort setters
-   must call [barrier_wake] after raising their flag (the abort paths
-   in [exec_sharded] funnel through [abort_wake]). *)
+   must call [barrier_wake] after raising their flag. *)
 type shard_barrier = {
   parties : int;
   arrived : int Atomic.t;
@@ -1546,185 +1568,73 @@ let barrier_await b ~bail =
     end
   end
 
-type shard_recs = {
-  sr : recs;
-  mutable sr_n : int;
-  mutable sr_msgs : int;
-}
-
-(* spins with no global progress before declaring the run stalled; only
-   order-infeasible schedules (whose sequential run silently strands
-   the stuck processors) ever trip it, and they merely fall back *)
+(* spins with no global progress before declaring the run stalled; the
+   walk order rules a stall out, so the guard only turns a bug into a
+   fallback instead of a hang *)
 let shard_stall_limit = 1 lsl 28
 
-let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
-    sp ~durs =
-  let g = derived.Derive.graph in
-  let n = Graph.n_jobs g in
+(* The body phase: [recs] holds the timing pass's records in job start
+   order.  Each shard runs the bodies of its own processors' records in
+   that order, grouped by frame, each behind the bodies of its
+   cross-shard predecessors.  Raises [Shard_fallback] when a shard
+   stalls or a body raises, after every shard has stopped. *)
+let exec_sharded config plan sp state recs =
   let frames = config.frames in
   let k = sp.sp_k in
-  let part = sp.sp_part in
-  let n_procs = config.platform.Platform.n_procs in
-  let state = pooled_state net in
-  Netstate.set_inputs state config.inputs;
-  Netstate.set_access_counting state false;
-  let stamp_arr = stamp_table plan ~n ~frames in
-  let have_stamps = Array.length stamp_arr > 0 in
-  Array.iter (fun a -> Atomic.set a 0) sp.sp_mb_timing;
-  Array.iter (fun a -> Atomic.set a 0) sp.sp_mb_body;
-  let orders = Array.init n_procs (Static_schedule.order_on sched) in
-  let error : exn option Atomic.t = Atomic.make None in
-  let stalled = Atomic.make false in
-  let spilled = Atomic.make false in
-  let bail () =
-    Atomic.get stalled || Atomic.get spilled || Atomic.get error <> None
-  in
-  (* bumped on every completion in either phase; a spinner that sees it
-     move knows the system is alive and resets its stall count *)
-  let epoch = Atomic.make 0 in
-  let b_timing = make_barrier k and b_body = make_barrier k in
-  (* every abort-flag raise must wake parked barrier waiters, or they
-     would sleep on a condvar nobody signals again *)
-  let abort_wake () =
-    barrier_wake b_timing;
-    barrier_wake b_body
-  in
-  let set_stalled () =
-    Atomic.set stalled true;
-    abort_wake ()
-  in
-  let recs =
-    Array.init k (fun s ->
-        let cap =
-          Array.fold_left
-            (fun acc p -> acc + (frames * Array.length orders.(p)))
-            0
-            part.Partition.procs_of_shard.(s)
-        in
-        { sr = make_recs (max 1 cap); sr_n = 0; sr_msgs = 0 })
-  in
+  let shard_of_proc = sp.sp_part.Partition.shard_of_proc in
   let pred_off = sp.sp_pred_off
-  and pred_job = sp.sp_pred_job
   and pred_mb = sp.sp_pred_mb
   and out_off = sp.sp_out_off
   and out_mb = sp.sp_out_mb
-  and mb_time = sp.sp_mb_time
-  and mb_timing = sp.sp_mb_timing
   and mb_body = sp.sp_mb_body in
+  let rj = recs.r_job and rf = recs.r_frame in
+  let m = Array.length rj in
+  Array.iter (fun a -> Atomic.set a 0) mb_body;
+  let error : exn option Atomic.t = Atomic.make None in
+  let stalled = Atomic.make false in
+  let bail () = Atomic.get stalled || Atomic.get error <> None in
+  (* bumped on every body; a spinner that sees it move knows the system
+     is alive and resets its stall count *)
+  let epoch = Atomic.make 0 in
+  (* every abort-flag raise must wake parked barrier waiters, or they
+     would sleep on a condvar nobody signals again *)
+  let barrier = make_barrier k in
+  let sent = Array.make k 0 in
   let run_shard s =
-    let procs = part.Partition.procs_of_shard.(s) in
-    let np = Array.length procs in
-    let r = recs.(s) in
-    let buf = r.sr in
-    (* the counts live in locals until the shard finishes: the shards'
-       small [shard_recs] may share a cache line, and per-job writes
-       there would bounce it between the domains *)
-    let n_rec = ref 0 and msgs = ref 0 in
-    let pos = Array.make (max 1 np) 0 in
-    let prevf = Array.make (max 1 np) 0 in
-    let donef = Array.make (max 1 np) false in
-    let completions = Array.make (max 1 n) 0 in
-    let fin = Array.make (max 1 n) 0 in
-    (* phase 1: shard-local timing recurrence, frame by frame *)
+    let mine i = shard_of_proc.(plan.proc_of.(rj.(i))) = s in
+    (* the shard's records grouped by frame, a stable counting sort:
+       frame [f] is [walk.(first.(f)) .. walk.(first.(f + 1) - 1)] *)
+    let first = Array.make (frames + 1) 0 in
+    for i = 0 to m - 1 do
+      if mine i then first.(rf.(i) + 1) <- first.(rf.(i) + 1) + 1
+    done;
+    for f = 1 to frames do
+      first.(f) <- first.(f) + first.(f - 1)
+    done;
+    let walk = Array.make (max 1 first.(frames)) 0 in
+    let next = Array.sub first 0 frames in
+    for i = 0 to m - 1 do
+      if mine i then begin
+        walk.(next.(rf.(i))) <- i;
+        next.(rf.(i)) <- next.(rf.(i)) + 1
+      end
+    done;
+    let now_rat = rat_cache plan.tb in
+    (* a local until the shard finishes: [sent]'s slots share a cache
+       line, and per-job writes there would bounce it between domains *)
+    let msgs = ref 0 in
     for f = 0 to frames - 1 do
-      if not (bail ()) then begin
-        let base = f * plan.h_t in
-        let frame_end = base + plan.h_t in
-        let oh_end = base + if f = 0 then plan.first_t else plan.steady_t in
-        let remaining = ref 0 in
-        for i = 0 to np - 1 do
-          if Array.length orders.(procs.(i)) = 0 then donef.(i) <- true
-          else begin
-            donef.(i) <- false;
-            incr remaining
-          end
-        done;
+      let idx = ref first.(f) in
+      while !idx < first.(f + 1) && not (bail ()) do
+        let ri = walk.(!idx) in
+        let job = rj.(ri) in
         let guard = ref 0 in
         let last_epoch = ref (Atomic.get epoch) in
-        while !remaining > 0 && not (bail ()) do
-          let progress = ref false in
-          for i = 0 to np - 1 do
-            if not donef.(i) then begin
-              let order = orders.(procs.(i)) in
-              let len = Array.length order in
-              let advancing = ref true in
-              while !advancing do
-                let job = order.(pos.(i)) in
-                let invocation = base + plan.arr_t.(job) in
-                let t = ref (if invocation > oh_end then invocation else oh_end) in
-                if prevf.(i) > !t then t := prevf.(i);
-                let blocked = ref false in
-                let ei = ref pred_off.(job) in
-                let hi = pred_off.(job + 1) in
-                while (not !blocked) && !ei < hi do
-                  let q = pred_job.(!ei) in
-                  let mb = pred_mb.(!ei) in
-                  (if mb < 0 then begin
-                     if completions.(q) <= f then blocked := true
-                     else if fin.(q) > !t then t := fin.(q)
-                   end
-                   else if Atomic.get mb_timing.(mb) <= f then blocked := true
-                   else begin
-                     let v = Atomic.get mb_time.(mb) in
-                     if v > !t then t := v
-                   end);
-                  incr ei
-                done;
-                if !blocked then advancing := false
-                else begin
-                  let stamp =
-                    if plan.is_server.(job) then
-                      if have_stamps then stamp_arr.((f * n) + job)
-                      else min_int
-                    else invocation
-                  in
-                  let ri = !n_rec in
-                  let finish =
-                    if stamp = min_int then begin
-                      buf.r_invoked.(ri) <- invocation;
-                      buf.r_deadline.(ri) <- invocation + plan.dl_rel_t.(job);
-                      Bytes.set buf.r_skip ri '\001';
-                      !t
-                    end
-                    else begin
-                      buf.r_invoked.(ri) <- stamp;
-                      buf.r_deadline.(ri) <- stamp + plan.dl_rel_t.(job);
-                      !t + durs.(job)
-                    end
-                  in
-                  buf.r_job.(ri) <- job;
-                  buf.r_frame.(ri) <- f;
-                  buf.r_start.(ri) <- !t;
-                  buf.r_finish.(ri) <- finish;
-                  n_rec := ri + 1;
-                  if finish > frame_end then begin
-                    Atomic.set spilled true;
-                    abort_wake ()
-                  end;
-                  completions.(job) <- completions.(job) + 1;
-                  fin.(job) <- finish;
-                  prevf.(i) <- finish;
-                  for o = out_off.(job) to out_off.(job + 1) - 1 do
-                    let mb = out_mb.(o) in
-                    Atomic.set mb_time.(mb) finish;
-                    Atomic.set mb_timing.(mb) (f + 1);
-                    incr msgs
-                  done;
-                  Atomic.incr epoch;
-                  progress := true;
-                  pos.(i) <- pos.(i) + 1;
-                  if pos.(i) >= len then begin
-                    pos.(i) <- 0;
-                    donef.(i) <- true;
-                    decr remaining;
-                    advancing := false
-                  end
-                end
-              done
-            end
-          done;
-          if !progress then guard := 0
-          else begin
+        let ei = ref pred_off.(job) in
+        let hi = pred_off.(job + 1) in
+        while !ei < hi && not (bail ()) do
+          let mb = pred_mb.(!ei) in
+          if mb >= 0 && Atomic.get mb_body.(mb) <= f then begin
             let e = Atomic.get epoch in
             if e <> !last_epoch then begin
               last_epoch := e;
@@ -1732,88 +1642,36 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
             end
             else begin
               incr guard;
-              if !guard > shard_stall_limit then set_stalled ()
+              if !guard > shard_stall_limit then begin
+                Atomic.set stalled true;
+                barrier_wake barrier
+              end
             end;
             Domain.cpu_relax ()
           end
-        done
-      end;
-      barrier_await b_timing ~bail
-    done;
-    (* phase 2: bodies in (frame, start, processor, job) order.  The
-       final phase-1 barrier makes any abort flag globally visible
-       before anyone enters, so either all shards run this phase and
-       its barriers, or none do. *)
-    if not (bail ()) then begin
-      let m = !n_rec in
-      let sj = buf.r_job and sfr = buf.r_frame and sst = buf.r_start in
-      let perm = Array.init m Fun.id in
-      Array.sort
-        (fun a b ->
-          let c = Int.compare sfr.(a) sfr.(b) in
-          if c <> 0 then c
-          else
-            let c = Int.compare sst.(a) sst.(b) in
-            if c <> 0 then c
-            else
-              let c =
-                Int.compare plan.proc_of.(sj.(a)) plan.proc_of.(sj.(b))
-              in
-              if c <> 0 then c else Int.compare sj.(a) sj.(b))
-        perm;
-      let now_rat = rat_cache plan.tb in
-      let idx = ref 0 in
-      for f = 0 to frames - 1 do
-        let advancing = ref true in
-        while !advancing && !idx < m && not (bail ()) do
-          let ri = perm.(!idx) in
-          if sfr.(ri) <> f then advancing := false
-          else begin
-            let job = sj.(ri) in
-            let guard = ref 0 in
-            let last_epoch = ref (Atomic.get epoch) in
-            let ei = ref pred_off.(job) in
-            let hi = pred_off.(job + 1) in
-            while !ei < hi && not (bail ()) do
-              let mb = pred_mb.(!ei) in
-              if mb >= 0 && Atomic.get mb_body.(mb) <= f then begin
-                let e = Atomic.get epoch in
-                if e <> !last_epoch then begin
-                  last_epoch := e;
-                  guard := 0
-                end
-                else begin
-                  incr guard;
-                  if !guard > shard_stall_limit then set_stalled ()
-                end;
-                Domain.cpu_relax ()
-              end
-              else incr ei
-            done;
-            if not (bail ()) then begin
-              if Bytes.get buf.r_skip ri = '\000' then
-                Netstate.run_job_fast state ~proc:plan.body_proc.(job)
-                  ~now:(now_rat buf.r_invoked.(ri));
-              for o = out_off.(job) to out_off.(job + 1) - 1 do
-                Atomic.set mb_body.(out_mb.(o)) (f + 1);
-                incr msgs
-              done;
-              Atomic.incr epoch;
-              incr idx
-            end
-          end
+          else incr ei
         done;
-        barrier_await b_body ~bail
-      done
-    end;
-    r.sr_n <- !n_rec;
-    r.sr_msgs <- !msgs
+        if not (bail ()) then begin
+          if Bytes.get recs.r_skip ri = '\000' then
+            Netstate.run_job_fast state ~proc:plan.body_proc.(job)
+              ~now:(now_rat recs.r_invoked.(ri));
+          for o = out_off.(job) to out_off.(job + 1) - 1 do
+            Atomic.set mb_body.(out_mb.(o)) (f + 1);
+            incr msgs
+          done;
+          Atomic.incr epoch;
+          incr idx
+        end
+      done;
+      barrier_await barrier ~bail
+    done;
+    sent.(s) <- !msgs
   in
   let guarded s () =
     try run_shard s
     with e ->
       ignore (Atomic.compare_and_set error None (Some e));
-      abort_wake ()
+      barrier_wake barrier
   in
   let domains =
     Array.init (k - 1) (fun i ->
@@ -1822,31 +1680,24 @@ let exec_sharded net (derived : Derive.t) sched config ~unhandled_events plan
   in
   guarded 0 ();
   Array.iter Domain.join domains;
-  if bail () then None
-  else begin
-    let total = Array.fold_left (fun acc r -> acc + r.sr_n) 0 recs in
-    let all = make_recs total in
-    ignore
-      (Array.fold_left
-         (fun pos r ->
-           blit_recs r.sr all ~pos ~len:r.sr_n;
-           pos + r.sr_n)
-         0 recs);
-    let result =
-      packed_result derived config plan state ~unhandled_events all
-    in
-    if Metrics.enabled () then begin
-      Metrics.incr (Metrics.counter "engine.sharded_runs");
-      Metrics.set_gauge (Metrics.gauge "engine.shards") (float_of_int k);
-      Metrics.add
-        (Metrics.counter "engine.xshard_messages")
-        (Array.fold_left (fun acc r -> acc + r.sr_msgs) 0 recs);
-      Metrics.set_gauge
-        (Metrics.gauge "engine.shard_cut_edges")
-        (float_of_int part.Partition.cut_edges)
-    end;
-    Some result
+  if bail () then raise Shard_fallback;
+  if Metrics.enabled () then begin
+    Metrics.incr (Metrics.counter "engine.sharded_runs");
+    Metrics.set_gauge (Metrics.gauge "engine.shards") (float_of_int k);
+    Metrics.add
+      (Metrics.counter "engine.xshard_messages")
+      (Array.fold_left ( + ) 0 sent);
+    Metrics.set_gauge
+      (Metrics.gauge "engine.shard_cut_edges")
+      (float_of_int sp.sp_part.Partition.cut_edges)
   end
+
+(* fixed, strictly positive tick durations and free channel accesses:
+   the timing does not depend on the bodies *)
+let body_independent plan =
+  match plan.dur_t with
+  | Some durs -> plan.per_access_t = 0 && Array.for_all (fun d -> d >= 1) durs
+  | None -> false
 
 let run_sharded ?shards net derived sched config =
   Trace.with_span "engine.run_sharded" (fun () ->
@@ -1865,26 +1716,17 @@ let run_sharded ?shards net derived sched config =
           run net derived sched config
         in
         match compiled_plan net derived sched config ~assigned with
-        | None -> fallback ()
-        | Some plan -> (
-          match plan.dur_t with
-          | None -> fallback ()
-          | Some durs ->
-            if
-              plan.per_access_t > 0
-              || not (Array.for_all (fun d -> d >= 1) durs)
-            then fallback ()
-            else if not (certified_shardable net) then fallback ()
-            else begin
-              let sp = pooled_shard_plan net derived sched plan ~k in
-                match
-                  Trace.with_span "engine.exec.sharded" (fun () ->
-                      exec_sharded net derived sched config ~unhandled_events
-                        plan sp ~durs)
-                with
-                | Some result -> result
-                | None -> fallback ()
-            end)
+        | Some plan when body_independent plan && certified_shardable net -> (
+          let sp = pooled_shard_plan net derived sched plan ~k in
+          match
+            Trace.with_span "engine.exec.sharded" (fun () ->
+                exec_ticks
+                  ~bodies:(exec_sharded config plan sp)
+                  net derived sched config ~unhandled_events plan)
+          with
+          | result -> result
+          | exception Shard_fallback -> fallback ())
+        | _ -> fallback ()
       end)
 
 let signature r =

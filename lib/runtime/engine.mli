@@ -75,18 +75,22 @@ val run :
 val run_sharded :
   ?shards:int ->
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
-(** {!run} on [shards] cooperating domains (default: the host's
-    {!Rt_util.Pool.recommended_domains}, clamped to the platform's
-    processor count).  The scheduled processors are cut into shards by
-    {!Partition.make}; each shard first solves the integer timing
-    recurrence for its own processors, exchanging the finish ticks of
-    shard-crossing precedence edges through single-writer mailboxes
-    drained at frame barriers (sense-reversing, with a bounded spin
-    before parking on a condvar, so oversubscribed hosts do not burn a
-    core per waiting shard), then re-executes the job bodies in
-    (frame, start, processor, job) order with the same cross-shard
-    waits.  The result — trace, channel and output histories, stats —
-    is bit-identical to {!run}'s.
+(** {!run} with the job bodies on [shards] cooperating domains
+    (default: the host's {!Rt_util.Pool.recommended_domains}, clamped
+    to the platform's processor count).  With fixed durations the
+    timing of every round does not depend on the bodies, so the run is
+    one timing pass plus one body phase.  The timing pass is {!run}'s
+    own event loop with the bodies deferred: it yields {!run}'s
+    records, trace and stats, in the order the sequential engine runs
+    the bodies.  The body phase cuts the scheduled processors into
+    shards by {!Partition.make}; each shard runs its own records'
+    bodies in that order, frame by frame, and waits for the bodies of
+    cross-shard predecessors on single-writer mailboxes.  Frames are
+    separated by barriers (sense-reversing, with a bounded spin before
+    parking on a condvar, so oversubscribed hosts do not burn a core
+    per waiting shard).  The result — trace, channel and output
+    histories, stats — is bit-identical to {!run}'s: only the body
+    order needs an argument, and the certificate below supplies it.
 
     Sharding engages only when the compiled plan has fixed, strictly
     positive tick durations, no per-access cost, and the static

@@ -20,6 +20,7 @@ let candidate ~name ~wcet net (d : Taskgraph.Derive.t) =
 
 type reason =
   | Duplicate_tenant of string
+  | Underivable of string
   | Load_bound of { load : Rat.t; lower_bound : int; procs : int }
   | No_interface of { utilization : Rat.t }
   | Compose_utilization of { total : Rat.t; procs : int }
@@ -47,6 +48,8 @@ let decide ~procs ~resident c =
 let reason_to_json = function
   | Duplicate_tenant name ->
     Json.Obj [ ("code", Json.Str "duplicate_tenant"); ("name", Json.Str name) ]
+  | Underivable error ->
+    Json.Obj [ ("code", Json.Str "underivable"); ("error", Json.Str error) ]
   | Load_bound { load; lower_bound; procs } ->
     Json.Obj
       [
@@ -86,6 +89,7 @@ let decision_to_json = function
 
 let pp_reason ppf = function
   | Duplicate_tenant name -> Format.fprintf ppf "duplicate tenant %s" name
+  | Underivable error -> Format.fprintf ppf "no task graph: %s" error
   | Load_bound { load; lower_bound; procs } ->
     Format.fprintf ppf "Prop. 3.1 load bound: Load=%a, ceil=%d > M=%d" Rat.pp
       load lower_bound procs

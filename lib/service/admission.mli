@@ -31,6 +31,9 @@ val candidate :
 
 type reason =
   | Duplicate_tenant of string
+  | Underivable of string
+      (** the network is outside the Sec. III-A subclass: the
+          [Taskgraph.Derive.pp_error] text *)
   | Load_bound of { load : Rt_util.Rat.t; lower_bound : int; procs : int }
       (** Prop. 3.1: [⌈Load⌉ > M] (or a job cannot fit its window) *)
   | No_interface of { utilization : Rt_util.Rat.t }

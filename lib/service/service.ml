@@ -56,26 +56,33 @@ let resident_interfaces t =
 let register ?pool ?inputs t ~name ~wcet net =
   if find t name <> None then Error (Admission.Duplicate_tenant name)
   else
-    let derive = Taskgraph.Derive.derive_exn ~wcet net in
-    let cand = Admission.candidate ~name ~wcet net derive in
-    match Admission.decide ~procs:t.procs ~resident:(resident_interfaces t) cand with
-    | Admission.Rejected r -> Error r
-    | Admission.Accepted interface -> (
-      let min_procs = max 1 cand.Admission.c_lower_bound in
+    match Taskgraph.Derive.derive ~wcet net with
+    | Error e ->
+      Error
+        (Admission.Underivable
+           (Format.asprintf "%a" Taskgraph.Derive.pp_error e))
+    | Ok derive -> (
+      let cand = Admission.candidate ~name ~wcet net derive in
       match
-        Tenant.build_plan ?pool ?inputs ~derive ~min_procs ~max_procs:t.procs
-          ~wcet net
+        Admission.decide ~procs:t.procs ~resident:(resident_interfaces t) cand
       with
-      | Error searched -> Error (Admission.No_schedule { procs = searched })
-      | Ok plan ->
-        let ten =
-          Tenant.make ~name ~plan ~interface ~taskset:cand.Admission.c_taskset
-            ~load:cand.Admission.c_load
-            ~lower_bound:cand.Admission.c_lower_bound
-        in
-        t.residents <- t.residents @ [ ten ];
-        Metrics.set_gauge g_tenants (float_of_int (List.length t.residents));
-        Ok ten)
+      | Admission.Rejected r -> Error r
+      | Admission.Accepted interface -> (
+        let min_procs = max 1 cand.Admission.c_lower_bound in
+        match
+          Tenant.build_plan ?pool ?inputs ~derive ~min_procs ~max_procs:t.procs
+            ~wcet net
+        with
+        | Error searched -> Error (Admission.No_schedule { procs = searched })
+        | Ok plan ->
+          let ten =
+            Tenant.make ~name ~plan ~interface
+              ~taskset:cand.Admission.c_taskset ~load:cand.Admission.c_load
+              ~lower_bound:cand.Admission.c_lower_bound
+          in
+          t.residents <- t.residents @ [ ten ];
+          Metrics.set_gauge g_tenants (float_of_int (List.length t.residents));
+          Ok ten))
 
 let retire t name =
   let before = List.length t.residents in

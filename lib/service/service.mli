@@ -8,7 +8,7 @@
     elaborated network — tenants share worker domains and nothing else
     — so each tenant's output signature must equal the signature of the
     same epoch run standalone.  {!verify} checks exactly that, and the
-    [@service-gate] build alias runs it over 100+ tenants.
+    [@gate] build alias runs it over 100+ tenants.
 
     Metrics (under [service.*]): [events_ingested], [events_dropped]
     (illegal or unaddressed), [events_backpressure] (queue-full
@@ -61,10 +61,9 @@ val register :
     generation, composition with the resident interfaces
     ({!Admission.decide}), then construction of a feasible static
     schedule ({!Tenant.build_plan}) — any failure is a machine-readable
-    {!Admission.reason}.  On success the tenant is resident and will
-    run from the next epoch on.
-    @raise Taskgraph.Derive.Error when the network is outside the
-    derivable subclass. *)
+    {!Admission.reason}, a network outside the derivable subclass of
+    Sec. III-A included ({!Admission.Underivable}).  On success the
+    tenant is resident and will run from the next epoch on. *)
 
 val retire : t -> string -> bool
 (** Removes a tenant; its reserved bandwidth is freed for future

@@ -2,7 +2,7 @@
    monotonicity (QCheck), the admission differential against the
    repo's other schedulability verdicts (Cosched.admit, Rta), and the
    end-to-end service with async producers and the per-tenant
-   determinism oracle.  The heavy half of @service-gate. *)
+   determinism oracle.  @gate adds the CLI serve runs on top. *)
 
 module Rat = Rt_util.Rat
 module Json = Rt_util.Json
@@ -158,6 +158,7 @@ let test_admission_reason_json () =
       Admission.Compose_utilization { total = Rat.make 9 2; procs = 4 };
       Admission.Compose_concurrency { required = 5; procs = 4 };
       Admission.No_schedule { procs = 4 };
+      Admission.Underivable "scheduling subclass violated";
     ]
   in
   List.iter
@@ -640,6 +641,38 @@ let test_service_zero_wcet_tenant () =
         fun p -> if p = "FilterB" then Rat.zero else Fppn_apps.Fig1.wcet p );
     ]
 
+(* a sporadic process with no channel to a periodic user is outside the
+   Sec. III-A subclass: registering it is a verdict, not an exception *)
+let test_service_underivable () =
+  let svc = Service.create ~procs:4 ~frames:1 () in
+  (match register_small svc 0 with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "tenant 0 rejected");
+  let names () = List.map (fun ten -> ten.Tenant.name) (Service.tenants svc) in
+  let before = names () in
+  let net =
+    let module B = Fppn.Network.Builder in
+    let b = B.create "orphan" in
+    B.add_process b
+      (Fppn.Process.make ~name:"P"
+         ~event:(Fppn.Event.periodic ~period:(ms 100) ~deadline:(ms 100) ())
+         (Fppn.Process.Native ignore));
+    B.add_process b
+      (Fppn.Process.make ~name:"S"
+         ~event:(Fppn.Event.sporadic ~min_period:(ms 100) ~deadline:(ms 100) ())
+         (Fppn.Process.Native ignore));
+    B.finish_exn b
+  in
+  (match
+     Service.register svc ~name:"orphan" ~wcet:(Derive.const_wcet (ms 1)) net
+   with
+  | Error (Admission.Underivable _) -> ()
+  | Error r ->
+    Alcotest.failf "expected underivable, got %s"
+      (Json.to_string (Admission.reason_to_json r))
+  | Ok _ -> Alcotest.fail "an underivable network was admitted");
+  Alcotest.(check (list string)) "residents unchanged" before (names ())
+
 let () =
   Alcotest.run "service"
     [
@@ -686,5 +719,7 @@ let () =
             test_service_retire_and_duplicate;
           Alcotest.test_case "zero-WCET tenant" `Quick
             test_service_zero_wcet_tenant;
+          Alcotest.test_case "underivable tenant" `Quick
+            test_service_underivable;
         ] );
     ]

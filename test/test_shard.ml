@@ -1,13 +1,14 @@
 (* Differential tests for the sharded engine core.
 
-   [Engine.run_sharded] cuts the scheduled processors into K shards and
-   runs the two-phase (timing, then bodies) protocol over per-edge
-   mailboxes and frame barriers; whenever its preconditions fail it
-   falls back to [Engine.run].  Either way the observable result must
-   be bit-identical to the sequential engine — same trace records, same
+   [Engine.run_sharded] takes its timeline from one timing pass of the
+   tick core's event loop, cuts the scheduled processors into K shards
+   and runs only the job bodies there, over per-edge mailboxes and
+   frame barriers; whenever its preconditions fail it falls back to
+   [Engine.run].  Either way the observable result must be
+   bit-identical to the sequential engine — same trace records, same
    channel/output histories, same stats — over random workloads
-   covering sporadic stamps, multi-processor schedules and >64-process
-   networks.
+   covering sporadic stamps, frame overheads, multi-processor schedules
+   and >64-process networks.
 
    The pool's order-preserving work-stealing combinators and the
    partitioner's invariants are property-tested here too: both sit
@@ -19,6 +20,7 @@ module Pool = Rt_util.Pool
 module Engine = Runtime.Engine
 module Partition = Runtime.Partition
 module Exec_time = Runtime.Exec_time
+module Platform = Runtime.Platform
 module Derive = Taskgraph.Derive
 module List_scheduler = Sched.List_scheduler
 module Randgen = Fppn_apps.Randgen
@@ -39,6 +41,7 @@ type case = {
   frames : int;
   shards : int;
   exec_kind : int;  (* 0 constant, 1 scaled, 2 uniform (forces fallback) *)
+  overhead_kind : int;  (* 0 none, 1 mppa_like, 2 small fractional *)
 }
 
 let case_gen =
@@ -49,14 +52,25 @@ let case_gen =
     let* n_procs = int_range 1 4 in
     let* frames = int_range 1 6 in
     let* shards = int_range 1 4 in
-    let+ exec_kind = int_range 0 2 in
-    { seed; n_periodic; n_sporadic; n_procs; frames; shards; exec_kind })
+    let* exec_kind = int_range 0 2 in
+    let+ overhead_kind = int_range 0 2 in
+    {
+      seed;
+      n_periodic;
+      n_sporadic;
+      n_procs;
+      frames;
+      shards;
+      exec_kind;
+      overhead_kind;
+    })
 
 let case_print c =
   Printf.sprintf
     "{seed=%d; periodic=%d; sporadic=%d; procs=%d; frames=%d; shards=%d; \
-     exec=%d}"
+     exec=%d; overhead=%d}"
     c.seed c.n_periodic c.n_sporadic c.n_procs c.frames c.shards c.exec_kind
+    c.overhead_kind
 
 let wcet_scale = Rat.make 1 25
 
@@ -66,6 +80,19 @@ let exec_of c =
   | 0 -> Exec_time.constant
   | 1 -> Exec_time.scaled 0.5
   | _ -> Exec_time.uniform ~seed:(c.seed + 1) ~min_fraction:0.25
+
+(* a first frame dearer than the steady ones; the fractional pair has
+   no per-access cost, so sharding can still engage under it *)
+let overhead_of c =
+  match c.overhead_kind with
+  | 0 -> Platform.no_overhead
+  | 1 -> Platform.mppa_like
+  | _ ->
+    {
+      Platform.first_frame = Rat.make 7 4;
+      steady_frame = Rat.make 1 3;
+      per_access = Rat.zero;
+    }
 
 let setup_of c =
   let net =
@@ -91,7 +118,9 @@ let setup_of c =
       let config () =
         {
           (Engine.default_config ~frames:c.frames ~n_procs:c.n_procs ()) with
-          Engine.exec = exec_of c;
+          Engine.platform =
+            Platform.create ~overhead:(overhead_of c) ~n_procs:c.n_procs ();
+          exec = exec_of c;
           sporadic;
         }
       in
@@ -239,6 +268,128 @@ let test_many_procs () =
     Alcotest.(check bool)
       ">64-process sharded run identical" true (identical sharded sequential)
 
+(* --- sharded fallbacks ------------------------------------------------ *)
+
+(* [run_sharded ~shards:2] next to [Engine.run] on a case the sharded
+   path must decline: one fallback, no sharded run, and [run]'s result
+   — or [run]'s exception *)
+let check_declined net d sched config =
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  let sharded =
+    try Ok (Engine.run_sharded ~shards:2 net d sched (config ()))
+    with e -> Error e
+  in
+  let count name = Metrics.counter_value (Metrics.counter name) in
+  let fallbacks = count "engine.shard_fallbacks"
+  and sharded_runs = count "engine.sharded_runs" in
+  Metrics.set_enabled was;
+  Alcotest.(check int) "fallback counted" 1 fallbacks;
+  Alcotest.(check int) "no sharded run counted" 0 sharded_runs;
+  let sequential =
+    try Ok (Engine.run net d sched (config ())) with e -> Error e
+  in
+  match (sharded, sequential) with
+  | Ok a, Ok b ->
+    Alcotest.(check bool) "identical to run" true (identical a b);
+    a
+  | Error a, Error b ->
+    Alcotest.(check string)
+      "same exception as run" (Printexc.to_string b) (Printexc.to_string a);
+    raise a
+  | Ok _, Error e ->
+    Alcotest.failf "run raised %s, run_sharded returned" (Printexc.to_string e)
+  | Error e, Ok _ ->
+    Alcotest.failf "run_sharded raised %s, run returned"
+      (Printexc.to_string e)
+
+(* jobs three times their WCET overrun past the frame boundary, with
+   and without a first-frame overhead: the body phase cannot run the
+   frames apart, so the run falls back *)
+let test_overload_falls_back () =
+  let net, d, sched = fig1_setup ~n_procs:2 in
+  List.iter
+    (fun overhead ->
+      let config () =
+        {
+          (Engine.default_config ~frames:4 ~n_procs:2 ()) with
+          Engine.platform = Platform.create ~overhead ~n_procs:2 ();
+          exec = Exec_time.scaled 3.0;
+        }
+      in
+      let r = check_declined net d sched config in
+      Alcotest.(check int) "misses" 30 r.Engine.stats.Runtime.Exec_trace.misses)
+    [ Platform.no_overhead; Platform.mppa_like ]
+
+(* every job on processor 0, deepest first: each successor starts
+   before its predecessors on one processor, so the first job waits
+   forever and nothing runs *)
+let test_order_infeasible_falls_back () =
+  let net, d, _ = fig1_setup ~n_procs:2 in
+  let g = d.Derive.graph in
+  let n = Taskgraph.Graph.n_jobs g in
+  let depth = Array.make n (-1) in
+  let rec depth_of j =
+    if depth.(j) < 0 then
+      depth.(j) <-
+        List.fold_left
+          (fun acc q -> max acc (1 + depth_of q))
+          0 (Taskgraph.Graph.preds g j);
+    depth.(j)
+  in
+  let deepest = List.fold_left max 0 (List.init n depth_of) in
+  let sched =
+    Sched.Static_schedule.make ~n_procs:2
+      (Array.init n (fun j ->
+           { Sched.Static_schedule.proc = 0; start = ms (deepest - depth.(j)) }))
+  in
+  let r =
+    check_declined net d sched (fun () ->
+        Engine.default_config ~frames:4 ~n_procs:2 ())
+  in
+  Alcotest.(check int)
+    "nothing executed" 0 r.Engine.stats.Runtime.Exec_trace.executed
+
+(* W and X feed R, whose third job raises *)
+let raising_net () =
+  let module B = Fppn.Network.Builder in
+  let module P = Fppn.Process in
+  let event () =
+    Fppn.Event.periodic ~period:(ms 100) ~deadline:(ms 100) ()
+  in
+  let writer name chan =
+    P.make ~name ~event:(event ())
+      (P.Native
+         (fun ctx -> ctx.P.write chan (Fppn.Value.Int ctx.P.job_index)))
+  in
+  let b = B.create "raising" in
+  B.add_process b (writer "W" "c");
+  B.add_process b (writer "X" "e");
+  B.add_process b
+    (P.make ~name:"R" ~event:(event ())
+       (P.Native
+          (fun ctx ->
+            if ctx.P.job_index = 3 then failwith "R: third job";
+            ignore (ctx.P.read "c");
+            ignore (ctx.P.read "e"))));
+  B.add_channel b ~kind:Fppn.Channel.Fifo ~writer:"W" ~reader:"R" "c";
+  B.add_channel b ~kind:Fppn.Channel.Fifo ~writer:"X" ~reader:"R" "e";
+  B.add_priority b "W" "R";
+  B.add_priority b "X" "R";
+  B.finish_exn b
+
+let test_raising_body_falls_back () =
+  let net = raising_net () in
+  let d = Derive.derive_exn ~wcet:(Derive.const_wcet (ms 10)) net in
+  match snd (List_scheduler.auto ~n_procs:2 d.Derive.graph) with
+  | None -> Alcotest.fail "raising network unschedulable"
+  | Some a ->
+    let config () = Engine.default_config ~frames:4 ~n_procs:2 () in
+    Alcotest.check_raises "run's exception" (Failure "R: third job")
+      (fun () ->
+        ignore (check_declined net d a.List_scheduler.schedule config))
+
 (* --- partitioner invariants ------------------------------------------ *)
 
 let partition_case_gen =
@@ -363,6 +514,12 @@ let () =
           Alcotest.test_case "sampled durations fall back" `Quick
             test_sampled_durations_fall_back;
           Alcotest.test_case ">64 processes" `Quick test_many_procs;
+          Alcotest.test_case "overload past the frame falls back" `Quick
+            test_overload_falls_back;
+          Alcotest.test_case "order-infeasible schedule falls back" `Quick
+            test_order_infeasible_falls_back;
+          Alcotest.test_case "raising body falls back" `Quick
+            test_raising_body_falls_back;
         ] );
       ("partition", [ prop_partition ]);
       ( "pool",
