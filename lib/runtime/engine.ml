@@ -592,17 +592,18 @@ let set_rec r i job frame invoked start finish deadline skipped =
   r.r_deadline.(i) <- deadline;
   if skipped then Bytes.set r.r_skip i '\001'
 
-(* the first [len] records in a fresh buffer of [cap] (default [len]) *)
-let copy_recs ?cap r len =
+(* the [len] records from [off] (default 0) in a fresh buffer of [cap]
+   (default [len]) *)
+let copy_recs ?(off = 0) ?cap r len =
   let d = make_recs (Option.value cap ~default:len) in
-  let col a b = Array.blit a 0 b 0 len in
+  let col a b = Array.blit a off b 0 len in
   col r.r_job d.r_job;
   col r.r_frame d.r_frame;
   col r.r_invoked d.r_invoked;
   col r.r_start d.r_start;
   col r.r_finish d.r_finish;
   col r.r_deadline d.r_deadline;
-  Bytes.blit r.r_skip 0 d.r_skip 0 len;
+  Bytes.blit r.r_skip off d.r_skip 0 len;
   d
 
 (* sorted by (start, processor, frame, job), the reference trace order *)
@@ -677,7 +678,7 @@ let packed_result (derived : Derive.t) config plan state ~unhandled_events
   let trace =
     lazy
       begin
-        (* records sit in completion order; sort them and materialize
+        (* records sit in start order; sort them and materialize
            rationals only here.  Replayed frames all follow the
            event-loop frames and are disjoint from each other, so
            sorted blocks concatenate sorted. *)
@@ -764,8 +765,7 @@ type tick_scratch = {
   sc_w_proc : int array;
   sc_w_frame : int array;
   sc_w_len : int array;
-  mutable sc_recs : recs;  (* completed records, grown on demand *)
-  sc_tpl : recs;  (* replay template, captured in job start order *)
+  mutable sc_recs : recs;  (* records in job start order, grown on demand *)
   sc_events : Iheap.t;
   sc_hot : int array;
   (* compacted replay program (executed bodies + deduped invocation
@@ -821,7 +821,6 @@ let make_scratch (derived : Derive.t) sched plan ~n_procs ~cap0 =
     sc_w_frame = Array.make (max 1 m_edges) 0;
     sc_w_len = Array.make n 0;
     sc_recs = make_recs cap0;
-    sc_tpl = make_recs (max 1 n);
     sc_events = Iheap.create ~capacity:(max 16 (2 * n_procs)) ();
     sc_hot = Array.make ((n_procs + 62) / 63) 0;
     sc_r_proc = Array.make (max 1 n) 0;
@@ -868,24 +867,23 @@ let pooled_scratch derived sched plan ~n_procs ~cap0 =
     sc.sc_procs;
   (* skip flags are only ever set, never cleared, on the hot path *)
   Bytes.fill sc.sc_recs.r_skip 0 (Bytes.length sc.sc_recs.r_skip) '\000';
-  Bytes.fill sc.sc_tpl.r_skip 0 (Bytes.length sc.sc_tpl.r_skip) '\000';
   sc
 
 (* A sharded run declines: its caller falls back to the sequential
    core. *)
 exception Shard_fallback
 
-(* The tick core.  With [bodies], the same event loop runs once as a
-   pure timing pass — valid only for plans with fixed durations and no
-   per-access cost, whose timing does not depend on the bodies.  It runs
-   no body, no replay, and records no per-job span or queue-depth
-   counter; it appends every record at job start, which is the order
-   the sequential engine runs bodies in, into a buffer the result then
-   owns, and hands that buffer to [bodies] before the result snapshots
-   the histories.  It raises [Shard_fallback] when the records cannot
-   be run frame by frame: a record finishing past its frame end, or
-   fewer than n·frames records (an order-infeasible schedule stranded
-   some processors). *)
+(* The tick core.  It appends every record at job start, which is the
+   order the bodies run in.  With [bodies], the same event loop runs
+   once as a pure timing pass — valid only for plans with fixed
+   durations and no per-access cost, whose timing does not depend on
+   the bodies.  It runs no body, no replay, and records no per-job span
+   or queue-depth counter; it writes the records into a buffer the
+   result then owns, and hands that buffer to [bodies] before the
+   result snapshots the histories.  It raises [Shard_fallback] when the
+   records cannot be run frame by frame: a record finishing past its
+   frame end, or fewer than n·frames records (an order-infeasible
+   schedule stranded some processors). *)
 let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
     plan =
   let g = derived.Derive.graph in
@@ -907,13 +905,13 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
      including the template run through the event loop; if they all
      stay inside their windows, the remaining frames only re-run the
      template's job bodies in call order — their records are implied by
-     the captured template and materialized on demand. *)
+     the template frame's records and materialized on demand. *)
   let tpl_frame = if plan.first_t = plan.steady_t then 0 else 1 in
   let replay_candidate =
     (not deferred) && plan.dur_t <> None && plan.per_access_t = 0
     && (not have_stamps) && frames > tpl_frame + 1
   in
-  (* completed records as packed parallel arrays; presized for the head
+  (* records as packed parallel arrays; presized for the head
      frames when replay may make the rest implicit, grown once if not.
      A deferred run writes its own full-horizon buffer and leaves the
      pooled one small. *)
@@ -944,16 +942,6 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
     end;
     set_rec !recs i job frame invoked start finish deadline skipped;
     s_n := i + 1
-  in
-  (* template, captured in job start order — the order bodies must
-     re-run in for channel histories to stay bit-identical *)
-  let tpl = sc.sc_tpl in
-  let tpl_n = ref 0 in
-  let capture frame job invoked start finish deadline skipped =
-    if replay_candidate && frame = tpl_frame && !tpl_n < n then begin
-      set_rec tpl !tpl_n job frame invoked start finish deadline skipped;
-      incr tpl_n
-    end
   in
   (* observability: [tracing] is captured once, so the hot loop pays a
      single immutable-bool branch per site when tracing is off; job
@@ -1020,10 +1008,6 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
       if ps.t_finish <= !now then begin
         let job = ps.t_job in
         completions.(job) <- completions.(job) + 1;
-        (* the record was final at start time *)
-        if not deferred then
-          push_rec job ps.t_frame ps.t_invoked ps.t_start ps.t_finish
-            ps.t_deadline false;
         if tracing && ps.t_finish > ps.t_deadline then
           Trace.instant_id miss_id;
         ps.t_busy <- false;
@@ -1075,7 +1059,6 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
             (* 'false' job: skip without executing *)
             let deadline = invocation + plan.dl_rel_t.(job) in
             push_rec job ps.t_frame invocation !now !now deadline true;
-            capture ps.t_frame job invocation !now !now deadline true;
             completions.(job) <- completions.(job) + 1;
             step_order ps;
             wake job;
@@ -1108,9 +1091,7 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
             ps.t_start <- !now;
             ps.t_finish <- finish;
             ps.t_deadline <- deadline;
-            if deferred then
-              push_rec job ps.t_frame stamp !now finish deadline false;
-            capture ps.t_frame job stamp !now finish deadline false;
+            push_rec job ps.t_frame stamp !now finish deadline false;
             push_event finish p;
             true
           end
@@ -1176,10 +1157,12 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
      processor stands idle at the post-template boundary: the engine
      state there (and at every later boundary, inductively) matches the
      template boundary shifted by the hyperperiod, so each remaining
-     frame is the template's captured sequence shifted in time. *)
+     frame is the template frame's sequence shifted in time.  Every
+     record then finishes before its frame ends and no job starts before
+     its frame begins, so in start order the template frame's records
+     are the last [n]. *)
   let steady_state_ok () =
-    !tpl_n = n
-    && !s_n = (tpl_frame + 1) * n
+    !s_n = (tpl_frame + 1) * n
     && Array.for_all
          (fun ps ->
            Array.length ps.t_order = 0
@@ -1206,13 +1189,14 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
        the template is a function of (plan, sched, frames)), the
        precomputed rationals are reused and the whole replay allocates
        nothing. *)
+    let tpl = !recs and off = tpl_frame * n in
     let r_proc = sc.sc_r_proc in
     let r_uidx = sc.sc_r_uidx in
     let u_tick = sc.sc_u_tick in
     let changed = ref (sc.sc_rep_m < 0) in
     let n_u = ref 0 in
     let k = ref 0 in
-    for i = 0 to n - 1 do
+    for i = off to off + n - 1 do
       if Bytes.get tpl.r_skip i = '\000' then begin
         let inv = tpl.r_invoked.(i) in
         let j = ref 0 in
@@ -1277,7 +1261,9 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
          dozen entries when replay kept the records implicit *)
       packed_result derived config plan state ~unhandled_events
         ?template:
-          (if !replayed then Some (tpl_frame, copy_recs tpl n) else None)
+          (if !replayed then
+             Some (tpl_frame, copy_recs ~off:(tpl_frame * n) !recs n)
+           else None)
         (copy_recs !recs !s_n)
     | Some run_bodies ->
       let r = !recs in

@@ -385,10 +385,21 @@ let test_raising_body_falls_back () =
   match snd (List_scheduler.auto ~n_procs:2 d.Derive.graph) with
   | None -> Alcotest.fail "raising network unschedulable"
   | Some a ->
+    let sched = a.List_scheduler.schedule in
+    (* two frames stop short of the raising job and engage the sharded
+       path, so the four-frame fallback comes from the body phase *)
+    let short = Engine.default_config ~frames:2 ~n_procs:2 () in
+    let r1, sharded_runs =
+      with_counter "engine.sharded_runs" (fun () ->
+          Engine.run_sharded ~shards:2 net d sched short)
+    in
+    Alcotest.(check int) "sharded path ran" 1 sharded_runs;
+    Alcotest.(check bool)
+      "sharded run identical" true
+      (identical r1 (Engine.run net d sched short));
     let config () = Engine.default_config ~frames:4 ~n_procs:2 () in
     Alcotest.check_raises "run's exception" (Failure "R: third job")
-      (fun () ->
-        ignore (check_declined net d a.List_scheduler.schedule config))
+      (fun () -> ignore (check_declined net d sched config))
 
 (* --- partitioner invariants ------------------------------------------ *)
 

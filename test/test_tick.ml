@@ -188,6 +188,48 @@ let test_midframe_sporadic () =
   Alcotest.(check bool)
     "sporadic run identical" true (identical tick reference)
 
+(* With a first-frame overhead different from the steady one, frame 1
+   is the replay template.  W writes its invocation instant, so the
+   replayed frames must run frame 1's bodies at their own instants, one
+   hyperperiod apart. *)
+let test_replay_after_first_frame () =
+  let module B = Fppn.Network.Builder in
+  let module P = Fppn.Process in
+  let event () = Fppn.Event.periodic ~period:(ms 100) ~deadline:(ms 100) () in
+  let b = B.create "clock" in
+  B.add_process b
+    (P.make ~name:"W" ~event:(event ())
+       (P.Native
+          (fun ctx ->
+            ctx.P.write "c" (Fppn.Value.Str (Rat.to_string ctx.P.now)))));
+  B.add_process b
+    (P.make ~name:"R" ~event:(event ())
+       (P.Native (fun ctx -> ignore (ctx.P.read "c"))));
+  B.add_channel b ~kind:Fppn.Channel.Fifo ~writer:"W" ~reader:"R" "c";
+  B.add_priority b "W" "R";
+  let net = B.finish_exn b in
+  let d = Derive.derive_exn ~wcet:(Derive.const_wcet (ms 10)) net in
+  match snd (List_scheduler.auto ~n_procs:1 d.Derive.graph) with
+  | None -> Alcotest.fail "clock network unschedulable"
+  | Some a ->
+    let sched = a.List_scheduler.schedule in
+    let config () =
+      {
+        (Engine.default_config ~frames:6 ~n_procs:1 ()) with
+        Engine.platform =
+          Runtime.Platform.create ~overhead:Runtime.Platform.mppa_like
+            ~n_procs:1 ();
+      }
+    in
+    let tick, replays =
+      with_counter "engine.replays" (fun () ->
+          Engine.run net d sched (config ()))
+    in
+    Alcotest.(check int) "frames after frame 1 replayed" 1 replays;
+    let reference = Engine.run_reference net d sched (config ()) in
+    Alcotest.(check bool)
+      "replayed run identical" true (identical tick reference)
+
 (* The compiled core packs ready/running processors into 63-bit hot
    words; networks past 64 processes/processors must spill into the
    second word and still agree with the reference. *)
@@ -327,6 +369,8 @@ let () =
           prop_signature;
           Alcotest.test_case "replay engagement" `Quick test_replay_engagement;
           Alcotest.test_case "mid-frame sporadic" `Quick test_midframe_sporadic;
+          Alcotest.test_case "replay after the first frame" `Quick
+            test_replay_after_first_frame;
           Alcotest.test_case ">64 processes" `Quick test_many_procs;
           Alcotest.test_case "pooled reruns" `Quick test_pooled_reruns;
           Alcotest.test_case "profile tick-compiles" `Quick test_profile_tick;
