@@ -175,13 +175,26 @@ let seed_arg =
   let doc = "Random seed (random workload generation, sporadic traces, jitter)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* a count flag: zero or less is a bad flag (exit 2), named *)
+let positive ~flag arg =
+  Term.(
+    const (fun v ->
+        if v <= 0 then begin
+          Printf.eprintf "fppn-tool: %s must be positive, got %d\n" flag v;
+          Stdlib.exit 2
+        end;
+        v)
+    $ arg)
+
 let procs_arg =
   let doc = "Number of identical processors." in
-  Arg.(value & opt int 2 & info [ "m"; "procs" ] ~docv:"M" ~doc)
+  positive ~flag:"-m/--procs"
+    Arg.(value & opt int 2 & info [ "m"; "procs" ] ~docv:"M" ~doc)
 
 let frames_arg =
   let doc = "Number of hyperperiod frames to simulate." in
-  Arg.(value & opt int 4 & info [ "frames" ] ~docv:"N" ~doc)
+  positive ~flag:"--frames"
+    Arg.(value & opt int 4 & info [ "frames" ] ~docv:"N" ~doc)
 
 let heuristic_arg =
   let doc =
@@ -1557,8 +1570,8 @@ let serve_doc =
 let serve_cmd =
   let run apps tenants procs frames epochs events producers seed
       queue_capacity jobs reject_demo verify min_admitted json_out =
-    if procs <= 0 || frames <= 0 || epochs < 0 then begin
-      Printf.eprintf "serve: --procs, --frames must be positive\n";
+    if epochs < 0 then begin
+      Printf.eprintf "serve: --epochs must not be negative\n";
       exit 2
     end;
     let svc = Service.create ~queue_capacity ~procs ~frames () in

@@ -19,18 +19,37 @@ type t = {
 
 type error =
   | Derivation of Derive.error
+  | Inverted_budgets of string
   | Lo_infeasible
   | Hi_infeasible
 
 let pp_error ppf = function
   | Derivation e -> Derive.pp_error ppf e
+  | Inverted_budgets name ->
+    Format.fprintf ppf "HI process %S has C_HI < C_LO" name
   | Lo_infeasible ->
     Format.pp_print_string ppf "no feasible LO-mode schedule (optimistic budgets)"
   | Hi_infeasible ->
     Format.pp_print_string ppf
       "no feasible HI-mode schedule (conservative budgets, HI jobs only)"
 
+(* the first HI process, in network order, whose C_HI is below its C_LO:
+   the one [Spec.wcet_hi] rejects *)
+let inverted_budgets spec net =
+  List.find_opt
+    (fun name ->
+      Spec.criticality spec name = Spec.Hi
+      &&
+      match Spec.wcet_hi spec name with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+    (List.init (Fppn.Network.n_processes net) (fun p ->
+         Fppn.Process.name (Fppn.Network.process net p)))
+
 let build ?(heuristics = Priority.all) ~n_procs ~spec net =
+  match inverted_budgets spec net with
+  | Some name -> Error (Inverted_budgets name)
+  | None ->
   match Derive.derive ~wcet:(Spec.wcet_lo spec) net with
   | Error e -> Error (Derivation e)
   | Ok derived ->

@@ -29,6 +29,8 @@ type t = {
 
 type error =
   | Derivation of Taskgraph.Derive.error
+  | Inverted_budgets of string
+      (** a [Hi] process, named, whose [C_HI] is below its [C_LO] *)
   | Lo_infeasible
   | Hi_infeasible
 
@@ -41,7 +43,9 @@ val build :
   Fppn.Network.t ->
   (t, error) result
 (** Tries the heuristics in order until one yields feasible LO {e and}
-    HI schedules. *)
+    HI schedules.  A spec whose [C_HI] is below [C_LO] for some [Hi]
+    process of the network is [Error (Inverted_budgets name)], checked
+    first. *)
 
 val build_exn :
   ?heuristics:Sched.Priority.heuristic list ->

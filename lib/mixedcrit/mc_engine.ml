@@ -55,7 +55,7 @@ let run net ~spec (dual : Dual_schedule.t) config =
     }
   in
   let r =
-    Engine.run_reference ~monitor net derived dual.Dual_schedule.lo_schedule
+    Engine.run ~monitor net derived dual.Dual_schedule.lo_schedule
       {
         Engine.platform = Runtime.Platform.create ~n_procs:config.n_procs ();
         exec = config.exec;

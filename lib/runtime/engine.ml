@@ -163,11 +163,11 @@ let overhead_segments_of config h =
 (* ------------------------------------------------------------------ *)
 (* Reference core: exact rational arithmetic, polling fixpoint.         *)
 (*                                                                      *)
-(* The seed interpreter: the semantic ground truth the compiled tick    *)
-(* core is differentially tested against.  An optional criticality      *)
-(* monitor turns it into the mode-switched policy of the mixed-         *)
-(* criticality extension; without one, the monitor's branches are       *)
-(* inert and the core is the plain reference.                           *)
+(* The seed interpreter, reached only where no tick grid exists (an     *)
+(* opaque execution-time model, a grid overflow) and as the oracle the  *)
+(* tick core is differentially tested against, with or without the      *)
+(* criticality monitor of the mixed-criticality extension, whose        *)
+(* branches are inert without one.                                      *)
 (* ------------------------------------------------------------------ *)
 
 let exec_rat ?monitor net (derived : Derive.t) sched config ~assigned
@@ -330,20 +330,24 @@ let exec_rat ?monitor net (derived : Derive.t) sched config ~assigned
     let changed = Array.fold_left (fun acc ps -> advance ps || acc) false procs in
     if changed then fixpoint ()
   in
-  (* blocked processors re-push [earliest] on every poll; coalescing the
-     duplicates skips the no-op fixpoint per duplicate.  A degrade is no
-     processor transition, though, so under a monitor the drops it
-     enables wait for the next popped instant, duplicates included. *)
-  let pop =
-    if Option.is_none monitor then Pqueue.pop_distinct else Pqueue.pop
-  in
+  (* blocked processors re-push [earliest] on every poll, so an instant
+     may be queued many times; its copies pop together.  A degrade is no
+     processor transition: under a monitor, the drops it enables wait
+     for the next fixpoint, which an instant queued twice or more runs
+     at once (a third would find nothing left to do). *)
   let rec loop () =
-    match pop events with
+    match Pqueue.pop events with
     | None -> ()
     | Some t ->
+      let copies = ref 1 in
+      while Option.fold ~none:false ~some:(Rat.equal t) (Pqueue.peek events) do
+        ignore (Pqueue.pop events);
+        incr copies
+      done;
       if Rat.(t >= !now) then begin
         now := t;
-        fixpoint ()
+        fixpoint ();
+        if Option.is_some monitor && !copies > 1 then fixpoint ()
       end;
       loop ()
   in
@@ -381,6 +385,16 @@ let exec_rat ?monitor net (derived : Derive.t) sched config ~assigned
 (* index per sweep, sweeps repeated until quiescent) is replicated      *)
 (* exactly, so execution-time PRNG draws, channel operations and trace  *)
 (* records are bit-identical to [exec_rat]'s.                           *)
+(*                                                                      *)
+(* The criticality monitor runs on the same grid: a HI job's C_LO       *)
+(* expiry is one more queued event, and a degrade marks every processor *)
+(* hot, so one at or below the sweep cursor sees it at the next sweep:  *)
+(* as in the reference, a second one at an instant t queued twice or    *)
+(* more, else at the next instant.  The cores agree on "twice" whenever *)
+(* a degrade at t left processors hot, as it comes with a C_LO wake-up  *)
+(* at t.  The other copies are finishes and wake-ups, queued one for    *)
+(* one, and re-pushes of a waiting processor's earliest start, made on  *)
+(* every poll there and every hot poll here: at least once in both.     *)
 (* ------------------------------------------------------------------ *)
 
 type tick_plan = {
@@ -397,6 +411,7 @@ type tick_plan = {
   stamp_t : (int * int, int) Hashtbl.t;  (* (job, frame) -> event ticks *)
   dur_t : int array option;
       (* per job: fixed duration ticks; [None] = draw per execution *)
+  lo_t : int array;  (* per job: C_LO ticks if HI, else -1; [||] unmonitored *)
 }
 
 type tick_proc = {
@@ -434,14 +449,23 @@ let bit_index b =
 
 (* Compile the run onto a tick grid, or [None] when any time cannot be
    represented (unpredictable execution-time model, common-denominator
-   overflow, horizon too large) — the caller then uses the exact
-   rational core, so compilation failures degrade, never crash. *)
-let tick_compile net (derived : Derive.t) sched config ~assigned =
+   overflow, horizon too large, a negative C_LO) — the caller then uses
+   the exact rational core, so compilation failures degrade, never
+   crash. *)
+let tick_compile ?monitor net (derived : Derive.t) sched config ~assigned =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let jobs = Graph.jobs g in
+  let budgets =
+    match monitor with
+    | None -> [||]
+    | Some m ->
+      Array.map (fun j -> if m.is_hi j then Some (m.budget_lo j) else None) jobs
+  in
   match Exec_time.durations config.exec ~jobs with
   | Exec_time.Opaque -> None
+  | _ when Array.exists (function Some c -> Rat.sign c < 0 | _ -> false) budgets ->
+    None
   | (Exec_time.Fixed _ | Exec_time.Extras _) as durs -> (
     let dur_times =
       match durs with
@@ -456,6 +480,7 @@ let tick_compile net (derived : Derive.t) sched config ~assigned =
         :: ov.Platform.steady_frame :: ov.Platform.per_access
         :: Hashtbl.fold (fun _ stamp acc -> stamp :: acc) assigned []
         @ dur_times
+        @ List.filter_map Fun.id (Array.to_list budgets)
         @ Array.to_list (Array.map (fun j -> j.Job.wcet) jobs)
         @ Array.to_list (Array.map (fun j -> j.Job.arrival) jobs)
         @ List.init (Network.n_processes net) (fun p ->
@@ -493,6 +518,7 @@ let tick_compile net (derived : Derive.t) sched config ~assigned =
             (match durs with
             | Exec_time.Fixed a -> Some (Array.map tk a)
             | Exec_time.Extras _ | Exec_time.Opaque -> None);
+          lo_t = Array.map (Option.fold ~none:(-1) ~some:tk) budgets;
         }
       with
       | plan -> Some plan
@@ -606,11 +632,15 @@ let copy_recs ?(off = 0) ?cap r len =
   Bytes.blit r.r_skip off d.r_skip 0 len;
   d
 
-(* sorted by (start, processor, frame, job), the reference trace order *)
-let sort_recs plan r =
+(* the permutation that sorts [r] by (start, processor, frame, job), the
+   reference trace order.  Every buffer holds records appended at job
+   start ([exec_ticks]' [push_rec]), or a slice of one, so starts ascend
+   and only each run of equal starts needs sorting. *)
+let sorted_order plan r =
   let m = Array.length r.r_job in
+  let rs = r.r_start in
   let cmp a b =
-    let c = Int.compare r.r_start.(a) r.r_start.(b) in
+    let c = Int.compare rs.(a) rs.(b) in
     if c <> 0 then c
     else
       let c =
@@ -622,17 +652,20 @@ let sort_recs plan r =
         if c <> 0 then c else Int.compare r.r_job.(a) r.r_job.(b)
   in
   let perm = Array.init m Fun.id in
-  Array.sort cmp perm;
-  let pick a = Array.init m (fun i -> a.(perm.(i))) in
-  {
-    r_job = pick r.r_job;
-    r_frame = pick r.r_frame;
-    r_invoked = pick r.r_invoked;
-    r_start = pick r.r_start;
-    r_finish = pick r.r_finish;
-    r_deadline = pick r.r_deadline;
-    r_skip = Bytes.init m (fun i -> Bytes.get r.r_skip perm.(i));
-  }
+  let i = ref 0 in
+  while !i < m do
+    let j = ref (!i + 1) in
+    while !j < m && rs.(!j) = rs.(!i) do
+      incr j
+    done;
+    if !j - !i > 1 then begin
+      let run = Array.sub perm !i (!j - !i) in
+      Array.sort cmp run;
+      Array.blit run 0 perm !i (!j - !i)
+    end;
+    i := !j
+  done;
+  perm
 
 (* The result of the tick core, sequential or sharded: statistics,
    the common [engine.*] counters, history snapshots that decouple the
@@ -685,12 +718,24 @@ let packed_result (derived : Derive.t) config plan state ~unhandled_events
         let labels =
           Array.init (Graph.n_jobs g) (fun j -> Job.label (Graph.job g j))
         in
-        (* prepends [r] shifted by [shift] hyperperiods onto [acc] *)
-        let emit r shift acc =
+        (* instants repeat across records (one job's finish is the next
+           one's start), so each tick is converted once *)
+        let rats = Hashtbl.create 256 in
+        (* prepends [r], in the order [perm], shifted by [shift]
+           hyperperiods onto [acc] *)
+        let emit r perm shift acc =
           let dt = shift * plan.h_t in
-          let rat tick = Timebase.of_ticks plan.tb (tick + dt) in
+          let rat tick =
+            let tick = tick + dt in
+            try Hashtbl.find rats tick
+            with Not_found ->
+              let q = Timebase.of_ticks plan.tb tick in
+              Hashtbl.add rats tick q;
+              q
+          in
           let acc = ref acc in
-          for i = Array.length r.r_job - 1 downto 0 do
+          for k = Array.length r.r_job - 1 downto 0 do
+            let i = perm.(k) in
             let j = r.r_job.(i) in
             acc :=
               {
@@ -711,12 +756,12 @@ let packed_result (derived : Derive.t) config plan state ~unhandled_events
         let acc = ref [] in
         Option.iter
           (fun (tpl_frame, t) ->
-            let t = sort_recs plan t in
+            let perm = sorted_order plan t in
             for f = frames - 1 downto tpl_frame + 1 do
-              acc := emit t (f - tpl_frame) !acc
+              acc := emit t perm (f - tpl_frame) !acc
             done)
           template;
-        emit (sort_recs plan recs) 0 !acc
+        emit recs (sorted_order plan recs) 0 !acc
       end
   in
   (* O(#channels) snapshots: the next run may reset and reuse [state],
@@ -883,14 +928,17 @@ exception Shard_fallback
    result snapshots the histories.  It raises [Shard_fallback] when the
    records cannot be run frame by frame: a record finishing past its
    frame end, or fewer than n·frames records (an order-infeasible
-   schedule stranded some processors). *)
-let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
-    plan =
+   schedule stranded some processors).  With [monitor], [plan] must be
+   compiled with it. *)
+let exec_ticks ?bodies ?monitor net (derived : Derive.t) sched config
+    ~unhandled_events plan =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let frames = config.frames in
   let n_procs = config.platform.Platform.n_procs in
   let deferred = Option.is_some bodies in
+  let monitored = Option.is_some monitor in
+  let degraded = Bytes.make (if monitored then frames else 0) '\000' in
   let state = pooled_state net in
   Netstate.set_inputs state config.inputs;
   Netstate.set_access_counting state (plan.per_access_t > 0);
@@ -905,10 +953,13 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
      including the template run through the event loop; if they all
      stay inside their windows, the remaining frames only re-run the
      template's job bodies in call order — their records are implied by
-     the template frame's records and materialized on demand. *)
+     the template frame's records and materialized on demand.  Replayed
+     frames would call no monitor callback, so a monitored run never
+     replays. *)
   let tpl_frame = if plan.first_t = plan.steady_t then 0 else 1 in
   let replay_candidate =
-    (not deferred) && plan.dur_t <> None && plan.per_access_t = 0
+    (not deferred) && (not monitored) && plan.dur_t <> None
+    && plan.per_access_t = 0
     && (not have_stamps) && frames > tpl_frame + 1
   in
   (* records as packed parallel arrays; presized for the head
@@ -1001,6 +1052,53 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
       ps.t_frame <- ps.t_frame + 1
     end
   in
+  (* the current job of [ps] is done without running — a 'false' slot
+     or a dropped LO job, recorded skipped at [now]; a transition *)
+  let skip ps job invocation =
+    let deadline = invocation + plan.dl_rel_t.(job) in
+    push_rec job ps.t_frame invocation !now !now deadline true;
+    completions.(job) <- completions.(job) + 1;
+    step_order ps;
+    wake job;
+    true
+  in
+  (* monitor: the busy processor [ps] degrades its frame if it runs a
+     HI job past its C_LO *)
+  let degrade ps =
+    let b = plan.lo_t.(ps.t_job) in
+    if b >= 0 && Bytes.get degraded ps.t_frame = '\000' && ps.t_start + b <= !now
+    then begin
+      Bytes.set degraded ps.t_frame '\001';
+      Option.iter
+        (fun m -> m.on_switch ps.t_frame (Timebase.of_ticks plan.tb !now))
+        monitor;
+      for q = 0 to n_procs - 1 do
+        set_hot q
+      done
+    end
+  in
+  (* monitor: [p] drops its current LO job, leaving the waiter segments
+     of the predecessors it still waits on *)
+  let drop p ps job invocation =
+    Option.iter (fun m -> m.on_drop ()) monitor;
+    if ps.t_missing > 0 then begin
+      for i = pred_off.(job) to pred_off.(job + 1) - 1 do
+        let q = pred_job.(i) in
+        if completions.(q) <= ps.t_frame then begin
+          let idx = ref succ_off.(q) in
+          while w_proc.(!idx) <> p do
+            incr idx
+          done;
+          let last = succ_off.(q) + w_len.(q) - 1 in
+          w_proc.(!idx) <- w_proc.(last);
+          w_frame.(!idx) <- w_frame.(last);
+          w_len.(q) <- w_len.(q) - 1
+        end
+      done;
+      ps.t_missing <- 0
+    end;
+    skip ps job invocation
+  in
   (* one attempt to make progress on processor [p]; true if state
      changed — mirrors [exec_rat]'s [advance] transition for transition *)
   let try_advance p ps =
@@ -1015,7 +1113,10 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
         wake job;
         true
       end
-      else false
+      else begin
+        if monitored then degrade ps;
+        false
+      end
     else if ps.t_frame >= frames || Array.length ps.t_order = 0 then false
     else begin
       let job = ps.t_order.(ps.t_pos) in
@@ -1025,7 +1126,9 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
         base + if ps.t_frame = 0 then plan.first_t else plan.steady_t
       in
       let earliest = if invocation > oh_end then invocation else oh_end in
-      if earliest > !now then begin
+      if monitored && Bytes.get degraded ps.t_frame <> '\000' && plan.lo_t.(job) < 0
+      then drop p ps job invocation
+      else if earliest > !now then begin
         push_event earliest p;
         false
       end
@@ -1055,15 +1158,9 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
               else min_int
             else invocation
           in
-          if stamp = min_int then begin
+          if stamp = min_int then
             (* 'false' job: skip without executing *)
-            let deadline = invocation + plan.dl_rel_t.(job) in
-            push_rec job ps.t_frame invocation !now !now deadline true;
-            completions.(job) <- completions.(job) + 1;
-            step_order ps;
-            wake job;
-            true
-          end
+            skip ps job invocation
           else begin
             if tracing then Trace.span_begin span_ids.(job);
             let a0 =
@@ -1085,6 +1182,9 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
             in
             let finish = !now + duration in
             let deadline = stamp + plan.dl_rel_t.(job) in
+            (* monitor: wake up at the C_LO expiry if the job overruns *)
+            if monitored && plan.lo_t.(job) >= 0 && !now + plan.lo_t.(job) < finish
+            then push_event (!now + plan.lo_t.(job)) p;
             ps.t_busy <- true;
             ps.t_job <- job;
             ps.t_invoked <- stamp;
@@ -1129,15 +1229,19 @@ let exec_ticks ?bodies net (derived : Derive.t) sched config ~unhandled_events
     if !changed then rounds ()
   in
   (* advance to instant [t], draining every event scheduled on it so
-     one sweep sees them all *)
+     one sweep set sees them all — two under a monitor if [t] was queued
+     twice or more (see the section header) *)
   let process_at t =
     now := t;
     if tracing then Trace.counter_id depth_id (Iheap.length events);
+    let queued = ref 0 in
     while (not (Iheap.is_empty events)) && Iheap.top_key events = t do
       set_hot (Iheap.top_pay events);
-      Iheap.drop events
+      Iheap.drop events;
+      incr queued
     done;
-    rounds ()
+    rounds ();
+    if monitored && !queued >= 2 then rounds ()
   in
   let rec run_all () =
     if not (Iheap.is_empty events) then begin
@@ -1310,18 +1414,22 @@ type plan_memo = {
 let plan_memo_key : plan_memo option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let compiled_plan net derived sched config ~assigned =
+(* A monitored plan carries the monitor's budgets, so it bypasses the
+   memo. *)
+let compiled_plan ?monitor net derived sched config ~assigned =
+  let compile () =
+    Trace.with_span "engine.compile" (fun () ->
+        tick_compile ?monitor net derived sched config ~assigned)
+  in
   let memo = Domain.DLS.get plan_memo_key in
   match !memo with
+  | _ when Option.is_some monitor -> compile ()
   | Some m
     when m.pm_net == net && m.pm_derived == derived && m.pm_sched == sched
          && same_config m.pm_config config ->
     m.pm_plan
   | _ ->
-    let plan =
-      Trace.with_span "engine.compile" (fun () ->
-          tick_compile net derived sched config ~assigned)
-    in
+    let plan = compile () in
     memo :=
       Some
         {
@@ -1333,16 +1441,17 @@ let compiled_plan net derived sched config ~assigned =
         };
     plan
 
-let run net derived sched config =
+let run ?monitor net derived sched config =
   Trace.with_span "engine.run" (fun () ->
       let assigned, unhandled_events = prologue net derived sched config in
-      match compiled_plan net derived sched config ~assigned with
+      match compiled_plan ?monitor net derived sched config ~assigned with
       | Some plan ->
         Trace.with_span "engine.exec.ticks" (fun () ->
-            exec_ticks net derived sched config ~unhandled_events plan)
+            exec_ticks ?monitor net derived sched config ~unhandled_events plan)
       | None ->
         Trace.with_span "engine.exec.rat" (fun () ->
-            exec_rat net derived sched config ~assigned ~unhandled_events))
+            exec_rat ?monitor net derived sched config ~assigned
+              ~unhandled_events))
 
 let run_reference ?monitor net derived sched config =
   Trace.with_span "engine.run_reference" (fun () ->

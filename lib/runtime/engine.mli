@@ -63,11 +63,39 @@ val channel_history : result -> (string * Fppn.Value.t list) list
 val output_history : result -> (string * Fppn.Value.t list) list
 val overhead_segments : result -> (int * Rt_util.Rat.t * Rt_util.Rat.t) list
 
+(** A criticality monitor for {!run}: the dual-criticality mode switch
+    of the mixed-criticality extension, layered on the online policy.
+    Every frame starts in LO mode.  When a job with [is_hi] starts, the
+    run also wakes up at [start + budget_lo job]; if the job is still
+    running then, its frame degrades to HI mode ([on_switch frame
+    instant], once per frame).  From then on, every job without [is_hi]
+    that a processor reaches in that frame is dropped — recorded
+    [skipped], its precedence obligations waived, [on_drop] called —
+    before any invocation, overhead or precedence wait.  A degrade moves
+    no processor, so one already polled at the switch instant sees it
+    at the next fixpoint: a second one at that instant if the instant
+    was queued twice or more (another finish or [C_LO] expiry, or a
+    waiting processor's start), else its next wake-up.  Running jobs
+    complete normally; the next frame starts in LO mode again.
+    Execution times are sampled from the derived graph, so a caller
+    maps each job's WCET to its criticality budget first.  [is_hi] and
+    [budget_lo] must be pure. *)
+type monitor = {
+  is_hi : Taskgraph.Job.t -> bool;
+  budget_lo : Taskgraph.Job.t -> Rt_util.Rat.t;  (** [C_LO] of a HI job *)
+  on_switch : int -> Rt_util.Rat.t -> unit;  (** frame, switch instant *)
+  on_drop : unit -> unit;
+}
+
 val run :
+  ?monitor:monitor ->
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
 (** Runs on the compiled integer-tick core whenever every model time
     fits a common {!Rt_util.Timebase} grid, falling back to the exact
     rational interpreter otherwise; both produce bit-identical results.
+    With [monitor], the mode-switched policy above, on the same two
+    cores: the grid then also holds every HI job's [C_LO], and the run
+    never replays steady frames, so every frame calls the monitor.
     @raise Invalid_argument if the schedule does not cover the derived
     graph, if [frames <= 0], or if a sporadic trace violates its
     generator's [(m,T)] constraint. *)
@@ -104,34 +132,12 @@ val run_sharded :
     counted by the [engine.shard_fallbacks] metric.  Raises as
     {!run}. *)
 
-(** A criticality monitor for {!run_reference}: the dual-criticality
-    mode switch of the mixed-criticality extension, layered on the
-    online policy.  Every frame starts in LO mode.  When a job with
-    [is_hi] starts, the run also wakes up at [start + budget_lo job]; if
-    the job is still running then, its frame degrades to HI mode
-    ([on_switch frame instant], once per frame).  From then on, every
-    job without [is_hi] that a processor reaches in that frame is
-    dropped — recorded [skipped], its precedence obligations waived,
-    [on_drop] called — before any invocation, overhead or precedence
-    wait.  A degrade moves no processor, so one already polled at the
-    switch instant sees it at its next wake-up.  Running jobs complete
-    normally; the next frame starts in LO mode again.  Execution times
-    are sampled from the derived graph, so a caller maps each job's
-    WCET to its criticality budget first. *)
-type monitor = {
-  is_hi : Taskgraph.Job.t -> bool;
-  budget_lo : Taskgraph.Job.t -> Rt_util.Rat.t;  (** [C_LO] of a HI job *)
-  on_switch : int -> Rt_util.Rat.t -> unit;  (** frame, switch instant *)
-  on_drop : unit -> unit;
-}
-
 val run_reference :
   ?monitor:monitor ->
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
 (** {!run} forced onto the exact rational interpreter core — the
     semantic ground truth the compiled tick core is differentially
-    tested against.  Without [monitor] it is exactly that reference;
-    with one, the mode-switched policy above.  Raises as {!run}. *)
+    tested against, with or without a [monitor].  Raises as {!run}. *)
 
 val sporadic_assignment :
   Fppn.Network.t ->

@@ -83,23 +83,6 @@ let pop t =
     Some top
   end
 
-let pop_distinct t =
-  match pop t with
-  | None -> None
-  | Some top ->
-    (* blocked discrete-event loops re-push the same key once per poll,
-       so equal-key runs are common; discarding them here saves one
-       full no-op relaxation pass per duplicate in the caller *)
-    let rec drop () =
-      match peek t with
-      | Some next when t.cmp next top = 0 ->
-        ignore (pop t);
-        drop ()
-      | _ -> ()
-    in
-    drop ();
-    Some top
-
 let pop_exn t =
   match pop t with
   | Some x -> x

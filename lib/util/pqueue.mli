@@ -19,11 +19,6 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 
-val pop_distinct : 'a t -> 'a option
-(** {!pop}, then discards every following element that compares equal
-    to the popped one.  Discrete-event loops keyed on timestamps use it
-    to coalesce the duplicate wakeups that blocked producers push. *)
-
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty queue. *)
 

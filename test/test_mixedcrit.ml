@@ -155,6 +155,26 @@ let test_dual_schedule_infeasible () =
       (Format.asprintf "%a" Dual_schedule.pp_error e)
   | Ok _ -> Alcotest.fail "expected infeasibility"
 
+(* A HI budget below its LO budget is a build error naming the process,
+   not an exception. *)
+let test_dual_schedule_inverted_budgets () =
+  let b = Network.Builder.create "one" in
+  Network.Builder.add_process b
+    (Process.make ~name:"S"
+       ~event:(Event.periodic ~period:(ms 100) ~deadline:(ms 100) ())
+       (Process.Native (fun _ -> ())));
+  let spec =
+    Spec.of_list ~default_criticality:Spec.Lo
+      ~wcet_lo:(Derive.const_wcet (ms 15))
+      ~hi:[ ("S", ms 10) ]
+  in
+  match Dual_schedule.build ~n_procs:1 ~spec (Network.Builder.finish_exn b) with
+  | Error (Dual_schedule.Inverted_budgets name) ->
+    Alcotest.(check string) "names the process" "S" name
+  | Error e ->
+    Alcotest.failf "expected Inverted_budgets, got %a" Dual_schedule.pp_error e
+  | Ok _ -> Alcotest.fail "expected an error"
+
 let run_mc ?(frames = 3) ~exec () =
   let net = mc_net () in
   let spec = mc_spec () in
@@ -461,6 +481,323 @@ let test_drop_at_the_next_wakeup () =
   Alcotest.(check bool) "at the duplicate wakeup" true
     (Rat.equal l.start (ms 10))
 
+(* --- the monitor on the tick core = the monitor on the rational core --- *)
+
+module Randgen = Fppn_apps.Randgen
+module Platform = Runtime.Platform
+module Trace = Fppn_obs.Trace
+
+(* One monitored run: the result, the switch list and the drop count. *)
+let monitored runner spec net derived sched config =
+  let switches = ref [] and drops = ref 0 in
+  let monitor =
+    {
+      Engine.is_hi = Spec.is_hi spec;
+      budget_lo = Spec.budget_lo spec;
+      on_switch = (fun f t -> switches := (f, t) :: !switches);
+      on_drop = (fun () -> incr drops);
+    }
+  in
+  let r = runner ~monitor net derived sched config in
+  (r, List.rev !switches, !drops)
+
+let same_monitored (r1, s1, d1) (r2, s2, d2) =
+  List.equal (fun (a : Exec_trace.record) b -> a = b) (Engine.trace r1)
+    (Engine.trace r2)
+  && Engine.channel_history r1 = Engine.channel_history r2
+  && Engine.output_history r1 = Engine.output_history r2
+  && r1.Engine.stats = r2.Engine.stats
+  && r1.Engine.unhandled_events = r2.Engine.unhandled_events
+  && List.equal (fun (f, t) (f', t') -> f = f' && Rat.equal t t') s1 s2
+  && d1 = d2
+
+(* [Engine.run ~monitor] and [Engine.run_reference ~monitor] on the
+   same inputs, as [Mc_engine.run] sets them up: every job's WCET is its
+   criticality budget.  Returns both runs, and whether the first one,
+   which is traced, ran on the rational core. *)
+let run_both_monitored ~spec ~exec ~platform ~frames ~sporadic net
+    (derived : Derive.t) sched =
+  let budget j =
+    if Spec.is_hi spec j then Spec.wcet_hi spec j.Job.proc_name
+    else Spec.budget_lo spec j
+  in
+  let derived =
+    { derived with Derive.graph = Graph.map_wcet budget derived.Derive.graph }
+  in
+  let config () =
+    {
+      Engine.platform;
+      exec = exec ();
+      frames;
+      sporadic;
+      inputs = Fppn.Netstate.no_inputs;
+    }
+  in
+  Trace.reset ();
+  Trace.set_enabled true;
+  let tick =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_enabled false)
+      (fun () ->
+        monitored
+          (fun ~monitor -> Engine.run ~monitor)
+          spec net derived sched (config ()))
+  in
+  let on_rat =
+    List.exists
+      (fun (h : Trace.hotspot) -> h.Trace.hname = "engine.exec.rat")
+      (Trace.hotspots ())
+  in
+  Trace.reset ();
+  let reference =
+    monitored
+      (fun ~monitor -> Engine.run_reference ~monitor)
+      spec net derived sched (config ())
+  in
+  (tick, reference, on_rat)
+
+type mc_case = {
+  seed : int;
+  family : int;
+      (* 0 Randgen + list schedule; 1 Randgen + random static schedule,
+         order-infeasible ones included; 2 three flight-control chains
+         on 3 processors, Sensors and Controls HI, durations uniform
+         from 0; 3 flight-control chains with a random HI set *)
+  size : int;  (* periodic processes, or chains *)
+  n_sporadic : int;
+  n_procs : int;
+  frames : int;
+  hi_mask : int;  (* bit i mod 8: process i is HI *)
+  hi_factor : int;  (* C_HI = C_LO * hi_factor / 2; 0: C_LO = 0 *)
+  min_fraction : float;
+  overhead : int;  (* 0 none, 1 first/steady frame, 2 per access *)
+}
+
+let mc_case_print c =
+  Printf.sprintf
+    "{seed=%d; family=%d; size=%d; sporadic=%d; procs=%d; frames=%d; \
+     hi_mask=%d; hi_factor=%d; min_fraction=%g; overhead=%d}"
+    c.seed c.family c.size c.n_sporadic c.n_procs c.frames c.hi_mask
+    c.hi_factor c.min_fraction c.overhead
+
+let mc_case_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 999_999 in
+    let* family = int_range 0 3 in
+    let* overhead = int_range 0 2 in
+    if family = 2 then
+      let+ frames = int_range 1 50 and+ hi_factor = int_range 3 4 in
+      {
+        seed; family; size = 3; n_sporadic = 0; n_procs = 3; frames;
+        hi_mask = 0; hi_factor; min_fraction = 0.; overhead;
+      }
+    else
+      let fc = family = 3 in
+      let+ size = if fc then int_range 1 3 else int_range 1 6
+      and+ n_sporadic = if fc then pure 0 else int_range 0 2
+      and+ n_procs = if fc then int_range 2 3 else int_range 1 3
+      and+ frames = if fc then int_range 1 50 else int_range 1 6
+      and+ hi_mask = int_range 0 255
+      and+ hi_factor = int_range 0 4
+      and+ min_fraction = oneofl [ 0.; 0.4; 0.8 ] in
+      {
+        seed; family; size; n_sporadic; n_procs; frames; hi_mask; hi_factor;
+        min_fraction; overhead;
+      })
+
+(* [k] HI chains Sensor_i -> Control_i, each followed by a LO Logger_i,
+   beside a LO Telemetry_i, all at 100 ms *)
+let flight_control k =
+  let b = Network.Builder.create "flight-control" in
+  let add name body =
+    Network.Builder.add_process b
+      (Process.make ~name
+         ~event:(Event.periodic ~period:(ms 100) ~deadline:(ms 100) ())
+         (Process.Native body))
+  in
+  for i = 0 to k - 1 do
+    let n s = Printf.sprintf "%s%d" s i in
+    add (n "Sensor") (fun ctx ->
+        ctx.Process.write (n "meas") (V.Int ctx.Process.job_index));
+    add (n "Control") (fun ctx ->
+        ctx.Process.write (n "cmd") (ctx.Process.read (n "meas")));
+    add (n "Logger") (fun ctx ->
+        ctx.Process.write (n "log") (ctx.Process.read (n "cmd")));
+    add (n "Telemetry") (fun ctx ->
+        ctx.Process.write (n "tm") (V.Int ctx.Process.job_index));
+    Network.Builder.add_channel b ~kind:Fppn.Channel.Blackboard
+      ~writer:(n "Sensor") ~reader:(n "Control") (n "meas");
+    Network.Builder.add_channel b ~kind:Fppn.Channel.Blackboard
+      ~writer:(n "Control") ~reader:(n "Logger") (n "cmd");
+    Network.Builder.add_priority b (n "Sensor") (n "Control");
+    Network.Builder.add_priority b (n "Control") (n "Logger");
+    Network.Builder.add_output b ~owner:(n "Logger") (n "log");
+    Network.Builder.add_output b ~owner:(n "Telemetry") (n "tm")
+  done;
+  Network.Builder.finish_exn b
+
+(* Runs one case; [None] when the draw has no schedule to run. *)
+let run_mc_case c =
+  let rng = Rt_util.Prng.create c.seed in
+  let net, wcet_lo =
+    if c.family >= 2 then
+      let net = flight_control c.size in
+      (net, fun _ -> ms (Rt_util.Prng.int_in rng 5 8))
+    else
+      let net =
+        Randgen.network
+          {
+            Randgen.default_params with
+            seed = c.seed;
+            n_periodic = c.size;
+            n_sporadic = c.n_sporadic;
+          }
+      in
+      (net, Randgen.wcet ~scale:(Rat.make 1 25) (Derive.const_wcet Rat.one) net)
+  in
+  let names =
+    List.init (Network.n_processes net) (fun p ->
+        Process.name (Network.process net p))
+  in
+  let wcet_lo = List.map (fun name -> (name, wcet_lo name)) names in
+  let hi =
+    if c.family = 2 then
+      List.filter (fun (name, _) -> name.[0] = 'S' || name.[0] = 'C') wcet_lo
+    else List.filteri (fun i _ -> c.hi_mask land (1 lsl (i mod 8)) <> 0) wcet_lo
+  in
+  let spec =
+    Spec.of_list ~default_criticality:Spec.Lo
+      ~wcet_lo:(fun name ->
+        if c.hi_factor = 0 && List.mem_assoc name hi then Rat.zero
+        else List.assoc name wcet_lo)
+      ~hi:
+        (List.map
+           (fun (name, w) ->
+             (name, Rat.mul w (Rat.make (max 2 c.hi_factor) 2)))
+           hi)
+  in
+  match Derive.derive ~wcet:(Spec.wcet_lo spec) net with
+  | Error _ -> None
+  | Ok derived -> (
+    let g = derived.Derive.graph in
+    let sched =
+      if c.family = 1 then
+        let h = Rat.to_int_exn derived.Derive.hyperperiod in
+        Some
+          (Sched.Static_schedule.make ~n_procs:c.n_procs
+             (Array.map
+                (fun _ ->
+                  {
+                    Sched.Static_schedule.proc = Rt_util.Prng.int rng c.n_procs;
+                    start = ms (Rt_util.Prng.int rng h);
+                  })
+                (Graph.jobs g)))
+      else
+        Option.map
+          (fun a -> a.Sched.List_scheduler.schedule)
+          (snd (Sched.List_scheduler.auto ~n_procs:c.n_procs g))
+    in
+    match sched with
+    | None -> None
+    | Some sched ->
+      let overhead =
+        match c.overhead with
+        | 0 -> Platform.no_overhead
+        | 1 ->
+          {
+            Platform.first_frame = Rat.make 7 4;
+            steady_frame = Rat.make 1 3;
+            per_access = Rat.zero;
+          }
+        | _ -> { Platform.no_overhead with per_access = Rat.make 1 50 }
+      in
+      let horizon = Rat.mul derived.Derive.hyperperiod (Rat.of_int c.frames) in
+      Some
+        (run_both_monitored ~spec
+           ~exec:(fun () ->
+             Exec_time.uniform ~seed:(c.seed + 1) ~min_fraction:c.min_fraction)
+           ~platform:(Platform.create ~overhead ~n_procs:c.n_procs ())
+           ~frames:c.frames
+           ~sporadic:
+             (Randgen.random_traces ~seed:(c.seed + 7) ~horizon ~density:0.5
+                net)
+           net derived sched))
+
+let prop_monitor_differential =
+  qtest ~name:"run ~monitor = run_reference ~monitor, on the tick core"
+    ~count:800
+    mc_case_gen
+    (fun c ->
+      match run_mc_case c with
+      | None -> true
+      | Some (tick, reference, on_rat) ->
+        if on_rat then QCheck2.Test.fail_reportf "fell back: %s" (mc_case_print c)
+        else if not (same_monitored tick reference) then
+          QCheck2.Test.fail_reportf "mismatch: %s" (mc_case_print c)
+        else true)
+
+(* At 106 ms, frame 1's switch instant, a processor above processor 0
+   degrades the frame in the last sweep of an instant queued twice;
+   processor 0 drops its LO jobs at once only through the tick core's
+   extra sweep, and at its next wake-up, 108.057 ms, without it. *)
+let test_drop_in_the_extra_sweep () =
+  match
+    run_mc_case
+      {
+        seed = 27741; family = 2; size = 3; n_sporadic = 0; n_procs = 3;
+        frames = 2; hi_mask = 0; hi_factor = 3; min_fraction = 0.;
+        overhead = 2;
+      }
+  with
+  | None -> Alcotest.fail "no schedule"
+  | Some (((r, switches, _) as tick), reference, on_rat) ->
+    Alcotest.(check bool) "tick core" false on_rat;
+    Alcotest.(check bool) "equals the reference" true
+      (same_monitored tick reference);
+    let logger =
+      List.find
+        (fun (x : Exec_trace.record) -> x.label = "Logger1[1]" && x.frame = 1)
+        (Engine.trace r)
+    in
+    Alcotest.(check bool) "dropped at the switch instant" true
+      (logger.skipped && Rat.equal logger.start (ms 106)
+      && Rat.equal (List.assoc 1 switches) (ms 106))
+
+(* C_LO budgets over large coprime denominators: no tick grid holds
+   them and the horizon, so the monitored run falls back to the
+   rational core, and still equals the reference.  The schedule comes
+   from [mc_spec]'s integer budgets. *)
+let test_monitor_without_tick_grid () =
+  let net = mc_net () in
+  let spec =
+    Spec.of_list ~default_criticality:Spec.Lo
+      ~wcet_lo:
+        (Derive.wcet_of_list (ms 30)
+           [
+             ("Sensor", Rat.make 300_000_046 20_000_003);
+             ("Control", Rat.make 400_000_461 20_000_023);
+           ])
+      ~hi:[ ("Sensor", ms 40); ("Control", ms 55) ]
+  in
+  let derived = Derive.derive_exn ~wcet:(Spec.wcet_lo (mc_spec ())) net in
+  let sched =
+    match snd (Sched.List_scheduler.auto ~n_procs:2 derived.Derive.graph) with
+    | Some a -> a.Sched.List_scheduler.schedule
+    | None -> Alcotest.fail "unschedulable"
+  in
+  let tick, reference, on_rat =
+    run_both_monitored ~spec
+      ~exec:(fun () -> Exec_time.profile (Spec.wcet_hi spec))
+      ~platform:(Platform.create ~n_procs:2 ())
+      ~frames:3 ~sporadic:[] net derived sched
+  in
+  let _, switches, drops = tick in
+  Alcotest.(check bool) "rational core" true on_rat;
+  Alcotest.(check int) "every frame switches" 3 (List.length switches);
+  Alcotest.(check bool) "LO jobs dropped" true (drops > 0);
+  Alcotest.(check bool) "equals the reference" true
+    (same_monitored tick reference)
+
 let () =
   Alcotest.run "mixedcrit"
     [
@@ -478,6 +815,8 @@ let () =
         [
           Alcotest.test_case "build" `Quick test_dual_schedule_build;
           Alcotest.test_case "infeasible" `Quick test_dual_schedule_infeasible;
+          Alcotest.test_case "inverted budgets" `Quick
+            test_dual_schedule_inverted_budgets;
         ] );
       ( "engine",
         [
@@ -496,5 +835,10 @@ let () =
           Alcotest.test_case "drop at the next wakeup" `Quick
             test_drop_at_the_next_wakeup;
           prop_monitor_invariants;
+          prop_monitor_differential;
+          Alcotest.test_case "drop in the extra sweep" `Quick
+            test_drop_in_the_extra_sweep;
+          Alcotest.test_case "monitor without a tick grid" `Quick
+            test_monitor_without_tick_grid;
         ] );
     ]
