@@ -131,8 +131,8 @@ let resolve_app name seed =
       default_sporadic_density = 0.5;
     }
   | "random-wide" ->
-    (* >16384-job, one-job-per-process stress shape for the sharded
-       engine's static certification path *)
+    (* >16384-job, one-job-per-process stress shape for static
+       certification *)
     let net = Fppn_apps.Randgen.build_exn (Fppn_apps.Randgen.wide_spec ()) in
     {
       net;
@@ -594,7 +594,7 @@ let schedule_cmd = Cmd.v (Cmd.info "schedule" ~doc:sched_doc) schedule_term
 let sched_cmd = Cmd.v (Cmd.info "sched" ~doc:(sched_doc ^ " (alias of schedule)")) schedule_term
 
 let simulate_term, simulate_doc =
-  let run app_name seed n_procs frames heuristic jitter overhead density shards
+  let run app_name seed n_procs frames heuristic jitter overhead density
       json_out csv_out per_process use_schedule latency svg_out trace_out =
     obs_begin trace_out;
     let app = resolve_app app_name seed in
@@ -641,16 +641,7 @@ let simulate_term, simulate_doc =
         inputs = app.inputs;
       }
     in
-    (* sharded and sequential runs are bit-identical, so everything
-       printed below is independent of the shard count — the gate alias
-       byte-compares this command's output across --shards values *)
-    let r =
-      if shards = 1 then Engine.run app.net d s config
-      else
-        Engine.run_sharded
-          ?shards:(if shards >= 1 then Some shards else None)
-          app.net d s config
-    in
+    let r = Engine.run app.net d s config in
     Format.printf "%a@." Runtime.Exec_trace.pp_stats r.Engine.stats;
     if per_process then
       Format.printf "%a" Runtime.Exec_trace.pp_by_process
@@ -726,15 +717,6 @@ let simulate_term, simulate_doc =
       & info [ "density" ] ~docv:"D"
           ~doc:"Sporadic event density in [0,1] (default: per-application).")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Run the engine on K cooperating domains (bit-identical to K=1; \
-             falls back to the sequential core when sharding preconditions \
-             fail). 0 = auto (recommended domain count).")
-  in
   let json_out =
     Arg.(
       value & opt (some string) None
@@ -770,7 +752,7 @@ let simulate_term, simulate_doc =
   in
   ( Term.(
       const run $ app_arg $ seed_arg $ procs_arg $ frames_arg $ heuristic_arg
-      $ jitter $ overhead $ density $ shards $ json_out $ csv_out $ per_process
+      $ jitter $ overhead $ density $ json_out $ csv_out $ per_process
       $ use_schedule $ latency $ svg_out $ trace_out_arg),
     "Run the online static-order policy (Sec. IV)" )
 
@@ -966,10 +948,13 @@ let lint_cmd =
         (* lint the AST, not the elaborated network: networks the
            builder would reject still get positioned diagnostics *)
         let src = load_file app_name in
-        match Fppn_lang.Parser.parse src with
-        | ast -> Fppn_lint.Lint.lint_ast ~file:app_name ?processors ast
-        | exception Fppn_lang.Lexer.Error (msg, pos)
-        | exception Fppn_lang.Parser.Error (msg, pos) ->
+        try
+          Fppn_lint.Lint.lint_ast ~file:app_name ?processors
+            (Fppn_lang.Parser.parse src)
+        with
+        | Fppn_lang.Lexer.Error (msg, pos)
+        | Fppn_lang.Parser.Error (msg, pos)
+        | Fppn_lang.Elaborate.Error (msg, pos) ->
           [
             Fppn_lint.Diagnostic.make ~file:app_name ~pos
               Fppn_lint.Diagnostic.Source_error
@@ -1029,48 +1014,40 @@ let certify_cmd =
         (* certify the AST model so unbuildable networks still get a
            (rejecting) certificate with positioned diagnostics *)
         let src = load_file app_name in
-        match Fppn_lang.Parser.parse src with
-        | ast -> Some (Fppn_lint.Model.of_ast ~file:app_name ast)
-        | exception Fppn_lang.Lexer.Error (msg, pos)
-        | exception Fppn_lang.Parser.Error (msg, pos) ->
-          Format.eprintf "%a@." Fppn_lint.Diagnostic.pp
-            (Fppn_lint.Diagnostic.make ~file:app_name ~pos
-               Fppn_lint.Diagnostic.Source_error
-               ~subject:("file " ^ Filename.basename app_name)
-               msg);
-          None
+        try Fppn_lint.Model.of_ast ~file:app_name (Fppn_lang.Parser.parse src)
+        with
+        | Fppn_lang.Lexer.Error (msg, pos)
+        | Fppn_lang.Parser.Error (msg, pos)
+        | Fppn_lang.Elaborate.Error (msg, pos) ->
+          source_error app_name msg pos
       else
         let app = resolve_app app_name seed in
-        Some
-          (Fppn_lint.Model.of_network
-             ~wcet:(fun name -> Some (app.wcet name))
-             app.net)
+        Fppn_lint.Model.of_network
+          ~wcet:(fun name -> Some (app.wcet name))
+          app.net
     in
-    match model with
-    | None -> exit 2
-    | Some model ->
-      let cert = Fppn_lint.Certificate.of_model model in
-      let diags = Fppn_lint.Certificate.diagnostics cert in
-      (match format with
-      | `Text ->
-        Format.printf "%a" Fppn_lint.Certificate.pp cert;
-        if diags <> [] then Format.printf "%a" Fppn_lint.Diagnostic.pp_list diags
-      | `Json -> print_endline (Fppn_lint.Certificate.to_json cert));
-      if check then begin
-        (* machine-check the serialized artifact: JSON round-trip, then
-           re-validate against a fresh analysis of the model *)
-        let checked =
-          match Fppn_lint.Certificate.of_json (Fppn_lint.Certificate.to_json cert) with
-          | Error e -> Error ("round-trip: " ^ e)
-          | Ok cert' -> Fppn_lint.Certificate.validate cert' model
-        in
-        match checked with
-        | Ok () -> ()
-        | Error e ->
-          Printf.eprintf "certificate self-check failed: %s\n" e;
-          exit 1
-      end;
-      if Fppn_lint.Diagnostic.has_errors diags then exit 1
+    let cert = Fppn_lint.Certificate.of_model model in
+    let diags = Fppn_lint.Certificate.diagnostics cert in
+    (match format with
+    | `Text ->
+      Format.printf "%a" Fppn_lint.Certificate.pp cert;
+      if diags <> [] then Format.printf "%a" Fppn_lint.Diagnostic.pp_list diags
+    | `Json -> print_endline (Fppn_lint.Certificate.to_json cert));
+    if check then begin
+      (* machine-check the serialized artifact: JSON round-trip, then
+         re-validate against a fresh analysis of the model *)
+      let checked =
+        match Fppn_lint.Certificate.of_json (Fppn_lint.Certificate.to_json cert) with
+        | Error e -> Error ("round-trip: " ^ e)
+        | Ok cert' -> Fppn_lint.Certificate.validate cert' model
+      in
+      match checked with
+      | Ok () -> ()
+      | Error e ->
+        Printf.eprintf "certificate self-check failed: %s\n" e;
+        exit 1
+    end;
+    if Fppn_lint.Diagnostic.has_errors diags then exit 1
   in
   let format =
     Arg.(
@@ -1093,9 +1070,9 @@ let certify_cmd =
        ~doc:
          "Static shardability certification: per-channel job-ordering \
           verdicts proven at the (process, hyperperiod-phase) quotient \
-          level (codes FPPN060-062) — the certificate Engine.run_sharded \
-          consumes. Exits 1 on error-severity findings, 2 when the source \
-          never reached the analyzer, like lint.")
+          level (codes FPPN060-062), a lint no engine consumes. Exits 1 on \
+          error-severity findings, 2 when the source never reached the \
+          analyzer, like lint.")
     term
 
 let fuzz_cmd =
@@ -1120,8 +1097,8 @@ let fuzz_cmd =
         exit 2
     in
     if certify then begin
-      (* certificate-vs-engine differential: accepts run sharded
-         bit-identically, rejects fall back or are unbuildable *)
+      (* certificate-vs-closure differential: both certificates agree
+         with the job-level closure, and unbuildable specs are rejected *)
       let summary =
         Fppn_fuzz.Static_diff.certify ~log:print_endline ~max_periodic
           ~max_sporadic ~seed ~budget ()
@@ -1130,7 +1107,7 @@ let fuzz_cmd =
       if not (Fppn_fuzz.Static_diff.certify_passed summary) then begin
         print_endline
           "self-test FAILED: the shardability certificate disagreed with the \
-           engine or the job-level closure";
+           job-level closure or the builder";
         exit 3
       end
     end
@@ -1298,11 +1275,10 @@ let fuzz_cmd =
       value & flag
       & info [ "certify" ]
           ~doc:
-            "Run the certificate-vs-engine differential: \
-             certificate-accepted workloads must run sharded \
-             bit-identically to the sequential core, rejected ones must \
-             fall back or be unbuildable, and the certificate must agree \
-             with the legacy job-level closure throughout.")
+            "Run the certificate differential: the spec model's and the \
+             built network's certificates must agree with the legacy \
+             job-level closure, and every spec the builder refuses must \
+             be rejected.")
   in
   let term =
     Term.(
@@ -1322,7 +1298,7 @@ let fuzz_cmd =
     term
 
 let profile_cmd =
-  let run app_name seed n_procs frames heuristic jitter top trace_out shards =
+  let run app_name seed n_procs frames heuristic jitter top trace_out =
     Obs_trace.set_enabled true;
     Obs_metrics.set_enabled true;
     let app = resolve_app app_name seed in
@@ -1345,11 +1321,7 @@ let profile_cmd =
         inputs = app.inputs;
       }
     in
-    let r =
-      match shards with
-      | None -> Engine.run app.net d s config
-      | Some k -> Engine.run_sharded ~shards:k app.net d s config
-    in
+    let r = Engine.run app.net d s config in
     Format.printf "%a@." Runtime.Exec_trace.pp_stats r.Engine.stats;
     let hotspots = Obs_trace.hotspots () in
     let total_self =
@@ -1390,20 +1362,10 @@ let profile_cmd =
       value & opt int 15
       & info [ "top" ] ~docv:"N" ~doc:"Number of hotspot rows to print.")
   in
-  let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Profile Engine.run_sharded on K shards instead of the \
-             sequential core; the metrics snapshot then shows \
-             engine.certify_ticks (and engine.shard_* counters).")
-  in
   let term =
     Term.(
       const run $ app_arg $ seed_arg $ procs_arg $ frames_arg $ heuristic_arg
-      $ jitter $ top $ trace_out_arg $ shards)
+      $ jitter $ top $ trace_out_arg)
   in
   Cmd.v
     (Cmd.info "profile"

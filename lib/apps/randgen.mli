@@ -73,9 +73,9 @@ val wide_spec : ?n:int -> ?pairs:int -> unit -> spec
     the derived graph has exactly [n] jobs per hyperperiod (one each),
     plus [pairs] disjoint blackboard channel pairs [P2i -> P2i+1] with
     the default direct priority edge.  Built directly (no PRNG, no
-    O(n^2) density loop), it is the stress shape for the sharded
-    engine's static certification: >16384 jobs while every channel pair
-    stays trivially [Ordered]. *)
+    O(n^2) density loop), it is the stress shape for static
+    certification: >16384 jobs while every channel pair stays trivially
+    [Ordered]. *)
 
 val build : spec -> (Fppn.Network.t, string) result
 (** [Error] when a mutation broke well-formedness (e.g. a flipped FP

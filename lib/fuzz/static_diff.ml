@@ -114,18 +114,14 @@ let pp ppf s =
 (* --- certificate differential ------------------------------------------ *)
 
 module Rat = Rt_util.Rat
-module List_scheduler = Sched.List_scheduler
 module Certificate = Fppn_lint.Certificate
 module Model = Fppn_lint.Model
-module Engine = Runtime.Engine
 module Derive = Taskgraph.Derive
 module Graph = Taskgraph.Graph
 module Network = Fppn.Network
-module Metrics = Fppn_obs.Metrics
 
 (* Per-job descendant bitsets, built in one reverse-topological sweep:
-   O(J^2) bits, which is why the certificate replaced this as the
-   engine's gate. *)
+   O(J^2) bits, which is why the certificate's class sweep replaced it. *)
 let closure_conflicts_ordered (g : Graph.t) net =
   let n = Graph.n_jobs g in
   let pairs =
@@ -168,9 +164,6 @@ type certify_summary = {
   cc_accepts : int;
   cc_rejects : int;
   cc_unbuildable_rejects : int;
-  cc_engaged : int;
-  cc_fallbacks : int;
-  cc_mismatches : int;
   cc_disagreements : int;
   cc_wall_time_s : float;
 }
@@ -182,116 +175,73 @@ let certify ?(log = fun _ -> ()) ?(max_periodic = 6) ?(max_sporadic = 2) ~seed
   let accepts = ref 0
   and rejects = ref 0
   and unbuildable = ref 0
-  and engaged = ref 0
-  and fallbacks = ref 0
-  and mismatches = ref 0
   and disagreements = ref 0 in
-  let metrics_were = Metrics.enabled () in
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_enabled metrics_were)
-    (fun () ->
-      for i = 1 to budget do
-        let base = Campaign.draw_spec prng ~max_periodic ~max_sporadic in
-        (* every other case seeds a known determinism race so the
-           certificate's rejecting side is exercised too *)
-        let spec =
-          if i mod 2 = 0 then
-            match Randgen.seed_race prng base with
-            | Some (raced, _) -> raced
-            | None -> base
-          else base
-        in
-        let cert = Certificate.of_model (Model.of_spec spec) in
-        let ok = Certificate.shardable cert in
-        if ok then incr accepts else incr rejects;
-        match Randgen.build spec with
-        | Error e ->
-          (* the builder refuses exactly the Def. 2.1 violations, so an
-             unbuildable spec is provably order-violating: the
-             certificate must not accept it *)
-          incr unbuildable;
-          if ok then begin
-            incr disagreements;
-            log
-              (Printf.sprintf
-                 "case %d: certificate accepts unbuildable spec %s (%s)" i
-                 spec.Randgen.label e)
-          end
-        | Ok net -> (
-          let wcet =
-            Randgen.wcet ~scale:(Rat.make 1 1000) (Derive.const_wcet Rat.one)
-              net
-          in
-          match Derive.derive ~wcet net with
-          | Error _ -> ()
-          | Ok d ->
-            let g = d.Derive.graph in
-            let legacy = closure_conflicts_ordered g net in
-            (* the class sweep and the job-level closure must agree on
-               every buildable spec (randgen never produces a
-               fold-hazard, so there is no abstention to excuse), both
-               the model's certificate and the one the engine gates
-               [run_sharded] on *)
-            let engine_ok =
-              Certificate.shardable (Certificate.of_network net)
-            in
-            List.iter
-              (fun (what, verdict) ->
-                if verdict <> legacy then begin
-                  incr disagreements;
-                  log
-                    (Printf.sprintf
-                       "case %d: %s certificate %b vs job closure %b on %s" i
-                       what verdict legacy spec.Randgen.label)
-                end)
-              [ ("model", ok); ("engine", engine_ok) ];
-            let sched =
-              List_scheduler.schedule_with
-                ~heuristic:Sched.Priority.Alap_edf ~n_procs:2 g
-            in
-            let config = Engine.default_config ~frames:2 ~n_procs:2 () in
-            let runs0 = Metrics.counter_value (Metrics.counter "engine.sharded_runs") in
-            let sharded = Engine.run_sharded ~shards:2 net d sched config in
-            let sequential = Engine.run net d sched config in
-            let runs1 = Metrics.counter_value (Metrics.counter "engine.sharded_runs") in
-            if runs1 > runs0 then begin
-              incr engaged;
-              if not ok then begin
-                (* a certificate-reject must never run sharded *)
-                incr disagreements;
-                log
-                  (Printf.sprintf "case %d: reject %s ran sharded" i
-                     spec.Randgen.label)
-              end
-            end
-            else incr fallbacks;
-            if Engine.signature sharded <> Engine.signature sequential then begin
-              incr mismatches;
+  for i = 1 to budget do
+    let base = Campaign.draw_spec prng ~max_periodic ~max_sporadic in
+    (* every other case seeds a known determinism race so the
+       certificate's rejecting side is exercised too *)
+    let spec =
+      if i mod 2 = 0 then
+        match Randgen.seed_race prng base with
+        | Some (raced, _) -> raced
+        | None -> base
+      else base
+    in
+    let cert = Certificate.of_model (Model.of_spec spec) in
+    let ok = Certificate.shardable cert in
+    if ok then incr accepts else incr rejects;
+    match Randgen.build spec with
+    | Error e ->
+      (* the builder refuses exactly the Def. 2.1 violations, so an
+         unbuildable spec is provably order-violating: the certificate
+         must not accept it *)
+      incr unbuildable;
+      if ok then begin
+        incr disagreements;
+        log
+          (Printf.sprintf "case %d: certificate accepts unbuildable spec %s (%s)"
+             i spec.Randgen.label e)
+      end
+    | Ok net -> (
+      let wcet =
+        Randgen.wcet ~scale:(Rat.make 1 1000) (Derive.const_wcet Rat.one) net
+      in
+      match Derive.derive ~wcet net with
+      | Error _ -> ()
+      | Ok d ->
+        let legacy = closure_conflicts_ordered d.Derive.graph net in
+        (* the class sweep and the job-level closure must agree on every
+           buildable spec (randgen never produces a fold-hazard, so there
+           is no abstention to excuse), both for the spec model's
+           certificate and for the built network's *)
+        List.iter
+          (fun (what, verdict) ->
+            if verdict <> legacy then begin
+              incr disagreements;
               log
-                (Printf.sprintf "case %d: sharded signature differs on %s" i
-                   spec.Randgen.label)
+                (Printf.sprintf "case %d: %s certificate %b vs job closure %b on %s"
+                   i what verdict legacy spec.Randgen.label)
             end)
-      done;
-      {
-        cc_cases = budget;
-        cc_accepts = !accepts;
-        cc_rejects = !rejects;
-        cc_unbuildable_rejects = !unbuildable;
-        cc_engaged = !engaged;
-        cc_fallbacks = !fallbacks;
-        cc_mismatches = !mismatches;
-        cc_disagreements = !disagreements;
-        cc_wall_time_s = Unix.gettimeofday () -. t0;
-      })
+          [
+            ("model", ok);
+            ("network", Certificate.shardable (Certificate.of_network net));
+          ])
+  done;
+  {
+    cc_cases = budget;
+    cc_accepts = !accepts;
+    cc_rejects = !rejects;
+    cc_unbuildable_rejects = !unbuildable;
+    cc_disagreements = !disagreements;
+    cc_wall_time_s = Unix.gettimeofday () -. t0;
+  }
 
 let certify_passed s =
-  s.cc_mismatches = 0 && s.cc_disagreements = 0 && s.cc_engaged > 0
-  && s.cc_rejects > 0
+  s.cc_disagreements = 0 && s.cc_accepts > 0 && s.cc_rejects > 0
 
 let pp_certify ppf s =
   Format.fprintf ppf
     "certify diff: %d case(s), %d accept(s), %d reject(s) (%d unbuildable), \
-     %d engaged, %d fallback(s), %d mismatch(es), %d disagreement(s) in %.3fs"
-    s.cc_cases s.cc_accepts s.cc_rejects s.cc_unbuildable_rejects s.cc_engaged
-    s.cc_fallbacks s.cc_mismatches s.cc_disagreements s.cc_wall_time_s
+     %d disagreement(s) in %.3fs"
+    s.cc_cases s.cc_accepts s.cc_rejects s.cc_unbuildable_rejects
+    s.cc_disagreements s.cc_wall_time_s

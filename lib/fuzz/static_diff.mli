@@ -57,16 +57,14 @@ val pp : Format.formatter -> summary -> unit
 (** {1 Certificate differential}
 
     Closes the loop on static shardability certification
-    ({!Fppn_lint.Certificate}): a certificate-accept must run
-    [Engine.run_sharded] bit-identically to [Engine.run], a
-    certificate-reject must fall back (never engage the sharded path)
-    or be provably order-violating — unbuildable, since
-    [Randgen.build] refuses exactly the Def. 2.1 violations
-    {!Fppn_apps.Randgen.seed_race} plants.  Every buildable case also
-    checks two certificates against the legacy job-level closure
-    ({!closure_conflicts_ordered}): the spec model's, and the one
-    [Engine.run_sharded] gates on ([Certificate.of_network]).  Each
-    verdict that differs from the closure counts a disagreement. *)
+    ({!Fppn_lint.Certificate}).  Every buildable case checks two
+    certificates against the legacy job-level closure
+    ({!closure_conflicts_ordered}): the spec model's, and the built
+    network's ([Certificate.of_network]).  An unbuildable case is
+    provably order-violating, since [Randgen.build] refuses exactly the
+    Def. 2.1 violations {!Fppn_apps.Randgen.seed_race} plants, so the
+    certificate must reject it.  Each verdict that differs from the
+    closure or the builder counts a disagreement. *)
 
 val closure_conflicts_ordered : Taskgraph.Graph.t -> Fppn.Network.t -> bool
 (** The legacy job-level check: every pair of jobs of
@@ -81,9 +79,6 @@ type certify_summary = {
   cc_rejects : int;  (** certificate refuses (every other case is raced) *)
   cc_unbuildable_rejects : int;
       (** rejected specs the builder also refuses: provably order-violating *)
-  cc_engaged : int;  (** runs where the sharded path actually engaged *)
-  cc_fallbacks : int;  (** buildable runs that fell back to the core *)
-  cc_mismatches : int;  (** sharded-vs-sequential signature diffs — must be 0 *)
   cc_disagreements : int;
       (** certificate-vs-closure or certificate-vs-builder conflicts —
           must be 0 *)
@@ -98,11 +93,9 @@ val certify :
   budget:int ->
   unit ->
   certify_summary
-(** Runs [budget] cases on 2 processors / 2 shards / 2 frames with
-    metrics enabled (restored afterwards). *)
+(** Runs [budget] cases; no engine runs at all. *)
 
 val certify_passed : certify_summary -> bool
-(** No mismatches, no disagreements, at least one engaged accept and
-    at least one reject. *)
+(** No disagreements, at least one accept and at least one reject. *)
 
 val pp_certify : Format.formatter -> certify_summary -> unit

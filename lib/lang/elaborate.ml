@@ -62,11 +62,14 @@ let behavior_of_machine (m : Ast.machine) =
   let vars = List.map (fun (x, l) -> (x, Ast.value_of_literal l)) m.Ast.vars in
   Process.Automaton (A.make ~initial ~vars ~transitions)
 
-let event_of = function
-  | Ast.Periodic { burst; period; deadline } ->
-    Event.periodic ~burst ~period ~deadline ()
-  | Ast.Sporadic { burst; period; deadline } ->
-    Event.sporadic ~burst ~min_period:period ~deadline ()
+let event (p : Ast.process_decl) =
+  try
+    match p.Ast.event with
+    | Ast.Periodic { burst; period; deadline } ->
+      Event.periodic ~burst ~period ~deadline ()
+    | Ast.Sporadic { burst; period; deadline } ->
+      Event.sporadic ~burst ~min_period:period ~deadline ()
+  with Invalid_argument msg -> raise (Error (msg, p.Ast.p_pos))
 
 (* Map each network-level validation error back to the declaration that
    caused it, so elaboration failures carry a real source position. *)
@@ -144,7 +147,7 @@ let to_network ?(externs = []) (n : Ast.network) =
                    p.Ast.p_pos )))
       in
       let proc =
-        try Process.make ~name:p.Ast.p_name ~event:(event_of p.Ast.event) behavior
+        try Process.make ~name:p.Ast.p_name ~event:(event p) behavior
         with Invalid_argument msg -> raise (Error (msg, p.Ast.p_pos))
       in
       Network.Builder.add_process b proc)

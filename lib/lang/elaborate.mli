@@ -18,6 +18,12 @@ val to_network :
     caused it — e.g. a [Missing_priority] points at the uncovered
     channel's declaration). *)
 
+val event : Ast.process_decl -> Fppn.Event.t
+(** The declaration's event generator.
+    @raise Error at the declaration on parameters {!Fppn.Event}
+    rejects: a burst below 1, or a period or deadline that is not
+    positive. *)
+
 val wcet_map :
   default:Rt_util.Rat.t -> Ast.network -> string -> Rt_util.Rat.t
 (** Per-process [wcet] annotations, with [default] for unannotated

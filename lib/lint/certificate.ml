@@ -49,7 +49,7 @@ let diagnostics t =
            ~subject:(pair_subject c.I.cv_writer c.I.cv_reader)
            (spf
               "invocations %s#%d and %s#%d share channel %s but no precedence \
-               path orders them; the sharded engine must fall back"
+               path orders them"
               off.I.off_proc_a off.I.off_k_a off.I.off_proc_b off.I.off_k_b
               c.I.cv_channel))
     | I.Sporadic_hazard reason ->

@@ -2,11 +2,11 @@
 
     A certificate packages the {!Interference} analysis of one network:
     the per-channel ordering verdicts, the partition-cut hotspots and
-    the overall [shardable] bit that [Engine.run_sharded] consumes
-    instead of the legacy O(J^2) job-bitset closure.  Certificates
-    render as diagnostics (stable codes FPPN060/061/062), serialize to
-    a pinned JSON schema, and can be re-checked against a network with
-    {!validate}. *)
+    the overall [shardable] bit, which the legacy O(J^2) job-bitset
+    closure decides too.  Certificates are lint: no engine consumes
+    them.  They render as diagnostics (stable codes FPPN060/061/062),
+    serialize to a pinned JSON schema, and can be re-checked against a
+    network with {!validate}. *)
 
 type t = {
   version : int;  (** schema version, currently 1 *)

@@ -96,8 +96,8 @@ let all_codes =
     ( Unordered_channel_pair,
       Error,
       "channel-sharing process pair has job invocations no precedence path \
-       orders (witness-free pair named); the sharded engine cannot run this \
-       network deterministically" );
+       orders (witness-free pair named); the task graph alone does not fix \
+       the order of their channel accesses" );
     ( Sporadic_shard_hazard,
       Warning,
       "channel ordering cannot be certified statically (sporadic-stamp shard \

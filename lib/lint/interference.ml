@@ -320,7 +320,7 @@ let analyse (m : Model.t) =
                 if w = r then None
                 else
                   let pair = Rat.add (util w) (util r) in
-                  (* pair > 1.1 * total / 2, Partition's balance cap *)
+                  (* pair > 1.1 * total / 2, the balance cap *)
                   if
                     Rat.compare
                       (Rat.mul pair (Rat.of_int 20))

@@ -1,11 +1,12 @@
 (** Quotient-level static interference analysis (shardability core).
 
-    [Engine.run_sharded] is deterministic only when every pair of jobs
-    touching the same channel is ordered by a precedence path in the
-    derived task graph.  PR 8 proved this per plan with an O(J^2)
-    job-level transitive-closure bitset capped at 16384 jobs.  This
-    module decides the same property {e statically at the process
-    level}: the infinite job sequence folds over one hyperperiod into
+    A runtime that runs jobs in parallel, in any order the task graph
+    allows, stays deterministic only when every pair of jobs touching
+    the same channel is ordered by a precedence path in the derived
+    task graph.  An O(J^2) job-level transitive-closure bitset decides
+    this per plan (it survives as the differential oracle
+    [Fppn_fuzz.Static_diff.closure_conflicts_ordered]).  This module
+    decides the same property {e statically at the process level}: the infinite job sequence folds over one hyperperiod into
     (process, phase) classes — at most [burst * H / T'] per process —
     and job-level reachability between two processes reduces to a
     single monotone sweep over those classes in the total invocation
@@ -67,10 +68,10 @@ type hotspot = {
   hs_total_utilization : Rt_util.Rat.t;
 }
 (** A partition-cut hotspot: the accessor pair's combined utilization
-    exceeds the balanced-partition share [1.1 * total / 2] that
-    {!Runtime.Partition} enforces, so any balanced cut into [>= 2]
-    shards must place writer and reader on different shards and pay a
-    cross-shard mailbox for this channel. *)
+    exceeds the balanced-partition share [1.1 * total / 2], so any cut
+    of the processors into [>= 2] parts balanced within that share must
+    place writer and reader on different parts, and the channel's
+    traffic crosses the cut. *)
 
 type t = {
   network : string;
@@ -92,4 +93,5 @@ val analyse : Model.t -> t
 
 val shardable : t -> bool
 (** [true] iff every channel verdict is [Ordered] — the precondition
-    under which the sharded engine is deterministic by construction. *)
+    under which a runtime that runs jobs in parallel, in any order the
+    task graph allows, is deterministic by construction. *)

@@ -47,7 +47,8 @@ val lint_network :
 val lint_ast :
   ?file:string -> ?processors:int -> Fppn_lang.Ast.network -> Diagnostic.t list
 (** Lints a parsed [.fppn] network {e before} elaboration, so even
-    networks the builder would reject produce positioned diagnostics. *)
+    networks the builder would reject produce positioned diagnostics.
+    @raise Fppn_lang.Elaborate.Error as {!Model.of_ast}. *)
 
 val lint_spec :
   ?processors:int -> Fppn_apps.Randgen.spec -> Diagnostic.t list

@@ -93,13 +93,7 @@ let of_ast ?file (n : Ast.network) =
   let procs =
     List.map
       (fun (p : Ast.process_decl) ->
-        let sporadic, burst, period, deadline =
-          match p.Ast.event with
-          | Ast.Periodic { burst; period; deadline } ->
-            (false, burst, period, deadline)
-          | Ast.Sporadic { burst; period; deadline } ->
-            (true, burst, period, deadline)
-        in
+        let ev = Fppn_lang.Elaborate.event p in
         let reads, writes =
           match p.Ast.behavior with
           | Ast.Extern -> (None, None)
@@ -109,10 +103,10 @@ let of_ast ?file (n : Ast.network) =
         in
         {
           p_name = p.Ast.p_name;
-          p_sporadic = sporadic;
-          p_burst = burst;
-          p_period = period;
-          p_deadline = deadline;
+          p_sporadic = Fppn.Event.is_sporadic ev;
+          p_burst = ev.Fppn.Event.burst;
+          p_period = ev.Fppn.Event.period;
+          p_deadline = ev.Fppn.Event.deadline;
           p_wcet = p.Ast.wcet;
           p_reads = reads;
           p_writes = writes;

@@ -57,7 +57,10 @@ val of_ast : ?file:string -> Fppn_lang.Ast.network -> t
 (** Keeps duplicate declarations and unknown references for the
     analyzer to report.  Machine behaviors expose their channel
     accesses; [extern] behaviors are opaque.  Per-process [wcet]
-    annotations populate [p_wcet]. *)
+    annotations populate [p_wcet].
+    @raise Fppn_lang.Elaborate.Error as {!Fppn_lang.Elaborate.event}
+    does, at the first process whose event parameters {!Fppn.Event}
+    rejects: no analysis is defined on a zero period. *)
 
 val of_spec : Fppn_apps.Randgen.spec -> t
 (** Mirrors {!Fppn_apps.Randgen.build} (generic bodies read every input

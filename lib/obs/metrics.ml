@@ -6,7 +6,7 @@ let enabled () = !on
 
 (* Counters are striped per domain and merged on read: an increment
    lands in the stripe indexed by the caller's domain id, so concurrent
-   workers (fuzz cases, shard engines) never bounce one cache line or
+   workers (fuzz cases, service tenants) never bounce one cache line or
    CAS word between domains on the hot path.  Totals are exact — every
    increment is in exactly one stripe — so counter values stay
    deterministic across worker counts as long as the set of increments

@@ -667,13 +667,13 @@ let sorted_order plan r =
   done;
   perm
 
-(* The result of the tick core, sequential or sharded: statistics,
-   the common [engine.*] counters, history snapshots that decouple the
-   result from the pooled [state], and the lazily sorted trace.  The
-   result owns [recs].  With [template = (tpl_frame, t)], frames after
-   [tpl_frame] were replayed: each is [t], the template frame's records,
-   shifted by whole hyperperiods — so it counts [t]'s per-frame figures,
-   whose misses and responses are shift-invariant. *)
+(* The result of the tick core: statistics, the common [engine.*]
+   counters, history snapshots that decouple the result from the pooled
+   [state], and the lazily sorted trace.  The result owns [recs].  With
+   [template = (tpl_frame, t)], frames after [tpl_frame] were replayed:
+   each is [t], the template frame's records, shifted by whole
+   hyperperiods — so it counts [t]'s per-frame figures, whose misses and
+   responses are shift-invariant. *)
 let packed_result (derived : Derive.t) config plan state ~unhandled_events
     ?template recs =
   let g = derived.Derive.graph in
@@ -914,29 +914,15 @@ let pooled_scratch derived sched plan ~n_procs ~cap0 =
   Bytes.fill sc.sc_recs.r_skip 0 (Bytes.length sc.sc_recs.r_skip) '\000';
   sc
 
-(* A sharded run declines: its caller falls back to the sequential
-   core. *)
-exception Shard_fallback
-
 (* The tick core.  It appends every record at job start, which is the
-   order the bodies run in.  With [bodies], the same event loop runs
-   once as a pure timing pass — valid only for plans with fixed
-   durations and no per-access cost, whose timing does not depend on
-   the bodies.  It runs no body, no replay, and records no per-job span
-   or queue-depth counter; it writes the records into a buffer the
-   result then owns, and hands that buffer to [bodies] before the
-   result snapshots the histories.  It raises [Shard_fallback] when the
-   records cannot be run frame by frame: a record finishing past its
-   frame end, or fewer than n·frames records (an order-infeasible
-   schedule stranded some processors).  With [monitor], [plan] must be
-   compiled with it. *)
-let exec_ticks ?bodies ?monitor net (derived : Derive.t) sched config
+   order the bodies run in.  With [monitor], [plan] must be compiled
+   with it. *)
+let exec_ticks ?monitor net (derived : Derive.t) sched config
     ~unhandled_events plan =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let frames = config.frames in
   let n_procs = config.platform.Platform.n_procs in
-  let deferred = Option.is_some bodies in
   let monitored = Option.is_some monitor in
   let degraded = Bytes.make (if monitored then frames else 0) '\000' in
   let state = pooled_state net in
@@ -958,18 +944,14 @@ let exec_ticks ?bodies ?monitor net (derived : Derive.t) sched config
      replays. *)
   let tpl_frame = if plan.first_t = plan.steady_t then 0 else 1 in
   let replay_candidate =
-    (not deferred) && (not monitored) && plan.dur_t <> None
+    (not monitored) && plan.dur_t <> None
     && plan.per_access_t = 0
     && (not have_stamps) && frames > tpl_frame + 1
   in
   (* records as packed parallel arrays; presized for the head
-     frames when replay may make the rest implicit, grown once if not.
-     A deferred run writes its own full-horizon buffer and leaves the
-     pooled one small. *)
+     frames when replay may make the rest implicit, grown once if not *)
   let cap0 =
-    max 1
-      (if replay_candidate || deferred then (tpl_frame + 1) * n
-       else n * frames)
+    max 1 (if replay_candidate then (tpl_frame + 1) * n else n * frames)
   in
   let sc = pooled_scratch derived sched plan ~n_procs ~cap0 in
   let procs = sc.sc_procs in
@@ -980,9 +962,7 @@ let exec_ticks ?bodies ?monitor net (derived : Derive.t) sched config
   let w_proc = sc.sc_w_proc in
   let w_frame = sc.sc_w_frame in
   let w_len = sc.sc_w_len in
-  let recs =
-    ref (if deferred then make_recs (max 1 (n * frames)) else sc.sc_recs)
-  in
+  let recs = ref sc.sc_recs in
   let s_n = ref 0 in
   let push_rec job frame invoked start finish deadline skipped =
     let i = !s_n in
@@ -998,8 +978,8 @@ let exec_ticks ?bodies ?monitor net (derived : Derive.t) sched config
      single immutable-bool branch per site when tracing is off; job
      labels are pre-interned so per-job spans never hash on dispatch,
      and spans open/close through the preallocated ring without any
-     closure allocation.  A timing pass records none of them. *)
-  let tracing = Trace.enabled () && not deferred in
+     closure allocation *)
+  let tracing = Trace.enabled () in
   let span_ids =
     if tracing then
       Array.init n (fun j -> Trace.intern (Job.label (Graph.job g j)))
@@ -1166,9 +1146,8 @@ let exec_ticks ?bodies ?monitor net (derived : Derive.t) sched config
             let a0 =
               if plan.per_access_t = 0 then 0 else Netstate.access_count state
             in
-            if not deferred then
-              Netstate.run_job_fast state ~proc:plan.body_proc.(job)
-                ~now:(now_rat stamp);
+            Netstate.run_job_fast state ~proc:plan.body_proc.(job)
+              ~now:(now_rat stamp);
             if tracing then Trace.span_end ();
             let duration =
               (match plan.dur_t with
@@ -1357,27 +1336,16 @@ let exec_ticks ?bodies ?monitor net (derived : Derive.t) sched config
      else Trace.with_span "engine.eventloop" run_all
    end
    else Trace.with_span "engine.eventloop" run_all);
+  (* the scratch buffers belong to the pool and are overwritten by the
+     next run, so the result owns exact-length copies — a few dozen
+     entries when replay kept the records implicit *)
   let result =
-    match bodies with
-    | None ->
-      (* the scratch buffers belong to the pool and are overwritten by
-         the next run, so the result owns exact-length copies — a few
-         dozen entries when replay kept the records implicit *)
-      packed_result derived config plan state ~unhandled_events
-        ?template:
-          (if !replayed then
-             Some (tpl_frame, copy_recs ~off:(tpl_frame * n) !recs n)
-           else None)
-        (copy_recs !recs !s_n)
-    | Some run_bodies ->
-      let r = !recs in
-      if !s_n < n * frames then raise Shard_fallback;
-      for i = 0 to !s_n - 1 do
-        if r.r_finish.(i) > (r.r_frame.(i) + 1) * plan.h_t then
-          raise Shard_fallback
-      done;
-      run_bodies state r;
-      packed_result derived config plan state ~unhandled_events r
+    packed_result derived config plan state ~unhandled_events
+      ?template:
+        (if !replayed then
+           Some (tpl_frame, copy_recs ~off:(tpl_frame * n) !recs n)
+         else None)
+      (copy_recs !recs !s_n)
   in
   if Metrics.enabled () then begin
     Metrics.add (Metrics.counter "engine.queue_pushes") !q_pushes;
@@ -1460,369 +1428,7 @@ let run_reference ?monitor net derived sched config =
           exec_rat ?monitor net derived sched config ~assigned
             ~unhandled_events))
 
-(* ------------------------------------------------------------------ *)
-(* Sharded core: the tick engine's timeline, job bodies on K shards.   *)
-(*                                                                     *)
-(* When every duration is a fixed, strictly positive tick count and    *)
-(* channel accesses cost nothing, the timing of every round does not   *)
-(* depend on the job bodies.  The tick core's event loop then runs     *)
-(* once as a timing pass with the bodies deferred: it yields [run]'s   *)
-(* records, in the order the sequential engine runs their bodies.      *)
-(* Only the bodies run on K domains: each shard walks its own          *)
-(* processors' records in that order, grouped by frame, and waits on   *)
-(* single-writer single-reader mailboxes for the bodies of cross-shard *)
-(* predecessors.  A frame barrier separates the frames, so a mailbox   *)
-(* is one word per cut edge, reused every frame.                       *)
-(*                                                                     *)
-(* Trace and stats come from [run]'s own event loop, so bit-identity   *)
-(* needs only the body order.  Every pair of jobs touching a common    *)
-(* channel is ordered by a precedence path (proven once per network by *)
-(* the static certificate); the sequential engine runs the pair in     *)
-(* path order, and so does every sharded interleaving — in-shard by    *)
-(* the walk, cross-shard by the mailbox waits.  Each wait points       *)
-(* backwards in one sequential order, so none can deadlock.  Frames    *)
-(* run apart as in the sequential engine because no record finishes   *)
-(* past its frame end.  Whenever any precondition fails — rational-    *)
-(* only plan, sampled or zero durations, per-access costs, unordered   *)
-(* channel conflicts, frame spill, an order-infeasible schedule — the  *)
-(* run falls back to the sequential core, so [run_sharded] is total on *)
-(* exactly [run]'s domain and always returns [run]'s answer.           *)
-(* ------------------------------------------------------------------ *)
-
-(* Shard-crossing routing, fixed per (plan, schedule, K): the flat
-   predecessor segments annotated with a mailbox id per crossing edge,
-   the per-job list of mailboxes to publish into, and the mailbox words
-   themselves.  A mailbox belongs to exactly one edge, so it has one
-   writing and one reading shard; its word is the number of frames
-   whose producer body has run. *)
-type shard_plan = {
-  sp_plan : tick_plan;
-  sp_sched : Static_schedule.t;
-  sp_net : Network.t;
-  sp_k : int;
-  sp_part : Partition.t;
-  sp_pred_off : int array;
-  sp_pred_mb : int array;  (* aligned with the predecessor segments; -1 = in-shard *)
-  sp_out_off : int array;
-  sp_out_mb : int array;
-  sp_mb_body : int Atomic.t array;
-}
-
-let build_shard_plan net (derived : Derive.t) sched plan ~k =
-  let g = derived.Derive.graph in
-  let n = Graph.n_jobs g in
-  let part = Partition.make ~shards:k derived sched in
-  let pred_off, pred_job = pred_segments g in
-  let m_edges = pred_off.(n) in
-  let shard_of_job j = part.Partition.shard_of_proc.(plan.proc_of.(j)) in
-  let pred_mb = Array.make (max 1 m_edges) (-1) in
-  let out_off = Array.make (n + 1) 0 in
-  let n_mb = ref 0 in
-  for j = 0 to n - 1 do
-    for i = pred_off.(j) to pred_off.(j + 1) - 1 do
-      let q = pred_job.(i) in
-      if shard_of_job q <> shard_of_job j then begin
-        pred_mb.(i) <- !n_mb;
-        incr n_mb;
-        out_off.(q + 1) <- out_off.(q + 1) + 1
-      end
-    done
-  done;
-  for q = 0 to n - 1 do
-    out_off.(q + 1) <- out_off.(q + 1) + out_off.(q)
-  done;
-  let out_mb = Array.make (max 1 !n_mb) 0 in
-  let cursor = Array.make (max 1 n) 0 in
-  for j = 0 to n - 1 do
-    for i = pred_off.(j) to pred_off.(j + 1) - 1 do
-      let mb = pred_mb.(i) in
-      if mb >= 0 then begin
-        let q = pred_job.(i) in
-        out_mb.(out_off.(q) + cursor.(q)) <- mb;
-        cursor.(q) <- cursor.(q) + 1
-      end
-    done
-  done;
-  {
-    sp_plan = plan;
-    sp_sched = sched;
-    sp_net = net;
-    sp_k = k;
-    sp_part = part;
-    sp_pred_off = pred_off;
-    sp_pred_mb = pred_mb;
-    sp_out_off = out_off;
-    sp_out_mb = out_mb;
-    sp_mb_body = Array.init (max 1 !n_mb) (fun _ -> Atomic.make 0);
-  }
-
-let shard_plan_key : shard_plan option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let pooled_shard_plan net derived sched plan ~k =
-  let pool = Domain.DLS.get shard_plan_key in
-  match !pool with
-  | Some sp
-    when sp.sp_plan == plan && sp.sp_sched == sched && sp.sp_net == net
-         && sp.sp_k = k ->
-    sp
-  | _ ->
-    let sp =
-      Trace.with_span "engine.shard_plan" (fun () ->
-          build_shard_plan net derived sched plan ~k)
-    in
-    pool := Some sp;
-    sp
-
-(* Shardability is decided by the static certificate (Fppn_lint):
-   per-channel path-ordering proven on (process, hyperperiod-phase)
-   classes, independent of the job count — this is what lifted the old
-   16384-job closure cap.  The verdict depends only on the network, so
-   it is DLS-memoized on physical equality like the plans above. *)
-let certificate_key : (Network.t * bool) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let certified_shardable net =
-  let pool = Domain.DLS.get certificate_key in
-  match !pool with
-  | Some (n, ok) when n == net -> ok
-  | _ ->
-    let t0 = Trace.now_ns () in
-    let ok =
-      Trace.with_span "engine.certify" (fun () ->
-          Fppn_lint.Certificate.(shardable (of_network net)))
-    in
-    if Metrics.enabled () then
-      Metrics.add
-        (Metrics.counter "engine.certify_ticks")
-        (Trace.now_ns () - t0);
-    pool := Some (net, ok);
-    ok
-
-(* Sense-reversing frame barrier with a bounded spin followed by
-   mutex/condvar parking.  A pure spin is fine when every shard owns a
-   core, but oversubscribed hosts (more shards than cores — exactly the
-   situation Pool.recommended_domains cannot rule out when the caller
-   forces a shard count) would burn whole scheduler quanta busy-waiting
-   while the shard that everyone waits for is descheduled.  Waiters
-   therefore spin [barrier_spin_budget] iterations of Domain.cpu_relax
-   (cheap when the barrier turns over quickly) and then park on the
-   barrier's condvar; the last arriver flips the sense under the lock
-   and broadcasts, so there is no lost-wakeup window.
-
-   [bail] lets waiters leave when another shard aborted.  Spinners poll
-   it; parked waiters re-check it on every wakeup, so abort setters
-   must call [barrier_wake] after raising their flag. *)
-type shard_barrier = {
-  parties : int;
-  arrived : int Atomic.t;
-  sense : int Atomic.t;
-  lock : Mutex.t;
-  cond : Condition.t;
-}
-
-let make_barrier parties =
-  {
-    parties;
-    arrived = Atomic.make 0;
-    sense = Atomic.make 0;
-    lock = Mutex.create ();
-    cond = Condition.create ();
-  }
-
-let barrier_spin_budget = 4096
-
-let barrier_wake b =
-  Mutex.lock b.lock;
-  Condition.broadcast b.cond;
-  Mutex.unlock b.lock
-
-let barrier_await b ~bail =
-  let s = Atomic.get b.sense in
-  if Atomic.fetch_and_add b.arrived 1 = b.parties - 1 then begin
-    Atomic.set b.arrived 0;
-    Mutex.lock b.lock;
-    Atomic.set b.sense (s + 1);
-    Condition.broadcast b.cond;
-    Mutex.unlock b.lock
-  end
-  else begin
-    let spins = ref 0 in
-    while
-      Atomic.get b.sense = s && not (bail ()) && !spins < barrier_spin_budget
-    do
-      incr spins;
-      Domain.cpu_relax ()
-    done;
-    if Atomic.get b.sense = s && not (bail ()) then begin
-      Mutex.lock b.lock;
-      while Atomic.get b.sense = s && not (bail ()) do
-        Condition.wait b.cond b.lock
-      done;
-      Mutex.unlock b.lock
-    end
-  end
-
-(* spins with no global progress before declaring the run stalled; the
-   walk order rules a stall out, so the guard only turns a bug into a
-   fallback instead of a hang *)
-let shard_stall_limit = 1 lsl 28
-
-(* The body phase: [recs] holds the timing pass's records in job start
-   order.  Each shard runs the bodies of its own processors' records in
-   that order, grouped by frame, each behind the bodies of its
-   cross-shard predecessors.  Raises [Shard_fallback] when a shard
-   stalls or a body raises, after every shard has stopped. *)
-let exec_sharded config plan sp state recs =
-  let frames = config.frames in
-  let k = sp.sp_k in
-  let shard_of_proc = sp.sp_part.Partition.shard_of_proc in
-  let pred_off = sp.sp_pred_off
-  and pred_mb = sp.sp_pred_mb
-  and out_off = sp.sp_out_off
-  and out_mb = sp.sp_out_mb
-  and mb_body = sp.sp_mb_body in
-  let rj = recs.r_job and rf = recs.r_frame in
-  let m = Array.length rj in
-  Array.iter (fun a -> Atomic.set a 0) mb_body;
-  let error : exn option Atomic.t = Atomic.make None in
-  let stalled = Atomic.make false in
-  let bail () = Atomic.get stalled || Atomic.get error <> None in
-  (* bumped on every body; a spinner that sees it move knows the system
-     is alive and resets its stall count *)
-  let epoch = Atomic.make 0 in
-  (* every abort-flag raise must wake parked barrier waiters, or they
-     would sleep on a condvar nobody signals again *)
-  let barrier = make_barrier k in
-  let sent = Array.make k 0 in
-  let run_shard s =
-    let mine i = shard_of_proc.(plan.proc_of.(rj.(i))) = s in
-    (* the shard's records grouped by frame, a stable counting sort:
-       frame [f] is [walk.(first.(f)) .. walk.(first.(f + 1) - 1)] *)
-    let first = Array.make (frames + 1) 0 in
-    for i = 0 to m - 1 do
-      if mine i then first.(rf.(i) + 1) <- first.(rf.(i) + 1) + 1
-    done;
-    for f = 1 to frames do
-      first.(f) <- first.(f) + first.(f - 1)
-    done;
-    let walk = Array.make (max 1 first.(frames)) 0 in
-    let next = Array.sub first 0 frames in
-    for i = 0 to m - 1 do
-      if mine i then begin
-        walk.(next.(rf.(i))) <- i;
-        next.(rf.(i)) <- next.(rf.(i)) + 1
-      end
-    done;
-    let now_rat = rat_cache plan.tb in
-    (* a local until the shard finishes: [sent]'s slots share a cache
-       line, and per-job writes there would bounce it between domains *)
-    let msgs = ref 0 in
-    for f = 0 to frames - 1 do
-      let idx = ref first.(f) in
-      while !idx < first.(f + 1) && not (bail ()) do
-        let ri = walk.(!idx) in
-        let job = rj.(ri) in
-        let guard = ref 0 in
-        let last_epoch = ref (Atomic.get epoch) in
-        let ei = ref pred_off.(job) in
-        let hi = pred_off.(job + 1) in
-        while !ei < hi && not (bail ()) do
-          let mb = pred_mb.(!ei) in
-          if mb >= 0 && Atomic.get mb_body.(mb) <= f then begin
-            let e = Atomic.get epoch in
-            if e <> !last_epoch then begin
-              last_epoch := e;
-              guard := 0
-            end
-            else begin
-              incr guard;
-              if !guard > shard_stall_limit then begin
-                Atomic.set stalled true;
-                barrier_wake barrier
-              end
-            end;
-            Domain.cpu_relax ()
-          end
-          else incr ei
-        done;
-        if not (bail ()) then begin
-          if Bytes.get recs.r_skip ri = '\000' then
-            Netstate.run_job_fast state ~proc:plan.body_proc.(job)
-              ~now:(now_rat recs.r_invoked.(ri));
-          for o = out_off.(job) to out_off.(job + 1) - 1 do
-            Atomic.set mb_body.(out_mb.(o)) (f + 1);
-            incr msgs
-          done;
-          Atomic.incr epoch;
-          incr idx
-        end
-      done;
-      barrier_await barrier ~bail
-    done;
-    sent.(s) <- !msgs
-  in
-  let guarded s () =
-    try run_shard s
-    with e ->
-      ignore (Atomic.compare_and_set error None (Some e));
-      barrier_wake barrier
-  in
-  let domains =
-    Array.init (k - 1) (fun i ->
-        let s = i + 1 in
-        Domain.spawn (fun () -> Rt_util.Pool.with_self_id s (guarded s)))
-  in
-  guarded 0 ();
-  Array.iter Domain.join domains;
-  if bail () then raise Shard_fallback;
-  if Metrics.enabled () then begin
-    Metrics.incr (Metrics.counter "engine.sharded_runs");
-    Metrics.set_gauge (Metrics.gauge "engine.shards") (float_of_int k);
-    Metrics.add
-      (Metrics.counter "engine.xshard_messages")
-      (Array.fold_left ( + ) 0 sent);
-    Metrics.set_gauge
-      (Metrics.gauge "engine.shard_cut_edges")
-      (float_of_int sp.sp_part.Partition.cut_edges)
-  end
-
-(* fixed, strictly positive tick durations and free channel accesses:
-   the timing does not depend on the bodies *)
-let body_independent plan =
-  match plan.dur_t with
-  | Some durs -> plan.per_access_t = 0 && Array.for_all (fun d -> d >= 1) durs
-  | None -> false
-
-let run_sharded ?shards net derived sched config =
-  Trace.with_span "engine.run_sharded" (fun () ->
-      let requested =
-        match shards with
-        | Some s when s >= 1 -> s
-        | _ -> Rt_util.Pool.recommended_domains ()
-      in
-      let k = max 1 (min requested config.platform.Platform.n_procs) in
-      if k <= 1 then run net derived sched config
-      else begin
-        let assigned, unhandled_events = prologue net derived sched config in
-        let fallback () =
-          if Metrics.enabled () then
-            Metrics.incr (Metrics.counter "engine.shard_fallbacks");
-          run net derived sched config
-        in
-        match compiled_plan net derived sched config ~assigned with
-        | Some plan when body_independent plan && certified_shardable net -> (
-          let sp = pooled_shard_plan net derived sched plan ~k in
-          match
-            Trace.with_span "engine.exec.sharded" (fun () ->
-                exec_ticks
-                  ~bodies:(exec_sharded config plan sp)
-                  net derived sched config ~unhandled_events plan)
-          with
-          | result -> result
-          | exception Shard_fallback -> fallback ())
-        | _ -> fallback ()
-      end)
+let run_sharded ?shards:_ net derived sched config = run net derived sched config
 
 let signature r =
   List.sort

@@ -103,34 +103,9 @@ val run :
 val run_sharded :
   ?shards:int ->
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
-(** {!run} with the job bodies on [shards] cooperating domains
-    (default: the host's {!Rt_util.Pool.recommended_domains}, clamped
-    to the platform's processor count).  With fixed durations the
-    timing of every round does not depend on the bodies, so the run is
-    one timing pass plus one body phase.  The timing pass is {!run}'s
-    own event loop with the bodies deferred: it yields {!run}'s
-    records, trace and stats, in the order the sequential engine runs
-    the bodies.  The body phase cuts the scheduled processors into
-    shards by {!Partition.make}; each shard runs its own records'
-    bodies in that order, frame by frame, and waits for the bodies of
-    cross-shard predecessors on single-writer mailboxes.  Frames are
-    separated by barriers (sense-reversing, with a bounded spin before
-    parking on a condvar, so oversubscribed hosts do not burn a core
-    per waiting shard).  The result — trace, channel and output
-    histories, stats — is bit-identical to {!run}'s: only the body
-    order needs an argument, and the certificate below supplies it.
-
-    Sharding engages only when the compiled plan has fixed, strictly
-    positive tick durations, no per-access cost, and the static
-    shardability certificate ({!Fppn_lint.Certificate}) proves every
-    pair of jobs sharing a channel ordered by a precedence path — a
-    process-level quotient argument, so there is no job-count cap;
-    certification is DLS-memoized per network and its (one-off) cost
-    is the [engine.certify_ticks] metric.  Otherwise (and on frame
-    spill, i.e. overload past a frame boundary, or an order-infeasible
-    schedule) the run transparently falls back to the sequential core,
-    counted by the [engine.shard_fallbacks] metric.  Raises as
-    {!run}. *)
+(** {!run}, ignoring [shards]: an alias kept only because the benchmark
+    harness ([perfbench/common.ml]), which changes only together with
+    the benchmark itself, still calls it. *)
 
 val run_reference :
   ?monitor:monitor ->

@@ -71,11 +71,6 @@ let default_jobs = recommended_domains
 let self_key = Domain.DLS.new_key (fun () -> 0)
 let self_id () = Domain.DLS.get self_key
 
-let with_self_id id f =
-  let old = Domain.DLS.get self_key in
-  Domain.DLS.set self_key id;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set self_key old) f
-
 (* Oversubscribing domains is a reliable slowdown (BENCH.json recorded a
    0.37x "speedup" at jobs=4 on a 1-domain box), so user-facing tools
    clamp their --jobs to what the host can actually run in parallel. *)

@@ -37,13 +37,6 @@ val self_id : unit -> int
     timings) to the domain that actually ran them without threading
     the pool handle through. *)
 
-val with_self_id : int -> (unit -> 'a) -> 'a
-(** [with_self_id id f] runs [f] with {!self_id} reading [id] on the
-    calling domain, restoring the previous id afterwards.  For domains
-    that participate in parallel work outside any pool (the sharded
-    engine's shard domains), so their trace lanes and attributions
-    stay distinguishable. *)
-
 val pending : t -> int
 (** Number of tasks currently enqueued and not yet picked up by any
     worker (a point-in-time queue-depth reading, taken under the pool

@@ -102,9 +102,8 @@ let run ?(config = default_config) ~wcet net =
          (Rat.to_string d.Derive.hyperperiod)
          (Taskgraph.Graph.n_jobs g) (Taskgraph.Graph.n_edges g));
     (* static shardability certification: every channel's accessor jobs
-       proven precedence-ordered at the quotient level — the gate
-       Engine.run_sharded consults.  Hazards/hotspots surface in the
-       detail either way. *)
+       proven precedence-ordered at the quotient level.  Hazards/hotspots
+       surface in the detail either way. *)
     (let cert =
        Fppn_lint.Certificate.of_network ~wcet:(fun n -> Some (wcet n)) net
      in

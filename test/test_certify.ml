@@ -3,8 +3,8 @@
    diagnostics over inline .fppn sources, a byte-pinned certificate
    JSON schema with of_json/validate round-trips, a QCheck agreement
    property against the legacy job-level transitive closure, and the
-   headline >16384-job engagement run the old [max_closure_jobs] cap
-   made impossible. *)
+   headline >16384-job network the old [max_closure_jobs] cap could not
+   certify. *)
 
 module Rat = Rt_util.Rat
 module Prng = Rt_util.Prng
@@ -16,9 +16,6 @@ module Randgen = Fppn_apps.Randgen
 module Campaign = Fppn_fuzz.Campaign
 module Derive = Taskgraph.Derive
 module Graph = Taskgraph.Graph
-module Engine = Runtime.Engine
-module List_scheduler = Sched.List_scheduler
-module Metrics = Fppn_obs.Metrics
 
 let qprop name ?(count = 100) ?print gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ?print gen f)
@@ -209,9 +206,9 @@ let prop_agrees_with_closure =
           Graph.n_jobs g > 16384
           || ok = Fppn_fuzz.Static_diff.closure_conflicts_ordered g net))
 
-(* --- the headline run: >16384 jobs through the sharded path ------------- *)
+(* --- the headline network: >16384 jobs -------------------------------- *)
 
-let test_wide_network_engages_sharded () =
+let test_wide_network_certifies () =
   let spec = Randgen.wide_spec () in
   let net = Randgen.build_exn spec in
   let wcet =
@@ -221,33 +218,10 @@ let test_wide_network_engages_sharded () =
   | Error e ->
     Alcotest.failf "derive failed: %s" (Format.asprintf "%a" Derive.pp_error e)
   | Ok d ->
-    let g = d.Derive.graph in
     Alcotest.(check bool) "beyond the old closure cap" true
-      (Graph.n_jobs g > 16384);
-    let cert = Certificate.of_network net in
+      (Graph.n_jobs d.Derive.graph > 16384);
     Alcotest.(check bool) "certificate accepts" true
-      (Certificate.shardable cert);
-    let sched =
-      List_scheduler.schedule_with ~heuristic:Sched.Priority.Alap_edf
-        ~n_procs:4 g
-    in
-    let config = Engine.default_config ~frames:1 ~n_procs:4 () in
-    let were = Metrics.enabled () in
-    Metrics.set_enabled true;
-    Fun.protect
-      ~finally:(fun () -> Metrics.set_enabled were)
-      (fun () ->
-        let runs = Metrics.counter "engine.sharded_runs" in
-        let fbs = Metrics.counter "engine.shard_fallbacks" in
-        let runs0 = Metrics.counter_value runs
-        and fbs0 = Metrics.counter_value fbs in
-        let sharded = Engine.run_sharded ~shards:2 net d sched config in
-        Alcotest.(check bool) "sharded path engaged" true
-          (Metrics.counter_value runs > runs0);
-        Alcotest.(check int) "no fallback" fbs0 (Metrics.counter_value fbs);
-        let sequential = Engine.run net d sched config in
-        Alcotest.(check bool) "bit-identical to the sequential engine" true
-          (Engine.signature sharded = Engine.signature sequential))
+      (Certificate.shardable (Certificate.of_network net))
 
 let () =
   Alcotest.run "certify"
@@ -270,7 +244,7 @@ let () =
       ( "differential",
         [
           prop_agrees_with_closure;
-          Alcotest.test_case "wide network (>16384 jobs) runs sharded" `Slow
-            test_wide_network_engages_sharded;
+          Alcotest.test_case "wide network (>16384 jobs) certifies" `Slow
+            test_wide_network_certifies;
         ] );
     ]

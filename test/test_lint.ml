@@ -317,6 +317,37 @@ let test_elaborate_positions () =
        in
        mem 0)
 
+(* lint and certify read the AST model, info, derive and check the
+   elaborated network: a zero period gets the same answer from both, at
+   the first process that declares one *)
+let test_zero_period () =
+  let src =
+    {|network z {
+  process A : periodic 0 deadline 0 {
+    loc main { when true do 1 ! c goto main; }
+  }
+  process B : periodic 0 deadline 0 {
+    var x := 0;
+    loc main { when true do x ? c goto main; }
+  }
+  channel fifo c : A -> B;
+  priority A -> B;
+}|}
+  in
+  let ast = Fppn_lang.Parser.parse src in
+  let answer what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a zero period" what
+    | exception Fppn_lang.Elaborate.Error (msg, pos) ->
+      Alcotest.(check (triple string int int))
+        what
+        ("Event: period must be positive", 2, 3)
+        (msg, pos.Ast.line, pos.Ast.col)
+  in
+  answer "lint" (fun () -> ignore (Lint.lint_ast ast));
+  answer "certify" (fun () -> ignore (Fppn_lint.Model.of_ast ast));
+  answer "elaboration" (fun () -> ignore (Fppn_lang.Elaborate.to_network ast))
+
 (* --- checker integration ------------------------------------------------ *)
 
 let test_checker_fails_fast_on_lint_errors () =
@@ -491,6 +522,8 @@ let () =
         [
           Alcotest.test_case "built-in apps lint error-free" `Quick test_apps_error_free;
           Alcotest.test_case "elaboration errors carry positions" `Quick test_elaborate_positions;
+          Alcotest.test_case "zero period reported at the process" `Quick
+            test_zero_period;
           Alcotest.test_case "checker fails fast on lint errors" `Quick
             test_checker_fails_fast_on_lint_errors;
           Alcotest.test_case "checker leads with passing lint" `Quick

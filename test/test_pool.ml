@@ -1,5 +1,8 @@
 module Pool = Rt_util.Pool
 
+let qprop name ?(count = 100) ?print gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ?print gen f)
+
 let test_map_preserves_order () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let input = Array.init 100 (fun i -> i) in
@@ -151,6 +154,59 @@ let test_chunking () =
                (Array.init 33 (fun i -> i))))
         [ 1; 2; 7; 33; 100 ])
 
+(* --- order preservation under stealing --------------------------------- *)
+
+let pool_case_gen =
+  QCheck2.Gen.(
+    let* n = int_range 0 500 in
+    let* jobs = int_range 1 8 in
+    let+ chunk = int_range 1 7 in
+    (n, jobs, chunk))
+
+let pool_case_print (n, jobs, chunk) =
+  Printf.sprintf "{n=%d; jobs=%d; chunk=%d}" n jobs chunk
+
+(* work-stealing may run blocks on any worker in any order; results
+   must still land at their input index, for any grain *)
+let prop_pool_order =
+  qprop "parallel_map preserves input order under stealing" ~count:60
+    ~print:pool_case_print pool_case_gen
+    (fun (n, jobs, chunk) ->
+      let input = Array.init n (fun i -> (i * 7919) lxor 0x2a) in
+      let f x = (x * x) + (x lsr 3) in
+      let expected = Array.map f input in
+      Pool.with_pool ~jobs (fun pool ->
+          Pool.parallel_map ~chunk pool f input = expected
+          && Pool.map_list ~chunk pool f (Array.to_list input)
+             = Array.to_list expected))
+
+let prop_pool_for =
+  qprop "parallel_for writes every index exactly once" ~count:40
+    ~print:pool_case_print pool_case_gen
+    (fun (n, jobs, chunk) ->
+      let hits = Array.make (max 1 n) 0 in
+      Pool.with_pool ~jobs (fun pool ->
+          Pool.parallel_for ~chunk pool n (fun i ->
+              hits.(i) <- hits.(i) + 1));
+      Array.for_all (fun h -> h = 1) (Array.sub hits 0 n) || n = 0)
+
+let test_steal_counter_monotone () =
+  let s0 = Pool.steals () in
+  Pool.with_pool ~jobs:4 (fun pool ->
+      for _ = 1 to 5 do
+        ignore
+          (Pool.parallel_map ~chunk:1 pool
+             (fun x ->
+               (* uneven work invites steals; the counter must only grow *)
+               let acc = ref x in
+               for _ = 1 to (x mod 7) * 400 do
+                 acc := (!acc * 31) land 0xffffff
+               done;
+               !acc)
+             (Array.init 200 Fun.id))
+      done);
+  Alcotest.(check bool) "steal counter monotone" true (Pool.steals () >= s0)
+
 let () =
   Alcotest.run "pool"
     [
@@ -169,5 +225,9 @@ let () =
           Alcotest.test_case "nested maps" `Quick test_nested_maps;
           Alcotest.test_case "reuse and shutdown" `Quick test_pool_reuse_and_shutdown;
           Alcotest.test_case "chunk sizes" `Quick test_chunking;
+          prop_pool_order;
+          prop_pool_for;
+          Alcotest.test_case "steal counter monotone" `Quick
+            test_steal_counter_monotone;
         ] );
     ]

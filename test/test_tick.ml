@@ -5,18 +5,22 @@
    seed shipped with.  The two must agree bit-for-bit: same trace
    records (rationals reconstructed from ticks are structurally equal)
    and same channel/output histories, over random workloads covering
-   sporadic servers, execution-time jitter and multiple processors.
+   sporadic servers, execution-time jitter, frame overheads and
+   multiple processors.
 
    Beyond the random differential, targeted tests pin the replay
    machinery's edges: sporadic stamps landing mid-frame must disable
    hyperperiod replay, constant vs. variable durations must flip it on
    and off, >64-process networks must exercise the multi-word hot set,
-   and pooled scratch reuse across runs must stay invisible. *)
+   pooled scratch reuse across runs must stay invisible, and overload,
+   an order-infeasible schedule and a raising body must end as in the
+   reference. *)
 
 module Rat = Rt_util.Rat
 module Timebase = Rt_util.Timebase
 module Engine = Runtime.Engine
 module Exec_time = Runtime.Exec_time
+module Platform = Runtime.Platform
 module Derive = Taskgraph.Derive
 module List_scheduler = Sched.List_scheduler
 module Randgen = Fppn_apps.Randgen
@@ -36,6 +40,7 @@ type case = {
   n_procs : int;
   frames : int;
   exec_kind : int;  (* 0 constant, 1 uniform, 2 scaled *)
+  overhead_kind : int;  (* 0 none, 1 mppa_like, 2 small fractional *)
 }
 
 let case_gen =
@@ -43,15 +48,18 @@ let case_gen =
     let* seed = int_range 0 99999 in
     let* n_periodic = int_range 1 6 in
     let* n_sporadic = int_range 0 2 in
-    let* n_procs = int_range 1 3 in
+    let* n_procs = int_range 1 4 in
     let* frames = int_range 1 6 in
-    let+ exec_kind = int_range 0 2 in
-    { seed; n_periodic; n_sporadic; n_procs; frames; exec_kind })
+    let* exec_kind = int_range 0 2 in
+    let+ overhead_kind = int_range 0 2 in
+    { seed; n_periodic; n_sporadic; n_procs; frames; exec_kind; overhead_kind })
 
 let case_print c =
   Printf.sprintf
-    "{seed=%d; periodic=%d; sporadic=%d; procs=%d; frames=%d; exec=%d}" c.seed
-    c.n_periodic c.n_sporadic c.n_procs c.frames c.exec_kind
+    "{seed=%d; periodic=%d; sporadic=%d; procs=%d; frames=%d; exec=%d; \
+     overhead=%d}"
+    c.seed c.n_periodic c.n_sporadic c.n_procs c.frames c.exec_kind
+    c.overhead_kind
 
 (* fresh per run: [Exec_time.uniform] carries PRNG state, and sharing
    one value across both engines would entangle their draw sequences *)
@@ -61,9 +69,22 @@ let exec_of c =
   | 1 -> Exec_time.uniform ~seed:(c.seed + 1) ~min_fraction:0.25
   | _ -> Exec_time.scaled 0.5
 
+(* a first frame dearer than the steady ones, so frame 1 is the replay
+   template *)
+let overhead_of c =
+  match c.overhead_kind with
+  | 0 -> Platform.no_overhead
+  | 1 -> Platform.mppa_like
+  | _ ->
+    {
+      Platform.first_frame = Rat.make 7 4;
+      steady_frame = Rat.make 1 3;
+      per_access = Rat.zero;
+    }
+
 let wcet_scale = Rat.make 1 25
 
-let run_both c =
+let setup_of c =
   let net =
     Randgen.network
       {
@@ -88,13 +109,21 @@ let run_both c =
       let config () =
         {
           (Engine.default_config ~frames:c.frames ~n_procs:c.n_procs ()) with
-          Engine.exec = exec_of c;
+          Engine.platform =
+            Platform.create ~overhead:(overhead_of c) ~n_procs:c.n_procs ();
+          exec = exec_of c;
           sporadic;
         }
       in
-      let tick = Engine.run net d sched (config ()) in
-      let reference = Engine.run_reference net d sched (config ()) in
-      Some (tick, reference))
+      Some (net, d, sched, config))
+
+let run_both c =
+  match setup_of c with
+  | None -> None
+  | Some (net, d, sched, config) ->
+    let tick = Engine.run net d sched (config ()) in
+    let reference = Engine.run_reference net d sched (config ()) in
+    Some (tick, reference)
 
 let identical tick reference =
   List.equal
@@ -122,6 +151,21 @@ let prop_signature =
       | None -> true
       | Some (tick, reference) ->
         Engine.signature tick = Engine.signature reference)
+
+(* [Engine.run_sharded] is an alias of [Engine.run] that the benchmark
+   harness still calls; whatever shard count it is given, its output
+   histories must be the rational reference's. *)
+let prop_sharded_vs_reference =
+  qprop "sharded signature equals rational reference" ~count:60
+    ~print:case_print case_gen
+    (fun c ->
+      match setup_of c with
+      | None -> true
+      | Some (net, d, sched, config) ->
+        let shards = 1 + (c.seed mod 4) in
+        let sharded = Engine.run_sharded ~shards net d sched (config ()) in
+        let reference = Engine.run_reference net d sched (config ()) in
+        Engine.signature sharded = Engine.signature reference)
 
 (* --- targeted replay / pooling edges --------------------------------- *)
 
@@ -314,6 +358,109 @@ let test_rat_fallback () =
   let r2 = Engine.run_reference net d sched (config (profile ())) in
   Alcotest.(check bool) "fallback run identical" true (identical r1 r2)
 
+(* --- runs that miss, stall or raise ------------------------------------ *)
+
+(* [run] next to [run_reference]: both return the same result, or both
+   raise the same exception *)
+let check_against_reference net d sched config =
+  let outcome f = try Ok (f net d sched (config ())) with e -> Error e in
+  match (outcome Engine.run, outcome Engine.run_reference) with
+  | Ok tick, Ok reference ->
+    Alcotest.(check bool) "identical to the reference" true
+      (identical tick reference);
+    tick
+  | Error a, Error b ->
+    Alcotest.(check string)
+      "same exception as the reference" (Printexc.to_string b)
+      (Printexc.to_string a);
+    raise a
+  | Ok _, Error e ->
+    Alcotest.failf "reference raised %s, run returned" (Printexc.to_string e)
+  | Error e, Ok _ ->
+    Alcotest.failf "run raised %s, reference returned" (Printexc.to_string e)
+
+(* jobs three times their WCET overrun past the frame boundary, with
+   and without a first-frame overhead *)
+let test_overload () =
+  let net, d, sched = fig1_setup ~n_procs:2 in
+  List.iter
+    (fun overhead ->
+      let config () =
+        {
+          (Engine.default_config ~frames:4 ~n_procs:2 ()) with
+          Engine.platform = Platform.create ~overhead ~n_procs:2 ();
+          exec = Exec_time.scaled 3.0;
+        }
+      in
+      let r = check_against_reference net d sched config in
+      Alcotest.(check int) "misses" 30 r.Engine.stats.Runtime.Exec_trace.misses)
+    [ Platform.no_overhead; Platform.mppa_like ]
+
+(* every job on processor 0, deepest first: each successor starts
+   before its predecessors on one processor, so the first job waits
+   forever and nothing runs *)
+let test_order_infeasible () =
+  let net, d, _ = fig1_setup ~n_procs:2 in
+  let g = d.Derive.graph in
+  let n = Taskgraph.Graph.n_jobs g in
+  let depth = Array.make n (-1) in
+  let rec depth_of j =
+    if depth.(j) < 0 then
+      depth.(j) <-
+        List.fold_left
+          (fun acc q -> max acc (1 + depth_of q))
+          0 (Taskgraph.Graph.preds g j);
+    depth.(j)
+  in
+  let deepest = List.fold_left max 0 (List.init n depth_of) in
+  let sched =
+    Sched.Static_schedule.make ~n_procs:2
+      (Array.init n (fun j ->
+           { Sched.Static_schedule.proc = 0; start = ms (deepest - depth.(j)) }))
+  in
+  let r =
+    check_against_reference net d sched (fun () ->
+        Engine.default_config ~frames:4 ~n_procs:2 ())
+  in
+  Alcotest.(check int)
+    "nothing executed" 0 r.Engine.stats.Runtime.Exec_trace.executed
+
+(* W and X feed R, whose third job raises *)
+let raising_net () =
+  let module B = Fppn.Network.Builder in
+  let module P = Fppn.Process in
+  let event () = Fppn.Event.periodic ~period:(ms 100) ~deadline:(ms 100) () in
+  let writer name chan =
+    P.make ~name ~event:(event ())
+      (P.Native (fun ctx -> ctx.P.write chan (Fppn.Value.Int ctx.P.job_index)))
+  in
+  let b = B.create "raising" in
+  B.add_process b (writer "W" "c");
+  B.add_process b (writer "X" "e");
+  B.add_process b
+    (P.make ~name:"R" ~event:(event ())
+       (P.Native
+          (fun ctx ->
+            if ctx.P.job_index = 3 then failwith "R: third job";
+            ignore (ctx.P.read "c");
+            ignore (ctx.P.read "e"))));
+  B.add_channel b ~kind:Fppn.Channel.Fifo ~writer:"W" ~reader:"R" "c";
+  B.add_channel b ~kind:Fppn.Channel.Fifo ~writer:"X" ~reader:"R" "e";
+  B.add_priority b "W" "R";
+  B.add_priority b "X" "R";
+  B.finish_exn b
+
+let test_raising_body () =
+  let net = raising_net () in
+  let d = Derive.derive_exn ~wcet:(Derive.const_wcet (ms 10)) net in
+  match snd (List_scheduler.auto ~n_procs:2 d.Derive.graph) with
+  | None -> Alcotest.fail "raising network unschedulable"
+  | Some a ->
+    let sched = a.List_scheduler.schedule in
+    let config () = Engine.default_config ~frames:4 ~n_procs:2 () in
+    Alcotest.check_raises "the body's exception" (Failure "R: third job")
+      (fun () -> ignore (check_against_reference net d sched config))
+
 (* --- Timebase -------------------------------------------------------- *)
 
 let test_timebase_basic () =
@@ -367,6 +514,7 @@ let () =
         [
           prop_differential;
           prop_signature;
+          prop_sharded_vs_reference;
           Alcotest.test_case "replay engagement" `Quick test_replay_engagement;
           Alcotest.test_case "mid-frame sporadic" `Quick test_midframe_sporadic;
           Alcotest.test_case "replay after the first frame" `Quick
@@ -375,6 +523,11 @@ let () =
           Alcotest.test_case "pooled reruns" `Quick test_pooled_reruns;
           Alcotest.test_case "profile tick-compiles" `Quick test_profile_tick;
           Alcotest.test_case "rational fallback" `Quick test_rat_fallback;
+          Alcotest.test_case "overload past the frame boundary" `Quick
+            test_overload;
+          Alcotest.test_case "order-infeasible schedule" `Quick
+            test_order_infeasible;
+          Alcotest.test_case "raising body propagates" `Quick test_raising_body;
         ] );
       ( "timebase",
         [
