@@ -66,11 +66,19 @@ let make_state net =
          (fun io -> (io.Network.io_name, Channel.create Channel.Fifo))
          (Network.outputs net))
   in
+  (* name -> state, so wiring is linear in the channel count; names
+     are unique per kind (the network builder rejects duplicates) *)
+  let table states =
+    let h = Hashtbl.create (List.length states) in
+    List.iter (fun (name, st) -> Hashtbl.replace h name st) states;
+    Hashtbl.find h
+  in
+  let chan_state = table chan_states and out_state = table out_states in
   let n = Network.n_processes net in
   let reads = Array.make n [] and writes = Array.make n [] in
   List.iter
     (fun c ->
-      let state = List.assoc c.Network.ch_name chan_states in
+      let state = chan_state c.Network.ch_name in
       let r = Network.find net c.Network.reader
       and w = Network.find net c.Network.writer in
       reads.(r) <- (c.Network.ch_name, Internal state) :: reads.(r);
@@ -83,7 +91,7 @@ let make_state net =
       | Network.In ->
         reads.(owner) <- (io.Network.io_name, Ext_input) :: reads.(owner)
       | Network.Out ->
-        let state = List.assoc io.Network.io_name out_states in
+        let state = out_state io.Network.io_name in
         writes.(owner) <-
           (io.Network.io_name, Ext_output state) :: writes.(owner))
     (Network.inputs net @ Network.outputs net);

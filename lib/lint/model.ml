@@ -93,14 +93,19 @@ let of_ast ?file (n : Ast.network) =
   let procs =
     List.map
       (fun (p : Ast.process_decl) ->
-        let ev = Fppn_lang.Elaborate.event p in
         let reads, writes =
           match p.Ast.behavior with
           | Ast.Extern -> (None, None)
           | Ast.Machine m ->
+            (* elaboration's machine check, before its event check, so
+               every subcommand reports the same first error *)
+            (try ignore (Fppn_lang.Elaborate.behavior_of_machine m)
+             with Invalid_argument msg ->
+               raise (Fppn_lang.Elaborate.Error (msg, p.Ast.p_pos)));
             let r, w = machine_accesses m in
             (Some r, Some w)
         in
+        let ev = Fppn_lang.Elaborate.event p in
         {
           p_name = p.Ast.p_name;
           p_sporadic = Fppn.Event.is_sporadic ev;

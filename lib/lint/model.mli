@@ -58,9 +58,12 @@ val of_ast : ?file:string -> Fppn_lang.Ast.network -> t
     analyzer to report.  Machine behaviors expose their channel
     accesses; [extern] behaviors are opaque.  Per-process [wcet]
     annotations populate [p_wcet].
-    @raise Fppn_lang.Elaborate.Error as {!Fppn_lang.Elaborate.event}
-    does, at the first process whose event parameters {!Fppn.Event}
-    rejects: no analysis is defined on a zero period. *)
+    @raise Fppn_lang.Elaborate.Error as elaboration does, at the first
+    process whose machine {!Fppn_lang.Elaborate.behavior_of_machine}
+    rejects (a [goto] to an undeclared location, at the transition) or
+    whose event parameters {!Fppn.Event} rejects (at the process): no
+    analysis is defined on a machine that cannot run or on a zero
+    period. *)
 
 val of_spec : Fppn_apps.Randgen.spec -> t
 (** Mirrors {!Fppn_apps.Randgen.build} (generic bodies read every input

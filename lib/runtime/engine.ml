@@ -408,7 +408,9 @@ type tick_plan = {
   is_server : bool array;
   proc_of : int array;  (* per job: scheduled processor *)
   body_proc : int array;  (* per job: network process index *)
-  stamp_t : (int * int, int) Hashtbl.t;  (* (job, frame) -> event ticks *)
+  stamp_t : int array;
+      (* sporadic stamp ticks at [frame·n + job], absent = [min_int];
+         empty when the run has no real events *)
   dur_t : int array option;
       (* per job: fixed duration ticks; [None] = draw per execution *)
   lo_t : int array;  (* per job: C_LO ticks if HI, else -1; [||] unmonitored *)
@@ -497,8 +499,16 @@ let tick_compile ?monitor net (derived : Derive.t) sched config ~assigned =
       let ov = config.platform.Platform.overhead in
       match
         let tk = Timebase.ticks tb in
-        let stamp_t = Hashtbl.create (Hashtbl.length assigned) in
-        Hashtbl.iter (fun key s -> Hashtbl.replace stamp_t key (tk s)) assigned;
+        let stamp_t =
+          if Hashtbl.length assigned = 0 then [||]
+          else begin
+            let a = Array.make (n * config.frames) min_int in
+            Hashtbl.iter
+              (fun (j, f) s -> if f < config.frames then a.((f * n) + j) <- tk s)
+              assigned;
+            a
+          end
+        in
         {
           tb;
           h_t = tk derived.Derive.hyperperiod;
@@ -524,27 +534,6 @@ let tick_compile ?monitor net (derived : Derive.t) sched config ~assigned =
       | plan -> Some plan
       | exception (Timebase.Inexact | Rat.Overflow) -> None))
 
-(* Pooled network state, one per domain: building instances, channel
-   states, route tables and prepared job contexts costs microseconds,
-   and repeated runs over the same network (benchmarks, fuzz campaigns,
-   periodic re-simulation) reuse the previous run's state after a
-   [reset].  Results stay valid across reuse because they capture
-   history {e snapshots} (see {!Fppn.Channel.snapshot}), never the
-   state itself. *)
-let state_pool_key : (Network.t * Netstate.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let pooled_state net =
-  let pool = Domain.DLS.get state_pool_key in
-  match !pool with
-  | Some (pn, st) when pn == net ->
-    Netstate.reset st;
-    st
-  | _ ->
-    let st = Netstate.create net in
-    pool := Some (net, st);
-    st
-
 (* Flat predecessor segments: job [j]'s predecessors are
    [pred_job.(pred_off.(j)) .. pred_job.(pred_off.(j + 1) - 1)]. *)
 let pred_segments g =
@@ -558,18 +547,6 @@ let pred_segments g =
     List.iteri (fun i q -> pred_job.(pred_off.(j) + i) <- q) (Graph.preds g j)
   done;
   (pred_off, pred_job)
-
-(* sporadic stamps in a flat (frame, job) table, absent = [min_int];
-   empty when the run has no real events *)
-let stamp_table plan ~n ~frames =
-  if Hashtbl.length plan.stamp_t = 0 then [||]
-  else begin
-    let a = Array.make (n * frames) min_int in
-    Hashtbl.iter
-      (fun (j, f) s -> if f < frames then a.((f * n) + j) <- s)
-      plan.stamp_t;
-    a
-  end
 
 (* [Timebase.of_ticks] behind a one-entry cache: invocation instants
    repeat across jobs, so the conversion is all but free *)
@@ -586,14 +563,14 @@ let rat_cache tb =
 
 (* Job records as packed parallel columns of grid ticks: the tick
    core's buffers, the replay template, and what a result materializes
-   its trace from. *)
+   its trace from.  A record's deadline is its invocation plus its
+   job's [dl_rel_t]. *)
 type recs = {
   r_job : int array;
   r_frame : int array;
   r_invoked : int array;
   r_start : int array;
   r_finish : int array;
-  r_deadline : int array;
   r_skip : Bytes.t;
 }
 
@@ -605,17 +582,15 @@ let make_recs cap =
     r_invoked = col ();
     r_start = col ();
     r_finish = col ();
-    r_deadline = col ();
     r_skip = Bytes.make cap '\000';
   }
 
-let set_rec r i job frame invoked start finish deadline skipped =
+let set_rec r i job frame invoked start finish skipped =
   r.r_job.(i) <- job;
   r.r_frame.(i) <- frame;
   r.r_invoked.(i) <- invoked;
   r.r_start.(i) <- start;
   r.r_finish.(i) <- finish;
-  r.r_deadline.(i) <- deadline;
   if skipped then Bytes.set r.r_skip i '\001'
 
 (* the [len] records from [off] (default 0) in a fresh buffer of [cap]
@@ -628,7 +603,6 @@ let copy_recs ?(off = 0) ?cap r len =
   col r.r_invoked d.r_invoked;
   col r.r_start d.r_start;
   col r.r_finish d.r_finish;
-  col r.r_deadline d.r_deadline;
   Bytes.blit r.r_skip off d.r_skip 0 len;
   d
 
@@ -668,7 +642,7 @@ let sorted_order plan r =
   perm
 
 (* The result of the tick core: statistics, the common [engine.*]
-   counters, history snapshots that decouple the result from the pooled
+   counters, history snapshots that decouple the result from the reused
    [state], and the lazily sorted trace.  The result owns [recs].  With
    [template = (tpl_frame, t)], frames after [tpl_frame] were replayed:
    each is [t], the template frame's records, shifted by whole
@@ -688,7 +662,8 @@ let packed_result (derived : Derive.t) config plan state ~unhandled_events
       if Bytes.get r.r_skip i <> '\000' then skipped := !skipped + times
       else begin
         executed := !executed + times;
-        if r.r_finish.(i) > r.r_deadline.(i) then misses := !misses + times;
+        if r.r_finish.(i) > r.r_invoked.(i) + plan.dl_rel_t.(r.r_job.(i)) then
+          misses := !misses + times;
         let resp = r.r_finish.(i) - r.r_invoked.(i) in
         if resp > !max_resp then max_resp := resp;
         if r.r_frame.(i) + frame_shift > !max_frame then
@@ -746,7 +721,7 @@ let packed_result (derived : Derive.t) config plan state ~unhandled_events
                 invoked = rat r.r_invoked.(i);
                 start = rat r.r_start.(i);
                 finish = rat r.r_finish.(i);
-                deadline = rat r.r_deadline.(i);
+                deadline = rat (r.r_invoked.(i) + plan.dl_rel_t.(j));
                 skipped = Bytes.get r.r_skip i <> '\000';
               }
               :: !acc
@@ -788,15 +763,12 @@ let packed_result (derived : Derive.t) config plan state ~unhandled_events
       lazy (overhead_segments_of config derived.Derive.hyperperiod);
   }
 
-(* Per-plan engine scratch: every working array of [exec_ticks] whose
-   shape depends only on the compiled plan and the schedule.  The plan
-   memo hands back the same plan object across repeated identical runs,
-   so keying on physical equality of (plan, schedule) makes reruns pay
-   a handful of [Array.fill]s instead of rebuilding the dependence
-   segments and reallocating a dozen arrays. *)
+(* Engine scratch: every working array of [exec_ticks] whose shape
+   depends only on the derived graph and the schedule.  A run memo
+   entry owns one, so reruns pay a handful of [Array.fill]s instead of
+   rebuilding the dependence segments and reallocating a dozen
+   arrays. *)
 type tick_scratch = {
-  sc_plan : tick_plan;
-  sc_sched : Static_schedule.t;
   sc_procs : tick_proc array;
   sc_completions : int array;
   (* flat predecessor segments, and per-job waiter segments sized by
@@ -810,7 +782,9 @@ type tick_scratch = {
   sc_w_proc : int array;
   sc_w_frame : int array;
   sc_w_len : int array;
-  mutable sc_recs : recs;  (* records in job start order, grown on demand *)
+  mutable sc_recs : recs;
+      (* records in job start order, sized by the first run, grown on
+         demand *)
   sc_events : Iheap.t;
   sc_hot : int array;
   (* compacted replay program (executed bodies + deduped invocation
@@ -828,7 +802,7 @@ type tick_scratch = {
   mutable sc_rep_frames : int;
 }
 
-let make_scratch (derived : Derive.t) sched plan ~n_procs ~cap0 =
+let make_scratch (derived : Derive.t) sched ~n_procs =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let pred_off, pred_job = pred_segments g in
@@ -842,8 +816,6 @@ let make_scratch (derived : Derive.t) sched plan ~n_procs ~cap0 =
     succ_off.(q + 1) <- succ_off.(q + 1) + succ_off.(q)
   done;
   {
-    sc_plan = plan;
-    sc_sched = sched;
     sc_procs =
       Array.init n_procs (fun p ->
           {
@@ -865,7 +837,7 @@ let make_scratch (derived : Derive.t) sched plan ~n_procs ~cap0 =
     sc_w_proc = Array.make (max 1 m_edges) 0;
     sc_w_frame = Array.make (max 1 m_edges) 0;
     sc_w_len = Array.make n 0;
-    sc_recs = make_recs cap0;
+    sc_recs = make_recs 0;
     sc_events = Iheap.create ~capacity:(max 16 (2 * n_procs)) ();
     sc_hot = Array.make ((n_procs + 62) / 63) 0;
     sc_r_proc = Array.make (max 1 n) 0;
@@ -877,23 +849,10 @@ let make_scratch (derived : Derive.t) sched plan ~n_procs ~cap0 =
     sc_rep_frames = 0;
   }
 
-let scratch_pool_key : tick_scratch option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(* A plan object is uniquely tied to its compile inputs (fresh compiles
-   make fresh objects; the memo only returns a plan for an identical
-   configuration), so physical equality on (plan, sched) guarantees the
-   scratch shapes still fit. *)
-let pooled_scratch derived sched plan ~n_procs ~cap0 =
-  let pool = Domain.DLS.get scratch_pool_key in
-  let sc =
-    match !pool with
-    | Some sc when sc.sc_plan == plan && sc.sc_sched == sched -> sc
-    | _ ->
-      let sc = make_scratch derived sched plan ~n_procs ~cap0 in
-      pool := Some sc;
-      sc
-  in
+(* the scratch as [make_scratch] left it, with records for at least
+   [cap0] jobs *)
+let reset_scratch sc ~cap0 =
+  if Array.length sc.sc_recs.r_job < cap0 then sc.sc_recs <- make_recs cap0;
   Array.fill sc.sc_completions 0 (Array.length sc.sc_completions) 0;
   Array.fill sc.sc_w_len 0 (Array.length sc.sc_w_len) 0;
   Array.fill sc.sc_hot 0 (Array.length sc.sc_hot) 0;
@@ -911,25 +870,23 @@ let pooled_scratch derived sched plan ~n_procs ~cap0 =
       ps.t_missing <- 0)
     sc.sc_procs;
   (* skip flags are only ever set, never cleared, on the hot path *)
-  Bytes.fill sc.sc_recs.r_skip 0 (Bytes.length sc.sc_recs.r_skip) '\000';
-  sc
+  Bytes.fill sc.sc_recs.r_skip 0 (Bytes.length sc.sc_recs.r_skip) '\000'
 
-(* The tick core.  It appends every record at job start, which is the
-   order the bodies run in.  With [monitor], [plan] must be compiled
-   with it. *)
-let exec_ticks ?monitor net (derived : Derive.t) sched config
-    ~unhandled_events plan =
+(* The tick core, on [sc] and [state], which it resets first.  It
+   appends every record at job start, which is the order the bodies run
+   in.  With [monitor], [plan] must be compiled with it. *)
+let exec_ticks ?monitor (derived : Derive.t) config ~unhandled_events plan sc
+    state =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let frames = config.frames in
   let n_procs = config.platform.Platform.n_procs in
   let monitored = Option.is_some monitor in
   let degraded = Bytes.make (if monitored then frames else 0) '\000' in
-  let state = pooled_state net in
+  Netstate.reset state;
   Netstate.set_inputs state config.inputs;
   Netstate.set_access_counting state (plan.per_access_t > 0);
-  let stamp_arr = stamp_table plan ~n ~frames in
-  let have_stamps = Array.length stamp_arr > 0 in
+  let have_stamps = Array.length plan.stamp_t > 0 in
   (* Steady-state replay: with per-job deterministic durations, no
      sporadic stamps and zero per-access cost, the schedule of any
      steady frame whose window is self-contained is the template
@@ -953,7 +910,7 @@ let exec_ticks ?monitor net (derived : Derive.t) sched config
   let cap0 =
     max 1 (if replay_candidate then (tpl_frame + 1) * n else n * frames)
   in
-  let sc = pooled_scratch derived sched plan ~n_procs ~cap0 in
+  reset_scratch sc ~cap0;
   let procs = sc.sc_procs in
   let completions = sc.sc_completions in
   let pred_off = sc.sc_pred_off in
@@ -964,14 +921,14 @@ let exec_ticks ?monitor net (derived : Derive.t) sched config
   let w_len = sc.sc_w_len in
   let recs = ref sc.sc_recs in
   let s_n = ref 0 in
-  let push_rec job frame invoked start finish deadline skipped =
+  let push_rec job frame invoked start finish skipped =
     let i = !s_n in
     if i = Array.length !recs.r_job then begin
       (* replay declined after frame 1: grow to the full horizon *)
       recs := copy_recs !recs i ~cap:(n * frames);
       sc.sc_recs <- !recs
     end;
-    set_rec !recs i job frame invoked start finish deadline skipped;
+    set_rec !recs i job frame invoked start finish skipped;
     s_n := i + 1
   in
   (* observability: [tracing] is captured once, so the hot loop pays a
@@ -1035,8 +992,7 @@ let exec_ticks ?monitor net (derived : Derive.t) sched config
   (* the current job of [ps] is done without running — a 'false' slot
      or a dropped LO job, recorded skipped at [now]; a transition *)
   let skip ps job invocation =
-    let deadline = invocation + plan.dl_rel_t.(job) in
-    push_rec job ps.t_frame invocation !now !now deadline true;
+    push_rec job ps.t_frame invocation !now !now true;
     completions.(job) <- completions.(job) + 1;
     step_order ps;
     wake job;
@@ -1134,7 +1090,7 @@ let exec_ticks ?monitor net (derived : Derive.t) sched config
         else begin
           let stamp =
             if plan.is_server.(job) then
-              if have_stamps then stamp_arr.((ps.t_frame * n) + job)
+              if have_stamps then plan.stamp_t.((ps.t_frame * n) + job)
               else min_int
             else invocation
           in
@@ -1170,7 +1126,7 @@ let exec_ticks ?monitor net (derived : Derive.t) sched config
             ps.t_start <- !now;
             ps.t_finish <- finish;
             ps.t_deadline <- deadline;
-            push_rec job ps.t_frame stamp !now finish deadline false;
+            push_rec job ps.t_frame stamp !now finish false;
             push_event finish p;
             true
           end
@@ -1267,7 +1223,7 @@ let exec_ticks ?monitor net (derived : Derive.t) sched config
        invocation instants: a frame has at most a handful of distinct
        arrival times, so each frame converts each tick to a rational
        once instead of once per job.  The program is built into the
-       pooled scratch arrays, comparing against the previous run's
+       scratch arrays, comparing against the previous run's
        contents on the way — when nothing changed (the common case:
        the template is a function of (plan, sched, frames)), the
        precomputed rationals are reused and the whole replay allocates
@@ -1336,9 +1292,9 @@ let exec_ticks ?monitor net (derived : Derive.t) sched config
      else Trace.with_span "engine.eventloop" run_all
    end
    else Trace.with_span "engine.eventloop" run_all);
-  (* the scratch buffers belong to the pool and are overwritten by the
-     next run, so the result owns exact-length copies — a few dozen
-     entries when replay kept the records implicit *)
+  (* the next run on [sc] overwrites its buffers, so the result owns
+     exact-length copies — a few dozen entries when replay kept the
+     records implicit *)
   let result =
     packed_result derived config plan state ~unhandled_events
       ?template:
@@ -1353,12 +1309,24 @@ let exec_ticks ?monitor net (derived : Derive.t) sched config
   end;
   result
 
-(* One-entry, domain-local memo of the compiled plan.  Benchmarks and
-   periodic re-simulation call [run] repeatedly with identical
-   arguments; compilation is pure for every compilable model ([Profile]
-   callbacks are required to be pure), so the plan can be reused
-   whenever all four ingredients are physically unchanged.  The memo is
-   per-domain, so concurrent runs never share an entry. *)
+(* ------------------------------------------------------------------ *)
+(* Run memo: per domain, so concurrent runs never share an entry.       *)
+(*                                                                      *)
+(* Callers re-run identical configurations (benchmark steps, fuzz       *)
+(* campaigns, periodic re-simulation), often interleaved with other     *)
+(* networks.  An entry owns all a rerun needs: the prologue's outcome,  *)
+(* the compiled plan (or, without a tick grid, the window assignment),  *)
+(* the scratch and the network state, shared by the entries of one      *)
+(* network.  A hit goes straight to the timing core.  Skipping the      *)
+(* prologue is safe: every input it reads is in the key, and an entry   *)
+(* exists only once its prologue succeeded.  Compilation is pure for    *)
+(* every compilable model ([Profile] callbacks are required to be       *)
+(* pure).  The last run stays in [recent]; an entry joins the [hot] LRU *)
+(* only when its (schedule, config) recurs among the last [keep]        *)
+(* misses, so callers that build fresh schedules or stamps for every    *)
+(* run never keep more than that one entry.                             *)
+(* ------------------------------------------------------------------ *)
+
 (* Structural-enough config equality for the memo: scalars compare by
    value, closures and rational lists by identity (callers that rebuild
    [default_config] per run share the library-level defaults, so the
@@ -1371,52 +1339,115 @@ let same_config a b =
         || (a.platform.Platform.n_procs = b.platform.Platform.n_procs
            && a.platform.Platform.overhead == b.platform.Platform.overhead)))
 
-type plan_memo = {
-  pm_net : Fppn.Network.t;
-  pm_derived : Derive.t;
-  pm_sched : Static_schedule.t;
-  pm_config : config;
-  pm_plan : tick_plan option;
+type core =
+  | Ticks of tick_plan * tick_scratch * Netstate.t
+  | Rational of (int * int, Rat.t) Hashtbl.t  (* the window assignment *)
+
+type entry = {
+  e_net : Network.t;
+  e_derived : Derive.t;
+  e_sched : Static_schedule.t;
+  e_config : config;
+  e_unhandled : (string * Rat.t) list;
+  e_core : core;
 }
 
-let plan_memo_key : plan_memo option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+type memo = {
+  mutable recent : entry option;
+  mutable hot : entry list;  (* most recently used first *)
+  mutable seen : (Static_schedule.t * config) list;  (* the last misses *)
+}
 
-(* A monitored plan carries the monitor's budgets, so it bypasses the
-   memo. *)
-let compiled_plan ?monitor net derived sched config ~assigned =
-  let compile () =
+let keep = 8
+
+let memo_key =
+  Domain.DLS.new_key (fun () -> { recent = None; hot = []; seen = [] })
+
+let rec take k = function x :: l when k > 0 -> x :: take (k - 1) l | _ -> []
+
+(* a kept state of [net], else a fresh one *)
+let state_for memo net =
+  let kept e =
+    match e.e_core with
+    | Ticks (_, _, st) when e.e_net == net -> Some st
+    | _ -> None
+  in
+  match List.find_map kept (Option.to_list memo.recent @ memo.hot) with
+  | Some st -> st
+  | None -> Netstate.create net
+
+(* prologue and compilation: the unhandled events and the core to run *)
+let prepare ?monitor memo net derived sched config =
+  let assigned, unhandled = prologue net derived sched config in
+  match
     Trace.with_span "engine.compile" (fun () ->
         tick_compile ?monitor net derived sched config ~assigned)
-  in
-  let memo = Domain.DLS.get plan_memo_key in
-  match !memo with
-  | _ when Option.is_some monitor -> compile ()
-  | Some m
-    when m.pm_net == net && m.pm_derived == derived && m.pm_sched == sched
-         && same_config m.pm_config config ->
-    m.pm_plan
-  | _ ->
-    let plan = compile () in
-    memo :=
-      Some
-        {
-          pm_net = net;
-          pm_derived = derived;
-          pm_sched = sched;
-          pm_config = config;
-          pm_plan = plan;
-        };
-    plan
+  with
+  | Some plan ->
+    (* the scratch and the state are the tick core's set-up *)
+    Trace.with_span "engine.exec.ticks" (fun () ->
+        let n_procs = config.platform.Platform.n_procs in
+        let sc = make_scratch derived sched ~n_procs in
+        (unhandled, Ticks (plan, sc, state_for memo net)))
+  | None -> (unhandled, Rational assigned)
 
+(* the entry that serves an unmonitored run, found or made *)
+let lookup memo net derived sched config =
+  let serves e =
+    e.e_net == net && e.e_derived == derived && e.e_sched == sched
+    && same_config e.e_config config
+  in
+  let found =
+    match memo.recent with
+    | Some e as r when serves e -> r
+    | _ -> List.find_opt serves memo.hot
+  in
+  match found with
+  | Some e ->
+    if Metrics.enabled () then Metrics.incr (Metrics.counter "engine.memo_hits");
+    (match memo.hot with
+    | h :: _ when h == e -> ()
+    | hot ->
+      if List.memq e hot then memo.hot <- e :: List.filter (( != ) e) hot);
+    memo.recent <- found;
+    e
+  | None ->
+    let e_unhandled, e_core = prepare memo net derived sched config in
+    let e =
+      {
+        e_net = net;
+        e_derived = derived;
+        e_sched = sched;
+        e_config = config;
+        e_unhandled;
+        e_core;
+      }
+    in
+    let recurs =
+      List.exists (fun (s, c) -> s == sched && same_config c config) memo.seen
+    in
+    memo.seen <- take keep ((sched, config) :: memo.seen);
+    if recurs then memo.hot <- take keep (e :: memo.hot);
+    memo.recent <- Some e;
+    e
+
+(* A monitor's budgets and callbacks are fresh per call, so a monitored
+   run is never memoized; it only borrows a kept state of its network. *)
 let run ?monitor net derived sched config =
   Trace.with_span "engine.run" (fun () ->
-      let assigned, unhandled_events = prologue net derived sched config in
-      match compiled_plan ?monitor net derived sched config ~assigned with
-      | Some plan ->
+      let memo = Domain.DLS.get memo_key in
+      let unhandled_events, core =
+        match monitor with
+        | Some _ -> prepare ?monitor memo net derived sched config
+        | None ->
+          let e = lookup memo net derived sched config in
+          (e.e_unhandled, e.e_core)
+      in
+      match core with
+      | Ticks (plan, sc, state) ->
         Trace.with_span "engine.exec.ticks" (fun () ->
-            exec_ticks ?monitor net derived sched config ~unhandled_events plan)
-      | None ->
+            exec_ticks ?monitor derived config ~unhandled_events plan sc state)
+      | Rational assigned ->
         Trace.with_span "engine.exec.rat" (fun () ->
             exec_rat ?monitor net derived sched config ~assigned
               ~unhandled_events))

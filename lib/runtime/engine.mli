@@ -96,6 +96,24 @@ val run :
     With [monitor], the mode-switched policy above, on the same two
     cores: the grid then also holds every HI job's [C_LO], and the run
     never replays steady frames, so every frame calls the monitor.
+
+    Each domain keeps a run memo.  An unmonitored call is served from
+    it when an earlier call on the same domain had the physically same
+    network, derived graph and schedule, and a config with equal
+    [frames], processor count and overhead and the physically same
+    [exec], [inputs] and [sporadic] list.  Such a call skips the
+    validation and window assignment, compilation and set-up, and goes
+    straight to the core.  Its result is the one a fresh run would give.
+    Results stay valid when a later run reuses the memo's scratch and
+    network state: they own their records and snapshot their
+    histories.  The memo keeps the last call's entry and at most 8 hot
+    entries, least recently used out first.  An entry turns hot only
+    when its (schedule, config) recurs among the last 8 calls that
+    missed, so a caller that builds a fresh schedule or fresh stamps
+    for every call keeps one entry at most.  An entry keeps its
+    arguments alive while it is kept.  A monitored run is never
+    memoized, as its budgets and callbacks are fresh per call; it only
+    reuses a kept network state of the same network.
     @raise Invalid_argument if the schedule does not cover the derived
     graph, if [frames <= 0], or if a sporadic trace violates its
     generator's [(m,T)] constraint. *)

@@ -348,6 +348,31 @@ let test_zero_period () =
   answer "certify" (fun () -> ignore (Fppn_lint.Model.of_ast ast));
   answer "elaboration" (fun () -> ignore (Fppn_lang.Elaborate.to_network ast))
 
+(* a [goto] to an undeclared location: lint and certify read the AST
+   model, so they must validate the machine as elaboration does and
+   report the same first error, at the transition *)
+let test_goto_undeclared () =
+  let src =
+    {|network g {
+  process A : periodic 100 deadline 100 {
+    loc main { when true goto nowhere; }
+  }
+}|}
+  in
+  let ast = Fppn_lang.Parser.parse src in
+  let answer what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a goto to an undeclared location" what
+    | exception Fppn_lang.Elaborate.Error (msg, pos) ->
+      Alcotest.(check (triple string int int))
+        what
+        ({|goto "nowhere" targets an undeclared location|}, 3, 16)
+        (msg, pos.Ast.line, pos.Ast.col)
+  in
+  answer "lint" (fun () -> ignore (Lint.lint_ast ast));
+  answer "certify" (fun () -> ignore (Fppn_lint.Model.of_ast ast));
+  answer "elaboration" (fun () -> ignore (Fppn_lang.Elaborate.to_network ast))
+
 (* --- checker integration ------------------------------------------------ *)
 
 let test_checker_fails_fast_on_lint_errors () =
@@ -524,6 +549,8 @@ let () =
           Alcotest.test_case "elaboration errors carry positions" `Quick test_elaborate_positions;
           Alcotest.test_case "zero period reported at the process" `Quick
             test_zero_period;
+          Alcotest.test_case "undeclared goto reported at the transition" `Quick
+            test_goto_undeclared;
           Alcotest.test_case "checker fails fast on lint errors" `Quick
             test_checker_fails_fast_on_lint_errors;
           Alcotest.test_case "checker leads with passing lint" `Quick

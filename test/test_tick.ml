@@ -316,6 +316,131 @@ let test_pooled_reruns () =
   Alcotest.(check bool)
     "earlier results survive a later run" true (identical r1 reference)
 
+(* --- run memo ------------------------------------------------------------ *)
+
+(* Interleaved keys: fig1 at 4 and 6 frames (one network, one kept
+   state), with a mid-frame stamp, and with a model whose opaque
+   durations leave no tick grid; automotive; and a monitored fig1 run,
+   never memoized, in between.  Every key recurs each round, so rounds
+   1-2 compile (a first sighting, then an admission) and rounds 3-4 are
+   served by the memo.  Lazy traces and histories are forced only after
+   the last run, when the memo has reused every entry's scratch and
+   state. *)
+let test_memo_interleaved () =
+  let net, d, sched = fig1_setup ~n_procs:2 in
+  let auto = Fppn_apps.Automotive.network () in
+  let auto_d = Derive.derive_exn ~wcet:Fppn_apps.Automotive.wcet auto in
+  let auto_sched =
+    match snd (List_scheduler.auto ~n_procs:2 auto_d.Derive.graph) with
+    | Some a -> a.List_scheduler.schedule
+    | None -> Alcotest.fail "automotive unschedulable"
+  in
+  let config frames = Engine.default_config ~frames ~n_procs:2 () in
+  let four = config 4 and six = config 6 in
+  let stamped = { six with Engine.sporadic = [ ("CoefB", [ ms 650 ]) ] } in
+  let opaque =
+    {
+      (config 3) with
+      Engine.exec =
+        Exec_time.profile (fun name -> if name = "CoefB" then raise Exit else ms 1);
+    }
+  in
+  let monitor () =
+    {
+      Engine.is_hi = (fun j -> j.Taskgraph.Job.proc mod 2 = 0);
+      budget_lo = (fun j -> Rat.div j.Taskgraph.Job.wcet (ms 2));
+      on_switch = (fun _ _ -> ());
+      on_drop = ignore;
+    }
+  in
+  (* each key, run on [Engine.run] or on the reference *)
+  let keys =
+    [
+      ("fig1, 4 frames", fun run -> run None net d sched four);
+      ("automotive", fun run -> run None auto auto_d auto_sched four);
+      ("fig1, 6 frames", fun run -> run None net d sched six);
+      ("monitored fig1", fun run -> run (Some (monitor ())) net d sched six);
+      ("fig1 with a stamp", fun run -> run None net d sched stamped);
+      ("fig1, no tick grid", fun run -> run None net d sched opaque);
+    ]
+  in
+  let tick monitor = Engine.run ?monitor
+  and reference monitor = Engine.run_reference ?monitor in
+  let rounds = 4 in
+  let results, hits =
+    with_counter "engine.memo_hits" (fun () ->
+        List.concat
+          (List.init rounds (fun _ ->
+               List.map (fun (name, key) -> (name, key, key tick)) keys)))
+  in
+  Alcotest.(check int) "memo hits" (5 * (rounds - 2)) hits;
+  List.iter
+    (fun (name, key, r) ->
+      Alcotest.(check bool) name true (identical r (key reference)))
+    results
+
+(* (compiles, memo hits) of [f ()] *)
+let memo_counts f =
+  let module Trace = Fppn_obs.Trace in
+  Trace.reset ();
+  Trace.set_enabled true;
+  let (), hits = with_counter "engine.memo_hits" f in
+  Trace.set_enabled false;
+  let compiles =
+    List.fold_left
+      (fun acc (h : Trace.hotspot) ->
+        if h.Trace.hname = "engine.compile" then h.Trace.calls else acc)
+      0 (Trace.hotspots ())
+  in
+  Trace.reset ();
+  (compiles, hits)
+
+(* The admission rule: the last run is kept, and an entry joins the hot
+   set only once its key recurs; a caller that builds a fresh schedule
+   for every run never hits.  The hot set keeps the 8 most recently
+   used entries. *)
+let test_memo_admission () =
+  let pair = Alcotest.(pair int int) in
+  let k i = Engine.default_config ~frames:i ~n_procs:2 () in
+  (* the runs of [keys] on a fresh fig1 schedule *)
+  let on_fresh_schedule () =
+    let net, d, sched = fig1_setup ~n_procs:2 in
+    fun keys () ->
+      List.iter (fun i -> ignore (Engine.run net d sched (k i))) keys
+  in
+  let run = on_fresh_schedule () in
+  Alcotest.check pair "A,B,A,B,A,B: 4 compiles, 2 hits" (4, 2)
+    (memo_counts (run [ 3; 5; 3; 5; 3; 5 ]));
+  let run = on_fresh_schedule () in
+  Alcotest.check pair "A,A: 1 compile, 1 hit" (1, 1) (memo_counts (run [ 3; 3 ]));
+  let net, d, _ = fig1_setup ~n_procs:2 in
+  let fresh () =
+    match snd (List_scheduler.auto ~n_procs:2 d.Derive.graph) with
+    | Some s -> s.List_scheduler.schedule
+    | None -> Alcotest.fail "fig1 unschedulable"
+  in
+  Alcotest.check pair "fresh schedules: 10 compiles, no hit" (10, 0)
+    (memo_counts (fun () ->
+         for _ = 1 to 10 do
+           ignore (Engine.run net d (fresh ()) (k 3))
+         done));
+  (* K1..K8 twice fills the hot set; a hit on K1 makes K2 the least
+     recently used, so admitting K9 evicts K2 and keeps K1 *)
+  let run = on_fresh_schedule () in
+  let eight = List.init 8 succ in
+  Alcotest.check pair "K1..K8 twice: 16 compiles" (16, 0)
+    (memo_counts (run (eight @ eight)));
+  Alcotest.check pair "K1, K9, K10, K9: 3 compiles, 1 hit" (3, 1)
+    (memo_counts (run [ 1; 9; 10; 9 ]));
+  Alcotest.check pair "K1 kept" (0, 1) (memo_counts (run [ 1 ]));
+  Alcotest.check pair "K2 evicted" (1, 0) (memo_counts (run [ 2 ]));
+  (* a key that recurs only after 8 other misses is not admitted *)
+  let run = on_fresh_schedule () in
+  Alcotest.check pair "K1..K9: 9 compiles" (9, 0)
+    (memo_counts (run (List.init 9 succ)));
+  Alcotest.check pair "K1, K10, K1: 3 compiles" (3, 0)
+    (memo_counts (run [ 1; 10; 1 ]))
+
 (* [Exec_time.profile] exposes per-job durations through
    [Exec_time.durations], so the tick engine compiles it rather than
    falling back; the "engine.frames" counter is only emitted by the
@@ -521,6 +646,9 @@ let () =
             test_replay_after_first_frame;
           Alcotest.test_case ">64 processes" `Quick test_many_procs;
           Alcotest.test_case "pooled reruns" `Quick test_pooled_reruns;
+          Alcotest.test_case "run memo: interleaved keys" `Quick
+            test_memo_interleaved;
+          Alcotest.test_case "run memo: admission" `Quick test_memo_admission;
           Alcotest.test_case "profile tick-compiles" `Quick test_profile_tick;
           Alcotest.test_case "rational fallback" `Quick test_rat_fallback;
           Alcotest.test_case "overload past the frame boundary" `Quick
