@@ -24,11 +24,22 @@ type action =
 
 type transition = { src : loc; guard : expr; actions : action list; dst : loc }
 
+(* A compiled program is one array of steps per location, indexed in
+   [locations] order (the initial location is 0), each holding that
+   location's transitions in declaration order.  Guards, expressions
+   and actions are closures over the instance's slot array. *)
+type step = {
+  cond : Value.t array -> bool;
+  act :
+    Value.t array -> (string -> Value.t) -> (string -> Value.t -> unit) -> unit;
+  next : int;
+}
+
 type t = {
   initial : loc;
   vars : (string * Value.t) list;
   transitions : transition list;
-  by_src : (loc, transition list) Hashtbl.t;
+  code : step array array Atomic.t; (* [[||]] until the first job *)
 }
 
 let rec expr_vars acc = function
@@ -57,39 +68,18 @@ let make ~initial ~vars ~transitions =
     transitions;
   if not (List.exists (fun tr -> tr.src = initial) transitions) then
     invalid_arg "Automaton: no transition leaves the initial location";
-  let by_src = Hashtbl.create 16 in
-  (* preserve declaration order within each source location *)
-  List.iter
-    (fun tr ->
-      let prev = try Hashtbl.find by_src tr.src with Not_found -> [] in
-      Hashtbl.replace by_src tr.src (prev @ [ tr ]))
-    transitions;
-  { initial; vars; transitions; by_src }
+  { initial; vars; transitions; code = Atomic.make [||] }
 
 let initial t = t.initial
 let variables t = t.vars
 let transitions t = t.transitions
 
-let locations t =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let visit l =
-    if not (Hashtbl.mem seen l) then begin
-      Hashtbl.add seen l ();
-      out := l :: !out
-    end
-  in
-  visit t.initial;
-  List.iter
-    (fun tr ->
-      visit tr.src;
-      visit tr.dst)
-    t.transitions;
-  List.rev !out
-
 let dedup l =
   List.rev
     (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
+
+let locations t =
+  dedup (t.initial :: List.concat_map (fun tr -> [ tr.src; tr.dst ]) t.transitions)
 
 let channels_read t =
   dedup
@@ -105,12 +95,12 @@ let channels_written t =
          List.filter_map (function Write (c, _) -> Some c | _ -> None) tr.actions)
        t.transitions)
 
-type env = {
-  lookup : string -> Value.t;
-  assign : string -> Value.t -> unit;
-  read_channel : string -> Value.t;
-  write_channel : string -> Value.t -> unit;
-}
+(* duplicate declarations collapse to one slot, last value winning *)
+let slot_names decls =
+  List.fold_left
+    (fun acc (x, _) -> if List.mem x acc then acc else x :: acc)
+    [] decls
+  |> List.rev |> Array.of_list
 
 let type_error op a b =
   invalid_arg
@@ -124,58 +114,136 @@ let arith op_name int_op float_op a b =
     Value.Float (float_op (Value.to_float a) (Value.to_float b))
   | _ -> type_error op_name a b
 
-let rec eval lookup = function
-  | Const v -> v
-  | Var x -> lookup x
-  | Avail x -> Value.Bool (not (Value.is_absent (lookup x)))
-  | Neg e -> (
-    match eval lookup e with
-    | Value.Int n -> Value.Int (-n)
-    | Value.Float f -> Value.Float (-.f)
-    | v -> type_error "neg" v v)
-  | Not e -> Value.Bool (not (Value.to_bool (eval lookup e)))
-  | Add (a, b) -> arith "+" ( + ) ( +. ) (eval lookup a) (eval lookup b)
-  | Sub (a, b) -> arith "-" ( - ) ( -. ) (eval lookup a) (eval lookup b)
-  | Mul (a, b) -> arith "*" ( * ) ( *. ) (eval lookup a) (eval lookup b)
-  | Div (a, b) -> arith "/" ( / ) ( /. ) (eval lookup a) (eval lookup b)
-  | Mod (a, b) -> (
-    match (eval lookup a, eval lookup b) with
-    | Value.Int x, Value.Int y -> Value.Int (x mod y)
-    | a, b -> type_error "mod" a b)
-  | Eq (a, b) -> Value.Bool (Value.equal (eval lookup a) (eval lookup b))
-  | Lt (a, b) -> Value.Bool (Value.compare (eval lookup a) (eval lookup b) < 0)
-  | Le (a, b) -> Value.Bool (Value.compare (eval lookup a) (eval lookup b) <= 0)
-  | And (a, b) ->
-    Value.Bool (Value.to_bool (eval lookup a) && Value.to_bool (eval lookup b))
-  | Or (a, b) ->
-    Value.Bool (Value.to_bool (eval lookup a) || Value.to_bool (eval lookup b))
+let add a b = arith "+" ( + ) ( +. ) a b
+let sub a b = arith "-" ( - ) ( -. ) a b
+let mul a b = arith "*" ( * ) ( *. ) a b
+let div a b = arith "/" ( / ) ( /. ) a b
+
+let neg = function
+  | Value.Int n -> Value.Int (-n)
+  | Value.Float f -> Value.Float (-.f)
+  | v -> type_error "neg" v v
+
+(* [op] over two compiled operands, evaluating the right one first *)
+let rtl op a b =
+  let f s = let y = b s in op (a s) y in
+  f
+
+let of_bool b = if b then Value.Bool true else Value.Bool false
+let always _ = true
+let never _ = false
+let nothing _ _ _ = ()
+
+(* Compiles [t] against the [slot_names] layout of its variables.  A
+   physical memo compiles a subexpression shared between actions (a
+   generated emit step writes one sum to every output) once.  Operands
+   are evaluated in the tree-walking evaluator's order: right to left,
+   except [Mod], which matched on a tuple and so went left to right. *)
+let compile t =
+  let index names x = Option.get (Array.find_index (String.equal x) names) in
+  let slot = index (slot_names t.vars) in
+  let memo = ref [] in
+  let rec expr e =
+    match List.assq_opt e !memo with
+    | Some f -> f
+    | None ->
+      let f =
+        match e with
+        | Const v -> fun _ -> v
+        | Var x ->
+          let i = slot x in
+          fun s -> s.(i)
+        | Neg a ->
+          let a = expr a in
+          fun s -> neg (a s)
+        | Add (a, b) -> rtl add (expr a) (expr b)
+        | Sub (a, b) -> rtl sub (expr a) (expr b)
+        | Mul (a, b) -> rtl mul (expr a) (expr b)
+        | Div (a, b) -> rtl div (expr a) (expr b)
+        | Mod (a, b) -> (
+          let a = expr a and b = expr b in
+          fun s ->
+            let x = a s in
+            match (x, b s) with
+            | Value.Int x, Value.Int y -> Value.Int (x mod y)
+            | x, y -> type_error "mod" x y)
+        | Avail _ | Not _ | Eq _ | Lt _ | Le _ | And _ | Or _ ->
+          let c = cond e in
+          fun s -> of_bool (c s)
+      in
+      memo := (e, f) :: !memo;
+      f
+  (* [cond e s] is [Value.to_bool] of [e]'s value, unboxed *)
+  and cond = function
+    | Const (Value.Bool b) -> if b then always else never
+    | Avail x ->
+      let i = slot x in
+      fun s -> not (Value.is_absent s.(i))
+    | Not a ->
+      let a = cond a in
+      fun s -> not (a s)
+    | Eq (a, b) -> rtl Value.equal (expr a) (expr b)
+    | Lt (a, b) -> rtl (fun x y -> Value.compare x y < 0) (expr a) (expr b)
+    | Le (a, b) -> rtl (fun x y -> Value.compare x y <= 0) (expr a) (expr b)
+    | And (a, b) ->
+      let a = cond a and b = cond b in
+      fun s -> a s && b s
+    | Or (a, b) ->
+      let a = cond a and b = cond b in
+      fun s -> a s || b s
+    | e ->
+      let e = expr e in
+      fun s -> Value.to_bool (e s)
+  in
+  let action = function
+    | Assign (x, e) ->
+      let i = slot x and e = expr e in
+      fun s _ _ -> s.(i) <- e s
+    | Read (x, c) ->
+      let i = slot x in
+      fun s read _ -> s.(i) <- read c
+    | Write (c, e) ->
+      let e = expr e in
+      fun s _ write -> write c (e s)
+  in
+  let seq a k = if k == nothing then a else fun s r w -> (a s r w; k s r w) in
+  let actions l = List.fold_right (fun a k -> seq (action a) k) l nothing in
+  let names = Array.of_list (locations t) in
+  let loc = index names in
+  let out = Array.make (Array.length names) [] in
+  List.iter
+    (fun tr ->
+      let next = loc tr.dst in
+      let step = { cond = cond tr.guard; act = actions tr.actions; next } in
+      out.(loc tr.src) <- step :: out.(loc tr.src))
+    t.transitions;
+  Array.map (fun l -> Array.of_list (List.rev l)) out
+
+(* Built on the first job and published atomically: two domains racing
+   on one automaton's first job each build an equal program, and either
+   may win.  A [Lazy.t] would raise when forced from two domains. *)
+let program t =
+  match Atomic.get t.code with
+  | [||] ->
+    let p = compile t in
+    Atomic.set t.code p;
+    p
+  | p -> p
 
 exception Stuck of loc
 
-let perform env = function
-  | Assign (x, e) -> env.assign x (eval env.lookup e)
-  | Read (x, c) -> env.assign x (env.read_channel c)
-  | Write (c, e) -> env.write_channel c (eval env.lookup e)
+let rec first t l steps s i =
+  if i >= Array.length steps then raise (Stuck (List.nth (locations t) l))
+  else
+    let st = Array.unsafe_get steps i in
+    if st.cond s then st else first t l steps s (i + 1)
 
-let run_job ?(max_steps = 10_000) t env =
-  let step loc =
-    let candidates = try Hashtbl.find t.by_src loc with Not_found -> [] in
-    match
-      List.find_opt
-        (fun tr -> Value.to_bool (eval env.lookup tr.guard))
-        candidates
-    with
-    | None -> raise (Stuck loc)
-    | Some tr ->
-      List.iter (perform env) tr.actions;
-      tr.dst
-  in
-  let rec loop loc steps =
-    if steps >= max_steps then
-      invalid_arg "Automaton.run_job: step bound exceeded (non-terminating job?)"
-    else
-      let next = step loc in
-      let steps = steps + 1 in
-      if next = t.initial then steps else loop next steps
-  in
-  loop t.initial 0
+let rec run t p s read write l n =
+  if n >= 10_000 then
+    invalid_arg "Automaton.run_job: step bound exceeded (non-terminating job?)"
+  else
+    let st = first t l (Array.unsafe_get p l) s 0 in
+    st.act s read write;
+    if st.next <> 0 then run t p s read write st.next (n + 1)
+
+let exec t slots ~read ~write = run t (program t) slots read write 0 0

@@ -58,9 +58,8 @@ val make :
   vars:(string * Value.t) list ->
   transitions:transition list ->
   t
-(** @raise Invalid_argument if a transition refers to an undeclared
-    source location's variable set … (static checks: all guard/action
-    variables are declared; at least one transition leaves [initial]). *)
+(** @raise Invalid_argument if a guard or an action names an undeclared
+    variable, or if no transition leaves [initial]. *)
 
 val initial : t -> loc
 val variables : t -> (string * Value.t) list
@@ -72,26 +71,46 @@ val locations : t -> loc list
 val channels_read : t -> string list
 val channels_written : t -> string list
 
-(** Runtime interface used by the semantics interpreters. *)
+(** {1 Execution}
 
-type env = {
-  lookup : string -> Value.t;
-  assign : string -> Value.t -> unit;
-  read_channel : string -> Value.t;
-  write_channel : string -> Value.t -> unit;
-}
+    An automaton runs as a compiled program, built on its first job:
+    locations become integers (the initial one is 0), each location's
+    outgoing transitions an array in declaration order, every variable
+    a slot of the running instance's local store, and every guard,
+    expression and action a closure over that store.  The program is
+    published through an [Atomic.t]; building it is idempotent, so two
+    domains racing on one automaton's first job build equal programs
+    and either may publish.  [make] compiles nothing, so front-end
+    passes that never run a job ([lint], [certify], [derive]) pay
+    nothing for it. *)
 
-val eval : (string -> Value.t) -> expr -> Value.t
-(** Evaluates an expression under a variable valuation.
-    @raise Invalid_argument on type errors (e.g. adding booleans). *)
+val slot_names : (string * 'a) list -> string array
+(** The local-store layout of a variable declaration list: one slot per
+    distinct name, in order of first declaration.  A duplicate
+    declaration shares its name's slot, and the last initial value
+    wins.  {!Instance} lays out its store with this function, and
+    {!exec} addresses variables by these indices. *)
 
 exception Stuck of loc
-(** Raised by {!run_job} when no transition out of a non-initial
-    location is enabled. *)
+(** Raised by {!exec} when no transition out of the current location is
+    enabled. *)
 
-val run_job : ?max_steps:int -> t -> env -> int
-(** Executes one job run: steps from the initial location until it is
-    reached again.  Returns the number of transitions taken.
+val exec :
+  t ->
+  Value.t array ->
+  read:(string -> Value.t) ->
+  write:(string -> Value.t -> unit) ->
+  unit
+(** [exec t slots ~read ~write] executes one job run: steps from the
+    initial location until it is reached again, updating [slots] (laid
+    out by {!slot_names} over {!variables}) and routing channel accesses
+    through [read]/[write].  At each step the first enabled transition
+    is taken and its actions run in order.  Binary operands are
+    evaluated right to left ([Mod]: left to right), and [And]/[Or]
+    short-circuit.
     @raise Stuck if execution cannot continue.
-    @raise Invalid_argument if [max_steps] (default 10_000) is exceeded
-    — the guard against non-terminating job runs. *)
+    @raise Invalid_argument on a type error (e.g. adding booleans, or a
+    guard that is not a [Bool]), and after 10 000 steps without
+    returning to the initial location, the guard against
+    non-terminating job runs.
+    @raise Division_by_zero on an integer [Div] or [Mod] by zero. *)

@@ -35,10 +35,12 @@ type t = {
   write_targets : route array array;
   (* the zero-allocation job path: one prepared context per process,
      whose closures route against [cur_inputs] instead of taking a feed
-     and a recorder per call.  Two variants are prepared: one bumps
+     and a recorder per call.  Two variants exist: one bumps
      [access_count] per channel access (needed only when the platform
      charges a per-access overhead), the other doesn't pay the store.
-     [fast] aliases whichever {!set_access_counting} selected. *)
+     [fast] aliases whichever {!set_access_counting} selected; the
+     counting variant is built on its first selection ([[||]] until
+     then), as most platforms never charge per access. *)
   mutable fast : Instance.prepared array;
   mutable fast_count : Instance.prepared array;
   mutable fast_plain : Instance.prepared array;
@@ -136,107 +138,104 @@ let find_route names targets c =
   let i = route_scan names c 0 (Array.length names) in
   if i < 0 then None else Some targets.(i)
 
+let prepare_variant t ~counting p =
+  let inst = t.instances.(p) in
+  let pname = Process.name (Instance.process inst) in
+  let unknown dir c =
+    invalid_arg
+      (Printf.sprintf "process %s: %s to unattached channel %S" pname dir c)
+  in
+  let rnames = t.read_names.(p) and rtargets = t.read_targets.(p) in
+  let wnames = t.write_names.(p) and wtargets = t.write_targets.(p) in
+  (* per-direction call-site caches (see [cache_scan]); capped so
+     dynamically-built names degrade to [route_scan], never grow.
+     Slot 0/1 probes are hand-inlined in the closures below: almost
+     every process touches at most two channels per direction, so the
+     common access resolves in one or two pointer compares without a
+     single out-of-line call.  The [""] filler can never alias a
+     caller's string, so unused slots never match. *)
+  let rc_names = Array.make 8 "" and rc_idx = Array.make 8 0 in
+  let rc_n = ref 0 in
+  let wc_names = Array.make 8 "" and wc_idx = Array.make 8 0 in
+  let wc_n = ref 0 in
+  let resolve names cn ci cnt c =
+    let i = cache_scan cn ci c 2 !cnt in
+    if i >= 0 then i
+    else begin
+      let i = route_scan names c 0 (Array.length names) in
+      (if i >= 0 && !cnt < Array.length cn then begin
+         Array.unsafe_set cn !cnt c;
+         Array.unsafe_set ci !cnt i;
+         incr cnt
+       end);
+      i
+    end
+  in
+  let do_read c i =
+    if i < 0 then unknown "read" c
+    else
+      match Array.unsafe_get rtargets i with
+      | Internal state -> Channel.read state
+      | Ext_input -> t.cur_inputs c (Instance.job_count inst + 1)
+      | Ext_output _ -> unknown "read" c
+  in
+  let do_write c v i =
+    if i < 0 then unknown "write" c
+    else
+      match Array.unsafe_get wtargets i with
+      | Internal state | Ext_output state -> Channel.write state v
+      | Ext_input -> unknown "write" c
+  in
+  let read c =
+    if Array.unsafe_get rc_names 0 == c then
+      match Array.unsafe_get rtargets (Array.unsafe_get rc_idx 0) with
+      | Internal state -> Channel.read state
+      | Ext_input -> t.cur_inputs c (Instance.job_count inst + 1)
+      | Ext_output _ -> unknown "read" c
+    else if Array.unsafe_get rc_names 1 == c then
+      match Array.unsafe_get rtargets (Array.unsafe_get rc_idx 1) with
+      | Internal state -> Channel.read state
+      | Ext_input -> t.cur_inputs c (Instance.job_count inst + 1)
+      | Ext_output _ -> unknown "read" c
+    else do_read c (resolve rnames rc_names rc_idx rc_n c)
+  in
+  let write c v =
+    if Array.unsafe_get wc_names 0 == c then
+      match Array.unsafe_get wtargets (Array.unsafe_get wc_idx 0) with
+      | Internal state | Ext_output state -> Channel.write state v
+      | Ext_input -> unknown "write" c
+    else if Array.unsafe_get wc_names 1 == c then
+      match Array.unsafe_get wtargets (Array.unsafe_get wc_idx 1) with
+      | Internal state | Ext_output state -> Channel.write state v
+      | Ext_input -> unknown "write" c
+    else do_write c v (resolve wnames wc_names wc_idx wc_n c)
+  in
+  (* the counting variant, cold unless the platform prices accesses,
+     bumps the counter around the plain router *)
+  if counting then
+    Instance.prepare inst
+      ~read:(fun c ->
+        t.access_count <- t.access_count + 1;
+        read c)
+      ~write:(fun c v ->
+        t.access_count <- t.access_count + 1;
+        write c v)
+  else Instance.prepare inst ~read ~write
+
+let prepare_all t ~counting =
+  Array.init (Array.length t.instances) (prepare_variant t ~counting)
+
 let create net =
   let t = make_state net in
-  let n = Array.length t.instances in
-  let prepare_variant ~counting p =
-    let inst = t.instances.(p) in
-    let pname = Process.name (Instance.process inst) in
-    let unknown dir c =
-      invalid_arg
-        (Printf.sprintf "process %s: %s to unattached channel %S" pname dir c)
-    in
-    let rnames = t.read_names.(p) and rtargets = t.read_targets.(p) in
-    let wnames = t.write_names.(p) and wtargets = t.write_targets.(p) in
-    (* per-direction call-site caches (see [cache_scan]); capped so
-       dynamically-built names degrade to [route_scan], never grow.
-       Slot 0/1 probes are hand-inlined in the closures below: almost
-       every process touches at most two channels per direction, so the
-       common access resolves in one or two pointer compares without a
-       single out-of-line call.  The [""] filler can never alias a
-       caller's string, so unused slots never match. *)
-    let rc_names = Array.make 8 "" and rc_idx = Array.make 8 0 in
-    let rc_n = ref 0 in
-    let wc_names = Array.make 8 "" and wc_idx = Array.make 8 0 in
-    let wc_n = ref 0 in
-    let resolve names cn ci cnt c =
-      let i = cache_scan cn ci c 2 !cnt in
-      if i >= 0 then i
-      else begin
-        let i = route_scan names c 0 (Array.length names) in
-        (if i >= 0 && !cnt < Array.length cn then begin
-           Array.unsafe_set cn !cnt c;
-           Array.unsafe_set ci !cnt i;
-           incr cnt
-         end);
-        i
-      end
-    in
-    let do_read c i =
-      if i < 0 then unknown "read" c
-      else
-        match Array.unsafe_get rtargets i with
-        | Internal state -> Channel.read state
-        | Ext_input -> t.cur_inputs c (Instance.job_count inst + 1)
-        | Ext_output _ -> unknown "read" c
-    in
-    let do_write c v i =
-      if i < 0 then unknown "write" c
-      else
-        match Array.unsafe_get wtargets i with
-        | Internal state | Ext_output state -> Channel.write state v
-        | Ext_input -> unknown "write" c
-    in
-    let read =
-      if counting then fun c ->
-        t.access_count <- t.access_count + 1;
-        if Array.unsafe_get rc_names 0 == c then
-          do_read c (Array.unsafe_get rc_idx 0)
-        else if Array.unsafe_get rc_names 1 == c then
-          do_read c (Array.unsafe_get rc_idx 1)
-        else do_read c (resolve rnames rc_names rc_idx rc_n c)
-      else fun c ->
-        if Array.unsafe_get rc_names 0 == c then
-          match Array.unsafe_get rtargets (Array.unsafe_get rc_idx 0) with
-          | Internal state -> Channel.read state
-          | Ext_input -> t.cur_inputs c (Instance.job_count inst + 1)
-          | Ext_output _ -> unknown "read" c
-        else if Array.unsafe_get rc_names 1 == c then
-          match Array.unsafe_get rtargets (Array.unsafe_get rc_idx 1) with
-          | Internal state -> Channel.read state
-          | Ext_input -> t.cur_inputs c (Instance.job_count inst + 1)
-          | Ext_output _ -> unknown "read" c
-        else do_read c (resolve rnames rc_names rc_idx rc_n c)
-    in
-    let write =
-      if counting then fun c v ->
-        t.access_count <- t.access_count + 1;
-        if Array.unsafe_get wc_names 0 == c then
-          do_write c v (Array.unsafe_get wc_idx 0)
-        else if Array.unsafe_get wc_names 1 == c then
-          do_write c v (Array.unsafe_get wc_idx 1)
-        else do_write c v (resolve wnames wc_names wc_idx wc_n c)
-      else fun c v ->
-        if Array.unsafe_get wc_names 0 == c then
-          match Array.unsafe_get wtargets (Array.unsafe_get wc_idx 0) with
-          | Internal state | Ext_output state -> Channel.write state v
-          | Ext_input -> unknown "write" c
-        else if Array.unsafe_get wc_names 1 == c then
-          match Array.unsafe_get wtargets (Array.unsafe_get wc_idx 1) with
-          | Internal state | Ext_output state -> Channel.write state v
-          | Ext_input -> unknown "write" c
-        else do_write c v (resolve wnames wc_names wc_idx wc_n c)
-    in
-    Instance.prepare inst ~read ~write
-  in
-  t.fast_count <- Array.init n (prepare_variant ~counting:true);
-  t.fast_plain <- Array.init n (prepare_variant ~counting:false);
+  t.fast_plain <- prepare_all t ~counting:false;
   t.fast <- t.fast_plain;
   t
 
 let set_inputs t inputs = t.cur_inputs <- inputs
 
 let set_access_counting t b =
+  if b && Array.length t.fast_count <> Array.length t.instances then
+    t.fast_count <- prepare_all t ~counting:true;
   t.fast <- (if b then t.fast_count else t.fast_plain)
 
 let access_count t = t.access_count
@@ -300,8 +299,6 @@ let run_job ?recorder ?(inputs = no_inputs) t ~proc ~now =
   match recorder with
   | Some r -> r (Trace.Job_end { process = pname; k })
   | None -> ()
-
-let skip_job t ~proc = Instance.skip_job t.instances.(proc)
 
 let run_job_deferred ?(recorder = fun _ -> ()) ?(inputs = no_inputs) t ~proc ~now =
   let inst = t.instances.(proc) in

@@ -31,9 +31,6 @@ val run_job :
     @raise Invalid_argument if the process accesses a channel that is
     not attached to it. *)
 
-val skip_job : t -> proc:int -> unit
-(** Consume an invocation without executing (a ['false'] job). *)
-
 val set_inputs : t -> input_feed -> unit
 (** Binds the external input feed consulted by {!run_job_fast}. *)
 
@@ -63,7 +60,8 @@ val run_jobs_fast :
 val set_access_counting : t -> bool -> unit
 (** Selects whether {!run_job_fast} counts channel accesses.  Off by
     default: the counting variant pays a store per access, so callers
-    enable it only when the platform actually charges per access. *)
+    enable it only when the platform actually charges per access.  Its
+    job contexts are prepared on the first [true], not at {!create}. *)
 
 val access_count : t -> int
 (** Total channel accesses performed through {!run_job_fast} with

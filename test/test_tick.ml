@@ -441,6 +441,51 @@ let test_memo_admission () =
   Alcotest.check pair "K1, K10, K1: 3 compiles" (3, 0)
     (memo_counts (run [ 1; 10; 1 ]))
 
+(* One network with automaton processes, run with a per-access cost of
+   0, then 1/50, then 0 again.  The memo gives the three entries one
+   network state, whose access-counting job contexts are built on the
+   first priced run and then set aside again; every run, each on the
+   tick core, must still equal the reference. *)
+let test_access_counting_toggle () =
+  let net =
+    Randgen.network
+      { Randgen.default_params with seed = 5; n_periodic = 5; n_sporadic = 0 }
+  in
+  Alcotest.(check bool) "the network runs automata" true
+    (Array.exists
+       (fun p ->
+         match p.Fppn.Process.behavior with
+         | Fppn.Process.Automaton _ -> true
+         | Fppn.Process.Native _ -> false)
+       (Fppn.Network.processes net));
+  let wcet = Randgen.wcet ~scale:wcet_scale (Derive.const_wcet Rat.one) net in
+  let d = Derive.derive_exn ~wcet net in
+  let sched =
+    match snd (List_scheduler.auto ~n_procs:2 d.Derive.graph) with
+    | Some a -> a.List_scheduler.schedule
+    | None -> Alcotest.fail "random network unschedulable"
+  in
+  List.iter
+    (fun per_access ->
+      let config =
+        {
+          (Engine.default_config ~frames:4 ~n_procs:2 ()) with
+          Engine.platform =
+            Platform.create
+              ~overhead:{ Platform.no_overhead with Platform.per_access }
+              ~n_procs:2 ();
+        }
+      in
+      let r, frames =
+        with_counter "engine.frames" (fun () -> Engine.run net d sched config)
+      in
+      let label = Format.asprintf "per-access cost %a" Rat.pp per_access in
+      Alcotest.(check int) (label ^ ": tick core") 4 frames;
+      Alcotest.(check bool)
+        label true
+        (identical r (Engine.run_reference net d sched config)))
+    [ Rat.zero; Rat.make 1 50; Rat.zero ]
+
 (* [Exec_time.profile] exposes per-job durations through
    [Exec_time.durations], so the tick engine compiles it rather than
    falling back; the "engine.frames" counter is only emitted by the
@@ -649,6 +694,8 @@ let () =
           Alcotest.test_case "run memo: interleaved keys" `Quick
             test_memo_interleaved;
           Alcotest.test_case "run memo: admission" `Quick test_memo_admission;
+          Alcotest.test_case "run memo: access counting on and off" `Quick
+            test_access_counting_toggle;
           Alcotest.test_case "profile tick-compiles" `Quick test_profile_tick;
           Alcotest.test_case "rational fallback" `Quick test_rat_fallback;
           Alcotest.test_case "overload past the frame boundary" `Quick
