@@ -239,14 +239,8 @@ let e4_fms pool buf =
   let traces =
     Fppn_apps.Fms.random_config_traces ~seed:11 ~horizon ~density:0.5 net
   in
-  let traces =
-    (* keep only events whose window closes inside the simulated frame *)
-    let _, unhandled = Engine.sporadic_assignment net d ~frames:1 traces in
-    List.map
-      (fun (n, stamps) ->
-        (n, List.filter (fun s -> not (List.mem (n, s) unhandled)) stamps))
-      traces
-  in
+  (* keep only events whose window closes inside the simulated frame *)
+  let traces = Engine.handled_traces net d ~frames:1 traces in
   let run_fms ~n_procs =
     let sched, feasible = schedule_or_fallback ~n_procs g in
     let config =

@@ -237,7 +237,15 @@ let obs_finish ?(model = []) trace_out =
           dropped)
     trace_out
 
-let derive_app app = Derive.derive_exn ~wcet:app.wcet app.net
+(* A network derivation rejects (outside the Sec. III-A subclass, or a
+   hyperperiod that cannot be represented) is bad input: one line, and
+   exit 2. *)
+let derive_app ?reduce app =
+  match Derive.derive ?reduce ~wcet:app.wcet app.net with
+  | Ok d -> d
+  | Error e ->
+    Format.eprintf "fppn-tool: %a@." Derive.pp_error e;
+    exit 2
 
 (* 'auto' fans the heuristic attempts out over a domain pool (1 worker
    per available core), which also gives traces their pool lanes *)
@@ -267,25 +275,8 @@ let schedule_for g ~heuristic ~n_procs =
 
 let sporadic_traces app d ~frames ~seed ~density =
   let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int frames) in
-  let prng = Rt_util.Prng.create seed in
-  let traces =
-    List.filter_map
-      (fun p ->
-        let proc = Network.process app.net p in
-        if Process.is_sporadic proc then
-          Some
-            ( Process.name proc,
-              Fppn.Event.random_sporadic_trace (Process.event proc)
-                (Rt_util.Prng.split prng) ~horizon ~density )
-        else None)
-      (List.init (Network.n_processes app.net) Fun.id)
-  in
-  (* drop horizon-edge events the simulation cannot handle *)
-  let _, unhandled = Engine.sporadic_assignment app.net d ~frames traces in
-  List.map
-    (fun (n, stamps) ->
-      (n, List.filter (fun s -> not (List.mem (n, s) unhandled)) stamps))
-    traces
+  Engine.handled_traces app.net d ~frames
+    (Fppn_apps.Randgen.random_traces ~seed ~horizon ~density app.net)
 
 (* --- subcommands -------------------------------------------------------- *)
 
@@ -324,7 +315,7 @@ let info_cmd =
 let derive_cmd =
   let run app_name seed no_reduce =
     let app = resolve_app app_name seed in
-    let d = Derive.derive_exn ~reduce:(not no_reduce) ~wcet:app.wcet app.net in
+    let d = derive_app ~reduce:(not no_reduce) app in
     let g = d.Derive.graph in
     Printf.printf "hyperperiod: %s ms\n" (Rat.to_string d.Derive.hyperperiod);
     Printf.printf "jobs: %d, edges: %d (raw %d)\n" (Graph.n_jobs g)
@@ -893,6 +884,7 @@ let report_cmd =
   let run app_name seed n_procs frames =
     let app = resolve_app app_name seed in
     let net = app.net in
+    let d = derive_app app in
     Printf.printf "# FPPN deployment report: %s\n\n" (Network.name net);
     Printf.printf "## Network\n\n%d processes, %d internal channels, %d priority edges.\n\n"
       (Network.n_processes net)
@@ -901,7 +893,6 @@ let report_cmd =
     Array.iter
       (fun p -> Format.printf "- %a@." Process.pp p)
       (Network.processes net);
-    let d = derive_app app in
     let g = d.Derive.graph in
     let load = Taskgraph.Analysis.load g in
     Printf.printf

@@ -87,8 +87,6 @@ let run_prepared t p ~now =
   | Pprogram (a, read, write) -> Automaton.exec a t.l_vals ~read ~write);
   t.count <- k
 
-let skip_job t = t.count <- t.count + 1
-
 let reset t =
   load_locals t;
   t.count <- 0

@@ -58,10 +58,5 @@ val run_prepared : t -> prepared -> now:Rt_util.Rat.t -> unit
     allocating a context.  Equivalent to {!run_job} with the same
     router, exceptions included; increments the job counter. *)
 
-val skip_job : t -> unit
-(** Advances the counter without running the behavior — used when the
-    semantics consumes an invocation whose job was marked ['false']
-    (sporadic server slot with no real event, Sec. IV). *)
-
 val reset : t -> unit
 (** Restores initial variable values and a zero counter. *)

@@ -244,18 +244,18 @@ let run_job_fast t ~proc ~now =
   Instance.run_prepared t.instances.(proc) t.fast.(proc) ~now
 
 (* the replay inner loop of the tick engine: job [i] runs process
-   [procs.(i)] at instant [nows.(now_base + now_idx.(i))].  Hosting the
-   loop here keeps the per-job work to two unchecked loads and one call
-   — the callers guarantee indices in range ([procs]/[now_idx] come
-   from the captured template, [now_base + now_idx] indexes [nows]). *)
-let run_jobs_fast t ~procs ~now_idx ~nows ~now_base ~count =
+   [procs.(i)] at instant [nows.(now_idx.(i))].  Hosting the loop here
+   keeps the per-job work to two unchecked loads and one call — the
+   callers guarantee indices in range ([procs]/[now_idx] come from the
+   captured template, [now_idx] indexes [nows]). *)
+let run_jobs_fast t ~procs ~now_idx ~nows ~count =
   let instances = t.instances and fast = t.fast in
   for i = 0 to count - 1 do
     let p = Array.unsafe_get procs i in
     Instance.run_prepared
       (Array.unsafe_get instances p)
       (Array.unsafe_get fast p)
-      ~now:(Array.unsafe_get nows (now_base + Array.unsafe_get now_idx i))
+      ~now:(Array.unsafe_get nows (Array.unsafe_get now_idx i))
   done
 
 let network t = t.net

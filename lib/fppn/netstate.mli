@@ -48,12 +48,11 @@ val run_jobs_fast :
   procs:int array ->
   now_idx:int array ->
   nows:Rt_util.Rat.t array ->
-  now_base:int ->
   count:int ->
   unit
-(** [run_jobs_fast t ~procs ~now_idx ~nows ~now_base ~count] runs
+(** [run_jobs_fast t ~procs ~now_idx ~nows ~count] runs
     {!run_job_fast} for [i < count] with [proc = procs.(i)] and
-    [now = nows.(now_base + now_idx.(i))] — the tick engine's replay
+    [now = nows.(now_idx.(i))] — the tick engine's replay
     inner loop, hosted here so each job costs two loads and a call.
     Indices are {e unchecked}: callers must keep them in range. *)
 

@@ -128,20 +128,7 @@ let check case =
            legitimately differ under sabotage — that is the bug being
            hunted, and it shows up as a history divergence. *)
         let traces =
-          let _, unhandled =
-            Engine.sporadic_assignment net_ref d_ref ~frames:case.frames traces
-          in
-          List.map
-            (fun (n, stamps) ->
-              ( n,
-                List.filter
-                  (fun s ->
-                    not
-                      (List.exists
-                         (fun (n', u) -> n' = n && Rat.equal u s)
-                         unhandled))
-                  stamps ))
-            traces
+          Engine.handled_traces net_ref d_ref ~frames:case.frames traces
         in
         let zd =
           Semantics.run net_ref

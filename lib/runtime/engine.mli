@@ -155,6 +155,17 @@ val sporadic_assignment :
     @raise Invalid_argument as {!run} when a trace violates its
     generator's [(m, T)] constraint. *)
 
+val handled_traces :
+  Fppn.Network.t ->
+  Taskgraph.Derive.t ->
+  frames:int ->
+  (string * Rt_util.Rat.t list) list ->
+  (string * Rt_util.Rat.t list) list
+(** The stamps the engine will handle: [traces] without the ones
+    {!sporadic_assignment} leaves unhandled, so a zero-delay reference
+    run over [frames] hyperperiods sees the events the engine does.
+    @raise Invalid_argument as {!sporadic_assignment}. *)
+
 val signature : result -> (string * Fppn.Value.t list) list
 (** Channel write sequences (internal + external outputs), sorted by
     name — directly comparable with [Fppn.Semantics.signature]. *)

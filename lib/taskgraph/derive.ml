@@ -29,6 +29,7 @@ type t = {
 type error =
   | Subclass of Network.user_error list
   | Transformed_priority_cycle of string list
+  | Hyperperiod_overflow
 
 let pp_error ppf = function
   | Subclass errs ->
@@ -40,6 +41,9 @@ let pp_error ppf = function
   | Transformed_priority_cycle ps ->
     Format.fprintf ppf "server transformation created a priority cycle: %s"
       (String.concat " -> " ps)
+  | Hyperperiod_overflow ->
+    Format.fprintf ppf
+      "hyperperiod not representable: the lcm of the periods overflows"
 
 (* Per-process generator parameters in the transformed network PN'. *)
 type gen' = {
@@ -113,21 +117,23 @@ let derive ?(reduce = true) ~wcet net =
         if not dropped then Digraph.add_edge fp' hi lo)
       (Network.fp_edges net);
     List.iter (fun s -> Digraph.add_edge fp' s.sporadic s.user) servers;
-    (match Digraph.topo_sort fp' with
-    | None ->
+    (* step 2: hyperperiod of PN', then the job sequence J *)
+    let hyperperiod =
+      let periods = Array.to_list (Array.map (fun g -> g.period') gens) in
+      try Some (Rat.lcm_list periods) with Rat.Overflow -> None
+    in
+    (match (Digraph.topo_sort fp', hyperperiod) with
+    | None, _ ->
       let cycle =
         match Digraph.find_cycle fp' with
         | Some vs -> List.map (fun v -> Process.name procs.(v)) vs
         | None -> []
       in
       Error (Transformed_priority_cycle cycle)
-    | Some order ->
+    | Some _, None -> Error Hyperperiod_overflow
+    | Some order, Some hyperperiod ->
       let rank' = Array.make n 0 in
       List.iteri (fun i v -> rank'.(v) <- i) order;
-      (* step 2: hyperperiod of PN' and the job sequence J *)
-      let hyperperiod =
-        Rat.lcm_list (Array.to_list (Array.map (fun g -> g.period') gens))
-      in
       let jobs = ref [] in
       for p = n - 1 downto 0 do
         let g = gens.(p) in

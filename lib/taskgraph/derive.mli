@@ -59,6 +59,8 @@ type error =
   | Subclass of Fppn.Network.user_error list
   | Transformed_priority_cycle of string list
       (** replacing [u → p] by [p' → u] re-cycled the priority DAG *)
+  | Hyperperiod_overflow
+      (** [lcm T_p'] is not representable ({!Rt_util.Rat.Overflow}) *)
 
 val pp_error : Format.formatter -> error -> unit
 

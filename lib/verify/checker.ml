@@ -1,6 +1,5 @@
 module Rat = Rt_util.Rat
 module Network = Fppn.Network
-module Process = Fppn.Process
 module Semantics = Fppn.Semantics
 module Derive = Taskgraph.Derive
 module Analysis = Taskgraph.Analysis
@@ -45,27 +44,6 @@ let eq_sig a b =
     (fun (n1, h1) (n2, h2) ->
       String.equal n1 n2 && List.equal Fppn.Value.equal h1 h2)
     a b
-
-let sporadic_traces net d ~frames ~seed ~density =
-  let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int frames) in
-  let prng = Rt_util.Prng.create seed in
-  let raw =
-    List.filter_map
-      (fun p ->
-        let proc = Network.process net p in
-        if Process.is_sporadic proc then
-          Some
-            ( Process.name proc,
-              Fppn.Event.random_sporadic_trace (Process.event proc)
-                (Rt_util.Prng.split prng) ~horizon ~density )
-        else None)
-      (List.init (Network.n_processes net) Fun.id)
-  in
-  let _, unhandled = Engine.sporadic_assignment net d ~frames raw in
-  List.map
-    (fun (n, stamps) ->
-      (n, List.filter (fun s -> not (List.mem (n, s) unhandled)) stamps))
-    raw
 
 let run ?(config = default_config) ~wcet net =
   let checks = ref [] in
@@ -123,11 +101,12 @@ let run ?(config = default_config) ~wcet net =
                Fppn_lint.Diagnostic.pp)
             diags));
     let load = (Analysis.load g).Analysis.value in
-    let traces =
-      sporadic_traces net d ~frames:config.frames ~seed:config.seed
-        ~density:config.sporadic_density
-    in
     let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int config.frames) in
+    let traces =
+      Engine.handled_traces net d ~frames:config.frames
+        (Fppn_apps.Randgen.random_traces ~seed:config.seed ~horizon
+           ~density:config.sporadic_density net)
+    in
     let zd =
       Semantics.run ~inputs:config.inputs net
         (Semantics.invocations ~sporadic:traces ~horizon net)

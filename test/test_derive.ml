@@ -192,6 +192,22 @@ let test_subclass_error () =
   | Error (Derive.Subclass _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected a Subclass error"
 
+(* Four coprime periods near 10^6: their lcm (~10^24) does not fit the
+   rationals, and derivation says so instead of raising. *)
+let test_hyperperiod_overflow () =
+  let b = Network.Builder.create "coprime" in
+  List.iteri
+    (fun i t ->
+      Network.Builder.add_process b
+        (Process.make ~name:(Printf.sprintf "P%d" i)
+           ~event:(Event.periodic ~period:(ms t) ~deadline:(ms t) ())
+           (Process.Native ignore)))
+    [ 999983; 999979; 999961; 999959 ];
+  let net = Network.Builder.finish_exn b in
+  match Derive.derive ~wcet:(Derive.const_wcet Rat.one) net with
+  | Error Derive.Hyperperiod_overflow -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected a Hyperperiod_overflow error"
+
 (* --- total order and edge-rule invariants ------------------------------ *)
 
 let test_order_is_sorted () =
@@ -354,6 +370,8 @@ let () =
           Alcotest.test_case "footnote-3 boundary deadline" `Quick
             test_footnote3_boundary_deadline;
           Alcotest.test_case "subclass violation" `Quick test_subclass_error;
+          Alcotest.test_case "hyperperiod overflow" `Quick
+            test_hyperperiod_overflow;
         ] );
       ( "invariants",
         [

@@ -673,6 +673,32 @@ let test_service_underivable () =
   | Ok _ -> Alcotest.fail "an underivable network was admitted");
   Alcotest.(check (list string)) "residents unchanged" before (names ())
 
+(* a network whose hyperperiod overflows the rationals (four coprime
+   periods near 10^6) is underivable too: a verdict, not Rat.Overflow *)
+let test_service_hyperperiod_overflow () =
+  let svc = Service.create ~procs:4 ~frames:1 () in
+  let net =
+    let module B = Fppn.Network.Builder in
+    let b = B.create "coprime" in
+    List.iteri
+      (fun i t ->
+        B.add_process b
+          (Fppn.Process.make ~name:(Printf.sprintf "P%d" i)
+             ~event:(Fppn.Event.periodic ~period:(ms t) ~deadline:(ms t) ())
+             (Fppn.Process.Native ignore)))
+      [ 999983; 999979; 999961; 999959 ];
+    B.finish_exn b
+  in
+  match
+    Service.register svc ~name:"coprime" ~wcet:(Derive.const_wcet (ms 1)) net
+  with
+  | Error (Admission.Underivable _) ->
+    Alcotest.(check int) "no resident" 0 (List.length (Service.tenants svc))
+  | Error r ->
+    Alcotest.failf "expected underivable, got %s"
+      (Json.to_string (Admission.reason_to_json r))
+  | Ok _ -> Alcotest.fail "an underivable network was admitted"
+
 let () =
   Alcotest.run "service"
     [
@@ -721,5 +747,7 @@ let () =
             test_service_zero_wcet_tenant;
           Alcotest.test_case "underivable tenant" `Quick
             test_service_underivable;
+          Alcotest.test_case "hyperperiod overflow underivable" `Quick
+            test_service_hyperperiod_overflow;
         ] );
     ]

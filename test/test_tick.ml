@@ -316,6 +316,36 @@ let test_pooled_reruns () =
   Alcotest.(check bool)
     "earlier results survive a later run" true (identical r1 reference)
 
+(* A memo entry fixes plan, schedule and frame count, so its replay
+   program is built by the first run that replays and reused by every
+   later one.  On a network whose bodies allocate nothing, a rerun
+   after a warm-up call then allocates as much at 4 frames as at 40:
+   the steady frames allocate none. *)
+let test_steady_frames_allocate_nothing () =
+  let net = Fppn_apps.Alloc_probe.network () in
+  let d = Derive.derive_exn ~wcet:Fppn_apps.Alloc_probe.wcet net in
+  match snd (List_scheduler.auto ~n_procs:2 d.Derive.graph) with
+  | None -> Alcotest.fail "allocation probe unschedulable"
+  | Some a ->
+    let sched = a.List_scheduler.schedule in
+    let bytes_per_call frames =
+      let config = Engine.default_config ~frames ~n_procs:2 () in
+      ignore (Engine.run net d sched config);
+      (* from an empty minor heap: a collection inside the window would
+         inflate its count *)
+      Gc.minor ();
+      let k = 50 in
+      let a0 = Gc.allocated_bytes () in
+      for _ = 1 to k do
+        ignore (Engine.run net d sched config)
+      done;
+      (Gc.allocated_bytes () -. a0) /. float_of_int k
+    in
+    let at4 = bytes_per_call 4 in
+    let at40 = bytes_per_call 40 in
+    Alcotest.(check (float 0.))
+      "Gc.allocated_bytes per call, 4 frames vs 40" at4 at40
+
 (* --- run memo ------------------------------------------------------------ *)
 
 (* Interleaved keys: fig1 at 4 and 6 frames (one network, one kept
@@ -691,6 +721,8 @@ let () =
             test_replay_after_first_frame;
           Alcotest.test_case ">64 processes" `Quick test_many_procs;
           Alcotest.test_case "pooled reruns" `Quick test_pooled_reruns;
+          Alcotest.test_case "steady frames allocate nothing" `Quick
+            test_steady_frames_allocate_nothing;
           Alcotest.test_case "run memo: interleaved keys" `Quick
             test_memo_interleaved;
           Alcotest.test_case "run memo: admission" `Quick test_memo_admission;
