@@ -1,19 +1,19 @@
-(* Benchmark and experiment harness.
+(* The reproduction report behind EXPERIMENTS.md.
 
    Regenerates every quantitative artefact of the paper's evaluation
    (Figs. 1, 3, 4 — the running example; Figs. 5, 6 and the Sec. V-A
    numbers — the FFT streaming benchmark; Fig. 7 and the Sec. V-B
    numbers — the avionics FMS), the determinism checks behind
    Props. 2.1/4.1, plus the ablations called out in DESIGN.md; then runs
-   Bechamel micro-benchmarks of every pipeline stage.
+   Bechamel micro-benchmarks of every pipeline stage.  The wall-clock
+   rows are informational: the performance gates are the deterministic
+   cost pins of test/test_costs.ml and the perfbench/ workloads.
 
    Every section renders into its own buffer, so independent sections
-   are computed concurrently on a Rt_util.Pool of domains (--jobs N) and
-   printed in their fixed order; the timing-sensitive sections (the
-   transitive-reduction ablation and the Bechamel micro-benchmarks) stay
-   sequential.  --json FILE switches to the perf-regression harness: it
-   times the hot pipeline stages at jobs=1 and jobs=N and writes the
-   medians as JSON (see EXPERIMENTS.md, "Performance").
+   are computed concurrently on a Rt_util.Pool of domains (--jobs N,
+   capped at the recommended domain count) and printed in their fixed
+   order; the timing-sensitive sections (the transitive-reduction
+   ablation and the Bechamel micro-benchmarks) stay sequential.
 
    The printed "paper" column quotes the published value; "measured" is
    what this reproduction obtains.  Absolute times differ from the
@@ -953,6 +953,27 @@ let microbenchmarks buf =
   let fms_raw = Derive.derive_exn ~reduce:false ~wcet:Fppn_apps.Fms.wcet fms_net in
   let fft_p = Fppn_apps.Fft.default_params in
   let fft_net = Fppn_apps.Fft.network fft_p in
+  let exact_g =
+    let net =
+      Fppn_apps.Randgen.network
+        { Fppn_apps.Randgen.default_params with
+          seed = 101; n_periodic = 4; n_sporadic = 1 }
+    in
+    let wcet =
+      Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 8) (Derive.const_wcet Rat.one) net
+    in
+    (Derive.derive_exn ~wcet net).Derive.graph
+  in
+  let co_apps =
+    [
+      { Sched.Cosched.app_name = "fms"; app_priority = 0; graph = fms_d.Derive.graph };
+      { Sched.Cosched.app_name = "automotive"; app_priority = 1;
+        graph =
+          (Derive.derive_exn ~wcet:Fppn_apps.Automotive.wcet
+             (Fppn_apps.Automotive.network ()))
+            .Derive.graph };
+    ]
+  in
   let tests =
     [
       Test.make ~name:"derive.fig1"
@@ -983,6 +1004,15 @@ let microbenchmarks buf =
              ignore
                (Engine.run fig1_net fig1_d fig1_sched
                   (Engine.default_config ~frames:1 ~n_procs:2 ()))));
+      Test.make ~name:"engine.fig1-frame-m2-traced"
+        (Staged.stage (fun () ->
+             Fppn_obs.Trace.set_enabled true;
+             Fppn_obs.Metrics.set_enabled true;
+             ignore
+               (Engine.run fig1_net fig1_d fig1_sched
+                  (Engine.default_config ~frames:1 ~n_procs:2 ()));
+             Fppn_obs.Trace.set_enabled false;
+             Fppn_obs.Metrics.set_enabled false));
       Test.make ~name:"timed-automata.fig1-frame-m2"
         (Staged.stage (fun () ->
              ignore
@@ -1002,7 +1032,22 @@ let microbenchmarks buf =
         (Staged.stage (fun () ->
              ignore
                (Semantics.run fft_net (Semantics.invocations ~horizon:(ms 200) fft_net))));
+      Test.make ~name:"fuzz-campaign.40-cases-jobs1"
+        (Staged.stage (fun () ->
+             ignore
+               (Fppn_fuzz.Campaign.run ~jobs:1
+                  { Fppn_fuzz.Campaign.default_config with budget = 40 })));
+      Test.make ~name:"exact.random101-m2-20k-nodes"
+        (Staged.stage (fun () ->
+             ignore (Sched.Exact.solve ~node_budget:20_000 ~n_procs:2 exact_g)));
     ]
+    @ List.map
+        (fun variant ->
+          Test.make
+            ~name:("cosched-auto.fms+automotive-m4-" ^ Sched.Cosched.variant_to_string variant)
+            (Staged.stage (fun () ->
+                 ignore (Sched.Cosched.auto ~variant ~n_procs:4 co_apps))))
+        [ Sched.Cosched.Fair; Sched.Cosched.Slots ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
@@ -1161,777 +1206,26 @@ let run_experiments pool =
   print_endline "\nDone. See EXPERIMENTS.md for the paper-vs-measured discussion."
 
 (* ------------------------------------------------------------------ *)
-(* Perf-regression harness (--json)                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Hot pipeline stages timed at jobs=1 and jobs=N; medians land in a
-   JSON file so successive commits can be diffed.  The jobs=1 numbers
-   double as the Rat-sensitive scalar baselines (list scheduling, exact
-   search and the engine all run on Rat arithmetic). *)
-
-let median xs =
-  match List.sort compare xs with
-  | [] -> nan
-  | sorted -> List.nth sorted (List.length sorted / 2)
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let jfloat f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
-
-let jvariant ~jobs (runs, med) =
-  Printf.sprintf "{\"jobs\": %d, \"runs\": [%s], \"median\": %s}" jobs
-    (String.concat ", " (List.map jfloat runs))
-    (jfloat med)
-
-(* variant with the sample distribution spelled out (min and
-   interquartile range) — used by the engine stages, whose 5x
-   run-to-run spreads made a bare median unreviewable *)
-let jdist ~jobs (runs, med) =
-  let sorted = List.sort compare runs in
-  let nth i = List.nth sorted i in
-  let len = List.length sorted in
-  let minv = if len = 0 then nan else nth 0 in
-  let iqr = if len < 4 then nan else nth (3 * len / 4) -. nth (len / 4) in
-  Printf.sprintf
-    "{\"jobs\": %d, \"runs\": [%s], \"median\": %s, \"min\": %s, \"iqr\": %s}"
-    jobs
-    (String.concat ", " (List.map jfloat runs))
-    (jfloat med) (jfloat minv) (jfloat iqr)
-
-(* run-to-run spread of a sample list, as a fraction of the median *)
-let spread (runs, med) =
-  match runs with
-  | [] -> nan
-  | r :: rest ->
-    let mn = List.fold_left Float.min r rest
-    and mx = List.fold_left Float.max r rest in
-    if med > 0.0 then (mx -. mn) /. med else nan
-
-let safe_div a b = if b > 0.0 then a /. b else nan
-
-(* --- JSON reader for --gate -------------------------------------------- *)
-(* The baseline file is read back through the shared writer/reader the
-   harness also emits with, so the gate can never disagree with the
-   emitter about escaping or number formats. *)
-
-module Json = Rt_util.Json
-
-(* How a stage's numbers may be compared across harness runs:
-   rates (cases/s, jobs/s) are budget-invariant, [`Seconds_stable]
-   stages time the same workload under --smoke and full runs, and
-   [`Seconds_budgeted] stages shrink their workload under --smoke, so
-   their absolute times only compare against a baseline of the same
-   kind. *)
-let run_gate ~smoke ~alloc
-    ~(stages :
-       (string
-       * [ `Rate | `Seconds_stable | `Seconds_budgeted ]
-       * (float list * float))
-       list) baseline_path =
-  let text =
-    try In_channel.with_open_text baseline_path In_channel.input_all
-    with Sys_error msg ->
-      Printf.eprintf "gate: cannot read baseline: %s\n" msg;
-      exit 2
-  in
-  let base =
-    try Json.parse text
-    with Json.Malformed msg ->
-      Printf.eprintf "gate: %s is not valid JSON: %s\n" baseline_path msg;
-      exit 2
-  in
-  let base_smoke =
-    Option.bind (Json.member "smoke" base) Json.as_bool
-    |> Option.value ~default:false
-  in
-  let base_stages =
-    match Json.member "stages" base with Some (Json.Arr l) -> l | _ -> []
-  in
-  let find_stage name =
-    List.find_opt
-      (fun s ->
-        match Option.bind (Json.member "name" s) Json.as_string with
-        | Some n -> String.equal n name
-        | None -> false)
-      base_stages
-  in
-  let tolerance = 0.20 in
-  (* The host CPU settles into one of two persistent speed modes ~25%
-     apart, and the engine stage resolves in microseconds — far too
-     fast to straddle both modes — so a fast-mode baseline read back
-     in slow mode sits right at a 0.80x ratio no matter how stable the
-     per-mode median is.  That stage gets headroom for the mode delta;
-     the deterministic allocation check below still catches the
-     classic engine regressions (allocation creep) at any speed. *)
-  let tolerance_for name =
-    if
-      String.equal name "engine-sim-fig1-m2"
-      || String.equal name "engine-sharded-m4"
-    then 0.35
-    else tolerance
-  in
-  let failures = ref 0 in
-  Printf.printf "gate: comparing against %s (tolerance %d%%)\n" baseline_path
-    (int_of_float (tolerance *. 100.0));
-  List.iter
-    (fun (name, kind, (runs, _median)) ->
-      let comparable =
-        match kind with
-        | `Rate | `Seconds_stable -> true
-        | `Seconds_budgeted -> base_smoke = smoke
-      in
-      match find_stage name with
-      | None -> Printf.printf "  %-24s SKIP (not in baseline)\n" name
-      | Some _ when not comparable ->
-        Printf.printf "  %-24s SKIP (budget differs between smoke and full runs)\n"
-          name
-      | Some s -> (
-        let base_median =
-          Option.bind (Json.member "jobs1" s) (Json.member "median")
-          |> Fun.flip Option.bind Json.as_float
-        in
-        match base_median with
-        | None | Some 0.0 ->
-          Printf.printf "  %-24s SKIP (no jobs1 median in baseline)\n" name
-        | Some b ->
-          (* median, not best-of: stages now pin their iteration counts
-             and warm up before timing, so the median is stable and a
-             best-of comparison would only hide real regressions *)
-          let higher = kind = `Rate in
-          let m = median runs in
-          let ratio = if higher then m /. b else b /. m in
-          let tol = tolerance_for name in
-          let ok = ratio >= 1.0 -. tol in
-          if not ok then incr failures;
-          Printf.printf "  %-24s %s baseline %.3f, median %.3f (%.2fx%s)\n" name
-            (if ok then "ok  " else "FAIL")
-            b m (m /. b)
-            (if tol <> tolerance then
-               Printf.sprintf ", tolerance %d%%" (int_of_float (tol *. 100.0))
-             else "")))
-    stages;
-  (* allocation regression: the engine's steady-frame loop must not
-     allocate — measured on a network whose bodies allocate nothing, so
-     the budget only covers measurement crumbs, not real allocation *)
-  let steady_frame_bytes, alloc_budget = alloc in
-  let alloc_ok = steady_frame_bytes <= alloc_budget in
-  if not alloc_ok then incr failures;
-  Printf.printf "  %-24s %s %.1f bytes/steady frame (budget %.0f)\n"
-    "engine-allocation"
-    (if alloc_ok then "ok  " else "FAIL")
-    steady_frame_bytes alloc_budget;
-  if !failures > 0 then begin
-    Printf.printf "gate: %d check(s) failed (tolerance %d%%)\n" !failures
-      (int_of_float (tolerance *. 100.0));
-    exit 1
-  end
-  else print_endline "gate: no perf regression"
-
-let run_perf ~pool ~smoke ?gate ~jobs_requested path =
-  let jobs = Pool.jobs pool in
-  let reps = if smoke then 1 else 3 in
-  Printf.printf "perf harness: %d repetition(s) per stage, jobs=1 vs jobs=%d%s\n"
-    reps jobs
-    (if smoke then " (smoke)" else "");
-  let measure_n n f =
-    let rec go i acc = if i >= n then List.rev acc else go (i + 1) (f () :: acc) in
-    let runs = go 0 [] in
-    (runs, median runs)
-  in
-  let measure f = measure_n reps f in
-  (* Rate stages feed the regression gate, so they keep the same
-     workload in smoke and full modes (their rates stay comparable
-     across baselines) and always sample three runs — the gate takes
-     the best, which a 1-CPU container's noise would otherwise fail. *)
-  let measure_rate f = measure_n 3 f in
-  (* stage 1: fuzz campaign throughput, cases/s from the report's own
-     wall clock — the same timing source the report exposes *)
-  let fuzz_config = { Fppn_fuzz.Campaign.default_config with budget = 40 } in
-  let last1 = ref None and lastn = ref None in
-  let fuzz_rate keep jobs =
-    let r = Fppn_fuzz.Campaign.run ~jobs fuzz_config in
-    keep := Some r;
-    Fppn_fuzz.Report.cases_per_s r
-  in
-  let fuzz1 = measure_rate (fun () -> fuzz_rate last1 1) in
-  let steals0 = Pool.steals () in
-  let fuzzn = measure (fun () -> fuzz_rate lastn jobs) in
-  (* steal count across the jobsN runs: proof the work-stealing pool
-     actually redistributed cases, not just that N domains existed *)
-  let fuzz_steals = Pool.steals () - steals0 in
-  let fuzz_deterministic =
-    match (!last1, !lastn) with
-    | Some a, Some b ->
-      String.equal
-        (Fppn_fuzz.Report.to_json (Fppn_fuzz.Report.normalize_timing a))
-        (Fppn_fuzz.Report.to_json (Fppn_fuzz.Report.normalize_timing b))
-    | _ -> false
-  in
-  Printf.printf
-    "  fuzz-campaign: %.1f cases/s (jobs=1) vs %.1f cases/s (jobs=%d), %s, \
-     %d steals\n"
-    (snd fuzz1) (snd fuzzn) jobs
-    (if fuzz_deterministic then "reports identical" else "REPORTS DIFFER")
-    fuzz_steals;
-  (* stage 2: heuristic-portfolio list scheduling on the 812-job FMS *)
-  let fms_g =
-    (Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet (Fppn_apps.Fms.reduced ()))
-      .Derive.graph
-  in
-  let auto1 =
-    measure (fun () ->
-        snd (timed (fun () -> ignore (List_scheduler.auto ~n_procs:2 fms_g))))
-  in
-  let auton =
-    measure (fun () ->
-        snd (timed (fun () -> ignore (List_scheduler.auto ~pool ~n_procs:2 fms_g))))
-  in
-  Printf.printf "  list-auto-fms-m2: %.3f s (jobs=1) vs %.3f s (jobs=%d)\n"
-    (snd auto1) (snd auton) jobs;
-  (* stage 3: exact branch and bound on a random graph *)
-  let exact_g =
-    let params =
-      { Fppn_apps.Randgen.default_params with
-        seed = 101; n_periodic = 4; n_sporadic = 1 }
-    in
-    let net = Fppn_apps.Randgen.network params in
-    let wcet =
-      Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 8) (Derive.const_wcet Rat.one)
-        net
-    in
-    (Derive.derive_exn ~wcet net).Derive.graph
-  in
-  let node_budget = if smoke then 20_000 else 300_000 in
-  let exact1 =
-    measure (fun () ->
-        snd
-          (timed (fun () ->
-               ignore (Sched.Exact.solve ~node_budget ~n_procs:2 exact_g))))
-  in
-  let exactn =
-    measure (fun () ->
-        snd
-          (timed (fun () ->
-               ignore (Sched.Exact.solve ~pool ~node_budget ~n_procs:2 exact_g))))
-  in
-  Printf.printf "  exact-solve-random-m2: %.3f s (jobs=1) vs %.3f s (jobs=%d)\n"
-    (snd exact1) (snd exactn) jobs;
-  (* stage 4: engine simulation throughput (jobs executed per second)
-     through the compiled tick core — constant durations and no
-     sporadic stamps, so the steady-frame replay path is exercised.
-     Each sample pins the iteration count and times the whole batch
-     after one unmeasured warmup run (which compiles the plan and
-     populates the engine pools): single 20µs runs measured one clock
-     pair at a time produced 5x run-to-run spreads on this box. *)
-  let fig1 = Fppn_apps.Fig1.network () in
-  let fig1_d = Derive.derive_exn ~wcet:Fppn_apps.Fig1.wcet fig1 in
-  let fig1_sched, _ = schedule_or_fallback ~n_procs:2 fig1_d.Derive.graph in
-  let frames = 40 in
-  let engine_iters = 32 in
-  let engine_cfg = Engine.default_config ~frames ~n_procs:2 () in
-  let engine_rate () =
-    ignore (Engine.run fig1 fig1_d fig1_sched engine_cfg);
-    let executed = ref 0 in
-    let (), dt =
-      timed (fun () ->
-          for _ = 1 to engine_iters do
-            let r = Engine.run fig1 fig1_d fig1_sched engine_cfg in
-            executed := !executed + r.Engine.stats.Exec_trace.executed
-          done)
-    in
-    safe_div (float_of_int !executed) dt
-  in
-  let engine1 = measure_n 5 engine_rate in
-  (* allocation probe for the gate: bytes allocated per executed job on
-     the fig1 workload, and the engine's own steady-frame allocation
-     measured on a network whose job bodies allocate nothing — the
-     replay loop is required to add zero bytes per frame on top of
-     whatever the bodies themselves allocate *)
-  let alloc_per_run net d sched cfg =
-    ignore (Engine.run net d sched cfg);
-    let k = 100 in
-    let a0 = Gc.allocated_bytes () in
-    for _ = 1 to k do
-      ignore (Engine.run net d sched cfg)
-    done;
-    (Gc.allocated_bytes () -. a0) /. float_of_int k
-  in
-  let engine_bytes_per_job =
-    let per_run = alloc_per_run fig1 fig1_d fig1_sched engine_cfg in
-    let executed =
-      (Engine.run fig1 fig1_d fig1_sched engine_cfg).Engine.stats
-        .Exec_trace.executed
-    in
-    per_run /. float_of_int (max 1 executed)
-  in
-  let steady_frame_bytes =
-    let noop = Fppn_apps.Alloc_probe.network () in
-    let d = Derive.derive_exn ~wcet:Fppn_apps.Alloc_probe.wcet noop in
-    let sched, _ = schedule_or_fallback ~n_procs:2 d.Derive.graph in
-    let at frames =
-      alloc_per_run noop d sched (Engine.default_config ~frames ~n_procs:2 ())
-    in
-    let lo = 4 and hi = 40 in
-    (at hi -. at lo) /. float_of_int (hi - lo)
-  in
-  Printf.printf
-    "  engine-sim-fig1-m2: %.0f jobs/s (jobs=1, %d frames x %d iterations, \
-     %.1f bytes/job, %.1f engine bytes/steady frame)\n"
-    (snd engine1) frames engine_iters engine_bytes_per_job steady_frame_bytes;
-  (* stage 5: observability overhead on the same engine workload —
-     tracing fully off, spans only, spans + metrics.  The off variant
-     re-times the exact engine1 configuration inside this run, so the
-     three variants are apples-to-apples regardless of machine noise
-     between runs.  Not gated: the overhead ratio is informational.
-     Best-of-5 with median reporting: the sub-second engine runs showed
-     up to 5x run-to-run variance with 3 samples (ROADMAP item 4), and
-     the reported overhead percentages were mush.  Five runs cost
-     little here and the median is what the JSON exposes. *)
-  let measure_stable f = measure_n 5 f in
-  Fppn_obs.Trace.set_enabled false;
-  Fppn_obs.Metrics.set_enabled false;
-  let trace_off = measure_stable engine_rate in
-  Fppn_obs.Trace.set_enabled true;
-  let trace_spans =
-    measure_stable (fun () ->
-        Fppn_obs.Trace.reset ();
-        engine_rate ())
-  in
-  Fppn_obs.Metrics.set_enabled true;
-  let trace_full =
-    measure_stable (fun () ->
-        Fppn_obs.Trace.reset ();
-        engine_rate ())
-  in
-  Fppn_obs.Trace.set_enabled false;
-  Fppn_obs.Metrics.set_enabled false;
-  Fppn_obs.Trace.reset ();
-  Fppn_obs.Metrics.reset ();
-  let pct_slower v = 100.0 *. (1.0 -. safe_div v (snd trace_off)) in
-  Printf.printf
-    "  engine-trace-overhead: %.0f jobs/s off, %.0f spans (%+.1f%%), %.0f \
-     spans+metrics (%+.1f%%), spread %.0f%%/%.0f%%/%.0f%%\n"
-    (snd trace_off) (snd trace_spans)
-    (-.pct_slower (snd trace_spans))
-    (snd trace_full)
-    (-.pct_slower (snd trace_full))
-    (100.0 *. spread trace_off)
-    (100.0 *. spread trace_spans)
-    (100.0 *. spread trace_full);
-  (* stage 6: multi-application co-scheduling (heuristic portfolio over
-     the fms+automotive pair on M=4) — throughput of both variants, plus
-     the makespan each one achieves so BENCH.json tracks schedule
-     quality alongside speed *)
-  let co_apps =
-    [
-      { Sched.Cosched.app_name = "fms"; app_priority = 0; graph = fms_g };
-      { Sched.Cosched.app_name = "automotive"; app_priority = 1;
-        graph =
-          (Derive.derive_exn ~wcet:Fppn_apps.Automotive.wcet
-             (Fppn_apps.Automotive.network ()))
-            .Derive.graph };
-    ]
-  in
-  let co_result variant =
-    match snd (Sched.Cosched.auto ~variant ~n_procs:4 co_apps) with
-    | Some a -> a.Sched.Cosched.result
-    | None -> Sched.Cosched.schedule_with ~variant ~n_procs:4 co_apps
-  in
-  let co_stage variant =
-    let t1 =
-      measure (fun () ->
-          snd
-            (timed (fun () ->
-                 ignore (Sched.Cosched.auto ~variant ~n_procs:4 co_apps))))
-    in
-    let tn =
-      measure (fun () ->
-          snd
-            (timed (fun () ->
-                 ignore (Sched.Cosched.auto ~pool ~variant ~n_procs:4 co_apps))))
-    in
-    (t1, tn, co_result variant)
-  in
-  let cofair1, cofairn, cofair = co_stage Sched.Cosched.Fair in
-  let coslot1, coslotn, coslot = co_stage Sched.Cosched.Slots in
-  let co_extra (r : Sched.Cosched.t) =
-    [
-      Printf.sprintf "\"makespan_ms\": %s"
-        (jfloat (Rat.to_float r.Sched.Cosched.makespan));
-      Printf.sprintf "\"feasible\": %b" r.Sched.Cosched.feasible;
-    ]
-  in
-  Printf.printf
-    "  cosched-fair-m4: %.3f s (jobs=1) vs %.3f s (jobs=%d), makespan %g ms\n"
-    (snd cofair1) (snd cofairn) jobs
-    (Rat.to_float cofair.Sched.Cosched.makespan);
-  Printf.printf
-    "  cosched-slots-m4: %.3f s (jobs=1) vs %.3f s (jobs=%d), makespan %g ms\n"
-    (snd coslot1) (snd coslotn) jobs
-    (Rat.to_float coslot.Sched.Cosched.makespan);
-  (* stage 7: the compiled core on a large Randgen network (2·10^4
-     periodic processes, M=4), reported as jobs/s like stage 4.  The
-     stage keeps the name it had when it also timed a sharded engine.
-     The wcet scale keeps every duration at one tick of the network's
-     timebase, so each frame fits its 100 ms budget on 4 processors. *)
-  let big_procs = 4 in
-  let big_n_periodic = 20_000 in
-  let big_net, big_d, big_sched =
-    let params =
-      { Fppn_apps.Randgen.default_params with
-        seed = 7;
-        n_periodic = big_n_periodic;
-        n_sporadic = 0;
-        periods = [ 100 ];
-        channel_density = 3e-4 }
-    in
-    let net = Fppn_apps.Randgen.network params in
-    let wcet =
-      Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 100_000)
-        (Derive.const_wcet Rat.one) net
-    in
-    let d = Derive.derive_exn ~wcet net in
-    (* the heuristic portfolio would price every priority order on a
-       10^4-job graph; one ALAP/EDF pass is enough for a throughput
-       workload *)
-    let sched =
-      List_scheduler.schedule_with ~heuristic:Priority.Alap_edf
-        ~n_procs:big_procs d.Derive.graph
-    in
-    (net, d, sched)
-  in
-  let big_iters = 4 in
-  let big_cfg =
-    Engine.default_config ~frames:4 ~n_procs:big_procs ()
-  in
-  let big_rate run =
-    ignore (run ());
-    let executed = ref 0 in
-    let (), dt =
-      timed (fun () ->
-          for _ = 1 to big_iters do
-            let r = run () in
-            executed := !executed + r.Engine.stats.Exec_trace.executed
-          done)
-    in
-    safe_div (float_of_int !executed) dt
-  in
-  let big1 =
-    measure_rate (fun () ->
-        big_rate (fun () -> Engine.run big_net big_d big_sched big_cfg))
-  in
-  Printf.printf "  engine-sharded-m4: %.0f jobs/s (M=%d, %d processes)\n"
-    (snd big1) big_procs big_n_periodic;
-  (* stage 8: multi-tenant service throughput — 200 small tenants
-     co-resident on M=4 behind MPR admission, scripted sporadic events
-     pushed through the MPSC queue each epoch, rate = tenant engine
-     jobs per second across the epoch loop.  Same workload in smoke and
-     full modes (rate stages stay gate-comparable). *)
-  let svc_tenants = 200 in
-  let svc_procs = 4 in
-  let svc =
-    Fppn_service.Service.create ~queue_capacity:8192 ~procs:svc_procs
-      ~frames:2 ()
-  in
-  let svc_rejected = ref 0 in
-  for i = 0 to svc_tenants - 1 do
-    let params =
-      {
-        Fppn_apps.Randgen.seed = 1000 + (7919 * i);
-        n_periodic = 2;
-        n_sporadic = 1;
-        periods = [ 50; 100 ];
-        channel_density = 0.4;
-        max_burst = 2;
-      }
-    in
-    let net = Fppn_apps.Randgen.network params in
-    let wcet =
-      Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 2000)
-        (Derive.const_wcet Rat.one) net
-    in
-    match
-      Fppn_service.Service.register svc ~name:(Printf.sprintf "t%03d" i) ~wcet
-        net
-    with
-    | Ok _ -> ()
-    | Error _ -> incr svc_rejected
-  done;
-  let svc_admitted = List.length (Fppn_service.Service.tenants svc) in
-  let svc_targets =
-    Array.of_list
-      (List.filter_map
-         (fun ten ->
-           match Fppn_service.Tenant.sporadic_events ten with
-           | [] -> None
-           | sp ->
-             let hp_ms =
-               int_of_float
-                 (Rat.to_float (Fppn_service.Tenant.hyperperiod ten))
-             in
-             Some
-               ( ten.Fppn_service.Tenant.name,
-                 Array.of_list (List.map fst sp),
-                 max 1 (hp_ms * 2) ))
-         (Fppn_service.Service.tenants svc))
-  in
-  let svc_epoch_events = 1024 in
-  let svc_submit seed =
-    let prng = Rt_util.Prng.create seed in
-    for _ = 1 to svc_epoch_events do
-      let tname, sp_names, horizon_ms =
-        svc_targets.(Rt_util.Prng.int prng (Array.length svc_targets))
-      in
-      let process = sp_names.(Rt_util.Prng.int prng (Array.length sp_names)) in
-      let stamp = Rat.of_int (Rt_util.Prng.int prng horizon_ms) in
-      ignore (Fppn_service.Service.submit svc ~tenant:tname ~process ~stamp)
-    done
-  in
-  let svc_iters = 4 in
-  let svc_events_consumed = ref 0 in
-  let svc_rate pool_opt =
-    (* one unmeasured warmup epoch compiles every tenant's engine plan *)
-    svc_submit 17;
-    ignore (Fppn_service.Service.run_epoch ?pool:pool_opt svc);
-    let jobs_done = ref 0 in
-    let (), dt =
-      timed (fun () ->
-          for e = 1 to svc_iters do
-            svc_submit (31 * e);
-            let r = Fppn_service.Service.run_epoch ?pool:pool_opt svc in
-            jobs_done := !jobs_done + r.Fppn_service.Service.jobs_executed;
-            svc_events_consumed :=
-              !svc_events_consumed + r.Fppn_service.Service.events_consumed
-          done)
-    in
-    safe_div (float_of_int !jobs_done) dt
-  in
-  let svc1 = measure_rate (fun () -> svc_rate None) in
-  let svcn = measure_rate (fun () -> svc_rate (Some pool)) in
-  let svc_oracle =
-    List.for_all snd (Fppn_service.Service.verify ~pool svc)
-  in
-  Printf.printf
-    "  service-mixed-m4: %.0f jobs/s (jobs=1) vs %.0f jobs/s (jobs=%d), %d/%d \
-     tenants admitted, oracle %s\n"
-    (snd svc1) (snd svcn) jobs svc_admitted svc_tenants
-    (if svc_oracle then "ok" else "MISMATCH");
-  let stage ~name ~metric ~higher_is_better ?speedup ?extra variants =
-    let fields =
-      [
-        Printf.sprintf "\"name\": \"%s\"" name;
-        Printf.sprintf "\"metric\": \"%s\"" metric;
-        Printf.sprintf "\"higher_is_better\": %b" higher_is_better;
-      ]
-      @ List.map (fun (key, v) -> Printf.sprintf "\"%s\": %s" key v) variants
-      @ (match speedup with
-        | None -> []
-        | Some s -> [ Printf.sprintf "\"speedup\": %s" (jfloat s) ])
-      @ match extra with None -> [] | Some kvs -> kvs
-    in
-    "    {" ^ String.concat ", " fields ^ "}"
-  in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"schema\": \"fppn-bench/1\",";
-        Printf.sprintf "  \"smoke\": %b," smoke;
-        Printf.sprintf "  \"jobs\": %d," jobs;
-        Printf.sprintf "  \"jobs_requested\": %d," jobs_requested;
-        Printf.sprintf "  \"recommended_domains\": %d," (Pool.default_jobs ());
-        Printf.sprintf "  \"repetitions\": %d," reps;
-        "  \"stages\": [";
-        String.concat ",\n"
-          [
-            stage ~name:"fuzz-campaign" ~metric:"cases_per_s"
-              ~higher_is_better:true
-              ~speedup:(safe_div (snd fuzzn) (snd fuzz1))
-              ~extra:
-                [
-                  Printf.sprintf "\"deterministic\": %b" fuzz_deterministic;
-                  Printf.sprintf "\"steals\": %d" fuzz_steals;
-                ]
-              [
-                ("jobs1", jvariant ~jobs:1 fuzz1);
-                ("jobsN", jvariant ~jobs fuzzn);
-              ];
-            stage ~name:"list-auto-fms-m2" ~metric:"seconds"
-              ~higher_is_better:false
-              ~speedup:(safe_div (snd auto1) (snd auton))
-              [
-                ("jobs1", jvariant ~jobs:1 auto1);
-                ("jobsN", jvariant ~jobs auton);
-              ];
-            stage ~name:"exact-solve-random-m2" ~metric:"seconds"
-              ~higher_is_better:false
-              ~speedup:(safe_div (snd exact1) (snd exactn))
-              [
-                ("jobs1", jvariant ~jobs:1 exact1);
-                ("jobsN", jvariant ~jobs exactn);
-              ];
-            stage ~name:"engine-sim-fig1-m2" ~metric:"jobs_per_s"
-              ~higher_is_better:true
-              ~extra:
-                [
-                  Printf.sprintf "\"iterations\": %d" engine_iters;
-                  Printf.sprintf "\"bytes_per_job\": %s"
-                    (jfloat engine_bytes_per_job);
-                  Printf.sprintf "\"steady_frame_bytes\": %s"
-                    (jfloat steady_frame_bytes);
-                ]
-              [ ("jobs1", jdist ~jobs:1 engine1) ];
-            stage ~name:"engine-trace-overhead" ~metric:"jobs_per_s"
-              ~higher_is_better:true
-              ~extra:
-                [
-                  Printf.sprintf "\"iterations\": %d" engine_iters;
-                  Printf.sprintf "\"spread_off\": %s"
-                    (jfloat (spread trace_off));
-                ]
-              [
-                ("off", jdist ~jobs:1 trace_off);
-                ("spans", jdist ~jobs:1 trace_spans);
-                ("spans_metrics", jdist ~jobs:1 trace_full);
-              ];
-            stage ~name:"cosched-fair-m4" ~metric:"seconds"
-              ~higher_is_better:false
-              ~speedup:(safe_div (snd cofair1) (snd cofairn))
-              ~extra:(co_extra cofair)
-              [
-                ("jobs1", jvariant ~jobs:1 cofair1);
-                ("jobsN", jvariant ~jobs cofairn);
-              ];
-            stage ~name:"cosched-slots-m4" ~metric:"seconds"
-              ~higher_is_better:false
-              ~speedup:(safe_div (snd coslot1) (snd coslotn))
-              ~extra:(co_extra coslot)
-              [
-                ("jobs1", jvariant ~jobs:1 coslot1);
-                ("jobsN", jvariant ~jobs coslotn);
-              ];
-            stage ~name:"engine-sharded-m4" ~metric:"jobs_per_s"
-              ~higher_is_better:true
-              ~extra:
-                [
-                  Printf.sprintf "\"processes\": %d" big_n_periodic;
-                  Printf.sprintf "\"iterations\": %d" big_iters;
-                ]
-              [ ("jobs1", jdist ~jobs:1 big1) ];
-            stage ~name:"service-mixed-m4" ~metric:"jobs_per_s"
-              ~higher_is_better:true
-              ~speedup:(safe_div (snd svcn) (snd svc1))
-              ~extra:
-                [
-                  Printf.sprintf "\"tenants\": %d" svc_tenants;
-                  Printf.sprintf "\"admitted\": %d" svc_admitted;
-                  Printf.sprintf "\"rejected\": %d" !svc_rejected;
-                  Printf.sprintf "\"procs\": %d" svc_procs;
-                  Printf.sprintf "\"epochs_per_sample\": %d" svc_iters;
-                  Printf.sprintf "\"events_per_epoch\": %d" svc_epoch_events;
-                  Printf.sprintf "\"events_consumed\": %d" !svc_events_consumed;
-                  Printf.sprintf "\"oracle\": %b" svc_oracle;
-                ]
-              [
-                ("jobs1", jdist ~jobs:1 svc1);
-                ("jobsN", jdist ~jobs svcn);
-              ];
-          ];
-        "  ]";
-        "}";
-        "";
-      ]
-  in
-  Runtime.Export.write_file path json;
-  Printf.printf "wrote %s\n" path;
-  Option.iter
-    (run_gate ~smoke
-       ~alloc:(steady_frame_bytes, 64.0)
-       ~stages:
-         [
-           ("fuzz-campaign", `Rate, fuzz1);
-           ("list-auto-fms-m2", `Seconds_stable, auto1);
-           ("exact-solve-random-m2", `Seconds_budgeted, exact1);
-           ("engine-sim-fig1-m2", `Rate, engine1);
-           ("cosched-fair-m4", `Seconds_stable, cofair1);
-           ("cosched-slots-m4", `Seconds_stable, coslot1);
-           ("engine-sharded-m4", `Rate, big1);
-           ("service-mixed-m4", `Rate, svc1);
-         ])
-    gate
-
-(* ------------------------------------------------------------------ *)
 (* Entry point                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--jobs N] [--json FILE] [--smoke] [--gate BASELINE]\n\
-     \  --jobs N        worker domains for parallel sections/sweeps\n\
-     \                  (default: recommended domain count)\n\
-     \  --force-domains do not cap --jobs at the recommended domain count\n\
-     \                  (the default: rate stages must measure real\n\
-     \                  multi-domain pools, even oversubscribed)\n\
-     \  --cap-domains   cap --jobs at the recommended domain count\n\
-     \  --json FILE     run the perf-regression harness and write FILE\n\
-     \  --smoke         tiny budgets / single repetition (with --json)\n\
-     \  --gate BASELINE after --json, fail if any stage regressed more\n\
-     \                  than 20% against the BASELINE json";
+    "usage: main.exe [--jobs N]\n\
+     \  --jobs N  worker domains for parallel sections/sweeps (default and\n\
+     \            cap: the recommended domain count)";
   exit 2
 
 let () =
-  let jobs = ref (Pool.default_jobs ()) in
-  let force_domains = ref true in
-  let json_out = ref None in
-  let smoke = ref false in
-  let gate = ref None in
-  let argc = Array.length Sys.argv in
-  let rec parse i =
-    if i < argc then
-      match Sys.argv.(i) with
-      | "--jobs" when i + 1 < argc ->
-        (match int_of_string_opt Sys.argv.(i + 1) with
-        | Some n when n >= 1 -> jobs := n
-        | _ -> usage ());
-        parse (i + 2)
-      | "--json" when i + 1 < argc ->
-        json_out := Some Sys.argv.(i + 1);
-        parse (i + 2)
-      | "--force-domains" ->
-        force_domains := true;
-        parse (i + 1)
-      | "--cap-domains" ->
-        force_domains := false;
-        parse (i + 1)
-      | "--smoke" ->
-        smoke := true;
-        parse (i + 1)
-      | "--gate" when i + 1 < argc ->
-        gate := Some Sys.argv.(i + 1);
-        parse (i + 2)
-      | _ -> usage ()
+  let jobs =
+    match Array.to_list Sys.argv with
+    | [ _ ] -> Pool.default_jobs ()
+    | [ _; "--jobs"; n ] -> (
+      match int_of_string_opt n with Some n when n >= 1 -> n | _ -> usage ())
+    | _ -> usage ()
   in
-  parse 1;
-  let jobs_requested = !jobs in
-  (* rate stages commit their jobsN numbers to BENCH.json, and those
-     numbers are meaningless if the pool was silently capped to one
-     domain — so honoring --jobs even past the recommended domain
-     count is the default, and --cap-domains opts back into capping *)
-  let effective =
-    if !force_domains then max 1 jobs_requested
-    else Pool.clamp_jobs jobs_requested
-  in
-  if effective <> jobs_requested then
-    Printf.printf "note: --jobs %d capped at %d (recommended domain count)\n"
-      jobs_requested effective
-  else if !force_domains && effective > Pool.clamp_jobs effective then
-    Printf.printf
-      "note: --force-domains: running %d domains on %d recommended\n" effective
-      (Pool.default_jobs ());
-  Pool.with_pool ~jobs:effective (fun pool ->
-      match !json_out with
-      | Some path -> run_perf ~pool ~smoke:!smoke ?gate:!gate ~jobs_requested path
-      | None -> run_experiments pool)
+  let effective = Pool.clamp_jobs jobs in
+  if effective <> jobs then
+    Printf.printf "note: --jobs %d capped at %d (recommended domain count)\n" jobs
+      effective;
+  Pool.with_pool ~jobs:effective run_experiments

@@ -763,10 +763,11 @@ let buffers_cmd =
       exit 1
   in
   let hyperperiods =
-    Arg.(
-      value & opt int 4
-      & info [ "hyperperiods" ] ~docv:"N"
-          ~doc:"Number of hyperperiods to analyse (default 4).")
+    positive ~flag:"--hyperperiods"
+      Arg.(
+        value & opt int 4
+        & info [ "hyperperiods" ] ~docv:"N"
+            ~doc:"Number of hyperperiods to analyse (default 4).")
   in
   let term = Term.(const run $ app_arg $ seed_arg $ hyperperiods) in
   Cmd.v
@@ -1731,11 +1732,12 @@ let serve_cmd =
           ~doc:"Producer domains submitting events concurrently.")
   in
   let queue_opt =
-    Arg.(
-      value & opt int 4096
-      & info [ "queue-capacity" ] ~docv:"N"
-          ~doc:"Ingestion queue capacity (rounded up to a power of two); \
-                overflow counts as backpressure.")
+    positive ~flag:"--queue-capacity"
+      Arg.(
+        value & opt int 4096
+        & info [ "queue-capacity" ] ~docv:"N"
+            ~doc:"Ingestion queue capacity (rounded up to a power of two); \
+                  overflow counts as backpressure.")
   in
   let jobs_opt =
     Arg.(

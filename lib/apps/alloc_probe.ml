@@ -4,9 +4,9 @@ module Process = Fppn.Process
 module Network = Fppn.Network
 
 (* Four periodic processes whose bodies do nothing at all: no channel
-   access, no value construction, no closure.  Any byte the engine
+   access, no value construction, no closure.  Any word the engine
    allocates while simulating a steady frame of this network is engine
-   overhead, which the perf harness's allocation gate holds to zero. *)
+   overhead, which test_tick and test_costs hold to zero. *)
 
 let body (_ : Process.job_ctx) = ()
 

@@ -1,8 +1,8 @@
-(** A network purpose-built for the perf harness's allocation gate:
-    four periodic processes whose job bodies perform no channel access
-    and construct no value.  Every byte allocated while simulating a
-    steady frame is therefore engine overhead, which the gate requires
-    to be zero. *)
+(** A network purpose-built for the engine's allocation checks: four
+    periodic processes whose job bodies perform no channel access and
+    construct no value.  Every word allocated while simulating a steady
+    frame is therefore engine overhead, which test_tick and test_costs
+    require to be zero. *)
 
 val network : unit -> Fppn.Network.t
 

@@ -20,8 +20,6 @@ let scaled fraction =
 
 let profile f = Profile f
 
-let is_constant = function Constant -> true | _ -> false
-
 let quantized_fraction wcet fraction =
   (* wcet * round(fraction * 1000) / 1000, keeping denominators small *)
   let milli = int_of_float (Float.round (fraction *. 1000.0)) in

@@ -31,10 +31,6 @@ val profile : (string -> Rt_util.Rat.t) -> t
 val sample : t -> Taskgraph.Job.t -> Rt_util.Rat.t
 (** Duration of one job instance.  Stateful for {!uniform}. *)
 
-val is_constant : t -> bool
-(** [true] iff {!sample} always returns the job's WCET ({!constant}) —
-    lets compiled engines use a precomputed duration table. *)
-
 (** How a compiled engine can obtain durations without sampling
     rationals in its hot loop. *)
 type durations =

@@ -372,7 +372,7 @@ type tick_scratch = {
      owns the scratch fixes plan, schedule and frame count, and with
      them the template, so every later run replays the same program
      and the steady-frame loop allocates nothing at all — test_tick and
-     the allocation gate of the perf harness hold it to that. *)
+     test_costs hold it to that. *)
   mutable sc_r_proc : int array;
   mutable sc_r_uidx : int array;
   mutable sc_u_rat : Rat.t array array;

@@ -57,36 +57,6 @@ let jobs_on t p = Array.to_list t.orders.(p)
 
 let order_on t p = Array.copy t.orders.(p)
 
-let starts_in_ticks t tb =
-  let n = n_jobs t in
-  let out = Array.make n 0 in
-  let rec fill i =
-    if i >= n then Some out
-    else
-      match Rt_util.Timebase.ticks_opt tb t.entries.(i).start with
-      | Some k ->
-        out.(i) <- k;
-        fill (i + 1)
-      | None -> None
-  in
-  fill 0
-
-let makespan_ticks g t tb =
-  match starts_in_ticks t tb with
-  | None -> None
-  | Some starts ->
-    let best = ref 0 in
-    let rec scan i =
-      if i >= n_jobs t then Some !best
-      else
-        match Rt_util.Timebase.ticks_opt tb (Graph.job g i).Job.wcet with
-        | None -> None
-        | Some w ->
-          if starts.(i) + w > !best then best := starts.(i) + w;
-          scan (i + 1)
-    in
-    scan 0
-
 type violation =
   | Arrival of int
   | Deadline of int

@@ -30,16 +30,6 @@ val order_on : t -> int -> int array
 (** {!jobs_on} as a fresh array, from the order table compiled once at
     {!make} — the form the runtime engine consumes. *)
 
-val starts_in_ticks : t -> Rt_util.Timebase.t -> int array option
-(** Every job's start time on the given tick grid, or [None] if any
-    start is not representable. *)
-
-val makespan_ticks :
-  Taskgraph.Graph.t -> t -> Rt_util.Timebase.t -> int option
-(** {!makespan} computed entirely in ticks ([None] on any
-    unrepresentable start or WCET); equals [ticks tb (makespan g t)]
-    whenever defined. *)
-
 type violation =
   | Arrival of int  (** [s_i < A_i] *)
   | Deadline of int  (** [e_i > D_i] *)

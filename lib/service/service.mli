@@ -39,7 +39,8 @@ val create : ?queue_capacity:int -> procs:int -> frames:int -> unit -> t
 (** A service hosting tenants on [procs] shared processors, running
     [frames] hyperperiod frames per tenant per epoch.  [queue_capacity]
     (default 1024) bounds the ingestion queue.
-    @raise Invalid_argument if [procs <= 0] or [frames <= 0]. *)
+    @raise Invalid_argument if [procs <= 0], [frames <= 0] or
+    [queue_capacity <= 0]. *)
 
 val procs : t -> int
 val frames : t -> int

@@ -71,9 +71,10 @@ let default_jobs = recommended_domains
 let self_key = Domain.DLS.new_key (fun () -> 0)
 let self_id () = Domain.DLS.get self_key
 
-(* Oversubscribing domains is a reliable slowdown (BENCH.json recorded a
-   0.37x "speedup" at jobs=4 on a 1-domain box), so user-facing tools
-   clamp their --jobs to what the host can actually run in parallel. *)
+(* Oversubscribing domains is a reliable slowdown (a fuzz campaign ran
+   at 0.37x the jobs=1 rate at jobs=4 on a 1-domain box), so user-facing
+   tools clamp their --jobs to what the host can actually run in
+   parallel. *)
 let clamp_jobs requested = Stdlib.max 1 (Stdlib.min requested (recommended_domains ()))
 
 let jobs t = t.jobs
