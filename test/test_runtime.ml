@@ -11,6 +11,8 @@ module Exec_time = Runtime.Exec_time
 module Exec_trace = Runtime.Exec_trace
 module Platform = Runtime.Platform
 module Uniproc_fp = Runtime.Uniproc_fp
+module Global_edf = Runtime.Global_edf
+module Netstate = Fppn.Netstate
 module Graph = Taskgraph.Graph
 module Prng = Rt_util.Prng
 module Randgen = Fppn_apps.Randgen
@@ -626,6 +628,190 @@ let test_uniproc_preemption_counted () =
   in
   Alcotest.check rat "Short starts at 0" (ms 0) short_first.Uniproc_fp.started
 
+(* --- preemptive baselines: output digests ------------------------------ *)
+
+(* One line per record, then the signature and the miss count; fixed
+   priority runs add each record's preemptions and the max response. *)
+let baseline_text ~records ~signature ~misses ~max_response =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (p, k, rel, st, fin, dl, pre) ->
+      Printf.bprintf b "%s %d %s %s %s %s%s\n" p k (Rat.to_string rel)
+        (Rat.to_string st) (Rat.to_string fin) (Rat.to_string dl)
+        (match pre with Some n -> Printf.sprintf " %d" n | None -> ""))
+    records;
+  List.iter
+    (fun (ch, vs) ->
+      Printf.bprintf b "%s: %s\n" ch (String.concat " " (List.map V.to_string vs)))
+    signature;
+  Printf.bprintf b "misses %d\n" misses;
+  Option.iter (fun r -> Printf.bprintf b "max response %s\n" (Rat.to_string r))
+    max_response;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let edf_digest net ~n_procs ~exec ~wcet ~horizon ~sporadic ~inputs =
+  let r =
+    Global_edf.run net
+      { (Global_edf.default_config ~wcet ~horizon ~n_procs) with
+        Global_edf.exec; sporadic; inputs }
+  in
+  baseline_text
+    ~records:
+      (List.map
+         (fun (x : Global_edf.record) ->
+           (x.process, x.k, x.released, x.started, x.finished, x.deadline, None))
+         r.records)
+    ~signature:(Global_edf.signature r) ~misses:r.misses ~max_response:None
+
+let fp_digest net ~priorities ~exec ~wcet ~horizon ~sporadic ~inputs =
+  let r =
+    Uniproc_fp.run net
+      { (Uniproc_fp.default_config ~wcet ~horizon) with
+        Uniproc_fp.priorities; exec; sporadic; inputs }
+  in
+  baseline_text
+    ~records:
+      (List.map
+         (fun (x : Uniproc_fp.record) ->
+           ( x.process, x.k, x.released, x.started, x.finished, x.deadline,
+             Some x.preemptions ))
+         r.records)
+    ~signature:(Uniproc_fp.signature r) ~misses:r.misses
+    ~max_response:(Some r.max_response)
+
+(* MD5 of each run's text, computed by Uniproc_fp and Global_edf *)
+let baseline_digests =
+  [
+    ("fig1 const edf-m1", "e090f957911e8cd062f698da6213b869");
+    ("fig1 const edf-m2", "7f2d22c0485fec515e2638fcdb13f187");
+    ("fig1 const edf-m4", "869874a019e7401d78f0006a4f4d4a15");
+    ("fig1 const rm", "63ea1a9f41255f1eaa85990642d323c6");
+    ("fig1 const explicit", "14d877469f4293193880831d57d29a52");
+    ("fig1 jitter edf-m1", "9cdcdc1103849a217a4e54a4d814107d");
+    ("fig1 jitter edf-m2", "b68413739edadfb616c056f5064eeaf2");
+    ("fig1 jitter edf-m4", "75af3782cd1ce77b4edc0e0476188962");
+    ("fig1 jitter rm", "1fe067dcc22573b2ad2ac8159842e94e");
+    ("fig1 jitter explicit", "5c56b6b9f6132fa6cf4a70e18813b797");
+    ("fms const edf-m1", "a44f308b7ce488511f8fc997855be45c");
+    ("fms const edf-m2", "cb1328910df625096be6f3b3dff66605");
+    ("fms const edf-m4", "d3aac29d29534f43f03f928aaeaabba3");
+    ("fms const rm", "7107bf89707d03779443cfb8df7a15e1");
+    ("fms const explicit", "eeafb2285286b00e6ffb78e353bc1e2f");
+    ("fms jitter edf-m1", "a85b9a2682d6a10aa7cf7c79264936ef");
+    ("fms jitter edf-m2", "8fc153684dcd400c0a503647437c9d7c");
+    ("fms jitter edf-m4", "d8cd77f6a3ad3b1753feadae0d0c55d1");
+    ("fms jitter rm", "d7f0e0582e264b635866a4448a8abc7a");
+    ("fms jitter explicit", "fde09f109b57212aa290fc9256ccc01d");
+    ("automotive const edf-m1", "c168caceb8b20407778388fbd93ae7bd");
+    ("automotive const edf-m2", "6eb4378e70a5fada7459fbb3e14e8879");
+    ("automotive const edf-m4", "2d33b4485add370735f0abafd53d093b");
+    ("automotive const rm", "822c6a34809901f504105c701460ab9c");
+    ("automotive const explicit", "21b1c32af91c6f296d170a3a09a464e9");
+    ("automotive jitter edf-m1", "764e0ab4b51db9d65978fb04685eace5");
+    ("automotive jitter edf-m2", "8e98d48e03059eaf9dd74229a6e5419c");
+    ("automotive jitter edf-m4", "6bd9a06fc90421f81e113436df74a034");
+    ("automotive jitter rm", "ddf85f79c4a6b10ab804f42f7c9e58f2");
+    ("automotive jitter explicit", "72051a89d4b6abd46cc3239f0c278156");
+    ("randgen-1 const edf-m1", "eece81349a37b7961003b8dbbd0a3f40");
+    ("randgen-1 const edf-m2", "a3f46c39b6bdb8292c371e35ed7dd167");
+    ("randgen-1 const edf-m4", "22cbb7058c9c28a047eb3c4ed6532f6b");
+    ("randgen-1 const rm", "e67b0442e0c43e1b502629cf11f09d58");
+    ("randgen-1 const explicit", "786cda7188c093a8d92e593b6914633d");
+    ("randgen-1 jitter edf-m1", "9da5a85ecdc48ac8331120edc6526467");
+    ("randgen-1 jitter edf-m2", "07939ac6674d8b6d91cbb7baa98a062a");
+    ("randgen-1 jitter edf-m4", "40769ab6054f77e90e94a2955b4ca32e");
+    ("randgen-1 jitter rm", "08462dae72a6641c277a255d18ba40e4");
+    ("randgen-1 jitter explicit", "e7f4c534cc10af5b052861c7b1b62adc");
+    ("randgen-2 const edf-m1", "b7fa14f069502c54dcb39cf5972daeb7");
+    ("randgen-2 const edf-m2", "59e6c3c53ec9f1e004b0fa240764e688");
+    ("randgen-2 const edf-m4", "b0eb6231db0184467de025a7dd131aaa");
+    ("randgen-2 const rm", "209b37f26dc4a667f65a4b59418db56c");
+    ("randgen-2 const explicit", "e7f07ee61ecc36a0c512b98235266a47");
+    ("randgen-2 jitter edf-m1", "da01f0f2bb9f66cacce48904571d6e49");
+    ("randgen-2 jitter edf-m2", "88f7415ad92312c5bb6640e8ef4ff03e");
+    ("randgen-2 jitter edf-m4", "9338e692ca6aa78922955b229eabd804");
+    ("randgen-2 jitter rm", "a850d0d9d491defe48b1cacce827ed91");
+    ("randgen-2 jitter explicit", "aec1a5cf1e7d4558aed74f33f41cd4f3");
+    ("randgen-3 const edf-m1", "ba6dc0972cbc39001cc9e42f946b69fe");
+    ("randgen-3 const edf-m2", "91b245e8988d3ff463e5c098a672dff3");
+    ("randgen-3 const edf-m4", "bbfac3a945fbc061ea66364bbe263710");
+    ("randgen-3 const rm", "d609aa4e1f81c0352b2399970df56009");
+    ("randgen-3 const explicit", "a51678745ee1945fd2bd5ac6e9630937");
+    ("randgen-3 jitter edf-m1", "c2f59b1120de329fe4c811c64dfd7d96");
+    ("randgen-3 jitter edf-m2", "228066eb3759e07d58794c40d1730ddb");
+    ("randgen-3 jitter edf-m4", "cb9833e2c0d772219352a59bed22afc1");
+    ("randgen-3 jitter rm", "526538a26a14200c9d787cb77d82fc49");
+    ("randgen-3 jitter explicit", "4732f256018795132a2b52edb8d56bdb");
+  ]
+
+let test_baseline_digests () =
+  let randgen seed =
+    let net = Randgen.network { Randgen.default_params with seed } in
+    let horizon = Rat.mul (Network.hyperperiod net) (Rat.of_int 2) in
+    ( Printf.sprintf "randgen-%d" seed,
+      net,
+      Randgen.wcet ~scale:(Rat.make 1 8) (Derive.const_wcet Rat.one) net,
+      horizon,
+      Randgen.random_traces ~seed ~horizon ~density:0.5 net,
+      Netstate.no_inputs )
+  in
+  let fig1 = Fppn_apps.Fig1.network () in
+  let fms = Fppn_apps.Fms.reduced () in
+  let auto = Fppn_apps.Automotive.network () in
+  let nets =
+    [
+      ( "fig1", fig1, Fppn_apps.Fig1.wcet, ms 1400,
+        Randgen.random_traces ~seed:4 ~horizon:(ms 1400) ~density:0.5 fig1,
+        Fppn_apps.Fig1.input_feed ~samples:64 );
+      ( "fms", fms, Fppn_apps.Fms.wcet, ms 10_000,
+        Fppn_apps.Fms.random_config_traces ~seed:11 ~horizon:(ms 10_000)
+          ~density:0.5 fms,
+        Netstate.no_inputs );
+      ( "automotive", auto, Fppn_apps.Automotive.wcet, ms 400,
+        Fppn_apps.Automotive.knock_burst ~horizon:(ms 400),
+        Fppn_apps.Automotive.input_feed );
+      randgen 1;
+      randgen 2;
+      randgen 3;
+    ]
+  in
+  (* a fresh model per run: the jittered one draws from a stateful PRNG *)
+  let execs =
+    [ ("const", fun () -> Exec_time.constant);
+      ("jitter", fun () -> Exec_time.uniform ~seed:5 ~min_fraction:0.3) ]
+  in
+  (* reversed functional priority, two processes per level, the last
+     process unlisted *)
+  let explicit net =
+    let n = Network.n_processes net in
+    List.init (n - 1) (fun p ->
+        (Process.name (Network.process net p), (n - 1 - Network.fp_rank net p) / 2))
+  in
+  let got =
+    List.concat_map
+      (fun (name, net, wcet, horizon, sporadic, inputs) ->
+        List.concat_map
+          (fun (ename, model) ->
+            let label what = Printf.sprintf "%s %s %s" name ename what in
+            List.map
+              (fun m ->
+                ( label (Printf.sprintf "edf-m%d" m),
+                  edf_digest net ~n_procs:m ~exec:(model ()) ~wcet ~horizon ~sporadic
+                    ~inputs ))
+              [ 1; 2; 4 ]
+            @ [
+                ( label "rm",
+                  fp_digest net ~priorities:Uniproc_fp.Rate_monotonic
+                    ~exec:(model ()) ~wcet ~horizon ~sporadic ~inputs );
+                ( label "explicit",
+                  fp_digest net ~priorities:(Uniproc_fp.Explicit (explicit net))
+                    ~exec:(model ()) ~wcet ~horizon ~sporadic ~inputs );
+              ])
+          execs)
+      nets
+  in
+  Alcotest.(check (list (pair string string))) "digests" baseline_digests got
+
 let () =
   Alcotest.run "runtime"
     [
@@ -661,4 +847,6 @@ let () =
           Alcotest.test_case "FMS RM equivalence" `Quick test_uniproc_rm_equivalence_fms;
           Alcotest.test_case "preemption" `Quick test_uniproc_preemption_counted;
         ] );
+      ( "baselines",
+        [ Alcotest.test_case "output digests" `Quick test_baseline_digests ] );
     ]
