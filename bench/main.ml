@@ -39,7 +39,7 @@ module Engine = Runtime.Engine
 module Exec_time = Runtime.Exec_time
 module Exec_trace = Runtime.Exec_trace
 module Platform = Runtime.Platform
-module Uniproc_fp = Runtime.Uniproc_fp
+module Preemptive = Runtime.Preemptive
 module Translate = Timedauto.Translate
 
 let ms = Rat.of_int
@@ -61,11 +61,6 @@ let gantt buf ~width ~t_min ~t_max rows =
   Buffer.add_string buf (Gantt.render ~width ~t_min ~t_max rows)
 
 let fstr f = Printf.sprintf "%.3f" f
-
-let eq_sig a b =
-  List.equal
-    (fun (n1, h1) (n2, h2) -> String.equal n1 n2 && List.equal V.equal h1 h2)
-    a b
 
 let schedule_or_fallback ?(heuristic = Priority.Alap_edf) ~n_procs g =
   match snd (List_scheduler.auto ~n_procs g) with
@@ -257,11 +252,15 @@ let e4_fms pool buf =
      prototype, "verified by testing" in the paper *)
   let zd = Semantics.run net (Semantics.invocations ~sporadic:traces ~horizon net) in
   let up =
-    Uniproc_fp.run net
-      { (Uniproc_fp.default_config ~wcet:Fppn_apps.Fms.wcet ~horizon) with
-        Uniproc_fp.sporadic = traces }
+    Preemptive.run net
+      { (Preemptive.default_config ~policy:(Fixed Rate_monotonic) ~n_procs:1
+           ~wcet:Fppn_apps.Fms.wcet ~horizon)
+        with
+        Preemptive.sporadic = traces }
   in
-  let equivalent = eq_sig (Semantics.signature zd) (Uniproc_fp.signature up) in
+  let equivalent =
+    Semantics.equal_signature (Semantics.signature zd) (Preemptive.signature up)
+  in
   subsection buf "summary (paper vs measured)";
   table buf
     ~header:[ "quantity"; "paper"; "measured" ]
@@ -346,7 +345,8 @@ let e5_determinism pool buf =
         inputs;
         exec = Exec_time.uniform ~seed ~min_fraction:0.25 }
     in
-    eq_sig zd_sig (Engine.signature (Engine.run net d sched config))
+    Semantics.equal_signature zd_sig
+      (Engine.signature (Engine.run net d sched config))
   in
   let ta_check ~n_procs ~seed () =
     let sched, _ = schedule_or_fallback ~n_procs d.Derive.graph in
@@ -356,7 +356,7 @@ let e5_determinism pool buf =
         inputs;
         exec = Exec_time.uniform ~seed ~min_fraction:0.25 }
     in
-    eq_sig zd_sig
+    Semantics.equal_signature zd_sig
       (Translate.signature (Translate.execute (Translate.build net d sched config)))
   in
   let rows =
@@ -517,20 +517,22 @@ let e8_nondeterminism pool buf =
   let distinct signatures =
     List.length
       (List.fold_left
-         (fun acc s -> if List.exists (eq_sig s) acc then acc else s :: acc)
+         (fun acc s ->
+           if List.exists (Semantics.equal_signature s) acc then acc
+           else s :: acc)
          [] signatures)
   in
   let edf_sigs =
     Pool.map_list ~chunk:1 pool
       (fun seed ->
         let cfg =
-          { (Runtime.Global_edf.default_config ~wcet:Fppn_apps.Fig1.wcet
-               ~horizon:(ms 1000) ~n_procs:2)
+          { (Preemptive.default_config ~policy:Edf ~n_procs:2
+               ~wcet:Fppn_apps.Fig1.wcet ~horizon:(ms 1000))
             with
-            Runtime.Global_edf.exec = Exec_time.uniform ~seed ~min_fraction:0.05;
+            Preemptive.exec = Exec_time.uniform ~seed ~min_fraction:0.05;
             inputs }
         in
-        Runtime.Global_edf.signature (Runtime.Global_edf.run net cfg))
+        Preemptive.signature (Preemptive.run net cfg))
       seeds
   in
   let d = Derive.derive_exn ~wcet:Fppn_apps.Fig1.wcet net in
@@ -621,18 +623,19 @@ let rta_section buf =
       subsection buf name;
       let entries = Sched.Rta.analyse ~wcet net in
       let up =
-        Uniproc_fp.run net (Uniproc_fp.default_config ~wcet ~horizon)
+        Preemptive.run net
+          (Preemptive.default_config ~policy:(Fixed Rate_monotonic) ~n_procs:1
+             ~wcet ~horizon)
       in
       let observed = Hashtbl.create 16 in
       List.iter
-        (fun (r : Uniproc_fp.record) ->
-          let resp = Rat.sub r.Uniproc_fp.finished r.Uniproc_fp.released in
+        (fun (r : Preemptive.record) ->
+          let resp = Rat.sub r.finished r.released in
           let prev =
-            try Hashtbl.find observed r.Uniproc_fp.process
-            with Not_found -> Rat.zero
+            try Hashtbl.find observed r.process with Not_found -> Rat.zero
           in
-          Hashtbl.replace observed r.Uniproc_fp.process (Rat.max prev resp))
-        up.Uniproc_fp.records;
+          Hashtbl.replace observed r.process (Rat.max prev resp))
+        up.records;
       table buf
         ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
         ~header:[ "process"; "analytic bound ms"; "simulated max ms"; "deadline ms" ]

@@ -671,10 +671,7 @@ let simulate_term, simulate_doc =
         (Fppn.Semantics.invocations ~sporadic:traces ~horizon app.net)
     in
     let eq =
-      List.equal
-        (fun (n1, h1) (n2, h2) ->
-          String.equal n1 n2 && List.equal Fppn.Value.equal h1 h2)
-        (Fppn.Semantics.signature zd)
+      Fppn.Semantics.equal_signature (Fppn.Semantics.signature zd)
         (Engine.signature r)
     in
     Printf.printf "deterministic vs zero-delay reference: %b\n" eq;
@@ -1120,11 +1117,16 @@ let fuzz_cmd =
           exit 3
     end
     else
+    let proc_counts = parse_ints "--procs" procs in
+    if List.exists (fun m -> m < 1) proc_counts then begin
+      Printf.eprintf "bad --procs %S (processor counts must be positive)\n" procs;
+      exit 2
+    end;
     let config =
       {
         Fppn_fuzz.Campaign.seed;
         budget;
-        proc_counts = parse_ints "--procs" procs;
+        proc_counts;
         jitter_seeds = parse_ints "--jitter-seeds" jitter_seeds;
         frames;
         permutations;
@@ -1170,9 +1172,10 @@ let fuzz_cmd =
       end
   in
   let budget =
-    Arg.(
-      value & opt int 50
-      & info [ "budget" ] ~docv:"N" ~doc:"Number of random cases to fuzz.")
+    positive ~flag:"--budget"
+      Arg.(
+        value & opt int 50
+        & info [ "budget" ] ~docv:"N" ~doc:"Number of random cases to fuzz.")
   in
   let procs =
     Arg.(
@@ -1181,9 +1184,10 @@ let fuzz_cmd =
           ~doc:"Processor counts every case is executed on (comma-separated).")
   in
   let frames =
-    Arg.(
-      value & opt int 2
-      & info [ "frames" ] ~docv:"N" ~doc:"Hyperperiod frames per execution.")
+    positive ~flag:"--frames"
+      Arg.(
+        value & opt int 2
+        & info [ "frames" ] ~docv:"N" ~doc:"Hyperperiod frames per execution.")
   in
   let jitter_seeds =
     Arg.(

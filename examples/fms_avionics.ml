@@ -68,19 +68,17 @@ let () =
       (Fppn.Semantics.invocations ~sporadic:traces ~horizon net)
   in
   let up =
-    Runtime.Uniproc_fp.run net
-      { (Runtime.Uniproc_fp.default_config ~wcet:Fms.wcet ~horizon) with
-        Runtime.Uniproc_fp.sporadic = traces }
+    Runtime.Preemptive.run net
+      { (Runtime.Preemptive.default_config ~policy:(Fixed Rate_monotonic)
+           ~n_procs:1 ~wcet:Fms.wcet ~horizon)
+        with
+        Runtime.Preemptive.sporadic = traces }
   in
-  let eq a b =
-    List.equal
-      (fun (n1, h1) (n2, h2) -> n1 = n2 && List.equal V.equal h1 h2)
-      a b
-  in
+  let eq = Fppn.Semantics.equal_signature in
   Printf.printf "FPPN runtime = zero-delay reference: %b\n"
     (eq (Engine.signature rt) (Fppn.Semantics.signature zd));
   Printf.printf "RM uniprocessor prototype = zero-delay reference: %b\n"
-    (eq (Runtime.Uniproc_fp.signature up) (Fppn.Semantics.signature zd));
+    (eq (Runtime.Preemptive.signature up) (Fppn.Semantics.signature zd));
 
   (* a peek at the flight outputs *)
   let show name n =

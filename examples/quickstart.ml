@@ -109,9 +109,7 @@ let () =
   (* 5. Determinism check (Prop. 2.1): the runtime wrote exactly the
      same values as the reference *)
   let eq =
-    List.equal
-      (fun (n1, h1) (n2, h2) -> n1 = n2 && List.equal V.equal h1 h2)
-      (Fppn.Semantics.signature zd)
+    Fppn.Semantics.equal_signature (Fppn.Semantics.signature zd)
       (Runtime.Engine.signature rt)
   in
   Printf.printf "  deterministic (runtime history = reference history): %b\n" eq

@@ -232,20 +232,3 @@ let random_config_traces ~seed ~horizon ~density net =
       let ev = Process.event (Network.process net p) in
       (name, Event.random_sporadic_trace ev (Rt_util.Prng.split prng) ~horizon ~density))
     sporadic_processes
-
-let rm_priorities net =
-  let n = Network.n_processes net in
-  let ids = List.init n Fun.id in
-  let sorted =
-    List.sort
-      (fun a b ->
-        let pa = Network.process net a and pb = Network.process net b in
-        let c = Rat.compare (Process.period pa) (Process.period pb) in
-        if c <> 0 then c
-        else
-          let c = Int.compare (Network.fp_rank net a) (Network.fp_rank net b) in
-          if c <> 0 then c
-          else String.compare (Process.name pa) (Process.name pb))
-      ids
-  in
-  List.mapi (fun prio p -> (Process.name (Network.process net p), prio)) sorted

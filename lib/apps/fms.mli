@@ -41,7 +41,3 @@ val random_config_traces :
   (string * Rt_util.Rat.t list) list
 (** Random pilot-command traces for every sporadic process, respecting
     each generator's [(m, T)] constraint. *)
-
-val rm_priorities : Fppn.Network.t -> (string * int) list
-(** The rate-monotonic priority assignment of the original uniprocessor
-    prototype (smaller = higher). *)

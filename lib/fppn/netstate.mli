@@ -78,7 +78,7 @@ val run_job_deferred :
     immediately (reads observe the pre-job state), and the returned
     thunk publishes the writes in program order.  This is the
     read-at-start / write-at-completion access model of preemptive
-    fixed-priority implementations ([Runtime.Uniproc_fp]). *)
+    priority-scheduled implementations ([Runtime.Preemptive]). *)
 
 val channel_history : t -> (string * Value.t list) list
 (** Internal channels, sorted by name. *)

@@ -71,28 +71,10 @@ type result = {
   job_counts : (string * int) list;
 }
 
-(* Group an ascending event trace into (time, processes) buckets. *)
-let group_by_time trace =
-  let rec loop acc current = function
-    | [] -> List.rev (match current with None -> acc | Some g -> g :: acc)
-    | inv :: rest -> (
-      match current with
-      | Some (t, ps) when Rat.equal t inv.time ->
-        loop acc (Some (t, inv.process :: ps)) rest
-      | Some g -> loop (g :: acc) (Some (inv.time, [ inv.process ])) rest
-      | None -> loop acc (Some (inv.time, [ inv.process ])) rest)
-  in
-  List.map (fun (t, ps) -> (t, List.rev ps)) (loop [] None trace)
-
-let run ?(inputs = no_inputs) net event_trace =
-  let state = Netstate.create net in
-  let trace = ref [] in
-  let recorder a = trace := a :: !trace in
-  (* order simultaneous jobs by functional priority.  Ranks are a
-     permutation of [0, n), so a counting sort over reusable buckets
-     replaces the per-bucket comparison sort; dropping each process
-     into its rank's bucket and sweeping ranks ascending is stable, so
-     same-process burst jobs keep invocation order *)
+let instants net event_trace =
+  (* group consecutive equal stamps, then order each group by functional
+     priority.  Ranks are a permutation of [0, n), so a counting sort
+     over reusable buckets replaces a per-group comparison sort *)
   let n = Network.n_processes net in
   let rank = Array.init n (Network.fp_rank net) in
   let buckets = Array.make n [] in
@@ -108,12 +90,30 @@ let run ?(inputs = no_inputs) net event_trace =
     done;
     !out
   in
+  let rec loop acc current = function
+    | [] -> List.rev (match current with None -> acc | Some g -> g :: acc)
+    | inv :: rest -> (
+      match current with
+      | Some (t, ps) when Rat.equal t inv.time ->
+        loop acc (Some (t, inv.process :: ps)) rest
+      | Some g -> loop (g :: acc) (Some (inv.time, [ inv.process ])) rest
+      | None -> loop acc (Some (inv.time, [ inv.process ])) rest)
+  in
+  List.map
+    (fun (t, ps) -> (t, by_priority (List.rev ps)))
+    (loop [] None event_trace)
+
+let run ?(inputs = no_inputs) net event_trace =
+  let state = Netstate.create net in
+  let trace = ref [] in
+  let recorder a = trace := a :: !trace in
   List.iter
     (fun (time, procs) ->
       recorder (Trace.Wait time);
-      let ordered = by_priority procs in
-      List.iter (fun p -> Netstate.run_job ~recorder ~inputs state ~proc:p ~now:time) ordered)
-    (group_by_time event_trace);
+      List.iter
+        (fun p -> Netstate.run_job ~recorder ~inputs state ~proc:p ~now:time)
+        procs)
+    (instants net event_trace);
   let job_counts =
     Array.to_list
       (Array.mapi
@@ -136,4 +136,4 @@ let signature r =
 let equal_signature a b =
   List.equal
     (fun (n1, h1) (n2, h2) -> String.equal n1 n2 && List.equal Value.equal h1 h2)
-    (signature a) (signature b)
+    a b

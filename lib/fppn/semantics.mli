@@ -49,6 +49,12 @@ type result = {
   job_counts : (string * int) list;  (** executed jobs per process *)
 }
 
+val instants : Network.t -> event_trace -> (Rt_util.Rat.t * int list) list
+(** The event trace grouped into invocation instants, ascending by time;
+    each instant lists its invoked processes in functional-priority
+    order, a process once per invocation (a sporadic burst repeats it).
+    This is the order in which {!run} executes jobs. *)
+
 val run : ?inputs:input_feed -> Network.t -> event_trace -> result
 (** Executes the whole event trace under zero-delay semantics. *)
 
@@ -58,4 +64,8 @@ val signature : result -> (string * Value.t list) list
     semantics-respecting executions of the same network on the same
     inputs must have equal signatures. *)
 
-val equal_signature : result -> result -> bool
+val equal_signature :
+  (string * Value.t list) list -> (string * Value.t list) list -> bool
+(** Equality of two signatures, such as those of {!signature},
+    [Runtime.Engine.signature] or [Timedauto.Translate.signature]:
+    same channel names in the same order, and {!Value.equal} histories. *)

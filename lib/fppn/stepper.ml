@@ -11,25 +11,8 @@ type t = {
 }
 
 let create ?sporadic ?(inputs = Netstate.no_inputs) ~horizon net =
-  let invs = Semantics.invocations ?sporadic ~horizon net in
-  (* group by time, order each group by functional priority *)
-  let rec group acc current = function
-    | [] -> List.rev (match current with None -> acc | Some g -> g :: acc)
-    | inv :: rest -> (
-      let t = inv.Semantics.time and p = inv.Semantics.process in
-      match current with
-      | Some (t0, ps) when Rat.equal t0 t -> group acc (Some (t0, p :: ps)) rest
-      | Some g -> group (g :: acc) (Some (t, [ p ])) rest
-      | None -> group acc (Some (t, [ p ])) rest)
-  in
   let pending =
-    List.map
-      (fun (t, ps) ->
-        ( t,
-          List.stable_sort
-            (fun a b -> Int.compare (Network.fp_rank net a) (Network.fp_rank net b))
-            (List.rev ps) ))
-      (group [] None invs)
+    Semantics.instants net (Semantics.invocations ?sporadic ~horizon net)
   in
   { net; inputs; st = Netstate.create net; pending }
 

@@ -10,9 +10,10 @@
     maximal rate ([m_j] events per minimal period [T_j]) — exactly the
     worst case their generator admits.
 
-    This gives an {e analytic} bound on what the [Runtime.Uniproc_fp]
-    simulator can produce; the test suite checks simulation ≤ analysis,
-    and the FMS experiment compares the bound with the observed maxima. *)
+    This gives an {e analytic} bound on what the [Runtime.Preemptive]
+    simulator can produce under [Fixed] priorities on one processor; the
+    test suite checks simulation ≤ analysis, and the FMS experiment
+    compares the bound with the observed maxima. *)
 
 type entry = {
   process : string;
@@ -22,13 +23,17 @@ type entry = {
   deadline : Rt_util.Rat.t;  (** relative *)
 }
 
+val rm_priorities : Fppn.Network.t -> (string * int) list
+(** The rate-monotonic assignment, smaller = higher: ascending period,
+    ties broken by functional-priority rank, then by name.  Every
+    process gets a distinct priority, in [0, n). *)
+
 val analyse :
   ?priorities:(string * int) list ->
   wcet:Taskgraph.Derive.wcet_map ->
   Fppn.Network.t ->
   entry list
-(** Default priorities: rate-monotonic with the same tie-breaking as
-    [Runtime.Uniproc_fp.Rate_monotonic].  Entries are sorted by
+(** Default priorities: {!rm_priorities}.  Entries are sorted by
     priority. *)
 
 val schedulable : entry list -> bool

@@ -39,12 +39,6 @@ let default_config =
     latency_specs = [];
   }
 
-let eq_sig a b =
-  List.equal
-    (fun (n1, h1) (n2, h2) ->
-      String.equal n1 n2 && List.equal Fppn.Value.equal h1 h2)
-    a b
-
 let run ?(config = default_config) ~wcet net =
   let checks = ref [] in
   let add name passed detail = checks := { name; passed; detail } :: !checks in
@@ -172,7 +166,7 @@ let run ?(config = default_config) ~wcet net =
               add
                 (Printf.sprintf "determinism (Prop. 2.1), M=%d, jitter seed %d" m
                    jitter_seed)
-                (eq_sig zd_sig (Engine.signature rt))
+                (Fppn.Semantics.equal_signature zd_sig (Engine.signature rt))
                 "channel histories vs zero-delay reference";
               add
                 (Printf.sprintf "deadlines (Prop. 4.1), M=%d, jitter seed %d" m
@@ -196,7 +190,7 @@ let run ?(config = default_config) ~wcet net =
           let ta = Translate.execute (Translate.build net d sched ta_cfg) in
           add
             (Printf.sprintf "timed-automata backend, M=%d" m)
-            (eq_sig zd_sig (Translate.signature ta))
+            (Fppn.Semantics.equal_signature zd_sig (Translate.signature ta))
             "generated TA network vs zero-delay reference";
           (* declared end-to-end constraints, on the WCET execution *)
           if config.latency_specs <> [] then begin

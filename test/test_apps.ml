@@ -229,7 +229,7 @@ let test_fms_original_scale () =
 
 let test_fms_rm_priorities () =
   let net = Fppn_apps.Fms.reduced () in
-  let prio = Fppn_apps.Fms.rm_priorities net in
+  let prio = Sched.Rta.rm_priorities net in
   let rank name = List.assoc name prio in
   Alcotest.(check bool) "SensorInput highest" true (rank "SensorInput" = 0);
   Alcotest.(check bool) "HighFreq above MagnDeclin" true

@@ -15,7 +15,7 @@ module List_scheduler = Sched.List_scheduler
 module Rta = Sched.Rta
 module Engine = Runtime.Engine
 module Exec_trace = Runtime.Exec_trace
-module Uniproc_fp = Runtime.Uniproc_fp
+module Preemptive = Runtime.Preemptive
 
 let ms = Rat.of_int
 
@@ -161,19 +161,20 @@ let test_rta_bounds_simulation () =
   Alcotest.(check bool) "FMS schedulable under RM" true (Rta.schedulable entries);
   let horizon = ms 10_000 in
   let up =
-    Uniproc_fp.run net
-      (Uniproc_fp.default_config ~wcet:Fppn_apps.Fms.wcet ~horizon)
+    Preemptive.run net
+      (Preemptive.default_config ~policy:(Fixed Rate_monotonic) ~n_procs:1
+         ~wcet:Fppn_apps.Fms.wcet ~horizon)
   in
   (* per process: observed response <= analytic bound *)
   let observed = Hashtbl.create 16 in
   List.iter
-    (fun (r : Uniproc_fp.record) ->
-      let resp = Rat.sub r.Uniproc_fp.finished r.Uniproc_fp.released in
+    (fun (r : Preemptive.record) ->
+      let resp = Rat.sub r.finished r.released in
       let prev =
-        try Hashtbl.find observed r.Uniproc_fp.process with Not_found -> Rat.zero
+        try Hashtbl.find observed r.process with Not_found -> Rat.zero
       in
-      Hashtbl.replace observed r.Uniproc_fp.process (Rat.max prev resp))
-    up.Uniproc_fp.records;
+      Hashtbl.replace observed r.process (Rat.max prev resp))
+    up.records;
   List.iter
     (fun e ->
       match (e.Rta.response, Hashtbl.find_opt observed e.Rta.process) with

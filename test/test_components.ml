@@ -17,7 +17,7 @@ module Job = Taskgraph.Job
 module Engine = Runtime.Engine
 module Exec_time = Runtime.Exec_time
 module Platform = Runtime.Platform
-module Uniproc_fp = Runtime.Uniproc_fp
+module Preemptive = Runtime.Preemptive
 
 let ms = Rat.of_int
 let value = Alcotest.testable V.pp V.equal
@@ -334,16 +334,17 @@ let prop_zero_exec_uniproc_equals_zero_delay =
           (List.init (Network.n_processes net) Fun.id)
       in
       let up =
-        Uniproc_fp.run net
-          { (Uniproc_fp.default_config ~wcet:(Derive.const_wcet Rat.one) ~horizon) with
-            Uniproc_fp.sporadic;
-            exec = Exec_time.scaled 0.0;  (* zero execution times *)
-            priorities = Uniproc_fp.Explicit prio }
+        Preemptive.run net
+          { (Preemptive.default_config ~policy:(Fixed (Explicit prio)) ~n_procs:1
+               ~wcet:(Derive.const_wcet Rat.one) ~horizon)
+            with
+            Preemptive.sporadic;
+            exec = Exec_time.scaled 0.0 (* zero execution times *) }
       in
       List.equal
         (fun (n1, h1) (n2, h2) -> n1 = n2 && List.equal V.equal h1 h2)
         (Semantics.signature zd)
-        (Uniproc_fp.signature up))
+        (Preemptive.signature up))
 
 let () =
   Alcotest.run "components"

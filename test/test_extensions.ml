@@ -15,7 +15,7 @@ module List_scheduler = Sched.List_scheduler
 module Engine = Runtime.Engine
 module Exec_time = Runtime.Exec_time
 module Exec_trace = Runtime.Exec_trace
-module Global_edf = Runtime.Global_edf
+module Preemptive = Runtime.Preemptive
 module Export = Runtime.Export
 
 let ms = Rat.of_int
@@ -105,13 +105,13 @@ let eq_sig a b =
 let test_global_edf_runs () =
   let net = Fppn_apps.Fig1.network () in
   let cfg =
-    Global_edf.default_config ~wcet:Fppn_apps.Fig1.wcet ~horizon:(ms 600)
-      ~n_procs:2
+    Preemptive.default_config ~policy:Edf ~n_procs:2 ~wcet:Fppn_apps.Fig1.wcet
+      ~horizon:(ms 600)
   in
-  let r = Global_edf.run net cfg in
-  Alcotest.(check bool) "jobs executed" true (List.length r.Global_edf.records > 10);
+  let r = Preemptive.run net cfg in
+  Alcotest.(check bool) "jobs executed" true (List.length r.Preemptive.records > 10);
   (* plenty of capacity on 2 procs: all deadlines met *)
-  Alcotest.(check int) "no misses on 2 procs" 0 r.Global_edf.misses
+  Alcotest.(check int) "no misses on 2 procs" 0 r.Preemptive.misses
 
 let test_global_edf_is_not_deterministic () =
   (* the motivating experiment: under multiprocessor EDF the channel
@@ -122,13 +122,13 @@ let test_global_edf_is_not_deterministic () =
   let net = Fppn_apps.Fig1.network () in
   let run seed =
     let cfg =
-      { (Global_edf.default_config ~wcet:Fppn_apps.Fig1.wcet ~horizon:(ms 1000)
-           ~n_procs:2)
+      { (Preemptive.default_config ~policy:Edf ~n_procs:2
+           ~wcet:Fppn_apps.Fig1.wcet ~horizon:(ms 1000))
         with
-        Global_edf.exec = Exec_time.uniform ~seed ~min_fraction:0.05;
+        Preemptive.exec = Exec_time.uniform ~seed ~min_fraction:0.05;
         inputs = Fppn_apps.Fig1.input_feed ~samples:64 }
     in
-    Global_edf.signature (Global_edf.run net cfg)
+    Preemptive.signature (Preemptive.run net cfg)
   in
   let signatures = List.map run [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   let all_equal =
@@ -163,16 +163,42 @@ let test_fppn_runtime_is_deterministic_same_setup () =
       (List.for_all (eq_sig first) rest)
   | [] -> ()
 
-let test_global_edf_migrations_counted () =
-  (* overload one processor so EDF migrates work *)
-  let net = Fppn_apps.Fft.network Fppn_apps.Fft.default_params in
-  let cfg =
-    Global_edf.default_config
-      ~wcet:(Fppn_apps.Fft.wcet_map Fppn_apps.Fft.default_params)
-      ~horizon:(ms 400) ~n_procs:2
+let test_global_edf_preemptions () =
+  (* C and A take both processors at 0 (earliest deadlines, then release
+     order); B starts when C[1] completes at 10 and loses its processor
+     to C[2] at 100 and to C[3] at 200.  At 300, A completes at the
+     instant C[4] is released, so C[4] takes A's processor and B keeps
+     its own. *)
+  let b = Network.Builder.create "edf-preempt" in
+  List.iter
+    (fun (name, period) ->
+      Network.Builder.add_process b
+        (Process.make ~name
+           ~event:(Event.periodic ~period:(ms period) ~deadline:(ms period) ())
+           (Process.Native (fun _ -> ()))))
+    [ ("A", 1000); ("B", 1000); ("C", 100) ];
+  let net = Network.Builder.finish_exn b in
+  let wcet =
+    Derive.wcet_of_list (ms 0) [ ("A", ms 300); ("B", ms 300); ("C", ms 10) ]
   in
-  let r = Global_edf.run net cfg in
-  Alcotest.(check bool) "records exist" true (r.Global_edf.records <> [])
+  let r =
+    Preemptive.run net
+      (Preemptive.default_config ~policy:Edf ~n_procs:2 ~wcet ~horizon:(ms 1000))
+  in
+  let span name =
+    let x =
+      List.find (fun (x : Preemptive.record) -> x.process = name && x.k = 1) r.records
+    in
+    Rat.to_string x.started ^ "-" ^ Rat.to_string x.finished
+  in
+  Alcotest.(check string) "A[1] runs uninterrupted" "0-300" (span "A");
+  Alcotest.(check string) "B[1] runs 10-100, 110-200, 210-330" "10-330" (span "B");
+  Alcotest.(check (list (pair string int))) "preempted jobs" [ ("B", 2) ]
+    (List.filter_map
+       (fun (x : Preemptive.record) ->
+         if x.preemptions > 0 then Some (x.process, x.preemptions) else None)
+       r.records);
+  Alcotest.(check int) "no misses" 0 r.misses
 
 (* --- processor dimensioning ----------------------------------------------- *)
 
@@ -702,7 +728,8 @@ let () =
             test_global_edf_is_not_deterministic;
           Alcotest.test_case "fppn deterministic in the same setup" `Quick
             test_fppn_runtime_is_deterministic_same_setup;
-          Alcotest.test_case "fft workload" `Quick test_global_edf_migrations_counted;
+          Alcotest.test_case "preemptions on two processors" `Quick
+            test_global_edf_preemptions;
         ] );
       ( "dimension",
         [

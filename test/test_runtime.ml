@@ -10,8 +10,7 @@ module Engine = Runtime.Engine
 module Exec_time = Runtime.Exec_time
 module Exec_trace = Runtime.Exec_trace
 module Platform = Runtime.Platform
-module Uniproc_fp = Runtime.Uniproc_fp
-module Global_edf = Runtime.Global_edf
+module Preemptive = Runtime.Preemptive
 module Netstate = Fppn.Netstate
 module Graph = Taskgraph.Graph
 module Prng = Rt_util.Prng
@@ -593,14 +592,16 @@ let test_uniproc_rm_equivalence_fms () =
     Semantics.run net (Semantics.invocations ~sporadic ~horizon net)
   in
   let cfg =
-    { (Uniproc_fp.default_config ~wcet:Fppn_apps.Fms.wcet ~horizon) with
-      Uniproc_fp.sporadic }
+    { (Preemptive.default_config ~policy:(Preemptive.Fixed Rate_monotonic)
+         ~n_procs:1 ~wcet:Fppn_apps.Fms.wcet ~horizon)
+      with
+      Preemptive.sporadic }
   in
-  let up = Uniproc_fp.run net cfg in
-  Alcotest.(check int) "no misses at load 0.23" 0 up.Uniproc_fp.misses;
+  let up = Preemptive.run net cfg in
+  Alcotest.(check int) "no misses at load 0.23" 0 up.Preemptive.misses;
   Alcotest.(check bool) "uniproc RM functionally equivalent to zero-delay"
     true
-    (eq_sig (Semantics.signature zd) (Uniproc_fp.signature up))
+    (eq_sig (Semantics.signature zd) (Preemptive.signature up))
 
 let test_uniproc_preemption_counted () =
   (* a long low-priority job is preempted by a short high-priority one *)
@@ -615,18 +616,21 @@ let test_uniproc_preemption_counted () =
        (Process.Native (fun _ -> ())));
   let net = Network.Builder.finish_exn b in
   let wcet = Derive.wcet_of_list (ms 10) [ ("Long", ms 250); ("Short", ms 10) ] in
-  let cfg = Uniproc_fp.default_config ~wcet ~horizon:(ms 1000) in
-  let up = Uniproc_fp.run net cfg in
+  let cfg =
+    Preemptive.default_config ~policy:(Preemptive.Fixed Rate_monotonic)
+      ~n_procs:1 ~wcet ~horizon:(ms 1000)
+  in
+  let up = Preemptive.run net cfg in
   let long_rec =
-    List.find (fun r -> r.Uniproc_fp.process = "Long") up.Uniproc_fp.records
+    List.find (fun r -> r.Preemptive.process = "Long") up.Preemptive.records
   in
   Alcotest.(check bool) "Long was preempted" true
-    (long_rec.Uniproc_fp.preemptions >= 2);
+    (long_rec.Preemptive.preemptions >= 2);
   (* RM: Short (smaller period) always runs first at common releases *)
   let short_first =
-    List.find (fun r -> r.Uniproc_fp.process = "Short") up.Uniproc_fp.records
+    List.find (fun r -> r.Preemptive.process = "Short") up.Preemptive.records
   in
-  Alcotest.check rat "Short starts at 0" (ms 0) short_first.Uniproc_fp.started
+  Alcotest.check rat "Short starts at 0" (ms 0) short_first.Preemptive.started
 
 (* --- preemptive baselines: output digests ------------------------------ *)
 
@@ -651,35 +655,39 @@ let baseline_text ~records ~signature ~misses ~max_response =
 
 let edf_digest net ~n_procs ~exec ~wcet ~horizon ~sporadic ~inputs =
   let r =
-    Global_edf.run net
-      { (Global_edf.default_config ~wcet ~horizon ~n_procs) with
-        Global_edf.exec; sporadic; inputs }
+    Preemptive.run net
+      { (Preemptive.default_config ~policy:Edf ~n_procs ~wcet ~horizon) with
+        Preemptive.exec; sporadic; inputs }
   in
   baseline_text
     ~records:
       (List.map
-         (fun (x : Global_edf.record) ->
+         (fun (x : Preemptive.record) ->
            (x.process, x.k, x.released, x.started, x.finished, x.deadline, None))
          r.records)
-    ~signature:(Global_edf.signature r) ~misses:r.misses ~max_response:None
+    ~signature:(Preemptive.signature r) ~misses:r.misses ~max_response:None
 
 let fp_digest net ~priorities ~exec ~wcet ~horizon ~sporadic ~inputs =
   let r =
-    Uniproc_fp.run net
-      { (Uniproc_fp.default_config ~wcet ~horizon) with
-        Uniproc_fp.priorities; exec; sporadic; inputs }
+    Preemptive.run net
+      { (Preemptive.default_config ~policy:(Fixed priorities) ~n_procs:1 ~wcet
+           ~horizon)
+        with
+        Preemptive.exec; sporadic; inputs }
   in
   baseline_text
     ~records:
       (List.map
-         (fun (x : Uniproc_fp.record) ->
+         (fun (x : Preemptive.record) ->
            ( x.process, x.k, x.released, x.started, x.finished, x.deadline,
              Some x.preemptions ))
          r.records)
-    ~signature:(Uniproc_fp.signature r) ~misses:r.misses
+    ~signature:(Preemptive.signature r) ~misses:r.misses
     ~max_response:(Some r.max_response)
 
-(* MD5 of each run's text, computed by Uniproc_fp and Global_edf *)
+(* MD5 of each run's text, pinned before Preemptive replaced the global
+   EDF and uniprocessor fixed-priority modules: the merge kept their
+   outputs *)
 let baseline_digests =
   [
     ("fig1 const edf-m1", "e090f957911e8cd062f698da6213b869");
@@ -801,10 +809,10 @@ let test_baseline_digests () =
               [ 1; 2; 4 ]
             @ [
                 ( label "rm",
-                  fp_digest net ~priorities:Uniproc_fp.Rate_monotonic
+                  fp_digest net ~priorities:Preemptive.Rate_monotonic
                     ~exec:(model ()) ~wcet ~horizon ~sporadic ~inputs );
                 ( label "explicit",
-                  fp_digest net ~priorities:(Uniproc_fp.Explicit (explicit net))
+                  fp_digest net ~priorities:(Preemptive.Explicit (explicit net))
                     ~exec:(model ()) ~wcet ~horizon ~sporadic ~inputs );
               ])
           execs)
