@@ -214,6 +214,9 @@ let run net config =
         in
         List.iter complete finished;
         live := List.filter (fun lj -> not (List.memq lj finished)) !live;
+        (* the jobs released at this instant compete for the freed
+           processors too *)
+        release_at !now;
         loop running)
   in
   loop [];

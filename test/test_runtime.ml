@@ -687,14 +687,16 @@ let fp_digest net ~priorities ~exec ~wcet ~horizon ~sporadic ~inputs =
 
 (* MD5 of each run's text, pinned before Preemptive replaced the global
    EDF and uniprocessor fixed-priority modules: the merge kept their
-   outputs *)
+   outputs.  The 14 constant-time runs in which a job completed at the
+   instant a higher-ranked one was released were re-pinned when such a
+   release began to count before the freed processor is handed out. *)
 let baseline_digests =
   [
-    ("fig1 const edf-m1", "e090f957911e8cd062f698da6213b869");
+    ("fig1 const edf-m1", "7cefe45684978bcb51ed3423b0af4bfc");
     ("fig1 const edf-m2", "7f2d22c0485fec515e2638fcdb13f187");
     ("fig1 const edf-m4", "869874a019e7401d78f0006a4f4d4a15");
-    ("fig1 const rm", "63ea1a9f41255f1eaa85990642d323c6");
-    ("fig1 const explicit", "14d877469f4293193880831d57d29a52");
+    ("fig1 const rm", "9f92ddac7f1b5ed7c49517474679118d");
+    ("fig1 const explicit", "33eaf60a6e21a80011a42b2ba78225d9");
     ("fig1 jitter edf-m1", "9cdcdc1103849a217a4e54a4d814107d");
     ("fig1 jitter edf-m2", "b68413739edadfb616c056f5064eeaf2");
     ("fig1 jitter edf-m4", "75af3782cd1ce77b4edc0e0476188962");
@@ -704,7 +706,7 @@ let baseline_digests =
     ("fms const edf-m2", "cb1328910df625096be6f3b3dff66605");
     ("fms const edf-m4", "d3aac29d29534f43f03f928aaeaabba3");
     ("fms const rm", "7107bf89707d03779443cfb8df7a15e1");
-    ("fms const explicit", "eeafb2285286b00e6ffb78e353bc1e2f");
+    ("fms const explicit", "c9f0ac5e35edfb17a17f498304eb92d7");
     ("fms jitter edf-m1", "a85b9a2682d6a10aa7cf7c79264936ef");
     ("fms jitter edf-m2", "8fc153684dcd400c0a503647437c9d7c");
     ("fms jitter edf-m4", "d8cd77f6a3ad3b1753feadae0d0c55d1");
@@ -720,31 +722,31 @@ let baseline_digests =
     ("automotive jitter edf-m4", "6bd9a06fc90421f81e113436df74a034");
     ("automotive jitter rm", "ddf85f79c4a6b10ab804f42f7c9e58f2");
     ("automotive jitter explicit", "72051a89d4b6abd46cc3239f0c278156");
-    ("randgen-1 const edf-m1", "eece81349a37b7961003b8dbbd0a3f40");
+    ("randgen-1 const edf-m1", "b67cb354a212a46690aab83c797d72e6");
     ("randgen-1 const edf-m2", "a3f46c39b6bdb8292c371e35ed7dd167");
     ("randgen-1 const edf-m4", "22cbb7058c9c28a047eb3c4ed6532f6b");
-    ("randgen-1 const rm", "e67b0442e0c43e1b502629cf11f09d58");
-    ("randgen-1 const explicit", "786cda7188c093a8d92e593b6914633d");
+    ("randgen-1 const rm", "016c8db36d08aeafa701d2d4ecbb841d");
+    ("randgen-1 const explicit", "0ba255d2ed4872b50b06dbb51fbd8fe1");
     ("randgen-1 jitter edf-m1", "9da5a85ecdc48ac8331120edc6526467");
     ("randgen-1 jitter edf-m2", "07939ac6674d8b6d91cbb7baa98a062a");
     ("randgen-1 jitter edf-m4", "40769ab6054f77e90e94a2955b4ca32e");
     ("randgen-1 jitter rm", "08462dae72a6641c277a255d18ba40e4");
     ("randgen-1 jitter explicit", "e7f4c534cc10af5b052861c7b1b62adc");
-    ("randgen-2 const edf-m1", "b7fa14f069502c54dcb39cf5972daeb7");
+    ("randgen-2 const edf-m1", "b23d341134da6907be722cacfea8d8ab");
     ("randgen-2 const edf-m2", "59e6c3c53ec9f1e004b0fa240764e688");
     ("randgen-2 const edf-m4", "b0eb6231db0184467de025a7dd131aaa");
-    ("randgen-2 const rm", "209b37f26dc4a667f65a4b59418db56c");
-    ("randgen-2 const explicit", "e7f07ee61ecc36a0c512b98235266a47");
+    ("randgen-2 const rm", "5fac6a88cfce9cca339d070fc5e0e02e");
+    ("randgen-2 const explicit", "86005fc2ad4ceac9c312e05a996fc8aa");
     ("randgen-2 jitter edf-m1", "da01f0f2bb9f66cacce48904571d6e49");
     ("randgen-2 jitter edf-m2", "88f7415ad92312c5bb6640e8ef4ff03e");
     ("randgen-2 jitter edf-m4", "9338e692ca6aa78922955b229eabd804");
     ("randgen-2 jitter rm", "a850d0d9d491defe48b1cacce827ed91");
     ("randgen-2 jitter explicit", "aec1a5cf1e7d4558aed74f33f41cd4f3");
-    ("randgen-3 const edf-m1", "ba6dc0972cbc39001cc9e42f946b69fe");
-    ("randgen-3 const edf-m2", "91b245e8988d3ff463e5c098a672dff3");
+    ("randgen-3 const edf-m1", "00ab6a635ceee99f5b19144dd4cfadfa");
+    ("randgen-3 const edf-m2", "19a4a267497390e308aa48fe80672219");
     ("randgen-3 const edf-m4", "bbfac3a945fbc061ea66364bbe263710");
-    ("randgen-3 const rm", "d609aa4e1f81c0352b2399970df56009");
-    ("randgen-3 const explicit", "a51678745ee1945fd2bd5ac6e9630937");
+    ("randgen-3 const rm", "50c2d0bed773461c20f2f17e22b18406");
+    ("randgen-3 const explicit", "6efd0229985441fcaf7cdb95c9f0e049");
     ("randgen-3 jitter edf-m1", "c2f59b1120de329fe4c811c64dfd7d96");
     ("randgen-3 jitter edf-m2", "228066eb3759e07d58794c40d1730ddb");
     ("randgen-3 jitter edf-m4", "cb9833e2c0d772219352a59bed22afc1");
@@ -820,6 +822,196 @@ let test_baseline_digests () =
   in
   Alcotest.(check (list (pair string string))) "digests" baseline_digests got
 
+(* A (period 100, WCET 40) writes its job index to [a], B (200, 60)
+   does nothing and C (1000, 10) emits what it reads, under RM on one
+   processor.  B completes at 100, the instant A[2] is released: A[2]
+   runs 100-140 and only then C[1] starts, reading A[2]'s write. *)
+let test_same_instant_release () =
+  let b = Network.Builder.create "same-instant" in
+  let add name period body =
+    Network.Builder.add_process b
+      (Process.make ~name
+         ~event:(Event.periodic ~period:(ms period) ~deadline:(ms period) ())
+         (Process.Native body))
+  in
+  add "A" 100 (fun ctx -> ctx.Process.write "a" (V.Int ctx.Process.job_index));
+  add "B" 200 ignore;
+  add "C" 1000 (fun ctx -> ctx.Process.write "out" (ctx.Process.read "a"));
+  Network.Builder.add_channel b ~kind:Fppn.Channel.Blackboard ~writer:"A"
+    ~reader:"C" "a";
+  Network.Builder.add_priority b "A" "C";
+  Network.Builder.add_output b ~owner:"C" "out";
+  let net = Network.Builder.finish_exn b in
+  let wcet = Derive.wcet_of_list (ms 10) [ ("A", ms 40); ("B", ms 60) ] in
+  let r =
+    Preemptive.run net
+      (Preemptive.default_config ~policy:(Fixed Rate_monotonic) ~n_procs:1 ~wcet
+         ~horizon:(ms 1000))
+  in
+  let c1 =
+    List.find
+      (fun (x : Preemptive.record) -> x.process = "C" && x.k = 1)
+      r.records
+  in
+  Alcotest.check rat "C[1] starts after A[2]" (ms 140) c1.started;
+  Alcotest.check rat "C[1] finishes" (ms 150) c1.finished;
+  Alcotest.(check int) "C[1] is never preempted" 0 c1.preemptions;
+  Alcotest.(check (list string)) "C emits A[2]'s index" [ "2" ]
+    (List.map V.to_string (List.assoc "out" r.output_history))
+
+(* The schedule a preemptive run implies, rebuilt from its records
+   alone.  At every release or completion instant [t] the live jobs are
+   those with [released <= t < finished], every release at [t] counted,
+   and the [n_procs] first of them by the policy's key, then release
+   order, hold the processors until the next instant.  Durations are
+   positive here, so instants strictly ascend.  Returns, per record,
+   the first instant it holds a processor, the displacements after
+   positive progress (it held a processor over the interval just before
+   an instant and loses it there, unfinished) and its time on a
+   processor. *)
+let implied_schedule net (config : Preemptive.config) =
+  let r = Preemptive.run net config in
+  let recs = Array.of_list r.Preemptive.records in
+  (* release order: the k-th job of a process is its k-th invocation *)
+  let seq = Hashtbl.create 64 and count = Hashtbl.create 16 in
+  List.iteri
+    (fun i (inv : Semantics.invocation) ->
+      let name = Process.name (Network.process net inv.process) in
+      let k = 1 + Option.value ~default:0 (Hashtbl.find_opt count name) in
+      Hashtbl.replace count name k;
+      Hashtbl.replace seq (name, k) i)
+    (Semantics.invocations ~sporadic:config.sporadic ~horizon:config.horizon net);
+  let seq_of (x : Preemptive.record) = Hashtbl.find seq (x.process, x.k) in
+  let key =
+    match config.policy with
+    | Preemptive.Edf -> fun a b -> Rat.compare recs.(a).deadline recs.(b).deadline
+    | Preemptive.Fixed assignment ->
+      let assoc =
+        match assignment with
+        | Preemptive.Rate_monotonic -> Sched.Rta.rm_priorities net
+        | Preemptive.Explicit l -> l
+      in
+      let prio i =
+        Option.value ~default:max_int (List.assoc_opt recs.(i).process assoc)
+      in
+      fun a b -> Int.compare (prio a) (prio b)
+  in
+  let before a b =
+    let c = key a b in
+    if c <> 0 then c else Int.compare (seq_of recs.(a)) (seq_of recs.(b))
+  in
+  let instants =
+    Array.of_list
+      (List.sort_uniq Rat.compare
+         (Array.fold_left
+            (fun acc (x : Preemptive.record) -> x.released :: x.finished :: acc)
+            [] recs))
+  in
+  let n = Array.length recs in
+  let first = Array.make n None
+  and displaced = Array.make n 0
+  and busy = Array.make n Rat.zero in
+  let held = ref [] in
+  Array.iteri
+    (fun ti t ->
+      let live =
+        List.filter
+          (fun i -> Rat.(recs.(i).released <= t) && Rat.(t < recs.(i).finished))
+          (List.init n Fun.id)
+      in
+      let top =
+        List.filteri (fun rank _ -> rank < config.n_procs) (List.sort before live)
+      in
+      List.iter
+        (fun i ->
+          if (not (List.mem i top)) && Rat.(t < recs.(i).finished) then
+            displaced.(i) <- displaced.(i) + 1)
+        !held;
+      List.iter
+        (fun i ->
+          if first.(i) = None then first.(i) <- Some t;
+          if ti + 1 < Array.length instants then
+            busy.(i) <- Rat.add busy.(i) (Rat.sub instants.(ti + 1) t))
+        top;
+      held := top)
+    instants;
+  (r, recs, first, displaced, busy)
+
+type preemptive_case = {
+  p_seed : int;
+  p_periodic : int;
+  p_sporadic : int;
+  p_procs : int;
+  p_jitter : bool;
+}
+
+let preemptive_case_gen =
+  QCheck2.Gen.(
+    let* p_seed = int_range 0 99_999 in
+    let* p_periodic = int_range 1 4 in
+    let* p_sporadic = int_range 0 2 in
+    let* p_procs = int_range 1 3 in
+    let+ p_jitter = bool in
+    { p_seed; p_periodic; p_sporadic; p_procs; p_jitter })
+
+let preemptive_case_print c =
+  Printf.sprintf "{seed=%d; periodic=%d; sporadic=%d; procs=%d; jitter=%b}"
+    c.p_seed c.p_periodic c.p_sporadic c.p_procs c.p_jitter
+
+(* [check] on the implied schedule of the case's network, under EDF and
+   under RM, with WCETs of a third of each period so that jobs contend *)
+let on_both_policies check c =
+  let net =
+    Randgen.network
+      {
+        Randgen.default_params with
+        seed = c.p_seed;
+        n_periodic = c.p_periodic;
+        n_sporadic = c.p_sporadic;
+      }
+  in
+  let horizon = Network.hyperperiod net in
+  let wcet = Randgen.wcet ~scale:(Rat.make 1 3) (Derive.const_wcet Rat.one) net in
+  List.for_all
+    (fun policy ->
+      let config =
+        {
+          (Preemptive.default_config ~policy ~n_procs:c.p_procs ~wcet ~horizon) with
+          Preemptive.exec =
+            (if c.p_jitter then Exec_time.uniform ~seed:c.p_seed ~min_fraction:0.3
+             else Exec_time.constant);
+          sporadic = Randgen.random_traces ~seed:c.p_seed ~horizon ~density:0.5 net;
+        }
+      in
+      check ~wcet ~jitter:c.p_jitter (implied_schedule net config))
+    [ Preemptive.Edf; Preemptive.Fixed Rate_monotonic ]
+
+let prop_start_rule =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000
+       ~name:
+         "a job starts when it first ranks among the n_procs first live jobs, \
+          every release at that instant counted"
+       ~print:preemptive_case_print preemptive_case_gen
+       (on_both_policies (fun ~wcet ~jitter (_, recs, first, _, busy) ->
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun i (x : Preemptive.record) ->
+                   first.(i) = Some x.started
+                   && (jitter || Rat.equal busy.(i) (wcet x.process)))
+                 recs))))
+
+let prop_preemption_count =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000
+       ~name:"preemptions count only displacements after positive progress"
+       ~print:preemptive_case_print preemptive_case_gen
+       (on_both_policies (fun ~wcet:_ ~jitter:_ (_, recs, _, displaced, _) ->
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun i (x : Preemptive.record) -> x.preemptions = displaced.(i))
+                 recs))))
+
 let () =
   Alcotest.run "runtime"
     [
@@ -856,5 +1048,11 @@ let () =
           Alcotest.test_case "preemption" `Quick test_uniproc_preemption_counted;
         ] );
       ( "baselines",
-        [ Alcotest.test_case "output digests" `Quick test_baseline_digests ] );
+        [
+          Alcotest.test_case "output digests" `Quick test_baseline_digests;
+          Alcotest.test_case "same-instant release" `Quick
+            test_same_instant_release;
+          prop_start_rule;
+          prop_preemption_count;
+        ] );
     ]
