@@ -22,22 +22,159 @@ let handled_traces net derived ~frames traces =
       (n, List.filter (fun s -> not (List.mem (n, s) unhandled)) stamps))
     traces
 
+let signature r =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Lazy.force r.channel_history @ Lazy.force r.output_history)
+
+(* ------------------------------------------------------------------ *)
+(* Sessions: the set-up of one network, schedule and configuration,    *)
+(* kept across runs that differ only in their sporadic stamps.          *)
+(*                                                                      *)
+(* A session owns the compiled tick grid (or, without one, the rational *)
+(* core), the scratch and the network state.  A run validates its       *)
+(* stamps, assigns them to server windows and places them on the kept   *)
+(* grid; a stamp off the grid recompiles it with the stamps, keeping    *)
+(* the scratch and the state, as neither depends on the grid.  The      *)
+(* grid's times are the run's model times, so two grids of one session  *)
+(* give the same result.                                                *)
+(* ------------------------------------------------------------------ *)
+
+type ticks = {
+  mutable plan : Tick_setup.tick_plan;
+  scratch : Tick_setup.tick_scratch;
+  state : Netstate.t;
+}
+
+type core = Ticks of ticks | Rational
+
+(* a run's stamps: placed on the session's grid, or, when no grid holds
+   them, the window assignment the rational core reads *)
+type placed =
+  | On_grid of ticks * int array
+  | Off_grid of (int * int, Rat.t) Hashtbl.t
+
+(* where the last run's signature is read from: the session's state
+   after a run on the grid, the result of a rational one *)
+type last = Nothing | In_state | In_result of result
+
+type session = {
+  s_net : Network.t;
+  s_derived : Derive.t;
+  s_sched : Static_schedule.t;
+  s_config : config;
+  s_monitor : monitor option;
+  s_core : core;
+  mutable s_last : last;
+}
+
+let assigned_stamps assigned = Hashtbl.fold (fun _ s acc -> s :: acc) assigned []
+
+(* the grid of the run's model times and [stamps], with its scratch and
+   the state from [state ()]; the rational core if there is no grid *)
+let make_session ?monitor ~state net derived sched config ~stamps =
+  let s_core =
+    match
+      Trace.with_span "engine.compile" (fun () ->
+          Tick_setup.compile ?monitor net derived sched config ~stamps)
+    with
+    | Some plan ->
+      (* the scratch and the state are the tick core's set-up *)
+      Trace.with_span "engine.exec.ticks" (fun () ->
+          let n_procs = config.platform.Platform.n_procs in
+          let scratch = Tick_setup.make_scratch derived sched ~n_procs in
+          Ticks { plan; scratch; state = state () })
+    | None -> Rational
+  in
+  {
+    s_net = net;
+    s_derived = derived;
+    s_sched = sched;
+    s_config = config;
+    s_monitor = monitor;
+    s_core;
+    s_last = Nothing;
+  }
+
+let session net derived sched config =
+  validate_shape derived sched config;
+  make_session ~state:(fun () -> Netstate.create net) net derived sched config
+    ~stamps:[]
+
+(* [assigned]'s stamps on the session's grid, recompiled with them if
+   one is off it *)
+let place s assigned =
+  match s.s_core with
+  | Rational -> Off_grid assigned
+  | Ticks t -> (
+    let n = Graph.n_jobs s.s_derived.Derive.graph in
+    let frames = s.s_config.frames in
+    let on plan = Tick_setup.place plan ~n ~frames assigned in
+    match on t.plan with
+    | stamps -> On_grid (t, stamps)
+    | exception (Rt_util.Timebase.Inexact | Rat.Overflow) -> (
+      match
+        Trace.with_span "engine.compile" (fun () ->
+            Tick_setup.compile ?monitor:s.s_monitor s.s_net s.s_derived
+              s.s_sched s.s_config ~stamps:(assigned_stamps assigned))
+      with
+      | None -> Off_grid assigned
+      | Some plan -> (
+        match on plan with
+        | stamps ->
+          t.plan <- plan;
+          On_grid (t, stamps)
+        | exception (Rt_util.Timebase.Inexact | Rat.Overflow) ->
+          Off_grid assigned)))
+
+let exec s config ~unhandled_events = function
+  | On_grid ({ plan; scratch; state }, stamps) ->
+    Trace.with_span "engine.exec.ticks" (fun () ->
+        Exec_ticks.run ?monitor:s.s_monitor s.s_derived config
+          ~unhandled_events plan ~stamps scratch state)
+  | Off_grid assigned ->
+    Trace.with_span "engine.exec.rat" (fun () ->
+        Exec_rat.run ?monitor:s.s_monitor s.s_net s.s_derived s.s_sched config
+          ~assigned ~unhandled_events)
+
+let run_session s ~sporadic =
+  Trace.with_span "engine.run" (fun () ->
+      s.s_last <- Nothing;
+      let config = { s.s_config with sporadic } in
+      let assigned, unhandled_events =
+        validate_and_assign s.s_net s.s_derived s.s_sched config
+      in
+      let placed = place s assigned in
+      let r = exec s config ~unhandled_events placed in
+      s.s_last <- (match placed with On_grid _ -> In_state | Off_grid _ -> In_result r);
+      r)
+
+let last_signature s =
+  match (s.s_last, s.s_core) with
+  | In_result r, _ -> Some (signature r)
+  | In_state, Ticks t ->
+    Some
+      (List.sort
+         (fun (a, _) (b, _) -> String.compare a b)
+         (Netstate.channel_history t.state @ Netstate.output_history t.state))
+  | Nothing, _ | In_state, Rational -> None
+
 (* ------------------------------------------------------------------ *)
 (* Run memo: per domain, so concurrent runs never share an entry.       *)
 (*                                                                      *)
 (* Callers re-run identical configurations (benchmark steps, fuzz       *)
 (* campaigns, periodic re-simulation), often interleaved with other     *)
-(* networks.  An entry owns all a rerun needs: the prologue's outcome,  *)
-(* the compiled plan (or, without a tick grid, the window assignment),  *)
-(* the scratch and the network state, shared by the entries of one      *)
-(* network.  A hit goes straight to the timing core.  Skipping the      *)
-(* prologue is safe: every input it reads is in the key, and an entry   *)
-(* exists only once its prologue succeeded.  Compilation is pure for    *)
-(* every compilable model ([Profile] callbacks are required to be       *)
-(* pure).  The last run stays in [recent]; an entry joins the [hot] LRU *)
-(* only when its (schedule, config) recurs among the last [keep]        *)
-(* misses, so callers that build fresh schedules or stamps for every    *)
-(* run never keep more than that one entry.                             *)
+(* networks.  An entry is a session made for its run's stamps, with     *)
+(* the stamps placed on its grid and the unhandled events: all a rerun  *)
+(* needs.  Entries of one network share one network state.  A hit goes  *)
+(* straight to the timing core.  Skipping the prologue and placement is *)
+(* safe: every input they read is in the key, and an entry exists only  *)
+(* once its prologue succeeded.  Compilation is pure for every          *)
+(* compilable model ([Profile] callbacks are required to be pure).  The *)
+(* last run stays in [recent]; an entry joins the [hot] LRU only when   *)
+(* its (schedule, config) recurs among the last [keep] misses, so       *)
+(* callers that build fresh schedules or stamps for every run never     *)
+(* keep more than that one entry.                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Structural-enough config equality for the memo: scalars compare by
@@ -52,17 +189,10 @@ let same_config a b =
         || (a.platform.Platform.n_procs = b.platform.Platform.n_procs
            && a.platform.Platform.overhead == b.platform.Platform.overhead)))
 
-type core =
-  | Ticks of Tick_setup.tick_plan * Tick_setup.tick_scratch * Netstate.t
-  | Rational of (int * int, Rat.t) Hashtbl.t  (* the window assignment *)
-
 type entry = {
-  e_net : Network.t;
-  e_derived : Derive.t;
-  e_sched : Static_schedule.t;
-  e_config : config;
+  e_session : session;
   e_unhandled : (string * Rat.t) list;
-  e_core : core;
+  e_placed : placed;
 }
 
 type memo = {
@@ -81,34 +211,31 @@ let rec take k = function x :: l when k > 0 -> x :: take (k - 1) l | _ -> []
 (* a kept state of [net], else a fresh one *)
 let state_for memo net =
   let kept e =
-    match e.e_core with
-    | Ticks (_, _, st) when e.e_net == net -> Some st
+    match e.e_session.s_core with
+    | Ticks t when e.e_session.s_net == net -> Some t.state
     | _ -> None
   in
   match List.find_map kept (Option.to_list memo.recent @ memo.hot) with
   | Some st -> st
   | None -> Netstate.create net
 
-(* prologue and compilation: the unhandled events and the core to run *)
+(* prologue, set-up and placement: the session, its unhandled events
+   and the placed stamps *)
 let prepare ?monitor memo net derived sched config =
   let assigned, unhandled = validate_and_assign net derived sched config in
-  match
-    Trace.with_span "engine.compile" (fun () ->
-        Tick_setup.compile ?monitor net derived sched config ~assigned)
-  with
-  | Some plan ->
-    (* the scratch and the state are the tick core's set-up *)
-    Trace.with_span "engine.exec.ticks" (fun () ->
-        let n_procs = config.platform.Platform.n_procs in
-        let sc = Tick_setup.make_scratch derived sched ~n_procs in
-        (unhandled, Ticks (plan, sc, state_for memo net)))
-  | None -> (unhandled, Rational assigned)
+  let s =
+    make_session ?monitor
+      ~state:(fun () -> state_for memo net)
+      net derived sched config ~stamps:(assigned_stamps assigned)
+  in
+  { e_session = s; e_unhandled = unhandled; e_placed = place s assigned }
 
 (* the entry that serves an unmonitored run, found or made *)
 let lookup memo net derived sched config =
   let serves e =
-    e.e_net == net && e.e_derived == derived && e.e_sched == sched
-    && same_config e.e_config config
+    let s = e.e_session in
+    s.s_net == net && s.s_derived == derived && s.s_sched == sched
+    && same_config s.s_config config
   in
   let found =
     match memo.recent with
@@ -125,17 +252,7 @@ let lookup memo net derived sched config =
     memo.recent <- found;
     e
   | None ->
-    let e_unhandled, e_core = prepare memo net derived sched config in
-    let e =
-      {
-        e_net = net;
-        e_derived = derived;
-        e_sched = sched;
-        e_config = config;
-        e_unhandled;
-        e_core;
-      }
-    in
+    let e = prepare memo net derived sched config in
     let recurs =
       List.exists (fun (s, c) -> s == sched && same_config c config) memo.seen
     in
@@ -149,22 +266,12 @@ let lookup memo net derived sched config =
 let run ?monitor net derived sched config =
   Trace.with_span "engine.run" (fun () ->
       let memo = Domain.DLS.get memo_key in
-      let unhandled_events, core =
+      let e =
         match monitor with
         | Some _ -> prepare ?monitor memo net derived sched config
-        | None ->
-          let e = lookup memo net derived sched config in
-          (e.e_unhandled, e.e_core)
+        | None -> lookup memo net derived sched config
       in
-      match core with
-      | Ticks (plan, sc, state) ->
-        Trace.with_span "engine.exec.ticks" (fun () ->
-            Exec_ticks.run ?monitor derived config ~unhandled_events plan sc
-              state)
-      | Rational assigned ->
-        Trace.with_span "engine.exec.rat" (fun () ->
-            Exec_rat.run ?monitor net derived sched config ~assigned
-              ~unhandled_events))
+      exec e.e_session config ~unhandled_events:e.e_unhandled e.e_placed)
 
 let run_reference ?monitor net derived sched config =
   Trace.with_span "engine.run_reference" (fun () ->
@@ -176,8 +283,3 @@ let run_reference ?monitor net derived sched config =
             ~unhandled_events))
 
 let run_sharded ?shards:_ net derived sched config = run net derived sched config
-
-let signature r =
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (Lazy.force r.channel_history @ Lazy.force r.output_history)

@@ -110,13 +110,55 @@ val run :
     entries, least recently used out first.  An entry turns hot only
     when its (schedule, config) recurs among the last 8 calls that
     missed, so a caller that builds a fresh schedule or fresh stamps
-    for every call keeps one entry at most.  An entry keeps its
-    arguments alive while it is kept.  A monitored run is never
+    for every call keeps one entry at most.  An entry is a {!session}
+    made for its call's stamps, and keeps its arguments alive while it
+    is kept.  A monitored run is never
     memoized, as its budgets and callbacks are fresh per call; it only
     reuses a kept network state of the same network.
     @raise Invalid_argument if the schedule does not cover the derived
     graph, if [frames <= 0], or if a sporadic trace violates its
     generator's [(m,T)] constraint. *)
+
+(** {2 Sessions}
+
+    The set-up of one network, schedule and configuration, kept across
+    runs that differ only in their sporadic stamps: the paper's online
+    policy, where the static schedule and the frame are fixed at
+    compile time and the events only decide which server slots run. *)
+
+type session
+(** Keeps the compiled tick grid of the configuration's model times
+    (or, when they fit no grid, the rational core), the tick core's
+    scratch and a network state of its own.  A session is used by one
+    domain at a time. *)
+
+val session :
+  Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config ->
+  session
+(** Compiles the grid and builds the scratch and the state.
+    [config.sporadic] is ignored: every run brings its own stamps.
+    @raise Invalid_argument if the schedule does not cover the derived
+    graph, if its processor count is not the platform's, or if
+    [frames <= 0]. *)
+
+val run_session :
+  session -> sporadic:(string * Rt_util.Rat.t list) list -> result
+(** {!run} on the session's configuration with [sporadic] as its
+    traces, and the same result.  Every check of {!run} is made, the
+    sporadic process names and the [(m,T)] trace check included, and
+    the stamps are assigned to server windows, then placed on the kept
+    grid.  A stamp off the grid recompiles it with the run's stamps;
+    the scratch and the state are kept, and later runs use the new
+    grid.  Stamps that fit no grid, and every run of a session without
+    one, run on the rational core.  Results stay valid after the
+    session's next run: they own their records and snapshot their
+    histories.
+    @raise Invalid_argument as {!run}, or whatever a job body raises. *)
+
+val last_signature : session -> (string * Fppn.Value.t list) list option
+(** The {!signature} of the session's last run, read from its network
+    state when it ran on the grid: [None] before the first run and
+    after a run that raised. *)
 
 val run_sharded :
   ?shards:int ->

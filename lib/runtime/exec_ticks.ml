@@ -95,10 +95,12 @@ let build_replay plan sc tpl ~off ~n ~k_frames =
         Array.init !n_u (fun j ->
             Timebase.of_ticks plan.tb (u_tick.(j) + shift)))
 
-(* The tick core, on [sc] and [state], which it resets first.  It
-   appends every record at job start, which is the order the bodies run
-   in.  With [monitor], [plan] must be compiled with it. *)
-let run ?monitor (derived : Derive.t) config ~unhandled_events plan sc state =
+(* The tick core, on [sc] and [state], which it resets first, with the
+   sporadic stamps [stamps] placed on [plan]'s grid ([Tick_setup.place]).
+   It appends every record at job start, which is the order the bodies
+   run in.  With [monitor], [plan] must be compiled with it. *)
+let run ?monitor (derived : Derive.t) config ~unhandled_events plan ~stamps sc
+    state =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let frames = config.frames in
@@ -108,7 +110,6 @@ let run ?monitor (derived : Derive.t) config ~unhandled_events plan sc state =
   Netstate.reset state;
   Netstate.set_inputs state config.inputs;
   Netstate.set_access_counting state (plan.per_access_t > 0);
-  let have_stamps = Array.length plan.stamp_t > 0 in
   (* Steady-state replay: with per-job deterministic durations, no
      sporadic stamps and zero per-access cost, the schedule of any
      steady frame whose window is self-contained is the template
@@ -125,7 +126,7 @@ let run ?monitor (derived : Derive.t) config ~unhandled_events plan sc state =
   let replay_candidate =
     (not monitored) && plan.dur_t <> None
     && plan.per_access_t = 0
-    && (not have_stamps) && frames > tpl_frame + 1
+    && Array.length stamps = 0 && frames > tpl_frame + 1
   in
   (* records as packed parallel arrays; presized for the head
      frames when replay may make the rest implicit, grown once if not *)
@@ -318,7 +319,7 @@ let run ?monitor (derived : Derive.t) config ~unhandled_events plan sc state =
         else begin
           let stamp =
             if plan.is_server.(job) then
-              if have_stamps then plan.stamp_t.((ps.t_frame * n) + job)
+              if Array.length stamps > 0 then stamps.((ps.t_frame * n) + job)
               else min_int
             else invocation
           in

@@ -111,15 +111,17 @@ let sporadic_assignment net (derived : Derive.t) ~frames traces =
     derived.Derive.servers;
   (assigned, List.rev !unhandled)
 
-(* Validation + sporadic-window assignment shared by every core. *)
-let validate_and_assign net (derived : Derive.t) sched config =
-  let g = derived.Derive.graph in
-  let n = Graph.n_jobs g in
+(* The checks that do not read the sporadic traces. *)
+let validate_shape (derived : Derive.t) sched config =
   if config.frames <= 0 then invalid_arg "Engine.run: frames must be positive";
-  if Static_schedule.n_jobs sched <> n then
+  if Static_schedule.n_jobs sched <> Graph.n_jobs derived.Derive.graph then
     invalid_arg "Engine.run: schedule does not cover the task graph";
   if Static_schedule.n_procs sched <> config.platform.Platform.n_procs then
-    invalid_arg "Engine.run: schedule and platform processor counts differ";
+    invalid_arg "Engine.run: schedule and platform processor counts differ"
+
+(* Validation + sporadic-window assignment shared by every core. *)
+let validate_and_assign net derived sched config =
+  validate_shape derived sched config;
   List.iter
     (fun (name, _) ->
       let p =

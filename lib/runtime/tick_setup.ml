@@ -2,11 +2,12 @@
 (* Tick core set-up: everything [Exec_ticks] runs on and hands back.    *)
 (*                                                                      *)
 (* [compile] maps every model time of a run onto the common-denominator *)
-(* tick grid of a [Timebase]; [make_scratch] builds the working arrays  *)
-(* whose shape depends only on the derived graph and the schedule; the  *)
-(* packed record buffers hold job records as columns of ticks, and      *)
-(* [packed_result] turns them into a result whose trace materializes    *)
-(* rationals only when forced.                                          *)
+(* tick grid of a [Timebase] and [place] puts a run's sporadic stamps   *)
+(* on it; [make_scratch] builds the working arrays whose shape depends  *)
+(* only on the derived graph and the schedule; the packed record        *)
+(* buffers hold job records as columns of ticks, and [packed_result]    *)
+(* turns them into a result whose trace materializes rationals only     *)
+(* when forced.                                                         *)
 (* ------------------------------------------------------------------ *)
 
 open Prologue
@@ -25,9 +26,6 @@ type tick_plan = {
   is_server : bool array;
   proc_of : int array;  (* per job: scheduled processor *)
   body_proc : int array;  (* per job: network process index *)
-  stamp_t : int array;
-      (* sporadic stamp ticks at [frame·n + job], absent = [min_int];
-         empty when the run has no real events *)
   dur_t : int array option;
       (* per job: fixed duration ticks; [None] = draw per execution *)
   lo_t : int array;  (* per job: C_LO ticks if HI, else -1; [||] unmonitored *)
@@ -47,12 +45,13 @@ type tick_proc = {
   mutable t_missing : int;  (* wake-list registrations outstanding *)
 }
 
-(* Compile the run onto a tick grid, or [None] when any time cannot be
-   represented (unpredictable execution-time model, common-denominator
-   overflow, horizon too large, a negative C_LO) — the caller then uses
-   the exact rational core, so compilation failures degrade, never
-   crash. *)
-let compile ?monitor net (derived : Derive.t) sched config ~assigned =
+(* Compile the run's model times and [stamps] onto a tick grid, or
+   [None] when any of them cannot be represented (unpredictable
+   execution-time model, common-denominator overflow, horizon too large,
+   a negative C_LO) — the caller then uses the exact rational core, so
+   compilation failures degrade, never crash.  The grid holds no stamp:
+   [place] puts a run's stamps on it. *)
+let compile ?monitor net (derived : Derive.t) sched config ~stamps =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
   let jobs = Graph.jobs g in
@@ -78,7 +77,7 @@ let compile ?monitor net (derived : Derive.t) sched config ~assigned =
       let times =
         derived.Derive.hyperperiod :: ov.Platform.first_frame
         :: ov.Platform.steady_frame :: ov.Platform.per_access
-        :: Hashtbl.fold (fun _ stamp acc -> stamp :: acc) assigned []
+        :: stamps
         @ dur_times
         @ List.filter_map Fun.id (Array.to_list budgets)
         @ Array.to_list (Array.map (fun j -> j.Job.wcet) jobs)
@@ -97,16 +96,6 @@ let compile ?monitor net (derived : Derive.t) sched config ~assigned =
       let ov = config.platform.Platform.overhead in
       match
         let tk = Timebase.ticks tb in
-        let stamp_t =
-          if Hashtbl.length assigned = 0 then [||]
-          else begin
-            let a = Array.make (n * config.frames) min_int in
-            Hashtbl.iter
-              (fun (j, f) s -> if f < config.frames then a.((f * n) + j) <- tk s)
-              assigned;
-            a
-          end
-        in
         {
           tb;
           h_t = tk derived.Derive.hyperperiod;
@@ -121,7 +110,6 @@ let compile ?monitor net (derived : Derive.t) sched config ~assigned =
           is_server = Array.map (fun j -> j.Job.is_server) jobs;
           proc_of = Array.init n (Static_schedule.proc sched);
           body_proc = Array.map (fun j -> j.Job.proc) jobs;
-          stamp_t;
           dur_t =
             (match durs with
             | Exec_time.Fixed a -> Some (Array.map tk a)
@@ -131,6 +119,20 @@ let compile ?monitor net (derived : Derive.t) sched config ~assigned =
       with
       | plan -> Some plan
       | exception (Timebase.Inexact | Rat.Overflow) -> None))
+
+(* The window assignment's stamps on [plan]'s grid, as ticks at
+   [frame·n + job], absent = [min_int]; [||] when there are none.
+   @raise Timebase.Inexact or Rat.Overflow on a stamp off the grid *)
+let place plan ~n ~frames assigned =
+  if Hashtbl.length assigned = 0 then [||]
+  else begin
+    let a = Array.make (n * frames) min_int in
+    Hashtbl.iter
+      (fun (j, f) s ->
+        if f < frames then a.((f * n) + j) <- Timebase.ticks plan.tb s)
+      assigned;
+    a
+  end
 
 (* Flat predecessor segments: job [j]'s predecessors are
    [pred_job.(pred_off.(j)) .. pred_job.(pred_off.(j + 1) - 1)]. *)

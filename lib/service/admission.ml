@@ -29,7 +29,7 @@ type reason =
 
 type decision = Accepted of Mpr.t | Rejected of reason
 
-let decide ~procs ~resident c =
+let decide_composed ~procs ~bandwidth ~concurrency c =
   if procs <= 0 then invalid_arg "Admission.decide: procs <= 0";
   if c.c_lower_bound > procs then
     Rejected (Load_bound { load = c.c_load; lower_bound = c.c_lower_bound; procs })
@@ -38,12 +38,24 @@ let decide ~procs ~resident c =
     | None ->
       Rejected (No_interface { utilization = Mpr.utilization c.c_taskset })
     | Some iface -> (
-      match Mpr.compose (iface :: resident) ~procs with
+      match
+        Mpr.compose_totals
+          ~total:(Rat.add bandwidth (Mpr.bandwidth iface))
+          ~required:(max concurrency iface.Mpr.concurrency)
+          ~procs
+      with
       | Ok () -> Accepted iface
       | Error (Mpr.Utilization { total; procs }) ->
         Rejected (Compose_utilization { total; procs })
       | Error (Mpr.Concurrency { required; procs }) ->
         Rejected (Compose_concurrency { required; procs }))
+
+let decide ~procs ~resident c =
+  decide_composed ~procs
+    ~bandwidth:
+      (List.fold_left (fun acc m -> Rat.add acc (Mpr.bandwidth m)) Rat.zero resident)
+    ~concurrency:(List.fold_left (fun acc m -> max acc m.Mpr.concurrency) 0 resident)
+    c
 
 let reason_to_json = function
   | Duplicate_tenant name ->

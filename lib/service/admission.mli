@@ -52,6 +52,14 @@ val decide : procs:int -> resident:Mpr.t list -> candidate -> decision
     of the currently hosted tenants; [procs] the platform size [M].
     @raise Invalid_argument if [procs <= 0]. *)
 
+val decide_composed :
+  procs:int -> bandwidth:Rt_util.Rat.t -> concurrency:int -> candidate ->
+  decision
+(** {!decide} against residents summarized by their total bandwidth
+    [Σ Θ_i/Π_i] and their largest concurrency [max m'_i] ([0] when there
+    are none), composed by {!Mpr.compose_totals}: the same decision,
+    without a pass over the residents. *)
+
 val reason_to_json : reason -> Rt_util.Json.t
 (** [{"code": "...", ...}] — one stable [code] per constructor plus the
     constructor's numeric fields, so callers can match rejections

@@ -147,18 +147,21 @@ type overflow =
   | Utilization of { total : Rat.t; procs : int }
   | Concurrency of { required : int; procs : int }
 
-let compose interfaces ~procs =
+let compose_totals ~total ~required ~procs =
   if procs <= 0 then invalid_arg "Mpr.compose: procs <= 0";
+  if required > procs then Error (Concurrency { required; procs })
+  else if Rat.( > ) total (Rat.of_int procs) then
+    Error (Utilization { total; procs })
+  else Ok ()
+
+let compose interfaces ~procs =
   let total =
     List.fold_left (fun acc m -> Rat.add acc (bandwidth m)) Rat.zero interfaces
   in
   let required =
     List.fold_left (fun acc m -> max acc m.concurrency) 0 interfaces
   in
-  if required > procs then Error (Concurrency { required; procs })
-  else if Rat.( > ) total (Rat.of_int procs) then
-    Error (Utilization { total; procs })
-  else Ok ()
+  compose_totals ~total ~required ~procs
 
 let to_json m =
   Json.Obj

@@ -94,6 +94,13 @@ val compose : t list -> procs:int -> (unit, overflow) result
     ([max m'_i <= M]).  Monotone in [M] and antitone in the interface
     set — retiring a tenant can only help the rest. *)
 
+val compose_totals :
+  total:Rt_util.Rat.t -> required:int -> procs:int -> (unit, overflow) result
+(** {!compose} on a set summarized by its totals: [total = Σ Θ_i/Π_i]
+    and [required = max m'_i] ([0] for the empty set).  A host that
+    keeps the exact sum as its set changes composes in O(1).
+    @raise Invalid_argument if [procs <= 0]. *)
+
 val to_json : t -> Rt_util.Json.t
 (** [{"period_ms":p,"budget_ms":b,"concurrency":m,"bandwidth":w}] with
     exact values rendered as strings and [*_ms] floats. *)

@@ -16,6 +16,7 @@ type t = {
   frames : int;
   queue : Ingest.t;
   mutable residents : Tenant.t list;  (* registration order *)
+  mutable bandwidth : Rat.t;  (* Σ Θ/Π over [residents], exact *)
   mutable epochs : int;
   mutable dropped_total : int;
   mutable backpressure_seen : int;  (* Ingest rejects already counted *)
@@ -40,6 +41,7 @@ let create ?(queue_capacity = 1024) ~procs ~frames () =
     frames;
     queue = Ingest.create ~capacity:queue_capacity;
     residents = [];
+    bandwidth = Rat.zero;
     epochs = 0;
     dropped_total = 0;
     backpressure_seen = 0;
@@ -53,6 +55,8 @@ let find t name = List.find_opt (fun ten -> ten.Tenant.name = name) t.residents
 let resident_interfaces t =
   List.map (fun ten -> ten.Tenant.interface) t.residents
 
+let bandwidth t = t.bandwidth
+
 let register ?pool ?inputs t ~name ~wcet net =
   if find t name <> None then Error (Admission.Duplicate_tenant name)
   else
@@ -63,8 +67,14 @@ let register ?pool ?inputs t ~name ~wcet net =
            (Format.asprintf "%a" Taskgraph.Derive.pp_error e))
     | Ok derive -> (
       let cand = Admission.candidate ~name ~wcet net derive in
+      let concurrency =
+        List.fold_left
+          (fun acc ten -> max acc ten.Tenant.interface.Mpr.concurrency)
+          0 t.residents
+      in
       match
-        Admission.decide ~procs:t.procs ~resident:(resident_interfaces t) cand
+        Admission.decide_composed ~procs:t.procs ~bandwidth:t.bandwidth
+          ~concurrency cand
       with
       | Admission.Rejected r -> Error r
       | Admission.Accepted interface -> (
@@ -81,16 +91,18 @@ let register ?pool ?inputs t ~name ~wcet net =
               ~lower_bound:cand.Admission.c_lower_bound
           in
           t.residents <- t.residents @ [ ten ];
+          t.bandwidth <- Rat.add t.bandwidth (Mpr.bandwidth interface);
           Metrics.set_gauge g_tenants (float_of_int (List.length t.residents));
           Ok ten))
 
 let retire t name =
-  let before = List.length t.residents in
-  t.residents <- List.filter (fun ten -> ten.Tenant.name <> name) t.residents;
-  let removed = List.length t.residents < before in
-  if removed then
+  match find t name with
+  | None -> false
+  | Some ten ->
+    t.residents <- List.filter (( != ) ten) t.residents;
+    t.bandwidth <- Rat.sub t.bandwidth (Mpr.bandwidth ten.Tenant.interface);
     Metrics.set_gauge g_tenants (float_of_int (List.length t.residents));
-  removed
+    true
 
 let submit t ~tenant ~process ~stamp =
   let ok =
@@ -121,27 +133,25 @@ let run_epoch ?pool t =
       | None -> incr unaddressed
       | Some prev -> Hashtbl.replace by_tenant ev.Ingest.ev_tenant (ev :: prev))
     events;
-  let legalized_for ten =
-    match Hashtbl.find by_tenant ten.Tenant.name with
-    | [] -> ([], 0)
-    | evs ->
-      let horizon =
-        Rat.mul (Rat.of_int t.frames) (Tenant.hyperperiod ten)
-      in
-      Ingest.legalize
-        ~generators:(Tenant.sporadic_events ten)
-        ~horizon (List.rev evs)
-  in
   let work =
     Array.of_list
-      (List.map (fun ten -> (ten, legalized_for ten)) t.residents)
+      (List.map (fun ten -> (ten, Hashtbl.find by_tenant ten.Tenant.name))
+         t.residents)
   in
-  let dropped =
-    !unaddressed
-    + Array.fold_left (fun acc (_, (_, d)) -> acc + d) 0 work
-  in
-  let run (ten, (sporadic, _)) =
-    Tenant.run_epoch ten ~frames:t.frames ~sporadic
+  (* legalization runs in the tenant's own task, beside its epoch *)
+  let run (ten, evs) =
+    let sporadic, dropped =
+      match evs with
+      | [] -> ([], 0)
+      | evs ->
+        let horizon =
+          Rat.mul (Rat.of_int t.frames) (Tenant.hyperperiod ten)
+        in
+        Ingest.legalize
+          ~generators:(Tenant.sporadic_events ten)
+          ~horizon (List.rev evs)
+    in
+    (Tenant.run_epoch ten ~frames:t.frames ~sporadic, dropped)
   in
   let outcomes =
     match pool with
@@ -149,7 +159,12 @@ let run_epoch ?pool t =
     | None -> Array.map run work
   in
   let sum field =
-    Array.fold_left (fun acc (o : Tenant.outcome) -> acc + field o) 0 outcomes
+    Array.fold_left
+      (fun acc ((o : Tenant.outcome), _) -> acc + field o)
+      0 outcomes
+  in
+  let dropped =
+    Array.fold_left (fun acc (_, d) -> acc + d) !unaddressed outcomes
   in
   let consumed = sum (fun o -> o.consumed) in
   let unhandled = sum (fun o -> o.unhandled) in
@@ -176,20 +191,20 @@ let run_epoch ?pool t =
   }
 
 let verify ?pool t =
-  let ran =
-    Array.of_list
-      (List.filter (fun ten -> ten.Tenant.last_signature <> None) t.residents)
-  in
   let check ten =
-    let standalone = Tenant.standalone_signature ten ~frames:t.frames in
-    (ten.Tenant.name, ten.Tenant.last_signature = Some standalone)
+    Option.map
+      (fun signature ->
+        let standalone = Tenant.standalone_signature ten ~frames:t.frames in
+        (ten.Tenant.name, signature = standalone))
+      (Tenant.last_signature ten)
   in
+  let residents = Array.of_list t.residents in
   let results =
     match pool with
-    | Some pool -> Pool.parallel_map pool check ran
-    | None -> Array.map check ran
+    | Some pool -> Pool.parallel_map pool check residents
+    | None -> Array.map check residents
   in
-  Array.to_list results
+  List.filter_map Fun.id (Array.to_list results)
 
 let epoch_report_to_json r =
   Json.Obj
@@ -205,18 +220,13 @@ let epoch_report_to_json r =
     ]
 
 let status_json t =
-  let total_bandwidth =
-    List.fold_left
-      (fun acc ten -> Rat.add acc (Mpr.bandwidth ten.Tenant.interface))
-      Rat.zero t.residents
-  in
   Json.Obj
     [
       ("procs", Json.Int t.procs);
       ("frames", Json.Int t.frames);
       ("epochs", Json.Int t.epochs);
       ("tenants", Json.Arr (List.map Tenant.to_json t.residents));
-      ("total_bandwidth", Json.Float (Rat.to_float total_bandwidth));
+      ("total_bandwidth", Json.Float (Rat.to_float t.bandwidth));
       ("queue_capacity", Json.Int (Ingest.capacity t.queue));
       ("queue_pending", Json.Int (Ingest.pending t.queue));
       ("events_submitted", Json.Int (Ingest.submitted t.queue));

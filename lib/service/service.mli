@@ -50,6 +50,12 @@ val tenants : t -> Tenant.t list
 val find : t -> string -> Tenant.t option
 val resident_interfaces : t -> Mpr.t list
 
+val bandwidth : t -> Rt_util.Rat.t
+(** [Σ Θ_i/Π_i] over the resident interfaces, kept as an exact running
+    sum: {!register} adds the admitted interface's bandwidth and
+    {!retire} subtracts it, so it always equals the sum over
+    {!resident_interfaces}. *)
+
 val register :
   ?pool:Rt_util.Pool.t ->
   ?inputs:Fppn.Netstate.input_feed ->
@@ -59,12 +65,17 @@ val register :
   Fppn.Network.t ->
   (Tenant.t, Admission.reason) result
 (** Admission: name uniqueness, the Prop. 3.1 load bound, MPR interface
-    generation, composition with the resident interfaces
-    ({!Admission.decide}), then construction of a feasible static
-    schedule ({!Tenant.build_plan}) — any failure is a machine-readable
-    {!Admission.reason}, a network outside the derivable subclass of
-    Sec. III-A included ({!Admission.Underivable}).  On success the
-    tenant is resident and will run from the next epoch on. *)
+    generation, composition with the resident interfaces, then
+    construction of a feasible static schedule ({!Tenant.build_plan}) —
+    any failure is a machine-readable {!Admission.reason}, a network
+    outside the derivable subclass of Sec. III-A included
+    ({!Admission.Underivable}).  The composition reads the running
+    {!bandwidth} and the residents' largest concurrency
+    ({!Admission.decide_composed}), so it costs O(1) in bandwidth
+    arithmetic; its decision is {!Admission.decide}'s against
+    {!resident_interfaces}.  On success the tenant is resident and will
+    run from the next epoch on; its engine session is built by its
+    first epoch, not here. *)
 
 val retire : t -> string -> bool
 (** Removes a tenant; its reserved bandwidth is freed for future
@@ -81,18 +92,20 @@ val queue_pending : t -> int
 val backpressure : t -> int
 
 val run_epoch : ?pool:Rt_util.Pool.t -> t -> epoch_report
-(** Drains the queue, legalizes each tenant's batch
-    ({!Ingest.legalize}), then runs every tenant's epoch, in parallel
-    over [pool] when given (each tenant is touched by exactly one
-    worker; results are published by the pool join).  Tenant order
-    never affects any tenant's output — each epoch is an independent
-    engine run. *)
+(** Drains the queue and groups the events by tenant on the calling
+    domain, then runs one task per tenant, in parallel over [pool] when
+    given (each tenant is touched by exactly one worker; results are
+    published by the pool join): the task legalizes the tenant's batch
+    ({!Ingest.legalize}) and runs its epoch on the tenant's engine
+    session ({!Tenant.run_epoch}).  Tenant order never affects any
+    tenant's output — each epoch is an independent engine run. *)
 
 val verify : ?pool:Rt_util.Pool.t -> t -> (string * bool) list
-(** The determinism oracle: for every tenant that has run at least one
-    epoch, replay its most recent epoch standalone
-    ({!Tenant.standalone_signature}) and compare signatures.  All
-    [true] iff co-residency was unobservable. *)
+(** The determinism oracle: for every tenant whose most recent epoch
+    left a signature ({!Tenant.last_signature}), replay that epoch
+    standalone ({!Tenant.standalone_signature}, a fresh engine run
+    that never reuses the tenant's session) and compare signatures.
+    All [true] iff co-residency was unobservable. *)
 
 val epoch_report_to_json : epoch_report -> Rt_util.Json.t
 val status_json : t -> Rt_util.Json.t

@@ -42,7 +42,7 @@ type t = {
   mutable epochs_run : int;
   mutable events_consumed : int;
   mutable last_events : (string * Rat.t list) list;
-  mutable last_signature : (string * Fppn.Value.t list) list option;
+  mutable session : (int * Engine.session) option;  (* with its frames *)
 }
 
 let make ~name ~plan ~interface ~taskset ~load ~lower_bound =
@@ -56,7 +56,7 @@ let make ~name ~plan ~interface ~taskset ~load ~lower_bound =
     epochs_run = 0;
     events_consumed = 0;
     last_events = [];
-    last_signature = None;
+    session = None;
   }
 
 let hyperperiod t = t.plan.derive.Derive.hyperperiod
@@ -80,17 +80,26 @@ let config t ~frames ~sporadic =
   }
 
 type outcome = {
-  signature : (string * Fppn.Value.t list) list;
   executed : int;
   misses : int;
   consumed : int;
   unhandled : int;
 }
 
+(* the tenant's session for [frames]-frame epochs, built on first use *)
+let session t ~frames =
+  match t.session with
+  | Some (f, s) when f = frames -> s
+  | _ ->
+    let s =
+      Engine.session t.plan.net t.plan.derive t.plan.schedule
+        (config t ~frames ~sporadic:[])
+    in
+    t.session <- Some (frames, s);
+    s
+
 let run_epoch t ~frames ~sporadic =
-  let cfg = config t ~frames ~sporadic in
-  let r = Engine.run t.plan.net t.plan.derive t.plan.schedule cfg in
-  let signature = Engine.signature r in
+  let r = Engine.run_session (session t ~frames) ~sporadic in
   let unhandled = List.length r.Engine.unhandled_events in
   let consumed =
     List.fold_left (fun acc (_, stamps) -> acc + List.length stamps) 0 sporadic
@@ -99,14 +108,15 @@ let run_epoch t ~frames ~sporadic =
   t.epochs_run <- t.epochs_run + 1;
   t.events_consumed <- t.events_consumed + consumed;
   t.last_events <- sporadic;
-  t.last_signature <- Some signature;
   {
-    signature;
     executed = r.Engine.stats.Runtime.Exec_trace.executed;
     misses = r.Engine.stats.Runtime.Exec_trace.misses;
     consumed;
     unhandled;
   }
+
+let last_signature t =
+  Option.bind t.session (fun (_, s) -> Engine.last_signature s)
 
 let standalone_signature t ~frames =
   let cfg = config t ~frames ~sporadic:t.last_events in

@@ -7,10 +7,13 @@
     A tenant's execution is {e epoch}-based: each epoch the service
     hands it the legalized sporadic events collected since the last
     epoch and runs [frames] hyperperiod frames of its own engine plan.
-    The tenant records the events and the resulting output signature so
-    {!Service.verify} can replay the exact same epoch standalone and
-    compare — the per-tenant determinism oracle of the paper's
-    Prop. 4.1, lifted to a shared host. *)
+    The plan is compiled once: the tenant's first epoch builds an
+    engine session ({!Runtime.Engine.session}), on whichever domain
+    runs it, and every later epoch only places its stamps on the kept
+    tick grid.  The tenant records the events so {!Service.verify} can
+    replay the exact same epoch standalone and compare its signature
+    with {!last_signature} — the per-tenant determinism oracle of the
+    paper's Prop. 4.1, lifted to a shared host. *)
 
 type plan = {
   net : Fppn.Network.t;
@@ -52,9 +55,10 @@ type t = {
       (** sporadic events fed so far that a server job handled; those
           left in an epoch's final server window are not counted *)
   mutable last_events : (string * Rt_util.Rat.t list) list;
-      (** the sporadic traces of the most recent epoch *)
-  mutable last_signature : (string * Fppn.Value.t list) list option;
-      (** output signature of the most recent epoch *)
+      (** the sporadic traces of the most recent epoch that completed *)
+  mutable session : (int * Runtime.Engine.session) option;
+      (** the engine session of the tenant's epochs, with their frame
+          count: [None] until the first epoch builds it *)
 }
 
 val make :
@@ -81,7 +85,6 @@ val config :
     legalized sporadic traces. *)
 
 type outcome = {
-  signature : (string * Fppn.Value.t list) list;
   executed : int;  (** jobs the engine ran this epoch *)
   misses : int;  (** deadline misses this epoch *)
   consumed : int;  (** stamps a server job handled this epoch *)
@@ -94,17 +97,25 @@ type outcome = {
 
 val run_epoch :
   t -> frames:int -> sporadic:(string * Rt_util.Rat.t list) list -> outcome
-(** Runs one epoch on the tenant's plan ({!Runtime.Engine.run}),
-    records [sporadic] and the resulting signature on the tenant, and
-    returns the outcome.  Raises as {!Runtime.Engine.run} (in
+(** Runs one epoch on the tenant's session
+    ({!Runtime.Engine.run_session}), building the session first if the
+    tenant has none for [frames], records [sporadic] on the tenant, and
+    returns the outcome.  Raises as {!Runtime.Engine.run_session} (in
     particular on an illegal sporadic trace — the service legalizes
-    before calling). *)
+    before calling); an epoch that raises leaves no signature behind. *)
+
+val last_signature : t -> (string * Fppn.Value.t list) list option
+(** The output signature of the most recent epoch, read on demand from
+    the session's network state ({!Runtime.Engine.last_signature}):
+    [None] before the first epoch and after an epoch that raised. *)
 
 val standalone_signature :
   t -> frames:int -> (string * Fppn.Value.t list) list
 (** The determinism oracle: re-runs the tenant's {e last} epoch (same
     events, same frames) as a fresh standalone sequential
-    {!Runtime.Engine.run} and returns its signature.  Equal to
-    [last_signature] iff co-residency did not perturb the tenant. *)
+    {!Runtime.Engine.run}, which compiles its own grid with the
+    epoch's stamps and never reuses the tenant's session, and returns
+    its signature.  Equal to {!last_signature} iff co-residency did not
+    perturb the tenant. *)
 
 val to_json : t -> Rt_util.Json.t

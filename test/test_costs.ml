@@ -4,7 +4,8 @@
    prints every non-zero Fppn_obs.Metrics counter (search nodes among
    them) and the call count of every span, beside its own sizes: graph
    sizes, mode switches and, with tracing and metrics off, the minor
-   words of a memoized engine run.  Per-job spans, whose names carry a
+   words of a memoized engine run and of a service epoch, and the words
+   the epoch promotes.  Per-job spans, whose names carry a
    job index [k], are left out.  Each value is fixed by the inputs and
    not by the host's speed, so dune diffs this output against
    test_costs.expected and a moved line names the layer and the counter
@@ -177,10 +178,15 @@ let sporadic () =
   pin s "mc.hi_misses" r.Mc_engine.hi_misses
 
 (* 20 seeded Randgen tenants on M = 4, then 3 epochs of 256 seeded
-   submits each *)
+   submits each; then, with tracing and metrics off, a fourth epoch's
+   minor words and the words that survive it: those a [Gc.minor ()]
+   promotes at its end, one at its start having emptied the minor heap.
+   The tenants' sessions are built by then, so the fourth epoch pins
+   the steady cost of an epoch and what it leaves for the major heap. *)
 let service () =
   let s = "service" in
-  measured s (fun () ->
+  let svc, submit =
+    measured s (fun () ->
       let svc = Service.create ~queue_capacity:1024 ~procs:4 ~frames:2 () in
       for i = 0 to 19 do
         let params =
@@ -212,7 +218,7 @@ let service () =
              (Service.tenants svc))
       in
       let prng = Rt_util.Prng.create 1 in
-      for _ = 1 to 3 do
+      let submit () =
         for _ = 1 to 256 do
           let tenant, processes, horizon =
             targets.(Rt_util.Prng.int prng (Array.length targets))
@@ -220,9 +226,23 @@ let service () =
           let process = processes.(Rt_util.Prng.int prng (Array.length processes)) in
           let stamp = Rat.of_int (Rt_util.Prng.int prng horizon) in
           ignore (Service.submit svc ~tenant ~process ~stamp)
-        done;
+        done
+      in
+      for _ = 1 to 3 do
+        submit ();
         ignore (Service.run_epoch svc)
-      done)
+      done;
+      (svc, submit))
+  in
+  submit ();
+  Gc.minor ();
+  let w0 = Gc.minor_words () and p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  ignore (Service.run_epoch svc);
+  let w1 = Gc.minor_words () in
+  Gc.minor ();
+  pin s "service.epoch.minor_words" (int_of_float (w1 -. w0));
+  pin s "service.epoch.survivor_words"
+    (int_of_float ((Gc.quick_stat ()).Gc.promoted_words -. p0))
 
 let fuzz () =
   measured "fuzz" (fun () ->

@@ -405,6 +405,102 @@ let prop_retire_never_flips =
             accepted interfaces)
         (List.init (List.length accepted) Fun.id))
 
+(* Service.register composes on its running bandwidth sum; over random
+   register/retire sequences its decision must be Admission.decide's
+   against the resident interfaces, and the sum must be the fold over
+   them.  Returns whether both held, and the compose rejections seen. *)
+type admission_op = Register of int * int | Retire of int
+
+let admission_ops_gen =
+  QCheck2.Gen.(
+    pair (int_range 1 3)
+      (list_size (int_range 1 25)
+         (frequency
+            [
+              (3, map2 (fun seed scale -> Register (seed, scale)) (int_range 0 99_999) (int_range 0 4));
+              (1, map (fun i -> Retire i) (int_range 0 9));
+            ])))
+
+let admission_sequence_agrees (procs, ops) =
+  let svc = Service.create ~procs ~frames:1 () in
+  let seen = ref [] in
+  let agrees i op =
+    (match op with
+    | Retire k -> (
+      match List.nth_opt (Service.tenants svc) k with
+      | Some ten -> ignore (Service.retire svc ten.Tenant.name)
+      | None -> ())
+    | Register (seed, scale) -> (
+      let net =
+        Randgen.network
+          {
+            Randgen.seed;
+            n_periodic = 1 + (seed mod 3);
+            n_sporadic = seed mod 2;
+            periods = [ 50; 100; 200 ];
+            channel_density = 0.4;
+            max_burst = 2;
+          }
+      in
+      let wcet =
+        Randgen.wcet
+          ~scale:(List.nth [ Rat.make 1 20; Rat.make 1 8; Rat.make 1 4; Rat.make 1 2; Rat.make 3 4 ] scale)
+          (Derive.const_wcet Rat.one) net
+      in
+      let name = Printf.sprintf "t%d" i in
+      let expected =
+        Result.map
+          (fun d ->
+            Admission.decide ~procs ~resident:(Service.resident_interfaces svc)
+              (Admission.candidate ~name ~wcet net d))
+          (Derive.derive ~wcet net)
+      in
+      match (expected, Service.register svc ~name ~wcet net) with
+      | Ok (Admission.Rejected r), Error r' ->
+        (match r with
+        | Admission.Compose_utilization _ | Admission.Compose_concurrency _ ->
+          seen := r :: !seen
+        | _ -> ());
+        if r <> r' then failwith "a different rejection"
+      | Ok (Admission.Accepted iface), Ok ten ->
+        if ten.Tenant.interface <> iface then failwith "a different interface"
+      | Ok (Admission.Accepted _), Error (Admission.No_schedule _)
+      | Error _, Error (Admission.Underivable _) -> ()
+      | _ -> failwith "a different decision"));
+    Rat.equal (Service.bandwidth svc)
+      (List.fold_left
+         (fun acc m -> Rat.add acc (Mpr.bandwidth m))
+         Rat.zero (Service.resident_interfaces svc))
+  in
+  match List.for_all Fun.id (List.mapi agrees ops) with
+  | ok -> (ok, !seen)
+  | exception Failure _ -> (false, !seen)
+
+let prop_register_equals_decide =
+  qprop "register decides as Admission.decide over the residents" ~count:200
+    admission_ops_gen
+    (fun case -> fst (admission_sequence_agrees case))
+
+(* the same check on 60 fixed draws, which must meet both compose
+   rejections *)
+let test_register_compose_rejections () =
+  let rand = Random.State.make [| 42 |] in
+  let seen =
+    List.concat_map
+      (fun _ ->
+        let ok, seen =
+          admission_sequence_agrees (QCheck2.Gen.generate1 ~rand admission_ops_gen)
+        in
+        Alcotest.(check bool) "register agrees with decide" true ok;
+        seen)
+      (List.init 60 Fun.id)
+  in
+  let count f = List.length (List.filter f seen) in
+  Alcotest.(check bool) "a utilization rejection" true
+    (count (function Admission.Compose_utilization _ -> true | _ -> false) > 0);
+  Alcotest.(check bool) "a concurrency rejection" true
+    (count (function Admission.Compose_concurrency _ -> true | _ -> false) > 0)
+
 (* --- ingest ------------------------------------------------------------ *)
 
 let test_ingest_legalize () =
@@ -641,6 +737,57 @@ let test_service_zero_wcet_tenant () =
         fun p -> if p = "FilterB" then Rat.zero else Fppn_apps.Fig1.wcet p );
     ]
 
+(* W feeds R, whose second job raises while [armed] holds: the epoch
+   that raises leaves the tenant no signature, and the next one equals
+   its standalone run again *)
+let test_service_raising_epoch () =
+  let armed = ref false in
+  let net =
+    let module B = Fppn.Network.Builder in
+    let module P = Fppn.Process in
+    let event () = Fppn.Event.periodic ~period:(ms 100) ~deadline:(ms 100) () in
+    let b = B.create "raising" in
+    B.add_process b
+      (P.make ~name:"W" ~event:(event ())
+         (P.Native (fun ctx -> ctx.P.write "c" (Fppn.Value.Int ctx.P.job_index))));
+    B.add_process b
+      (P.make ~name:"R" ~event:(event ())
+         (P.Native
+            (fun ctx ->
+              if !armed && ctx.P.job_index = 2 then failwith "R: second job";
+              ctx.P.write "out" (ctx.P.read "c"))));
+    B.add_channel b ~kind:Fppn.Channel.Blackboard ~writer:"W" ~reader:"R" "c";
+    B.add_priority b "W" "R";
+    B.add_output b ~owner:"R" "out";
+    B.finish_exn b
+  in
+  let svc = Service.create ~procs:2 ~frames:2 () in
+  let ten =
+    match Service.register svc ~name:"r" ~wcet:(Derive.const_wcet (ms 10)) net with
+    | Ok ten -> ten
+    | Error r -> Alcotest.failf "rejected: %s" (Json.to_string (Admission.reason_to_json r))
+  in
+  Alcotest.(check bool) "no session before the first epoch" true
+    (ten.Tenant.session = None && Tenant.last_signature ten = None);
+  let verified () =
+    Alcotest.(check (list (pair string bool))) "verify" [ ("r", true) ]
+      (Service.verify svc)
+  in
+  ignore (Service.run_epoch svc);
+  verified ();
+  armed := true;
+  Alcotest.check_raises "the second epoch raises" (Failure "R: second job")
+    (fun () -> ignore (Service.run_epoch svc));
+  Alcotest.(check bool) "no signature after the raise" true
+    (Tenant.last_signature ten = None);
+  Alcotest.(check (list (pair string bool))) "nothing to verify" []
+    (Service.verify svc);
+  armed := false;
+  ignore (Service.run_epoch svc);
+  verified ();
+  Alcotest.(check bool) "the signature is the standalone run's" true
+    (Tenant.last_signature ten = Some (Tenant.standalone_signature ten ~frames:2))
+
 (* a sporadic process with no channel to a periodic user is outside the
    Sec. III-A subclass: registering it is a verdict, not an exception *)
 let test_service_underivable () =
@@ -728,6 +875,9 @@ let () =
           prop_admission_monotone_in_m;
           prop_admission_set_monotone;
           prop_retire_never_flips;
+          prop_register_equals_decide;
+          Alcotest.test_case "register meets both compose rejections" `Quick
+            test_register_compose_rejections;
         ] );
       ( "ingest",
         [
@@ -745,6 +895,8 @@ let () =
             test_service_retire_and_duplicate;
           Alcotest.test_case "zero-WCET tenant" `Quick
             test_service_zero_wcet_tenant;
+          Alcotest.test_case "an epoch whose body raises" `Quick
+            test_service_raising_epoch;
           Alcotest.test_case "underivable tenant" `Quick
             test_service_underivable;
           Alcotest.test_case "hyperperiod overflow underivable" `Quick

@@ -625,8 +625,8 @@ let test_order_infeasible () =
   Alcotest.(check int)
     "nothing executed" 0 r.Engine.stats.Runtime.Exec_trace.executed
 
-(* W and X feed R, whose third job raises *)
-let raising_net () =
+(* W and X feed R, whose third job raises while [armed] holds *)
+let raising_net ?(armed = ref true) () =
   let module B = Fppn.Network.Builder in
   let module P = Fppn.Process in
   let event () = Fppn.Event.periodic ~period:(ms 100) ~deadline:(ms 100) () in
@@ -641,7 +641,7 @@ let raising_net () =
     (P.make ~name:"R" ~event:(event ())
        (P.Native
           (fun ctx ->
-            if ctx.P.job_index = 3 then failwith "R: third job";
+            if !armed && ctx.P.job_index = 3 then failwith "R: third job";
             ignore (ctx.P.read "c");
             ignore (ctx.P.read "e"))));
   B.add_channel b ~kind:Fppn.Channel.Fifo ~writer:"W" ~reader:"R" "c";
@@ -660,6 +660,174 @@ let test_raising_body () =
     let config () = Engine.default_config ~frames:4 ~n_procs:2 () in
     Alcotest.check_raises "the body's exception" (Failure "R: third job")
       (fun () -> ignore (check_against_reference net d sched config))
+
+(* --- sessions ---------------------------------------------------------- *)
+
+(* One epoch's sporadic traces: none, legal random ones, the same moved
+   by 1/13 ms (off every grid the draws compile to), or a trace that
+   [Engine.run] refuses: one stamp too many at instant 0 for the first
+   sporadic process, or an unknown process name. *)
+type epoch = Quiet | Legal of int | Off_grid of int | Illegal
+
+let epoch_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Quiet;
+        map (fun s -> Legal s) (int_range 0 99_999);
+        map (fun s -> Off_grid s) (int_range 0 99_999);
+        return Illegal;
+      ])
+
+let epoch_print = function
+  | Quiet -> "quiet"
+  | Legal s -> Printf.sprintf "legal %d" s
+  | Off_grid s -> Printf.sprintf "off-grid %d" s
+  | Illegal -> "illegal"
+
+let traces_of net ~horizon = function
+  | Quiet -> []
+  | Legal seed -> Randgen.random_traces ~seed ~horizon ~density:0.5 net
+  | Off_grid seed ->
+    List.map
+      (fun (name, stamps) -> (name, List.map (Rat.add (Rat.make 1 13)) stamps))
+      (Randgen.random_traces ~seed ~horizon ~density:0.5 net)
+  | Illegal -> (
+    match Randgen.sporadic_names net with
+    | name :: _ ->
+      let burst = Fppn.Process.burst (Fppn.Network.process net (Fppn.Network.find net name)) in
+      [ (name, List.init (burst + 1) (fun _ -> Rat.zero)) ]
+    | [] -> [ ("no-such-process", [ Rat.zero ]) ])
+
+(* [run_session] beside a fresh [Engine.run] and [Engine.run_reference]
+   of the same epoch: the same result, or the same exception, and
+   [Engine.last_signature] is the fresh run's signature, or [None] *)
+let session_agrees session ~fresh ~reference ~sporadic =
+  let outcome f = try Ok (f ()) with e -> Error e in
+  match
+    ( outcome (fun () -> Engine.run_session session ~sporadic),
+      outcome (fun () -> fresh sporadic),
+      outcome (fun () -> reference sporadic) )
+  with
+  | Ok a, Ok b, Ok c ->
+    identical a b && identical a c
+    && Engine.last_signature session = Some (Engine.signature b)
+  | Error a, Error b, Error c ->
+    a = b && b = c && Engine.last_signature session = None
+  | _ -> false
+
+(* A tenant's life: one session over 1-5 epochs.  Each side gets its
+   own execution-time model from the same seed, kept across its epochs,
+   so jittered draws stay in step. *)
+let prop_session_differential =
+  qprop "session epochs equal fresh and reference runs" ~count:150
+    ~print:(fun (c, epochs) ->
+      case_print c ^ " " ^ String.concat ", " (List.map epoch_print epochs))
+    QCheck2.Gen.(pair case_gen (list_size (int_range 1 5) epoch_gen))
+    (fun (c, epochs) ->
+      match setup_of c with
+      | None -> true
+      | Some (net, d, sched, config) ->
+        let side () = config () in
+        let session = Engine.session net d sched (side ()) in
+        let fresh_config = side () and reference_config = side () in
+        let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int c.frames) in
+        List.for_all
+          (fun epoch ->
+            session_agrees session
+              ~sporadic:(traces_of net ~horizon epoch)
+              ~fresh:(fun sporadic ->
+                Engine.run net d sched { fresh_config with Engine.sporadic })
+              ~reference:(fun sporadic ->
+                Engine.run_reference net d sched
+                  { reference_config with Engine.sporadic }))
+          epochs)
+
+(* span calls of "engine.compile" during [f ()] *)
+let compiles f =
+  let module Trace = Fppn_obs.Trace in
+  Trace.reset ();
+  Trace.set_enabled true;
+  let r = f () in
+  Trace.set_enabled false;
+  let n =
+    List.fold_left
+      (fun acc (h : Trace.hotspot) ->
+        if h.Trace.hname = "engine.compile" then h.Trace.calls else acc)
+      0 (Trace.hotspots ())
+  in
+  Trace.reset ();
+  (r, n)
+
+(* fig1's sporadic CoefB over four epochs of one session: a quiet epoch
+   replays, integer stamps sit on the kept grid, stamps 1/3 ms off it
+   recompile it once, and an illegal trace raises as [Engine.run] does
+   and leaves no signature *)
+let test_session_paths () =
+  let net, d, sched = fig1_setup ~n_procs:2 in
+  let frames = 4 in
+  let config = Engine.default_config ~frames ~n_procs:2 () in
+  let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int frames) in
+  let session, set_up = compiles (fun () -> Engine.session net d sched config) in
+  Alcotest.(check int) "the session compiles its grid" 1 set_up;
+  let agrees sporadic =
+    session_agrees session ~sporadic
+      ~fresh:(fun sporadic ->
+        Engine.run net d sched { config with Engine.sporadic })
+      ~reference:(fun sporadic ->
+        Engine.run_reference net d sched { config with Engine.sporadic })
+  in
+  let run sporadic = compiles (fun () -> Engine.run_session session ~sporadic) in
+  let legal = Randgen.random_traces ~seed:3 ~horizon ~density:0.5 net in
+  Alcotest.(check bool) "the draw has stamps" true
+    (List.exists (fun (_, l) -> l <> []) legal);
+  let (_, replayed), recompiled =
+    compiles (fun () -> with_counter "engine.replays" (fun () -> run []))
+  in
+  Alcotest.(check (pair int int)) "a quiet epoch replays, no compile" (1, 0)
+    (replayed, recompiled);
+  Alcotest.(check bool) "quiet epoch" true (agrees []);
+  Alcotest.(check int) "integer stamps: no compile" 0 (snd (run legal));
+  Alcotest.(check bool) "integer stamps" true (agrees legal);
+  let third =
+    List.map
+      (fun (name, l) -> (name, List.map (Rat.add (Rat.make 1 3)) l))
+      legal
+  in
+  Alcotest.(check int) "stamps off the grid: one compile" 1 (snd (run third));
+  Alcotest.(check bool) "stamps off the grid" true (agrees third);
+  Alcotest.(check int) "the new grid is kept" 0 (snd (run legal));
+  Alcotest.(check bool) "illegal trace" true
+    (agrees [ ("CoefB", [ Rat.zero; Rat.zero; Rat.zero ]) ]);
+  Alcotest.(check bool) "no signature after a refused epoch" true
+    (Engine.last_signature session = None);
+  Alcotest.(check bool) "a legal epoch after it" true (agrees legal)
+
+(* R raises in the second of three epochs only *)
+let test_session_raising_body () =
+  let armed = ref false in
+  let net = raising_net ~armed () in
+  let d = Derive.derive_exn ~wcet:(Derive.const_wcet (ms 10)) net in
+  let sched =
+    match snd (List_scheduler.auto ~n_procs:2 d.Derive.graph) with
+    | Some a -> a.List_scheduler.schedule
+    | None -> Alcotest.fail "raising network unschedulable"
+  in
+  let config = Engine.default_config ~frames:4 ~n_procs:2 () in
+  let session = Engine.session net d sched config in
+  let agrees () =
+    session_agrees session ~sporadic:[]
+      ~fresh:(fun _ -> Engine.run net d sched config)
+      ~reference:(fun _ -> Engine.run_reference net d sched config)
+  in
+  Alcotest.(check bool) "first epoch" true (agrees ());
+  armed := true;
+  Alcotest.check_raises "second epoch raises" (Failure "R: third job") (fun () ->
+      ignore (Engine.run_session session ~sporadic:[]));
+  Alcotest.(check bool) "no signature after the raise" true
+    (Engine.last_signature session = None);
+  armed := false;
+  Alcotest.(check bool) "third epoch equals a fresh run" true (agrees ())
 
 (* --- Timebase -------------------------------------------------------- *)
 
@@ -735,6 +903,11 @@ let () =
           Alcotest.test_case "order-infeasible schedule" `Quick
             test_order_infeasible;
           Alcotest.test_case "raising body propagates" `Quick test_raising_body;
+          prop_session_differential;
+          Alcotest.test_case "session: replay, recompile, refusal" `Quick
+            test_session_paths;
+          Alcotest.test_case "session: an epoch whose body raises" `Quick
+            test_session_raising_body;
         ] );
       ( "timebase",
         [
