@@ -1,10 +1,10 @@
-(* The engine's entry points and its run memo.  The parts that do the
-   work are private modules of this library, each readable alone:
-   [Prologue] (configuration, result and monitor types, validation and
-   the Fig. 2 window assignment), [Exec_rat] (the exact rational
-   reference core), [Tick_setup] (tick compilation, scratch and packed
-   results) and [Exec_ticks] (the tick event loop and steady-frame
-   replay). *)
+(* The engine's entry points, its sessions and its run memo.  The parts
+   that do the work are private modules of this library, each readable
+   alone: [Prologue] (configuration, result and monitor types,
+   validation and the Fig. 2 window assignment), [Exec_rat] (the exact
+   rational reference core), [Tick_setup] (grid compilation, stamp
+   placement, scratch and packed results) and [Exec_ticks] (the tick
+   event loop and steady-frame replay). *)
 
 include Prologue
 module Trace = Fppn_obs.Trace
@@ -102,7 +102,9 @@ let session net derived sched config =
     ~stamps:[]
 
 (* [assigned]'s stamps on the session's grid, recompiled with them if
-   one is off it *)
+   one is off it.  A grid compiled with the stamps holds them all: they
+   are non-negative and at most [frames·H], whose ticks the grid's
+   horizon bound covers. *)
 let place s assigned =
   match s.s_core with
   | Rational -> Off_grid assigned
@@ -119,13 +121,10 @@ let place s assigned =
               s.s_sched s.s_config ~stamps:(assigned_stamps assigned))
       with
       | None -> Off_grid assigned
-      | Some plan -> (
-        match on plan with
-        | stamps ->
-          t.plan <- plan;
-          On_grid (t, stamps)
-        | exception (Rt_util.Timebase.Inexact | Rat.Overflow) ->
-          Off_grid assigned)))
+      | Some plan ->
+        let stamps = on plan in
+        t.plan <- plan;
+        On_grid (t, stamps)))
 
 let exec s config ~unhandled_events = function
   | On_grid ({ plan; scratch; state }, stamps) ->

@@ -65,7 +65,7 @@ let rat_cache tb =
    order, and the distinct invocation instants of each of the [k_frames]
    frames after it, as rationals.  A frame has at most a handful of
    distinct instants, so each is converted once per frame, and all of
-   them here, once per memo entry. *)
+   them here, once per session. *)
 let build_replay plan sc tpl ~off ~n ~k_frames =
   let r_proc = Array.make n 0 and r_uidx = Array.make n 0 in
   let u_tick = Array.make n 0 in

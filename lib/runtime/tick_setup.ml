@@ -344,10 +344,9 @@ let packed_result (derived : Derive.t) config plan state ~unhandled_events
   }
 
 (* Engine scratch: every working array of [Exec_ticks.run] whose shape
-   depends only on the derived graph and the schedule.  A run memo
-   entry owns one, so reruns pay a handful of [Array.fill]s instead of
-   rebuilding the dependence segments and reallocating a dozen
-   arrays. *)
+   depends only on the derived graph and the schedule.  A session owns
+   one, so reruns pay a handful of [Array.fill]s instead of rebuilding
+   the dependence segments and reallocating a dozen arrays. *)
 type tick_scratch = {
   sc_procs : tick_proc array;
   sc_completions : int array;
@@ -370,11 +369,12 @@ type tick_scratch = {
   (* the replay program, built by the first run that replays ([||]
      until then): the template frame's executed bodies ([sc_r_proc])
      and, for each replayed frame [f], its distinct invocation instants
-     ([sc_u_rat.(f)], indexed by [sc_r_uidx]).  The memo entry that
-     owns the scratch fixes plan, schedule and frame count, and with
-     them the template, so every later run replays the same program
-     and the steady-frame loop allocates nothing at all — test_tick and
-     test_costs hold it to that. *)
+     ([sc_u_rat.(f)], indexed by [sc_r_uidx]).  The session that owns
+     the scratch fixes schedule, configuration and frame count, and
+     only its stamp-free runs replay, so they share one template: every
+     later run replays the same program and the steady-frame loop
+     allocates nothing at all — test_tick and test_costs hold it to
+     that. *)
   mutable sc_r_proc : int array;
   mutable sc_r_uidx : int array;
   mutable sc_u_rat : Rat.t array array;

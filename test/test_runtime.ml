@@ -870,8 +870,7 @@ let test_same_instant_release () =
    an instant and loses it there, unfinished) and its time on a
    processor. *)
 let implied_schedule net (config : Preemptive.config) =
-  let r = Preemptive.run net config in
-  let recs = Array.of_list r.Preemptive.records in
+  let recs = Array.of_list (Preemptive.run net config).Preemptive.records in
   (* release order: the k-th job of a process is its k-th invocation *)
   let seq = Hashtbl.create 64 and count = Hashtbl.create 16 in
   List.iteri
@@ -935,7 +934,7 @@ let implied_schedule net (config : Preemptive.config) =
         top;
       held := top)
     instants;
-  (r, recs, first, displaced, busy)
+  (recs, first, displaced, busy)
 
 type preemptive_case = {
   p_seed : int;
@@ -993,7 +992,7 @@ let prop_start_rule =
          "a job starts when it first ranks among the n_procs first live jobs, \
           every release at that instant counted"
        ~print:preemptive_case_print preemptive_case_gen
-       (on_both_policies (fun ~wcet ~jitter (_, recs, first, _, busy) ->
+       (on_both_policies (fun ~wcet ~jitter (recs, first, _, busy) ->
             Array.for_all Fun.id
               (Array.mapi
                  (fun i (x : Preemptive.record) ->
@@ -1006,7 +1005,7 @@ let prop_preemption_count =
     (QCheck2.Test.make ~count:1000
        ~name:"preemptions count only displacements after positive progress"
        ~print:preemptive_case_print preemptive_case_gen
-       (on_both_policies (fun ~wcet:_ ~jitter:_ (_, recs, _, displaced, _) ->
+       (on_both_policies (fun ~wcet:_ ~jitter:_ (recs, _, displaced, _) ->
             Array.for_all Fun.id
               (Array.mapi
                  (fun i (x : Preemptive.record) -> x.preemptions = displaced.(i))

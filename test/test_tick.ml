@@ -409,21 +409,26 @@ let test_memo_interleaved () =
       Alcotest.(check bool) name true (identical r (key reference)))
     results
 
-(* (compiles, memo hits) of [f ()] *)
-let memo_counts f =
+(* [f ()] and the span calls of "engine.compile" it made *)
+let compiles f =
   let module Trace = Fppn_obs.Trace in
   Trace.reset ();
   Trace.set_enabled true;
-  let (), hits = with_counter "engine.memo_hits" f in
+  let r = f () in
   Trace.set_enabled false;
-  let compiles =
+  let n =
     List.fold_left
       (fun acc (h : Trace.hotspot) ->
         if h.Trace.hname = "engine.compile" then h.Trace.calls else acc)
       0 (Trace.hotspots ())
   in
   Trace.reset ();
-  (compiles, hits)
+  (r, n)
+
+(* (compiles, memo hits) of [f ()] *)
+let memo_counts f =
+  let ((), hits), n = compiles (fun () -> with_counter "engine.memo_hits" f) in
+  (n, hits)
 
 (* The admission rule: the last run is kept, and an entry joins the hot
    set only once its key recurs; a caller that builds a fresh schedule
@@ -742,22 +747,6 @@ let prop_session_differential =
                 Engine.run_reference net d sched
                   { reference_config with Engine.sporadic }))
           epochs)
-
-(* span calls of "engine.compile" during [f ()] *)
-let compiles f =
-  let module Trace = Fppn_obs.Trace in
-  Trace.reset ();
-  Trace.set_enabled true;
-  let r = f () in
-  Trace.set_enabled false;
-  let n =
-    List.fold_left
-      (fun acc (h : Trace.hotspot) ->
-        if h.Trace.hname = "engine.compile" then h.Trace.calls else acc)
-      0 (Trace.hotspots ())
-  in
-  Trace.reset ();
-  (r, n)
 
 (* fig1's sporadic CoefB over four epochs of one session: a quiet epoch
    replays, integer stamps sit on the kept grid, stamps 1/3 ms off it
