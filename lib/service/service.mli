@@ -4,7 +4,8 @@
     deterministic engine plan over the shared worker pool.
 
     Determinism contract: co-residency must be unobservable.  Every
-    tenant's epoch is an independent {!Runtime.Engine.run} on its own
+    tenant's epoch is an independent engine run
+    ({!Runtime.Engine.run_session}) on the tenant's own session and
     elaborated network — tenants share worker domains and nothing else
     — so each tenant's output signature must equal the signature of the
     same epoch run standalone.  {!verify} checks exactly that, and the

@@ -748,10 +748,10 @@ let prop_session_differential =
                   { reference_config with Engine.sporadic }))
           epochs)
 
-(* fig1's sporadic CoefB over four epochs of one session: a quiet epoch
+(* fig1's sporadic CoefB over the epochs of one session: a quiet epoch
    replays, integer stamps sit on the kept grid, stamps 1/3 ms off it
-   recompile it once, and an illegal trace raises as [Engine.run] does
-   and leaves no signature *)
+   recompile it once and the new grid is kept, and an illegal trace
+   raises as [Engine.run] does and leaves no signature *)
 let test_session_paths () =
   let net, d, sched = fig1_setup ~n_procs:2 in
   let frames = 4 in
