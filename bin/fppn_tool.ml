@@ -273,6 +273,15 @@ let schedule_for g ~heuristic ~n_procs =
       Printf.eprintf "unknown heuristic %S\n" h;
       exit 2)
 
+(* A run the engine refuses (times no tick grid holds, among its other
+   checks) is refused before any job body runs: bad input, one line and
+   exit 2. *)
+let engine_run app d s config =
+  try Engine.run app.net d s config
+  with Invalid_argument msg ->
+    Printf.eprintf "fppn-tool: %s\n" msg;
+    exit 2
+
 let sporadic_traces app d ~frames ~seed ~density =
   let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int frames) in
   Engine.handled_traces app.net d ~frames
@@ -632,7 +641,7 @@ let simulate_term, simulate_doc =
         inputs = app.inputs;
       }
     in
-    let r = Engine.run app.net d s config in
+    let r = engine_run app d s config in
     Format.printf "%a@." Runtime.Exec_trace.pp_stats r.Engine.stats;
     if per_process then
       Format.printf "%a" Runtime.Exec_trace.pp_by_process
@@ -750,6 +759,13 @@ let run_cmd = Cmd.v (Cmd.info "run" ~doc:(simulate_doc ^ " (alias of simulate)")
 let buffers_cmd =
   let run app_name seed hyperperiods =
     let app = resolve_app app_name seed in
+    (* the analysis runs whole hyperperiods: one that cannot be
+       represented is answered as [derive] answers it *)
+    (match Fppn.Network.hyperperiod app.net with
+    | _ -> ()
+    | exception Rat.Overflow ->
+      Format.eprintf "fppn-tool: %a@." Derive.pp_error Derive.Hyperperiod_overflow;
+      exit 2);
     let r = Fppn.Buffer_analysis.analyse ~hyperperiods ~inputs:app.inputs app.net in
     Format.printf "%a" Fppn.Buffer_analysis.pp r;
     match Fppn.Buffer_analysis.unbounded_channels r with
@@ -1317,7 +1333,7 @@ let profile_cmd =
         inputs = app.inputs;
       }
     in
-    let r = Engine.run app.net d s config in
+    let r = engine_run app d s config in
     Format.printf "%a@." Runtime.Exec_trace.pp_stats r.Engine.stats;
     let hotspots = Obs_trace.hotspots () in
     let total_self =

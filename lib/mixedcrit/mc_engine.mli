@@ -42,13 +42,16 @@ type result = {
 val run : Fppn.Network.t -> spec:Spec.t -> Dual_schedule.t -> config -> result
 (** {!Runtime.Engine.run} on the LO schedule and a zero-overhead
     platform of [n_procs] processors, with a {!Runtime.Engine.monitor}
-    attached and every job's WCET replaced by its criticality budget —
-    on the compiled tick core whenever the budgets fit a tick grid, as
-    they do for {!Runtime.Exec_time.uniform} jitter.
+    attached and every job's WCET replaced by its criticality budget,
+    on the engine's tick core: the grid holds the budgets, [C_LO]
+    included.
     @raise Invalid_argument as {!Runtime.Engine.run}: [frames <= 0], a
-    processor-count mismatch, or sporadic events of an unknown or
-    periodic process or violating their generator's [(m, T)]; and when
-    a [Hi] process of [spec] has [C_HI < C_LO], which
-    {!Dual_schedule.build} reports as [Inverted_budgets]. *)
+    processor-count mismatch, sporadic events of an unknown or periodic
+    process or violating their generator's [(m, T)], or budgets and
+    durations that no tick grid holds (a negative [C_LO], or
+    denominators past the grid's cap), refused with the reason before
+    any job runs; and when a [Hi] process of [spec] has
+    [C_HI < C_LO], which {!Dual_schedule.build} reports as
+    [Inverted_budgets]. *)
 
 val signature : result -> (string * Fppn.Value.t list) list

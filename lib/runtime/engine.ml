@@ -1,10 +1,10 @@
 (* The engine's entry points, its sessions and its run memo.  The parts
    that do the work are private modules of this library, each readable
    alone: [Prologue] (configuration, result and monitor types,
-   validation and the Fig. 2 window assignment), [Exec_rat] (the exact
-   rational reference core), [Tick_setup] (grid compilation, stamp
-   placement, scratch and packed results) and [Exec_ticks] (the tick
-   event loop and steady-frame replay). *)
+   validation and the Fig. 2 window assignment), [Tick_setup] (grid
+   compilation and the refusal of runs no grid holds, stamp placement,
+   scratch and packed results) and [Exec_ticks] (the tick event loop
+   and steady-frame replay). *)
 
 include Prologue
 module Trace = Fppn_obs.Trace
@@ -31,13 +31,13 @@ let signature r =
 (* Sessions: the set-up of one network, schedule and configuration,    *)
 (* kept across runs that differ only in their sporadic stamps.          *)
 (*                                                                      *)
-(* A session owns the compiled tick grid (or, without one, the rational *)
-(* core), the scratch and the network state.  A run validates its       *)
-(* stamps, assigns them to server windows and places them on the kept   *)
-(* grid; a stamp off the grid recompiles it with the stamps, keeping    *)
-(* the scratch and the state, as neither depends on the grid.  The      *)
-(* grid's times are the run's model times, so two grids of one session  *)
-(* give the same result.                                                *)
+(* A session owns the compiled tick grid, the scratch and the network   *)
+(* state.  A run validates its stamps, assigns them to server windows   *)
+(* and places them on the kept grid; a stamp off the grid recompiles it *)
+(* with the stamps, keeping the scratch and the state, as neither       *)
+(* depends on the grid.  The grid's times are the run's model times, so *)
+(* two grids of one session give the same result.  A recompile that    *)
+(* refuses the stamps keeps the old grid.                               *)
 (* ------------------------------------------------------------------ *)
 
 type ticks = {
@@ -46,17 +46,8 @@ type ticks = {
   state : Netstate.t;
 }
 
-type core = Ticks of ticks | Rational
-
-(* a run's stamps: placed on the session's grid, or, when no grid holds
-   them, the window assignment the rational core reads *)
-type placed =
-  | On_grid of ticks * int array
-  | Off_grid of (int * int, Rat.t) Hashtbl.t
-
-(* where the last run's signature is read from: the session's state
-   after a run on the grid, the result of a rational one *)
-type last = Nothing | In_state | In_result of result
+(* a run's stamps, placed on the grid of a session's [ticks] *)
+type placed = ticks * int array
 
 type session = {
   s_net : Network.t;
@@ -64,27 +55,26 @@ type session = {
   s_sched : Static_schedule.t;
   s_config : config;
   s_monitor : monitor option;
-  s_core : core;
-  mutable s_last : last;
+  s_ticks : ticks;
+  mutable s_ran : bool;  (* the last run returned: [s_ticks.state] holds it *)
 }
 
 let assigned_stamps assigned = Hashtbl.fold (fun _ s acc -> s :: acc) assigned []
 
+let compile ?monitor net derived sched config ~stamps =
+  Trace.with_span "engine.compile" (fun () ->
+      Tick_setup.compile ?monitor net derived sched config ~stamps)
+
 (* the grid of the run's model times and [stamps], with its scratch and
-   the state from [state ()]; the rational core if there is no grid *)
+   the state from [state ()] *)
 let make_session ?monitor ~state net derived sched config ~stamps =
-  let s_core =
-    match
-      Trace.with_span "engine.compile" (fun () ->
-          Tick_setup.compile ?monitor net derived sched config ~stamps)
-    with
-    | Some plan ->
-      (* the scratch and the state are the tick core's set-up *)
-      Trace.with_span "engine.exec.ticks" (fun () ->
-          let n_procs = config.platform.Platform.n_procs in
-          let scratch = Tick_setup.make_scratch derived sched ~n_procs in
-          Ticks { plan; scratch; state = state () })
-    | None -> Rational
+  let plan = compile ?monitor net derived sched config ~stamps in
+  (* the scratch and the state are the tick core's set-up *)
+  let s_ticks =
+    Trace.with_span "engine.exec.ticks" (fun () ->
+        let n_procs = config.platform.Platform.n_procs in
+        let scratch = Tick_setup.make_scratch derived sched ~n_procs in
+        { plan; scratch; state = state () })
   in
   {
     s_net = net;
@@ -92,8 +82,8 @@ let make_session ?monitor ~state net derived sched config ~stamps =
     s_sched = sched;
     s_config = config;
     s_monitor = monitor;
-    s_core;
-    s_last = Nothing;
+    s_ticks;
+    s_ran = false;
   }
 
 let session net derived sched config =
@@ -105,58 +95,46 @@ let session net derived sched config =
    one is off it.  A grid compiled with the stamps holds them all: they
    are non-negative and at most [frames·H], whose ticks the grid's
    horizon bound covers. *)
-let place s assigned =
-  match s.s_core with
-  | Rational -> Off_grid assigned
-  | Ticks t -> (
-    let n = Graph.n_jobs s.s_derived.Derive.graph in
-    let frames = s.s_config.frames in
-    let on plan = Tick_setup.place plan ~n ~frames assigned in
-    match on t.plan with
-    | stamps -> On_grid (t, stamps)
-    | exception (Rt_util.Timebase.Inexact | Rat.Overflow) -> (
-      match
-        Trace.with_span "engine.compile" (fun () ->
-            Tick_setup.compile ?monitor:s.s_monitor s.s_net s.s_derived
-              s.s_sched s.s_config ~stamps:(assigned_stamps assigned))
-      with
-      | None -> Off_grid assigned
-      | Some plan ->
-        let stamps = on plan in
-        t.plan <- plan;
-        On_grid (t, stamps)))
+let place s assigned : placed =
+  let t = s.s_ticks in
+  let n = Graph.n_jobs s.s_derived.Derive.graph in
+  let frames = s.s_config.frames in
+  let on plan = Tick_setup.place plan ~n ~frames assigned in
+  match on t.plan with
+  | stamps -> (t, stamps)
+  | exception (Rt_util.Timebase.Inexact | Rat.Overflow) ->
+    let plan =
+      compile ?monitor:s.s_monitor s.s_net s.s_derived s.s_sched s.s_config
+        ~stamps:(assigned_stamps assigned)
+    in
+    let stamps = on plan in
+    t.plan <- plan;
+    (t, stamps)
 
-let exec s config ~unhandled_events = function
-  | On_grid ({ plan; scratch; state }, stamps) ->
-    Trace.with_span "engine.exec.ticks" (fun () ->
-        Exec_ticks.run ?monitor:s.s_monitor s.s_derived config
-          ~unhandled_events plan ~stamps scratch state)
-  | Off_grid assigned ->
-    Trace.with_span "engine.exec.rat" (fun () ->
-        Exec_rat.run ?monitor:s.s_monitor s.s_net s.s_derived s.s_sched config
-          ~assigned ~unhandled_events)
+let exec s config ~unhandled_events (({ plan; scratch; state }, stamps) : placed) =
+  Trace.with_span "engine.exec.ticks" (fun () ->
+      Exec_ticks.run ?monitor:s.s_monitor s.s_derived config ~unhandled_events
+        plan ~stamps scratch state)
 
 let run_session s ~sporadic =
   Trace.with_span "engine.run" (fun () ->
-      s.s_last <- Nothing;
+      s.s_ran <- false;
       let config = { s.s_config with sporadic } in
       let assigned, unhandled_events =
         validate_and_assign s.s_net s.s_derived s.s_sched config
       in
-      let placed = place s assigned in
-      let r = exec s config ~unhandled_events placed in
-      s.s_last <- (match placed with On_grid _ -> In_state | Off_grid _ -> In_result r);
+      let r = exec s config ~unhandled_events (place s assigned) in
+      s.s_ran <- true;
       r)
 
 let last_signature s =
-  match (s.s_last, s.s_core) with
-  | In_result r, _ -> Some (signature r)
-  | In_state, Ticks t ->
+  if s.s_ran then
+    let state = s.s_ticks.state in
     Some
       (List.sort
          (fun (a, _) (b, _) -> String.compare a b)
-         (Netstate.channel_history t.state @ Netstate.output_history t.state))
-  | Nothing, _ | In_state, Rational -> None
+         (Netstate.channel_history state @ Netstate.output_history state))
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Run memo: per domain, so concurrent runs never share an entry.       *)
@@ -166,14 +144,14 @@ let last_signature s =
 (* networks.  An entry is a session made for its run's stamps, with     *)
 (* the stamps placed on its grid and the unhandled events: all a rerun  *)
 (* needs.  Entries of one network share one network state.  A hit goes  *)
-(* straight to the timing core.  Skipping the prologue and placement is *)
+(* straight to the tick core.  Skipping the prologue and placement is   *)
 (* safe: every input they read is in the key, and an entry exists only  *)
-(* once its prologue succeeded.  Compilation is pure for every          *)
-(* compilable model ([Profile] callbacks are required to be pure).  The *)
-(* last run stays in [recent]; an entry joins the [hot] LRU only when   *)
-(* its (schedule, config) recurs among the last [keep] misses, so       *)
-(* callers that build fresh schedules or stamps for every run never     *)
-(* keep more than that one entry.                                       *)
+(* once its prologue and compilation succeeded.  Compilation is pure    *)
+(* ([Profile] callbacks are required to be pure).  The last run stays   *)
+(* in [recent]; an entry joins the [hot] LRU only when its (schedule,   *)
+(* config) recurs among the last [keep] misses, so callers that build   *)
+(* fresh schedules or stamps for every run never keep more than that    *)
+(* one entry.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Structural-enough config equality for the memo: scalars compare by
@@ -210,9 +188,7 @@ let rec take k = function x :: l when k > 0 -> x :: take (k - 1) l | _ -> []
 (* a kept state of [net], else a fresh one *)
 let state_for memo net =
   let kept e =
-    match e.e_session.s_core with
-    | Ticks t when e.e_session.s_net == net -> Some t.state
-    | _ -> None
+    if e.e_session.s_net == net then Some e.e_session.s_ticks.state else None
   in
   match List.find_map kept (Option.to_list memo.recent @ memo.hot) with
   | Some st -> st
@@ -271,14 +247,5 @@ let run ?monitor net derived sched config =
         | None -> lookup memo net derived sched config
       in
       exec e.e_session config ~unhandled_events:e.e_unhandled e.e_placed)
-
-let run_reference ?monitor net derived sched config =
-  Trace.with_span "engine.run_reference" (fun () ->
-      let assigned, unhandled_events =
-        validate_and_assign net derived sched config
-      in
-      Trace.with_span "engine.exec.rat" (fun () ->
-          Exec_rat.run ?monitor net derived sched config ~assigned
-            ~unhandled_events))
 
 let run_sharded ?shards:_ net derived sched config = run net derived sched config

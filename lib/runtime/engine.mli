@@ -90,12 +90,13 @@ type monitor = {
 val run :
   ?monitor:monitor ->
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
-(** Runs on the compiled integer-tick core whenever every model time
-    fits a common {!Rt_util.Timebase} grid, falling back to the exact
-    rational interpreter otherwise; both produce bit-identical results.
-    With [monitor], the mode-switched policy above, on the same two
-    cores: the grid then also holds every HI job's [C_LO], and the run
-    never replays steady frames, so every frame calls the monitor.
+(** Runs on the compiled integer-tick core: every model time of the
+    run (hyperperiod, phases, deadlines, WCETs, overheads, durations,
+    stamps) is mapped onto a common {!Rt_util.Timebase} grid.  A run no
+    grid holds is refused before any job body runs.  With [monitor],
+    the mode-switched policy above, on the same core: the grid then also
+    holds every HI job's [C_LO], and the run never replays steady
+    frames, so every frame calls the monitor.
 
     Each domain keeps a run memo.  An unmonitored call is served from
     it when an earlier call on the same domain had the physically same
@@ -117,7 +118,14 @@ val run :
     reuses a kept network state of the same network.
     @raise Invalid_argument if the schedule does not cover the derived
     graph, if [frames <= 0], or if a sporadic trace violates its
-    generator's [(m,T)] constraint. *)
+    generator's [(m,T)] constraint; and, with a message naming the
+    reason, for a run no grid holds: a negative [C_LO], an
+    {!Exec_time.uniform} model over a WCET whose denominator exceeds
+    [max_int/1000], or times whose common denominator, or whose ticks
+    up to [frames·H], exceed the grid's 2^55 cap.  A run raises
+    whatever a job body raises, and, for an {!Exec_time.scaled} or
+    {!Exec_time.profile} model whose sample raises for some job, what
+    that sample raises when that job executes. *)
 
 (** {2 Sessions}
 
@@ -127,10 +135,9 @@ val run :
     compile time and the events only decide which server slots run. *)
 
 type session
-(** Keeps the compiled tick grid of the configuration's model times
-    (or, when they fit no grid, the rational core), the tick core's
-    scratch and a network state of its own.  A session is used by one
-    domain at a time. *)
+(** Keeps the compiled tick grid of the configuration's model times,
+    the tick core's scratch and a network state of its own.  A session
+    is used by one domain at a time. *)
 
 val session :
   Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config ->
@@ -138,8 +145,8 @@ val session :
 (** Compiles the grid and builds the scratch and the state.
     [config.sporadic] is ignored: every run brings its own stamps.
     @raise Invalid_argument if the schedule does not cover the derived
-    graph, if its processor count is not the platform's, or if
-    [frames <= 0]. *)
+    graph, if its processor count is not the platform's, if
+    [frames <= 0], or as {!run} for model times no grid holds. *)
 
 val run_session :
   session -> sporadic:(string * Rt_util.Rat.t list) list -> result
@@ -149,16 +156,15 @@ val run_session :
     the stamps are assigned to server windows, then placed on the kept
     grid.  A stamp off the grid recompiles it with the run's stamps;
     the scratch and the state are kept, and later runs use the new
-    grid.  Stamps that fit no grid, and every run of a session without
-    one, run on the rational core.  Results stay valid after the
-    session's next run: they own their records and snapshot their
-    histories.
+    grid.  Stamps that no grid holds with the model times refuse the
+    run, before any job body runs, and the session keeps its grid for
+    the next run.  Results stay valid after the session's next run:
+    they own their records and snapshot their histories.
     @raise Invalid_argument as {!run}, or whatever a job body raises. *)
 
 val last_signature : session -> (string * Fppn.Value.t list) list option
 (** The {!signature} of the session's last run, read from its network
-    state when it ran on the grid: [None] before the first run and
-    after a run that raised. *)
+    state: [None] before the first run and after a run that raised. *)
 
 val run_sharded :
   ?shards:int ->
@@ -167,12 +173,14 @@ val run_sharded :
     harness ([perfbench/common.ml]), which changes only together with
     the benchmark itself, still calls it. *)
 
-val run_reference :
-  ?monitor:monitor ->
-  Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config -> result
-(** {!run} forced onto the exact rational interpreter core — the
-    semantic ground truth the compiled tick core is differentially
-    tested against, with or without a [monitor].  Raises as {!run}. *)
+val validate_and_assign :
+  Fppn.Network.t -> Taskgraph.Derive.t -> Sched.Static_schedule.t -> config ->
+  ((int * int, Rt_util.Rat.t) Hashtbl.t * (string * Rt_util.Rat.t) list)
+(** The checks {!run} makes before it compiles, then
+    {!sporadic_assignment} of [config.sporadic]: what an independent
+    implementation of the policy, such as the tests' exact rational
+    oracle, needs to run the same inputs as {!run}.
+    @raise Invalid_argument as {!run}, except for the grid refusals. *)
 
 val sporadic_assignment :
   Fppn.Network.t ->

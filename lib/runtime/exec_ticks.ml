@@ -1,20 +1,23 @@
 (* ------------------------------------------------------------------ *)
-(* Compiled core: integer tick timeline, wake-list scheduling.          *)
+(* The engine's timing core: integer tick timeline, wake-list           *)
+(* scheduling.                                                          *)
 (*                                                                      *)
 (* [Tick_setup] maps every model time onto the common-denominator tick  *)
-(* grid of a [Timebase]; the event loop then runs on machine integers,  *)
-(* and a completion re-examines only the processors registered on the  *)
-(* completed job's wake list instead of polling all of them.  The       *)
-(* transition order of the reference fixpoint (ascending processor      *)
-(* index per sweep, sweeps repeated until quiescent) is replicated      *)
-(* exactly, so execution-time PRNG draws, channel operations and trace  *)
-(* records are bit-identical to [Exec_rat]'s.                           *)
+(* grid of a [Timebase], or refuses the run; the event loop then runs   *)
+(* on machine integers, and a completion re-examines only the           *)
+(* processors registered on the completed job's wake list instead of    *)
+(* polling all of them.  The transition order of the reference          *)
+(* fixpoint, the exact rational interpreter the test suites keep as     *)
+(* the oracle (ascending processor index per sweep, sweeps repeated     *)
+(* until quiescent), is replicated exactly, so execution-time PRNG      *)
+(* draws, channel operations and trace records are bit-identical to    *)
+(* the reference's.                                                     *)
 (*                                                                      *)
 (* The criticality monitor runs on the same grid: a HI job's C_LO       *)
 (* expiry is one more queued event, and a degrade marks every processor *)
 (* hot, so one at or below the sweep cursor sees it at the next sweep:  *)
 (* as in the reference, a second one at an instant t queued twice or    *)
-(* more, else at the next instant.  The cores agree on "twice" whenever *)
+(* more, else at the next instant.  The two agree on "twice" whenever   *)
 (* a degrade at t left processors hot, as it comes with a C_LO wake-up  *)
 (* at t.  The other copies are finishes and wake-ups, queued one for    *)
 (* one, and re-pushes of a waiting processor's earliest start, made on  *)
@@ -265,7 +268,8 @@ let run ?monitor (derived : Derive.t) config ~unhandled_events plan ~stamps sc
     skip ps job invocation
   in
   (* one attempt to make progress on processor [p]; true if state
-     changed — mirrors [Exec_rat]'s [advance] transition for transition *)
+     changed — mirrors the reference's [advance] transition for
+     transition *)
   let try_advance p ps =
     if ps.t_busy then
       if ps.t_finish <= !now then begin

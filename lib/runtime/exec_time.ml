@@ -25,38 +25,6 @@ let quantized_fraction wcet fraction =
   let milli = int_of_float (Float.round (fraction *. 1000.0)) in
   Rat.mul wcet (Rat.make milli 1000)
 
-type durations =
-  | Fixed of Rat.t array
-  | Extras of Rat.t list
-  | Opaque
-
-let durations t ~jobs =
-  match t with
-  | Constant -> Fixed (Array.map (fun j -> j.Taskgraph.Job.wcet) jobs)
-  | Scaled f -> (
-    try
-      Fixed (Array.map (fun j -> quantized_fraction j.Taskgraph.Job.wcet f) jobs)
-    with Rat.Overflow -> Opaque)
-  | Profile p -> (
-    (* deterministic per process, so one setup-time sample per job
-       covers the whole run; a raising profile degrades to [Opaque] *)
-    try Fixed (Array.map (fun j -> p j.Taskgraph.Job.proc_name) jobs)
-    with _ -> Opaque)
-  (* [quantized_fraction] yields wcet·milli/1000, whose denominator
-     always divides den(wcet)·1000 — covering that product per distinct
-     WCET makes every possible runtime draw land on the tick grid *)
-  | Uniform _ -> (
-    try
-      Extras
-        (Array.to_list
-           (Array.map
-              (fun j ->
-                let d = Rat.den j.Taskgraph.Job.wcet in
-                if d > max_int / 1000 then raise Rat.Overflow
-                else Rat.make 1 (d * 1000))
-              jobs))
-    with Rat.Overflow -> Opaque)
-
 let sample t (job : Taskgraph.Job.t) =
   match t with
   | Constant -> job.Taskgraph.Job.wcet
@@ -65,3 +33,41 @@ let sample t (job : Taskgraph.Job.t) =
     quantized_fraction job.Taskgraph.Job.wcet f
   | Scaled f -> quantized_fraction job.Taskgraph.Job.wcet f
   | Profile p -> p job.Taskgraph.Job.proc_name
+
+type durations =
+  | Fixed of Rat.t array
+  | Extras of Rat.t list
+
+let durations t ~jobs =
+  match t with
+  | Constant -> Fixed (Array.map (fun j -> j.Taskgraph.Job.wcet) jobs)
+  | Scaled _ | Profile _ -> (
+    (* deterministic per job, so one setup-time sample per job covers
+       the whole run.  If a job's sample raises (a raising profile, an
+       overflowing quantization), the other jobs' samples are the
+       extras and the run samples per execution: it raises exactly when
+       that job executes *)
+    try Fixed (Array.map (sample t) jobs)
+    with _ ->
+      Extras
+        (List.filter_map
+           (fun j -> try Some (sample t j) with _ -> None)
+           (Array.to_list jobs)))
+  (* [quantized_fraction] yields wcet·milli/1000, whose denominator
+     always divides den(wcet)·1000 — covering that product per distinct
+     WCET makes every possible runtime draw land on the tick grid *)
+  | Uniform _ ->
+    Extras
+      (Array.to_list
+         (Array.map
+            (fun (j : Taskgraph.Job.t) ->
+              let d = Rat.den j.Taskgraph.Job.wcet in
+              if d > max_int / 1000 then
+                invalid_arg
+                  (Format.asprintf
+                     "Exec_time.durations: uniform draws over the WCET %a of \
+                      %s fit no tick grid: its denominator exceeds \
+                      max_int/1000"
+                     Rat.pp j.Taskgraph.Job.wcet j.Taskgraph.Job.proc_name)
+              else Rat.make 1 (d * 1000))
+            jobs))

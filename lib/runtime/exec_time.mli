@@ -23,10 +23,10 @@ val scaled : float -> t
     under-estimation (measurement-based WCETs, Sec. V). *)
 
 val profile : (string -> Rt_util.Rat.t) -> t
-(** Fixed duration per process name.  The function must be pure: tick
-    compilation samples it once per job at setup ({!durations}), and
-    an impure profile would then diverge from the rational reference,
-    which samples per execution. *)
+(** Fixed duration per process name.  The function must be pure: the
+    engine samples it once per job at set-up ({!durations}) and, when
+    it raises for a job, once more per execution; an impure profile
+    would make a run depend on when it is sampled. *)
 
 val sample : t -> Taskgraph.Job.t -> Rt_util.Rat.t
 (** Duration of one job instance.  Stateful for {!uniform}. *)
@@ -37,16 +37,19 @@ type durations =
   | Fixed of Rt_util.Rat.t array
       (** deterministic per job: [durations.(job)] is the exact value
           {!sample} returns for that job on every invocation
-          ({!constant}, {!scaled}, {!profile}) *)
+          ({!constant}, and {!scaled} and {!profile} when no job's
+          sample raises) *)
   | Extras of Rt_util.Rat.t list
-      (** durations must still be drawn per execution ({!uniform}),
-          but every possible draw lands on a {!Rt_util.Timebase} grid
-          that covers these extra rationals *)
-  | Opaque
-      (** not representable at setup (overflowing quantization, raising
-          profile) — callers must stay on the exact rational path *)
+      (** durations must still be drawn per execution, but every draw
+          that returns lands on a {!Rt_util.Timebase} grid that covers
+          these extra rationals: {!uniform}, or {!scaled} and {!profile}
+          when some job's sample raises, whose extras are the other
+          jobs' samples and whose run raises what {!sample} raises when
+          that job executes *)
 
 val durations : t -> jobs:Taskgraph.Job.t array -> durations
 (** Compiles the model against a concrete job set; [Fixed] durations
     also make whole-frame replay sound, since the schedule of a frame
-    then depends only on the frame's sporadic stamps. *)
+    then depends only on the frame's sporadic stamps.
+    @raise Invalid_argument for {!uniform} over a job whose WCET has a
+    denominator above [max_int/1000]: its draws fit no grid. *)

@@ -1,7 +1,7 @@
-(* What every timing core of [Engine] shares: the run configuration,
-   the result and the criticality monitor, and the prologue that
-   validates a run and assigns its sporadic stamps to server windows
-   (Sec. IV, Fig. 2). *)
+(* What [Engine] and its tick core share: the run configuration, the
+   result and the criticality monitor, and the prologue that validates
+   a run and assigns its sporadic stamps to server windows (Sec. IV,
+   Fig. 2). *)
 
 module Rat = Rt_util.Rat
 module Network = Fppn.Network
@@ -119,7 +119,7 @@ let validate_shape (derived : Derive.t) sched config =
   if Static_schedule.n_procs sched <> config.platform.Platform.n_procs then
     invalid_arg "Engine.run: schedule and platform processor counts differ"
 
-(* Validation + sporadic-window assignment shared by every core. *)
+(* Validation + sporadic-window assignment, exported for oracles. *)
 let validate_and_assign net derived sched config =
   validate_shape derived sched config;
   List.iter

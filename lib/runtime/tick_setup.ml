@@ -2,8 +2,9 @@
 (* Tick core set-up: everything [Exec_ticks] runs on and hands back.    *)
 (*                                                                      *)
 (* [compile] maps every model time of a run onto the common-denominator *)
-(* tick grid of a [Timebase] and [place] puts a run's sporadic stamps   *)
-(* on it; [make_scratch] builds the working arrays whose shape depends  *)
+(* tick grid of a [Timebase], or refuses the run with the reason no     *)
+(* grid holds it, and [place] puts a run's sporadic stamps on the grid; *)
+(* [make_scratch] builds the working arrays whose shape depends         *)
 (* only on the derived graph and the schedule; the packed record        *)
 (* buffers hold job records as columns of ticks, and [packed_result]    *)
 (* turns them into a result whose trace materializes rationals only     *)
@@ -45,12 +46,16 @@ type tick_proc = {
   mutable t_missing : int;  (* wake-list registrations outstanding *)
 }
 
+(* a refusal of [compile]: the reason no grid holds the run *)
+let refuse fmt = Format.kasprintf invalid_arg ("Engine.run: " ^^ fmt)
+
 (* Compile the run's model times and [stamps] onto a tick grid, or
-   [None] when any of them cannot be represented (unpredictable
-   execution-time model, common-denominator overflow, horizon too large,
-   a negative C_LO) — the caller then uses the exact rational core, so
-   compilation failures degrade, never crash.  The grid holds no stamp:
-   [place] puts a run's stamps on it. *)
+   refuse the run, before any job body runs, with the reason no grid
+   holds it: a negative C_LO, a uniform model over a WCET whose
+   denominator exceeds max_int/1000 ([Exec_time.durations]), or times
+   whose common denominator, or whose ticks up to [frames·H], exceed
+   [Timebase]'s 2^55 cap.  The grid holds no stamp: [place] puts a
+   run's stamps on it. *)
 let compile ?monitor net (derived : Derive.t) sched config ~stamps =
   let g = derived.Derive.graph in
   let n = Graph.n_jobs g in
@@ -61,64 +66,68 @@ let compile ?monitor net (derived : Derive.t) sched config ~stamps =
     | Some m ->
       Array.map (fun j -> if m.is_hi j then Some (m.budget_lo j) else None) jobs
   in
-  match Exec_time.durations config.exec ~jobs with
-  | Exec_time.Opaque -> None
-  | _ when Array.exists (function Some c -> Rat.sign c < 0 | _ -> false) budgets ->
-    None
-  | (Exec_time.Fixed _ | Exec_time.Extras _) as durs -> (
-    let dur_times =
-      match durs with
+  Array.iteri
+    (fun i -> function
+      | Some c when Rat.sign c < 0 ->
+        refuse "the C_LO budget %a of %s is negative" Rat.pp c
+          (Job.label jobs.(i))
+      | _ -> ())
+    budgets;
+  let durs = Exec_time.durations config.exec ~jobs in
+  let ov = config.platform.Platform.overhead in
+  let times =
+    derived.Derive.hyperperiod :: ov.Platform.first_frame
+    :: ov.Platform.steady_frame :: ov.Platform.per_access
+    :: stamps
+    @ (match durs with
       | Exec_time.Fixed a -> Array.to_list a
-      | Exec_time.Extras l -> l
-      | Exec_time.Opaque -> []
-    in
-    match
-      let ov = config.platform.Platform.overhead in
-      let times =
-        derived.Derive.hyperperiod :: ov.Platform.first_frame
-        :: ov.Platform.steady_frame :: ov.Platform.per_access
-        :: stamps
-        @ dur_times
-        @ List.filter_map Fun.id (Array.to_list budgets)
-        @ Array.to_list (Array.map (fun j -> j.Job.wcet) jobs)
-        @ Array.to_list (Array.map (fun j -> j.Job.arrival) jobs)
-        @ List.init (Network.n_processes net) (fun p ->
-              Process.deadline (Network.process net p))
-      in
-      let horizon =
-        Rat.mul derived.Derive.hyperperiod (Rat.of_int config.frames)
-      in
-      Timebase.create ~horizon times
-    with
-    | exception Rat.Overflow -> None
-    | None -> None
-    | Some tb -> (
-      let ov = config.platform.Platform.overhead in
-      match
-        let tk = Timebase.ticks tb in
-        {
-          tb;
-          h_t = tk derived.Derive.hyperperiod;
-          first_t = tk ov.Platform.first_frame;
-          steady_t = tk ov.Platform.steady_frame;
-          per_access_t = tk ov.Platform.per_access;
-          arr_t = Array.map (fun j -> tk j.Job.arrival) jobs;
-          dl_rel_t =
-            Array.map
-              (fun j -> tk (Process.deadline (Network.process net j.Job.proc)))
-              jobs;
-          is_server = Array.map (fun j -> j.Job.is_server) jobs;
-          proc_of = Array.init n (Static_schedule.proc sched);
-          body_proc = Array.map (fun j -> j.Job.proc) jobs;
-          dur_t =
-            (match durs with
-            | Exec_time.Fixed a -> Some (Array.map tk a)
-            | Exec_time.Extras _ | Exec_time.Opaque -> None);
-          lo_t = Array.map (Option.fold ~none:(-1) ~some:tk) budgets;
-        }
-      with
-      | plan -> Some plan
-      | exception (Timebase.Inexact | Rat.Overflow) -> None))
+      | Exec_time.Extras l -> l)
+    @ List.filter_map Fun.id (Array.to_list budgets)
+    @ Array.to_list (Array.map (fun j -> j.Job.wcet) jobs)
+    @ Array.to_list (Array.map (fun j -> j.Job.arrival) jobs)
+    @ List.init (Network.n_processes net) (fun p ->
+          Process.deadline (Network.process net p))
+  in
+  let tb =
+    match Timebase.create times with
+    | Some tb -> tb
+    | None ->
+      refuse "no tick grid holds the run's times: their common denominator \
+              exceeds 2^55"
+  in
+  let tk r =
+    try Timebase.ticks tb r
+    with Rat.Overflow ->
+      refuse "no tick grid holds the time %a: it exceeds 2^55 ticks of 1/%d"
+        Rat.pp r (Timebase.den tb)
+  in
+  let h = derived.Derive.hyperperiod in
+  (match Timebase.ticks tb (Rat.mul h (Rat.of_int config.frames)) with
+  | _ -> ()
+  | exception Rat.Overflow ->
+    refuse "no tick grid holds the run: %d frames of the hyperperiod %a \
+            exceed 2^55 ticks of 1/%d"
+      config.frames Rat.pp h (Timebase.den tb));
+  {
+    tb;
+    h_t = tk h;
+    first_t = tk ov.Platform.first_frame;
+    steady_t = tk ov.Platform.steady_frame;
+    per_access_t = tk ov.Platform.per_access;
+    arr_t = Array.map (fun j -> tk j.Job.arrival) jobs;
+    dl_rel_t =
+      Array.map
+        (fun j -> tk (Process.deadline (Network.process net j.Job.proc)))
+        jobs;
+    is_server = Array.map (fun j -> j.Job.is_server) jobs;
+    proc_of = Array.init n (Static_schedule.proc sched);
+    body_proc = Array.map (fun j -> j.Job.proc) jobs;
+    dur_t =
+      (match durs with
+      | Exec_time.Fixed a -> Some (Array.map tk a)
+      | Exec_time.Extras _ -> None);
+    lo_t = Array.map (Option.fold ~none:(-1) ~some:tk) budgets;
+  }
 
 (* The window assignment's stamps on [plan]'s grid, as ticks at
    [frame·n + job], absent = [min_int]; [||] when there are none.

@@ -99,7 +99,12 @@ val run_epoch : ?pool:Rt_util.Pool.t -> t -> epoch_report
     published by the pool join): the task legalizes the tenant's batch
     ({!Ingest.legalize}) and runs its epoch on the tenant's engine
     session ({!Tenant.run_epoch}).  Tenant order never affects any
-    tenant's output — each epoch is an independent engine run. *)
+    tenant's output — each epoch is an independent engine run.
+    @raise Invalid_argument when a tenant's session refuses its epoch's
+    stamps: legal stamps that no tick grid holds with the tenant's
+    model times, such as a stamp [1/1000000000000037] ms off an
+    integer ([submit] takes any rational; [serve] submits integer ms).
+    Whatever a tenant's job body raises escapes too. *)
 
 val verify : ?pool:Rt_util.Pool.t -> t -> (string * bool) list
 (** The determinism oracle: for every tenant whose most recent epoch

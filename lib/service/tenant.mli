@@ -102,7 +102,9 @@ val run_epoch :
     tenant has none for [frames], records [sporadic] on the tenant, and
     returns the outcome.  Raises as {!Runtime.Engine.run_session} (in
     particular on an illegal sporadic trace — the service legalizes
-    before calling); an epoch that raises leaves no signature behind. *)
+    before calling — and on stamps no tick grid holds, which the session
+    refuses before any job body runs); an epoch that raises leaves no
+    signature behind. *)
 
 val last_signature : t -> (string * Fppn.Value.t list) list option
 (** The output signature of the most recent epoch, read on demand from

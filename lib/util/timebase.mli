@@ -11,9 +11,10 @@
     trace records.
 
     Construction is total: {!create} returns [None] whenever the common
-    denominator overflows or the requested horizon would not fit
-    comfortably in an [int] — callers fall back to the exact rational
-    path instead of crashing. *)
+    denominator, or the requested horizon in ticks, exceeds a magnitude
+    cap of 2^55, which leaves room for summing many of them in an
+    [int].  The engine refuses such a run, naming the reason, before
+    it executes any job. *)
 
 type t
 
@@ -26,8 +27,7 @@ exception Inexact
 val create : ?horizon:Rat.t -> Rat.t list -> t option
 (** [create ?horizon times] compiles the least common denominator of
     [times].  Returns [None] if that LCM overflows, or if it (or the
-    optional [horizon] expressed in ticks, with headroom for summing
-    many of them) exceeds a conservative magnitude cap. *)
+    optional [horizon] expressed in ticks) exceeds the 2^55 cap. *)
 
 val den : t -> int
 (** The common denominator: ticks per model-time unit. *)

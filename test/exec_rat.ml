@@ -1,16 +1,40 @@
 (* ------------------------------------------------------------------ *)
-(* Reference core: exact rational arithmetic, polling fixpoint.         *)
+(* The exact rational oracle of the engine: the seed interpreter of the *)
+(* online policy (Sec. IV), on rationals, with a polling fixpoint.      *)
 (*                                                                      *)
-(* The seed interpreter, reached only where no tick grid exists (an     *)
-(* opaque execution-time model, a grid overflow) and as the oracle the  *)
-(* tick core is differentially tested against, with or without the      *)
-(* criticality monitor of the mixed-criticality extension, whose        *)
-(* branches are inert without one.  It depends on no tick module, so    *)
-(* the oracle stays independent of the core it checks.                  *)
+(* The suites run it beside [Engine.run] and [Engine.run_session], with *)
+(* or without the criticality monitor of the mixed-criticality          *)
+(* extension, whose branches are inert without one, and expect the     *)
+(* same result or the same exception.  It shares only the validation    *)
+(* and window assignment ([Engine.validate_and_assign]) with the        *)
+(* engine, and nothing of its tick core, so the oracle stays            *)
+(* independent of the core it checks.  It needs no tick grid, so it    *)
+(* also runs the inputs the engine refuses.                             *)
 (* ------------------------------------------------------------------ *)
 
-open Prologue
+module Rat = Rt_util.Rat
 module Pqueue = Rt_util.Pqueue
+module Network = Fppn.Network
+module Process = Fppn.Process
+module Netstate = Fppn.Netstate
+module Graph = Taskgraph.Graph
+module Job = Taskgraph.Job
+module Derive = Taskgraph.Derive
+module Static_schedule = Sched.Static_schedule
+module Platform = Runtime.Platform
+module Exec_time = Runtime.Exec_time
+module Exec_trace = Runtime.Exec_trace
+module Engine = Runtime.Engine
+
+let frame_base h frame = Rat.mul h (Rat.of_int frame)
+
+let overhead_segments config h =
+  List.filter_map
+    (fun frame ->
+      let from = frame_base h frame
+      and oh = Platform.frame_overhead config.Engine.platform ~frame in
+      if Rat.sign oh > 0 then Some (frame, from, Rat.add from oh) else None)
+    (List.init config.Engine.frames Fun.id)
 
 type proc_state = {
   order : int array;
@@ -21,8 +45,12 @@ type proc_state = {
       (** job id + its record-in-progress while busy *)
 }
 
-let run ?monitor net (derived : Derive.t) sched config ~assigned
-    ~unhandled_events =
+(* [Engine.run ?monitor net derived sched config], interpreted *)
+let run ?monitor:(monitor : Engine.monitor option) net (derived : Derive.t) sched
+    (config : Engine.config) =
+  let assigned, unhandled_events =
+    Engine.validate_and_assign net derived sched config
+  in
   let g = derived.Derive.graph in
   let h = derived.Derive.hyperperiod in
   let state = Netstate.create net in
@@ -121,7 +149,7 @@ let run ?monitor net (derived : Derive.t) sched config ~assigned
         if degraded.(ps.frame) && not (is_hi j) then begin
           (* monitor: a degraded frame drops the LO jobs its processors
              reach, before any wait *)
-          Option.iter (fun m -> m.on_drop ()) monitor;
+          Option.iter (fun m -> m.Engine.on_drop ()) monitor;
           records :=
             record ps job j ~invoked:invocation ~finish:!now ~skipped:true
             :: !records;
@@ -217,10 +245,10 @@ let run ?monitor net (derived : Derive.t) sched config ~assigned
       !records
   in
   {
-    trace = Lazy.from_val trace;
+    Engine.trace = Lazy.from_val trace;
     channel_history = lazy (Netstate.channel_history state);
     output_history = lazy (Netstate.output_history state);
     stats = Exec_trace.stats trace;
     unhandled_events;
-    overhead_segments = lazy (overhead_segments_of config h);
+    overhead_segments = lazy (overhead_segments config h);
   }

@@ -271,7 +271,7 @@ let test_all_lo_equals_plain_engine () =
       (Runtime.Engine.default_config ~frames:3 ~n_procs:2 ())
   in
   let reference =
-    Runtime.Engine.run_reference net dual.Dual_schedule.derived
+    Exec_rat.run net dual.Dual_schedule.derived
       dual.Dual_schedule.lo_schedule
       (Runtime.Engine.default_config ~frames:3 ~n_procs:2 ())
   in
@@ -318,7 +318,7 @@ let test_all_lo_sporadic_servers () =
       config
   in
   let reference =
-    Engine.run_reference net dual.Dual_schedule.derived
+    Exec_rat.run net dual.Dual_schedule.derived
       dual.Dual_schedule.lo_schedule config
   in
   Alcotest.(check bool) "no switches" true (mc.Mc_engine.mode_switches = []);
@@ -481,11 +481,10 @@ let test_drop_at_the_next_wakeup () =
   Alcotest.(check bool) "at the duplicate wakeup" true
     (Rat.equal l.start (ms 10))
 
-(* --- the monitor on the tick core = the monitor on the rational core --- *)
+(* --- the monitor on the tick core = the monitor in the rational oracle --- *)
 
 module Randgen = Fppn_apps.Randgen
 module Platform = Runtime.Platform
-module Trace = Fppn_obs.Trace
 
 (* One monitored run: the result, the switch list and the drop count. *)
 let monitored runner spec net derived sched config =
@@ -511,10 +510,9 @@ let same_monitored (r1, s1, d1) (r2, s2, d2) =
   && List.equal (fun (f, t) (f', t') -> f = f' && Rat.equal t t') s1 s2
   && d1 = d2
 
-(* [Engine.run ~monitor] and [Engine.run_reference ~monitor] on the
+(* [Engine.run ~monitor] and [Exec_rat.run ~monitor] on the
    same inputs, as [Mc_engine.run] sets them up: every job's WCET is its
-   criticality budget.  Returns both runs, and whether the first one,
-   which is traced, ran on the rational core. *)
+   criticality budget.  Returns both runs. *)
 let run_both_monitored ~spec ~exec ~platform ~frames ~sporadic net
     (derived : Derive.t) sched =
   let budget j =
@@ -533,28 +531,17 @@ let run_both_monitored ~spec ~exec ~platform ~frames ~sporadic net
       inputs = Fppn.Netstate.no_inputs;
     }
   in
-  Trace.reset ();
-  Trace.set_enabled true;
   let tick =
-    Fun.protect
-      ~finally:(fun () -> Trace.set_enabled false)
-      (fun () ->
-        monitored
-          (fun ~monitor -> Engine.run ~monitor)
-          spec net derived sched (config ()))
-  in
-  let on_rat =
-    List.exists
-      (fun (h : Trace.hotspot) -> h.Trace.hname = "engine.exec.rat")
-      (Trace.hotspots ())
-  in
-  Trace.reset ();
-  let reference =
     monitored
-      (fun ~monitor -> Engine.run_reference ~monitor)
+      (fun ~monitor -> Engine.run ~monitor)
       spec net derived sched (config ())
   in
-  (tick, reference, on_rat)
+  let reference =
+    monitored
+      (fun ~monitor -> Exec_rat.run ~monitor)
+      spec net derived sched (config ())
+  in
+  (tick, reference)
 
 type mc_case = {
   seed : int;
@@ -730,9 +717,8 @@ let prop_monitor_differential =
     (fun c ->
       match run_mc_case c with
       | None -> true
-      | Some (tick, reference, on_rat) ->
-        if on_rat then QCheck2.Test.fail_reportf "fell back: %s" (mc_case_print c)
-        else if not (same_monitored tick reference) then
+      | Some (tick, reference) ->
+        if not (same_monitored tick reference) then
           QCheck2.Test.fail_reportf "mismatch: %s" (mc_case_print c)
         else true)
 
@@ -750,8 +736,7 @@ let test_drop_in_the_extra_sweep () =
       }
   with
   | None -> Alcotest.fail "no schedule"
-  | Some (((r, switches, _) as tick), reference, on_rat) ->
-    Alcotest.(check bool) "tick core" false on_rat;
+  | Some (((r, switches, _) as tick), reference) ->
     Alcotest.(check bool) "equals the reference" true
       (same_monitored tick reference);
     let logger =
@@ -764,10 +749,10 @@ let test_drop_in_the_extra_sweep () =
       && Rat.equal (List.assoc 1 switches) (ms 106))
 
 (* C_LO budgets over large coprime denominators: no tick grid holds
-   them and the horizon, so the monitored run falls back to the
-   rational core, and still equals the reference.  The schedule comes
-   from [mc_spec]'s integer budgets. *)
-let test_monitor_without_tick_grid () =
+   them over the three frames, so the monitored run is refused, with
+   the reason, before any job runs.  The schedule comes from
+   [mc_spec]'s integer budgets. *)
+let test_refuse_budgets_off_grid () =
   let net = mc_net () in
   let spec =
     Spec.of_list ~default_criticality:Spec.Lo
@@ -785,18 +770,18 @@ let test_monitor_without_tick_grid () =
     | Some a -> a.Sched.List_scheduler.schedule
     | None -> Alcotest.fail "unschedulable"
   in
-  let tick, reference, on_rat =
+  match
     run_both_monitored ~spec
       ~exec:(fun () -> Exec_time.profile (Spec.wcet_hi spec))
       ~platform:(Platform.create ~n_procs:2 ())
       ~frames:3 ~sporadic:[] net derived sched
-  in
-  let _, switches, drops = tick in
-  Alcotest.(check bool) "rational core" true on_rat;
-  Alcotest.(check int) "every frame switches" 3 (List.length switches);
-  Alcotest.(check bool) "LO jobs dropped" true (drops > 0);
-  Alcotest.(check bool) "equals the reference" true
-    (same_monitored tick reference)
+  with
+  | _ -> Alcotest.fail "the run was not refused"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "the reason"
+      "Engine.run: no tick grid holds the run: 3 frames of the hyperperiod \
+       100 exceed 2^55 ticks of 1/400000520000069"
+      msg
 
 let () =
   Alcotest.run "mixedcrit"
@@ -838,7 +823,7 @@ let () =
           prop_monitor_differential;
           Alcotest.test_case "drop in the extra sweep" `Quick
             test_drop_in_the_extra_sweep;
-          Alcotest.test_case "monitor without a tick grid" `Quick
-            test_monitor_without_tick_grid;
+          Alcotest.test_case "C_LO budgets on no tick grid are refused" `Quick
+            test_refuse_budgets_off_grid;
         ] );
     ]

@@ -788,6 +788,32 @@ let test_service_raising_epoch () =
   Alcotest.(check bool) "the signature is the standalone run's" true
     (Tenant.last_signature ten = Some (Tenant.standalone_signature ten ~frames:2))
 
+(* A stamp 1/1000000000000037 ms past an integer needs a grid of about
+   10^15 ticks per ms, past 2^55 ticks over fig1's epoch: the tenant's
+   session refuses the epoch, with the reason, and [run_epoch] raises
+   it.  No producer in the repo emits such a stamp ([serve] submits
+   integer ms), and whether one refused tenant may stop the epoch of
+   the others is the service's fault-containment question. *)
+let test_service_off_grid_stamp () =
+  let svc = Service.create ~procs:4 ~frames:2 () in
+  (match
+     Service.register svc ~name:"fig1" ~wcet:Fppn_apps.Fig1.wcet
+       (Fppn_apps.Fig1.network ())
+   with
+  | Ok _ -> ()
+  | Error r ->
+    Alcotest.failf "rejected: %s" (Json.to_string (Admission.reason_to_json r)));
+  let stamp = Rat.add (ms 50) (Rat.make 1 1_000_000_000_000_037) in
+  Alcotest.(check bool) "queued" true
+    (Service.submit svc ~tenant:"fig1" ~process:"CoefB" ~stamp);
+  match Service.run_epoch svc with
+  | _ -> Alcotest.fail "the epoch was not refused"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "the reason"
+      "Engine.run: no tick grid holds the run: 2 frames of the hyperperiod \
+       200 exceed 2^55 ticks of 1/1000000000000037"
+      msg
+
 (* a sporadic process with no channel to a periodic user is outside the
    Sec. III-A subclass: registering it is a verdict, not an exception *)
 let test_service_underivable () =
@@ -897,6 +923,8 @@ let () =
             test_service_zero_wcet_tenant;
           Alcotest.test_case "an epoch whose body raises" `Quick
             test_service_raising_epoch;
+          Alcotest.test_case "a stamp on no tick grid is refused" `Quick
+            test_service_off_grid_stamp;
           Alcotest.test_case "underivable tenant" `Quick
             test_service_underivable;
           Alcotest.test_case "hyperperiod overflow underivable" `Quick

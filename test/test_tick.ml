@@ -1,20 +1,23 @@
-(* Differential tests for the compiled tick-time engine core.
+(* Differential tests for the engine's tick-time core.
 
-   [Engine.run] compiles the simulation onto an integer tick grid when
-   it can; [Engine.run_reference] is the exact rational interpreter the
-   seed shipped with.  The two must agree bit-for-bit: same trace
-   records (rationals reconstructed from ticks are structurally equal)
-   and same channel/output histories, over random workloads covering
-   sporadic servers, execution-time jitter, frame overheads and
-   multiple processors.
+   [Engine.run] compiles the simulation onto an integer tick grid, or
+   refuses a run no grid holds; [Exec_rat.run] (test/exec_rat.ml) is
+   the exact rational interpreter the seed shipped with, kept here as
+   the oracle.  The two must agree bit-for-bit: same trace records
+   (rationals reconstructed from ticks are structurally equal) and same
+   channel/output histories, over random workloads covering sporadic
+   servers, execution-time jitter, frame overheads and multiple
+   processors.
 
    Beyond the random differential, targeted tests pin the replay
    machinery's edges: sporadic stamps landing mid-frame must disable
    hyperperiod replay, constant vs. variable durations must flip it on
    and off, >64-process networks must exercise the multi-word hot set,
    pooled scratch reuse across runs must stay invisible, and overload,
-   an order-infeasible schedule and a raising body must end as in the
-   reference. *)
+   an order-infeasible schedule, a raising body and a raising
+   execution-time profile must end as in the oracle.  Every refusal
+   reason is named, through [Engine.run] and through a session, before
+   any job body runs. *)
 
 module Rat = Rt_util.Rat
 module Timebase = Rt_util.Timebase
@@ -122,7 +125,7 @@ let run_both c =
   | None -> None
   | Some (net, d, sched, config) ->
     let tick = Engine.run net d sched (config ()) in
-    let reference = Engine.run_reference net d sched (config ()) in
+    let reference = Exec_rat.run net d sched (config ()) in
     Some (tick, reference)
 
 let identical tick reference =
@@ -164,7 +167,7 @@ let prop_sharded_vs_reference =
       | Some (net, d, sched, config) ->
         let shards = 1 + (c.seed mod 4) in
         let sharded = Engine.run_sharded ~shards net d sched (config ()) in
-        let reference = Engine.run_reference net d sched (config ()) in
+        let reference = Exec_rat.run net d sched (config ()) in
         Engine.signature sharded = Engine.signature reference)
 
 (* --- targeted replay / pooling edges --------------------------------- *)
@@ -200,7 +203,7 @@ let test_replay_engagement () =
         Engine.run net d sched (config Exec_time.constant))
   in
   Alcotest.(check int) "constant durations replay" 1 replays;
-  let reference = Engine.run_reference net d sched (config Exec_time.constant) in
+  let reference = Exec_rat.run net d sched (config Exec_time.constant) in
   Alcotest.(check bool) "replayed run identical" true (identical tick reference);
   let variable () = Exec_time.uniform ~seed:11 ~min_fraction:0.25 in
   let tick, replays =
@@ -208,7 +211,7 @@ let test_replay_engagement () =
         Engine.run net d sched (config (variable ())))
   in
   Alcotest.(check int) "variable durations never replay" 0 replays;
-  let reference = Engine.run_reference net d sched (config (variable ())) in
+  let reference = Exec_rat.run net d sched (config (variable ())) in
   Alcotest.(check bool)
     "event-loop run identical" true (identical tick reference)
 
@@ -228,7 +231,7 @@ let test_midframe_sporadic () =
     with_counter "engine.replays" (fun () -> Engine.run net d sched (config ()))
   in
   Alcotest.(check int) "mid-frame stamp disables replay" 0 replays;
-  let reference = Engine.run_reference net d sched (config ()) in
+  let reference = Exec_rat.run net d sched (config ()) in
   Alcotest.(check bool)
     "sporadic run identical" true (identical tick reference)
 
@@ -270,7 +273,7 @@ let test_replay_after_first_frame () =
           Engine.run net d sched (config ()))
     in
     Alcotest.(check int) "frames after frame 1 replayed" 1 replays;
-    let reference = Engine.run_reference net d sched (config ()) in
+    let reference = Exec_rat.run net d sched (config ()) in
     Alcotest.(check bool)
       "replayed run identical" true (identical tick reference)
 
@@ -296,7 +299,7 @@ let test_many_procs () =
     let sched = a.List_scheduler.schedule in
     let config = Engine.default_config ~frames:3 ~n_procs:70 () in
     let tick = Engine.run net d sched config in
-    let reference = Engine.run_reference net d sched config in
+    let reference = Exec_rat.run net d sched config in
     Alcotest.(check bool)
       ">64-process run identical" true (identical tick reference)
 
@@ -307,7 +310,7 @@ let test_many_procs () =
 let test_pooled_reruns () =
   let net, d, sched = fig1_setup ~n_procs:2 in
   let config = Engine.default_config ~frames:6 ~n_procs:2 () in
-  let reference = Engine.run_reference net d sched config in
+  let reference = Exec_rat.run net d sched config in
   let r1 = Engine.run net d sched config in
   let r2 = Engine.run net d sched config in
   Alcotest.(check bool)
@@ -349,8 +352,9 @@ let test_steady_frames_allocate_nothing () =
 (* --- run memo ------------------------------------------------------------ *)
 
 (* Interleaved keys: fig1 at 4 and 6 frames (one network, one kept
-   state), with a mid-frame stamp, and with a model whose opaque
-   durations leave no tick grid; automotive; and a monitored fig1 run,
+   state), with a mid-frame stamp, and with a profile that raises for
+   the idle CoefB, sampled per execution; automotive; and a monitored
+   fig1 run,
    never memoized, in between.  Every key recurs each round, so rounds
    1-2 compile (a first sighting, then an admission) and rounds 3-4 are
    served by the memo.  Lazy traces and histories are forced only after
@@ -368,7 +372,7 @@ let test_memo_interleaved () =
   let config frames = Engine.default_config ~frames ~n_procs:2 () in
   let four = config 4 and six = config 6 in
   let stamped = { six with Engine.sporadic = [ ("CoefB", [ ms 650 ]) ] } in
-  let opaque =
+  let sampled =
     {
       (config 3) with
       Engine.exec =
@@ -383,7 +387,7 @@ let test_memo_interleaved () =
       on_drop = ignore;
     }
   in
-  (* each key, run on [Engine.run] or on the reference *)
+  (* each key, run on [Engine.run] or on the oracle *)
   let keys =
     [
       ("fig1, 4 frames", fun run -> run None net d sched four);
@@ -391,11 +395,11 @@ let test_memo_interleaved () =
       ("fig1, 6 frames", fun run -> run None net d sched six);
       ("monitored fig1", fun run -> run (Some (monitor ())) net d sched six);
       ("fig1 with a stamp", fun run -> run None net d sched stamped);
-      ("fig1, no tick grid", fun run -> run None net d sched opaque);
+      ("fig1, durations sampled per execution", fun run -> run None net d sched sampled);
     ]
   in
   let tick monitor = Engine.run ?monitor
-  and reference monitor = Engine.run_reference ?monitor in
+  and reference monitor = Exec_rat.run ?monitor in
   let rounds = 4 in
   let results, hits =
     with_counter "engine.memo_hits" (fun () ->
@@ -518,7 +522,7 @@ let test_access_counting_toggle () =
       Alcotest.(check int) (label ^ ": tick core") 4 frames;
       Alcotest.(check bool)
         label true
-        (identical r (Engine.run_reference net d sched config)))
+        (identical r (Exec_rat.run net d sched config)))
     [ Rat.zero; Rat.make 1 50; Rat.zero ]
 
 (* [Exec_time.profile] exposes per-job durations through
@@ -537,17 +541,16 @@ let test_profile_tick () =
     with_counter "engine.frames" (fun () -> Engine.run net d sched config)
   in
   Alcotest.(check int) "profile compiles onto tick path" 3 tick_frames;
-  let r2 = Engine.run_reference net d sched config in
+  let r2 = Exec_rat.run net d sched config in
   Alcotest.(check bool) "profile run identical" true (identical r1 r2)
 
-(* Genuine fallback: a profile that raises for some process hides its
-   durations behind the exception, so [Exec_time.durations] degrades to
-   [Opaque], tick compilation declines, and [Engine.run] must execute
-   the exact rational interpreter — observable as no "engine.frames"
-   counter.  The raising process is fig1's sporadic CoefB with no
-   stamps configured: its server slots are all skipped, so the
-   poisoned profile is never sampled at runtime. *)
-let test_rat_fallback () =
+(* A profile that raises for fig1's sporadic CoefB keeps the other
+   processes' durations as the grid's extras, and the run samples per
+   execution.  With no stamps configured, CoefB's server slots are all
+   skipped, so the raising profile is never sampled: the run goes on
+   the tick core (the "engine.frames" counter is the tick core's) and
+   ends as the oracle's. *)
+let test_profile_raising_idle () =
   let net, d, sched = fig1_setup ~n_procs:2 in
   let profile () =
     Exec_time.profile (fun name -> if name = "CoefB" then raise Exit else ms 1)
@@ -559,9 +562,9 @@ let test_rat_fallback () =
     with_counter "engine.frames" (fun () ->
         Engine.run net d sched (config (profile ())))
   in
-  Alcotest.(check int) "opaque durations: rational path ran" 0 tick_frames;
-  let r2 = Engine.run_reference net d sched (config (profile ())) in
-  Alcotest.(check bool) "fallback run identical" true (identical r1 r2)
+  Alcotest.(check int) "the tick core ran" 3 tick_frames;
+  let r2 = Exec_rat.run net d sched (config (profile ())) in
+  Alcotest.(check bool) "run identical to the oracle's" true (identical r1 r2)
 
 (* --- runs that miss, stall or raise ------------------------------------ *)
 
@@ -569,7 +572,7 @@ let test_rat_fallback () =
    raise the same exception *)
 let check_against_reference net d sched config =
   let outcome f = try Ok (f net d sched (config ())) with e -> Error e in
-  match (outcome Engine.run, outcome Engine.run_reference) with
+  match (outcome Engine.run, outcome Exec_rat.run) with
   | Ok tick, Ok reference ->
     Alcotest.(check bool) "identical to the reference" true
       (identical tick reference);
@@ -666,6 +669,20 @@ let test_raising_body () =
     Alcotest.check_raises "the body's exception" (Failure "R: third job")
       (fun () -> ignore (check_against_reference net d sched config))
 
+(* the same profile raising for FilterA, which runs in every frame: the
+   run raises what the oracle raises, when FilterA first executes *)
+let test_profile_raising_executed () =
+  let net, d, sched = fig1_setup ~n_procs:2 in
+  let config () =
+    {
+      (Engine.default_config ~frames:3 ~n_procs:2 ()) with
+      Engine.exec =
+        Exec_time.profile (fun name -> if name = "FilterA" then raise Exit else ms 1);
+    }
+  in
+  Alcotest.check_raises "the profile's exception" Exit (fun () ->
+      ignore (check_against_reference net d sched config))
+
 (* --- sessions ---------------------------------------------------------- *)
 
 (* One epoch's sporadic traces: none, legal random ones, the same moved
@@ -704,7 +721,7 @@ let traces_of net ~horizon = function
       [ (name, List.init (burst + 1) (fun _ -> Rat.zero)) ]
     | [] -> [ ("no-such-process", [ Rat.zero ]) ])
 
-(* [run_session] beside a fresh [Engine.run] and [Engine.run_reference]
+(* [run_session] beside a fresh [Engine.run] and [Exec_rat.run]
    of the same epoch: the same result, or the same exception, and
    [Engine.last_signature] is the fresh run's signature, or [None] *)
 let session_agrees session ~fresh ~reference ~sporadic =
@@ -744,7 +761,7 @@ let prop_session_differential =
               ~fresh:(fun sporadic ->
                 Engine.run net d sched { fresh_config with Engine.sporadic })
               ~reference:(fun sporadic ->
-                Engine.run_reference net d sched
+                Exec_rat.run net d sched
                   { reference_config with Engine.sporadic }))
           epochs)
 
@@ -764,7 +781,7 @@ let test_session_paths () =
       ~fresh:(fun sporadic ->
         Engine.run net d sched { config with Engine.sporadic })
       ~reference:(fun sporadic ->
-        Engine.run_reference net d sched { config with Engine.sporadic })
+        Exec_rat.run net d sched { config with Engine.sporadic })
   in
   let run sporadic = compiles (fun () -> Engine.run_session session ~sporadic) in
   let legal = Randgen.random_traces ~seed:3 ~horizon ~density:0.5 net in
@@ -807,7 +824,7 @@ let test_session_raising_body () =
   let agrees () =
     session_agrees session ~sporadic:[]
       ~fresh:(fun _ -> Engine.run net d sched config)
-      ~reference:(fun _ -> Engine.run_reference net d sched config)
+      ~reference:(fun _ -> Exec_rat.run net d sched config)
   in
   Alcotest.(check bool) "first epoch" true (agrees ());
   armed := true;
@@ -817,6 +834,140 @@ let test_session_raising_body () =
     (Engine.last_signature session = None);
   armed := false;
   Alcotest.(check bool) "third epoch equals a fresh run" true (agrees ())
+
+(* --- refusals ------------------------------------------------------------ *)
+
+(* S, sporadic, feeds its user P; both bodies count their calls *)
+let counting_net calls =
+  let module B = Fppn.Network.Builder in
+  let module P = Fppn.Process in
+  let body = P.Native (fun _ -> incr calls) in
+  let b = B.create "counting" in
+  B.add_process b
+    (P.make ~name:"P"
+       ~event:(Fppn.Event.periodic ~period:(ms 100) ~deadline:(ms 100) ())
+       body);
+  B.add_process b
+    (P.make ~name:"S"
+       ~event:(Fppn.Event.sporadic ~min_period:(ms 100) ~deadline:(ms 100) ())
+       body);
+  B.add_channel b ~kind:Fppn.Channel.Blackboard ~writer:"S" ~reader:"P" "c";
+  B.add_priority b "S" "P";
+  B.finish_exn b
+
+(* the counting network with WCETs [wcet] on one processor, its call
+   counter, and the two-frame config of the model [exec ()].  The
+   schedule comes from WCETs of 10 ms, as the scheduler's own rationals
+   may not hold [wcet]'s. *)
+let counting_setup ?(exec = fun () -> Exec_time.constant) wcet =
+  let calls = ref 0 in
+  let net = counting_net calls in
+  let d = Derive.derive_exn ~wcet net in
+  let d10 = Derive.derive_exn ~wcet:(Derive.const_wcet (ms 10)) net in
+  match snd (List_scheduler.auto ~n_procs:1 d10.Derive.graph) with
+  | None -> Alcotest.fail "counting network unschedulable"
+  | Some a ->
+    let config () =
+      {
+        (Engine.default_config ~frames:2 ~n_procs:1 ()) with
+        Engine.exec = exec ();
+      }
+    in
+    (calls, net, d, a.List_scheduler.schedule, config)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* [f ()] raises [Invalid_argument] with a message naming [reason] *)
+let refused ~reason what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: not refused" what
+  | exception Invalid_argument msg ->
+    if not (contains msg reason) then
+      Alcotest.failf "%s: %S does not name %S" what msg reason
+
+(* model times no grid holds: [Engine.run] and [Engine.session] refuse
+   them with the reason, and no body runs *)
+let check_refusal ~reason ?exec wcet =
+  let calls, net, d, sched, config = counting_setup ?exec wcet in
+  refused ~reason "Engine.run" (fun () -> Engine.run net d sched (config ()));
+  refused ~reason "Engine.session" (fun () ->
+      Engine.session net d sched (config ()));
+  Alcotest.(check int) "no body ran" 0 !calls
+
+(* WCETs 1/300000007 and 1/300000023: their lcm, 9·10^16, is past 2^55 *)
+let test_refuse_denominator () =
+  check_refusal ~reason:"common denominator exceeds 2^55" (function
+    | "P" -> Rat.make 1 300_000_007
+    | _ -> Rat.make 1 300_000_023)
+
+(* WCETs of 10^-16 ms on a 100 ms hyperperiod: 2·10^18 ticks in two
+   frames *)
+let test_refuse_horizon () =
+  check_refusal ~reason:"2 frames of the hyperperiod 100 exceed 2^55 ticks"
+    (Derive.const_wcet (Rat.make 1 10_000_000_000_000_000))
+
+(* an integer grid, but a duration of 10^17 ms *)
+let test_refuse_time () =
+  check_refusal ~reason:"exceeds 2^55 ticks"
+    ~exec:(fun () ->
+      Exec_time.profile (fun name ->
+          if name = "P" then ms 100_000_000_000_000_000 else ms 1))
+    (Derive.const_wcet (ms 10))
+
+(* uniform draws over a WCET of 10^-16 ms: quantized to 1/1000 of it,
+   they need a denominator past max_int *)
+let test_refuse_uniform () =
+  check_refusal ~reason:"exceeds max_int/1000"
+    ~exec:(fun () -> Exec_time.uniform ~seed:1 ~min_fraction:0.5)
+    (Derive.const_wcet (Rat.make 1 10_000_000_000_000_000))
+
+(* a monitored run whose HI job has a negative C_LO; sessions take no
+   monitor *)
+let test_refuse_negative_budget () =
+  let calls, net, d, sched, config = counting_setup (Derive.const_wcet (ms 10)) in
+  let monitor =
+    {
+      Engine.is_hi = (fun j -> j.Taskgraph.Job.proc_name = "P");
+      budget_lo = (fun _ -> ms (-1));
+      on_switch = (fun _ _ -> ());
+      on_drop = ignore;
+    }
+  in
+  refused ~reason:"C_LO budget -1 of P[1] is negative" "Engine.run ~monitor"
+    (fun () -> Engine.run ~monitor net d sched (config ()));
+  Alcotest.(check int) "no body ran" 0 !calls
+
+(* a stamp 10^-15 ms off the integer grid: a grid holding it needs
+   10^17 ticks per frame.  [Engine.run] refuses it; a session refuses
+   the epoch, leaves no signature, and runs the next legal stamps as a
+   fresh run and the oracle do *)
+let test_refuse_stamp () =
+  let calls, net, d, sched, config = counting_setup (Derive.const_wcet (ms 10)) in
+  let reason = "frames of the hyperperiod 100 exceed 2^55 ticks" in
+  let off = [ ("S", [ Rat.add (ms 50) (Rat.make 1 1_000_000_000_000_037) ]) ] in
+  refused ~reason "Engine.run" (fun () ->
+      Engine.run net d sched { (config ()) with Engine.sporadic = off });
+  Alcotest.(check int) "no body ran" 0 !calls;
+  let session = Engine.session net d sched (config ()) in
+  let agrees sporadic =
+    session_agrees session ~sporadic
+      ~fresh:(fun sporadic ->
+        Engine.run net d sched { (config ()) with Engine.sporadic })
+      ~reference:(fun sporadic ->
+        Exec_rat.run net d sched { (config ()) with Engine.sporadic })
+  in
+  Alcotest.(check bool) "a legal epoch" true (agrees [ ("S", [ ms 50 ]) ]);
+  let before = !calls in
+  refused ~reason "Engine.run_session" (fun () ->
+      Engine.run_session session ~sporadic:off);
+  Alcotest.(check int) "no body ran in the refused epoch" before !calls;
+  Alcotest.(check bool) "no signature after the refusal" true
+    (Engine.last_signature session = None);
+  Alcotest.(check bool) "the next legal epoch" true
+    (agrees [ ("S", [ ms 150 ]) ])
 
 (* --- Timebase -------------------------------------------------------- *)
 
@@ -886,17 +1037,35 @@ let () =
           Alcotest.test_case "run memo: access counting on and off" `Quick
             test_access_counting_toggle;
           Alcotest.test_case "profile tick-compiles" `Quick test_profile_tick;
-          Alcotest.test_case "rational fallback" `Quick test_rat_fallback;
+          Alcotest.test_case
+            "a profile raising for an idle process runs on the tick core"
+            `Quick test_profile_raising_idle;
           Alcotest.test_case "overload past the frame boundary" `Quick
             test_overload;
           Alcotest.test_case "order-infeasible schedule" `Quick
             test_order_infeasible;
           Alcotest.test_case "raising body propagates" `Quick test_raising_body;
+          Alcotest.test_case
+            "a profile raising for an executed process raises as the oracle"
+            `Quick test_profile_raising_executed;
           prop_session_differential;
           Alcotest.test_case "session: replay, recompile, refusal" `Quick
             test_session_paths;
           Alcotest.test_case "session: an epoch whose body raises" `Quick
             test_session_raising_body;
+        ] );
+      ( "refusals",
+        [
+          Alcotest.test_case "a common denominator past 2^55" `Quick
+            test_refuse_denominator;
+          Alcotest.test_case "frames of H past 2^55 ticks" `Quick
+            test_refuse_horizon;
+          Alcotest.test_case "a time past 2^55 ticks" `Quick test_refuse_time;
+          Alcotest.test_case "uniform draws on no grid" `Quick
+            test_refuse_uniform;
+          Alcotest.test_case "a negative C_LO" `Quick
+            test_refuse_negative_budget;
+          Alcotest.test_case "stamps on no grid" `Quick test_refuse_stamp;
         ] );
       ( "timebase",
         [
