@@ -14,9 +14,9 @@ let checked_mul a b =
     let p = a * b in
     if p / b = a && Stdlib.abs p < magnitude_cap then Some p else None
 
-let create ?horizon times =
+let create times =
   let rec fold acc = function
-    | [] -> Some acc
+    | [] -> Some { den = acc }
     | r :: rest ->
       let d = Rat.den r in
       let g = Rat.gcd_int acc d in
@@ -24,20 +24,7 @@ let create ?horizon times =
       | Some l -> fold l rest
       | None -> None)
   in
-  match fold 1 times with
-  | None -> None
-  | Some den -> (
-    let t = { den } in
-    match horizon with
-    | None -> Some t
-    | Some h ->
-      (* the horizon must fit with headroom left for deadlines and
-         overheads stacked on top of it *)
-      if den mod Rat.den h <> 0 then None
-      else (
-        match checked_mul (Rat.num h) (den / Rat.den h) with
-        | Some _ -> Some t
-        | None -> None))
+  fold 1 times
 
 let den t = t.den
 

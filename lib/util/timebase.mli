@@ -11,10 +11,10 @@
     trace records.
 
     Construction is total: {!create} returns [None] whenever the common
-    denominator, or the requested horizon in ticks, exceeds a magnitude
-    cap of 2^55, which leaves room for summing many of them in an
-    [int].  The engine refuses such a run, naming the reason, before
-    it executes any job. *)
+    denominator exceeds a magnitude cap of 2^55, and {!ticks} raises
+    for a value whose ticks exceed it; the cap leaves room for summing
+    many tick values in an [int].  The engine refuses a run that meets
+    either, naming the reason, before it executes any job. *)
 
 type t
 
@@ -24,10 +24,9 @@ exception Inexact
     from the rationals passed to {!create} under [+], [-], [min],
     [max], or multiplication by integers. *)
 
-val create : ?horizon:Rat.t -> Rat.t list -> t option
-(** [create ?horizon times] compiles the least common denominator of
-    [times].  Returns [None] if that LCM overflows, or if it (or the
-    optional [horizon] expressed in ticks) exceeds the 2^55 cap. *)
+val create : Rat.t list -> t option
+(** [create times] compiles the least common denominator of [times].
+    Returns [None] if that LCM overflows or exceeds the 2^55 cap. *)
 
 val den : t -> int
 (** The common denominator: ticks per model-time unit. *)
@@ -35,7 +34,7 @@ val den : t -> int
 val ticks : t -> Rat.t -> int
 (** Exact conversion to ticks.
     @raise Inexact if the denominator is not covered.
-    @raise Rat.Overflow if the scaled numerator overflows. *)
+    @raise Rat.Overflow if the ticks exceed the 2^55 cap. *)
 
 val ticks_opt : t -> Rat.t -> int option
 (** {!ticks} returning [None] instead of raising. *)

@@ -994,13 +994,12 @@ let test_timebase_overflow () =
   let times = List.map (fun d -> Rat.make 1 d) big in
   Alcotest.(check bool) "LCM overflow yields None" true
     (Timebase.create times = None);
-  (* a representable grid whose horizon does not fit must also decline *)
+  (* on a representable grid, a horizon that does not fit overflows *)
   match Timebase.create [ Rat.one ] with
   | None -> Alcotest.fail "unit grid must build"
-  | Some _ ->
-    Alcotest.(check bool)
-      "oversized horizon yields None" true
-      (Timebase.create ~horizon:(Rat.of_int max_int) [ Rat.one ] = None)
+  | Some tb ->
+    Alcotest.check_raises "oversized horizon overflows" Rat.Overflow (fun () ->
+        ignore (Timebase.ticks tb (Rat.of_int max_int)))
 
 let prop_timebase_roundtrip =
   qprop "of_ticks inverts ticks exactly" ~count:300
