@@ -73,11 +73,14 @@ module Builder = struct
     let procs = Array.of_list (List.rev b.b_procs) in
     let chans = List.rev b.b_chans in
     let fp_names =
-      (* dedup while keeping first-declaration order *)
-      List.rev
-        (List.fold_left
-           (fun acc e -> if List.mem e acc then acc else e :: acc)
-           [] (List.rev b.b_fp))
+      (* the first of duplicate declarations, in declaration order *)
+      let seen = Hashtbl.create (List.length b.b_fp) in
+      List.filter
+        (fun e ->
+          let fresh = not (Hashtbl.mem seen e) in
+          if fresh then Hashtbl.add seen e ();
+          fresh)
+        (List.rev b.b_fp)
     in
     let ios = List.rev b.b_ios in
     let errors = ref [] in
@@ -213,24 +216,35 @@ let pp_user_error ppf = function
   | User_period_too_large { sporadic; user } ->
     Format.fprintf ppf "user %S has a larger period than sporadic %S" user sporadic
 
+let channel_partners n ~keep ends chans =
+  let partners = Array.make n [] in
+  let rec any p = p < n && (keep p || any (p + 1)) in
+  if any 0 then begin
+    List.iter
+      (fun c ->
+        let w, r = ends c in
+        if keep w then partners.(w) <- r :: partners.(w);
+        if keep r && r <> w then partners.(r) <- w :: partners.(r))
+      chans;
+    Array.map_inplace (List.sort_uniq Int.compare) partners
+  end;
+  partners
+
 let user_map t =
   let errors = ref [] in
   let err e = errors := e :: !errors in
   let n = Array.length t.procs in
   let result = Array.make n None in
+  let partners =
+    channel_partners n
+      ~keep:(fun p -> Process.is_sporadic t.procs.(p))
+      (fun c -> (Hashtbl.find t.proc_index c.writer, Hashtbl.find t.proc_index c.reader))
+      t.chans
+  in
   for p = 0 to n - 1 do
     let proc = t.procs.(p) in
     if Process.is_sporadic proc then begin
-      let partners =
-        List.sort_uniq Int.compare
-          (List.concat_map
-             (fun c ->
-               let w = Hashtbl.find t.proc_index c.writer
-               and r = Hashtbl.find t.proc_index c.reader in
-               if w = p then [ r ] else if r = p then [ w ] else [])
-             t.chans)
-      in
-      match partners with
+      match partners.(p) with
       | [] -> err (No_user (Process.name proc))
       | [ u ] ->
         let uproc = t.procs.(u) in

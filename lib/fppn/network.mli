@@ -68,6 +68,10 @@ module Builder : sig
   val add_output : b -> owner:string -> string -> unit
 
   val finish : b -> (net, error list) result
+  (** Validates the declarations.  Of duplicate priority declarations
+      the first is kept, so {!fp_edges} lists each edge once, in the
+      order of first declaration.  Linear in processes + channels +
+      priority and external channel declarations. *)
 
   val finish_exn : b -> net
   (** @raise Invalid_argument listing all validation errors. *)
@@ -123,10 +127,22 @@ type user_error =
 
 val pp_user_error : Format.formatter -> user_error -> unit
 
+val channel_partners :
+  int -> keep:(int -> bool) -> ('c -> int * int) -> 'c list -> int list array
+(** [channel_partners n ~keep ends chans]: for each process index
+    [p < n] with [keep p], the other endpoints of the channels of
+    [chans] that touch [p], ascending and without duplicates, where
+    [ends c] is the (writer, reader) index pair of [c]; [[]] for every
+    other [p].  One pass over [chans], and none when no [p] is kept.
+    {!user_map} and lint's Sec. III-A pass take a sporadic process's
+    users from it. *)
+
 val user_map : t -> (int option array, user_error list) result
 (** Sec. III-A restriction: for each sporadic process [p], the unique
     periodic process [u(p)] connected to [p] by a channel, with
-    [T_u(p) <= T_p].  Entry is [None] for periodic processes. *)
+    [T_u(p) <= T_p].  Entry is [None] for periodic processes.  Errors
+    come in process order.  Linear in processes + channels; a network
+    without sporadic processes builds no partner index. *)
 
 val to_dot : t -> string
 (** Graphviz rendering in the style of Fig. 1: solid arrows for

@@ -55,7 +55,9 @@ let code_id c = Printf.sprintf "FPPN%03d" (code_number c)
 let all_codes =
   [
     (Source_error, Error, "source file does not lex, parse or elaborate");
-    (Unknown_process_ref, Error, "channel or priority references an undeclared process");
+    ( Unknown_process_ref,
+      Error,
+      "channel, priority or external channel references an undeclared process" );
     (Duplicate_process_decl, Error, "process name declared more than once");
     (Self_channel_decl, Error, "channel connects a process to itself");
     (Duplicate_channel_decl, Error, "channel name declared more than once");

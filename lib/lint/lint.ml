@@ -72,6 +72,14 @@ let lint_model ?processors (m : Model.t) =
         !ok)
       m.Model.m_fp
   in
+  List.iter
+    (fun (io : Model.io) ->
+      if not (known io.Model.io_owner) then
+        emit ?pos:io.Model.io_pos D.Unknown_process_ref
+          ~subject:("external channel " ^ io.Model.io_name)
+          (spf "owner %s of external channel %s is not a declared process"
+             io.Model.io_owner io.Model.io_name))
+    m.Model.m_ios;
 
   (* --- pass 2: FP graph hygiene ---------------------------------------- *)
   let g = G.create n in
@@ -228,19 +236,17 @@ let lint_model ?processors (m : Model.t) =
     pairs;
 
   (* --- pass 3: Sec. III-A scheduling subclass -------------------------- *)
+  let partners =
+    Fppn.Network.channel_partners n
+      ~keep:(fun p -> procs.(p).Model.p_sporadic)
+      (fun (c : Model.chan) -> (idx c.Model.c_writer, idx c.Model.c_reader))
+      valid_chans
+  in
   Array.iteri
     (fun p (proc : Model.proc) ->
       if proc.Model.p_sporadic && idx proc.Model.p_name = p then begin
         let subject = "process " ^ proc.Model.p_name in
-        let partners =
-          List.sort_uniq Int.compare
-            (List.concat_map
-               (fun (c : Model.chan) ->
-                 let w = idx c.Model.c_writer and r = idx c.Model.c_reader in
-                 if w = p then [ r ] else if r = p then [ w ] else [])
-               valid_chans)
-        in
-        match partners with
+        match partners.(p) with
         | [] ->
           emit ?pos:proc.Model.p_pos D.Sporadic_without_user ~subject
             (spf

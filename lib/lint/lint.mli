@@ -1,8 +1,8 @@
 (** The multi-pass static analyzer.
 
     Five passes over a {!Model.t} (after a structural pre-pass that
-    resolves names and flags dangling references, duplicates and self
-    channels):
+    resolves names and flags duplicates, self channels, and channels,
+    priorities or external channels naming an undeclared process):
 
     + {b determinism races} (FPPN010/011) — process pairs that can
       touch a common channel at a coinciding invocation instant must be
@@ -17,7 +17,8 @@
       against a channel's data-flow direction.
     + {b Sec. III-A subclass} (FPPN030..033) — every sporadic process
       has exactly one user, periodic, with [T_u <= T_p]; mirrors
-      [Fppn.Network.user_map].
+      [Fppn.Network.user_map], taking the users from the same
+      [Fppn.Network.channel_partners].
     + {b channel misuse} (FPPN040/041/042) — channels never read or
       never written by behaviors whose channel accesses are statically
       known, and FIFO rate mismatches computed from periods alone

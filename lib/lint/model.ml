@@ -21,12 +21,15 @@ type chan = {
   c_pos : Ast.pos option;
 }
 
+type io = { io_name : string; io_owner : string; io_pos : Ast.pos option }
+
 type t = {
   m_name : string;
   m_file : string option;
   m_procs : proc list;
   m_chans : chan list;
   m_fp : (string * string * Ast.pos option) list;
+  m_ios : io list;
 }
 
 let of_network ?file ?(wcet = fun _ -> None) net =
@@ -70,7 +73,20 @@ let of_network ?file ?(wcet = fun _ -> None) net =
   let fp =
     List.map (fun (hi, lo) -> (name_of hi, name_of lo, None)) (N.fp_edges net)
   in
-  { m_name = N.name net; m_file = file; m_procs = procs; m_chans = chans; m_fp = fp }
+  let ios =
+    List.map
+      (fun (io : N.io_decl) ->
+        { io_name = io.N.io_name; io_owner = io.N.owner; io_pos = None })
+      (N.inputs net @ N.outputs net)
+  in
+  {
+    m_name = N.name net;
+    m_file = file;
+    m_procs = procs;
+    m_chans = chans;
+    m_fp = fp;
+    m_ios = ios;
+  }
 
 let machine_accesses (m : Ast.machine) =
   let reads = ref [] and writes = ref [] in
@@ -132,12 +148,23 @@ let of_ast ?file (n : Ast.network) =
       n.Ast.channels
   in
   let fp = List.map (fun (hi, lo, p) -> (hi, lo, Some p)) n.Ast.priorities in
+  let ios =
+    List.map
+      (fun (io : Ast.io_decl) ->
+        {
+          io_name = io.Ast.io_name;
+          io_owner = io.Ast.io_owner;
+          io_pos = Some io.Ast.io_pos;
+        })
+      n.Ast.ios
+  in
   {
     m_name = n.Ast.n_name;
     m_file = file;
     m_procs = procs;
     m_chans = chans;
     m_fp = fp;
+    m_ios = ios;
   }
 
 let of_spec (s : Fppn_apps.Randgen.spec) =
@@ -238,4 +265,5 @@ let of_spec (s : Fppn_apps.Randgen.spec) =
     m_procs = periodic_procs @ sporadic_procs;
     m_chans = chans;
     m_fp = fp;
+    m_ios = [];
   }

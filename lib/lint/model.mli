@@ -36,6 +36,13 @@ type chan = {
   c_pos : Fppn_lang.Ast.pos option;
 }
 
+type io = {
+  io_name : string;
+  io_owner : string;
+  io_pos : Fppn_lang.Ast.pos option;
+}
+(** An external input or output channel and the process that owns it. *)
+
 type t = {
   m_name : string;
   m_file : string option;
@@ -43,6 +50,7 @@ type t = {
   m_chans : chan list;
   m_fp : (string * string * Fppn_lang.Ast.pos option) list;
       (** declared functional-priority edges [hi -> lo] *)
+  m_ios : io list;  (** declared external channels *)
 }
 
 val of_network :

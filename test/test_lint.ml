@@ -49,6 +49,8 @@ let test_structure_codes () =
   channel blackboard e : A -> A;
   channel blackboard e : A -> A;
   priority A -> Y;
+  input i -> A;
+  output Z -> o;
 }|}
   in
   check_line "FPPN002" 3 (find_code "FPPN002" ds);
@@ -60,7 +62,19 @@ let test_structure_codes () =
        (fun d ->
          D.code_id d.D.code = "FPPN001"
          && d.D.subject = "priority A -> Y")
-       ds)
+       ds);
+  (* elaboration refuses an external channel owned by no process; a
+     declared owner is fine *)
+  match
+    List.filter (fun d -> d.D.subject = "external channel o") ds,
+    List.filter (fun d -> d.D.subject = "external channel i") ds
+  with
+  | [ d ], [] ->
+    Alcotest.(check string) "code" "FPPN001" (D.code_id d.D.code);
+    check_line "FPPN001 (external channel)" 10 d
+  | o, i ->
+    Alcotest.failf "expected one finding on output o and none on input i, got %d and %d"
+      (List.length o) (List.length i)
 
 let test_determinism_race () =
   let ds =

@@ -211,6 +211,251 @@ let test_fig1_shape () =
       (Some (Network.find net "FilterB"))
       users.(Network.find net "CoefB")
 
+(* --- the linear scans against quadratic reference scans ---------------- *)
+
+module Prng = Rt_util.Prng
+module Digraph = Rt_util.Digraph
+module D = Fppn_lint.Diagnostic
+
+(* a network's declarations, in the order they are made *)
+type decls = {
+  d_procs : Process.t list;
+  d_chans : Network.channel_decl list;
+  d_fp : (string * string) list;
+  d_ios : Network.io_decl list;
+}
+
+let builder_of d =
+  let b = Network.Builder.create "drawn" in
+  List.iter (Network.Builder.add_process b) d.d_procs;
+  List.iter
+    (fun (c : Network.channel_decl) ->
+      Network.Builder.add_channel b ~kind:c.Network.ch_kind ~writer:c.Network.writer
+        ~reader:c.Network.reader c.Network.ch_name)
+    d.d_chans;
+  List.iter (fun (hi, lo) -> Network.Builder.add_priority b hi lo) d.d_fp;
+  List.iter
+    (fun (io : Network.io_decl) ->
+      match io.Network.dir with
+      | Network.In -> Network.Builder.add_input b ~owner:io.Network.owner io.Network.io_name
+      | Network.Out -> Network.Builder.add_output b ~owner:io.Network.owner io.Network.io_name)
+    d.d_ios;
+  b
+
+(* [Network.Builder.finish] with its first-occurrence dedup by [List.mem]
+   over the growing list, returning the FP edges in place of the network *)
+let finish_oracle d =
+  let procs = Array.of_list d.d_procs in
+  let chans = d.d_chans in
+  let fp_names =
+    (* dedup while keeping first-declaration order *)
+    List.rev
+      (List.fold_left
+         (fun acc e -> if List.mem e acc then acc else e :: acc)
+         [] d.d_fp)
+  in
+  let ios = d.d_ios in
+  let errors = ref [] in
+  let err e = errors := e :: !errors in
+  if Array.length procs = 0 then err Network.Empty_network;
+  let proc_index = Hashtbl.create 16 in
+  Array.iteri
+    (fun i p ->
+      let n = Process.name p in
+      if Hashtbl.mem proc_index n then err (Network.Duplicate_process n)
+      else Hashtbl.add proc_index n i)
+    procs;
+  let known n = Hashtbl.mem proc_index n in
+  let check_known n = if not (known n) then err (Network.Unknown_process n) in
+  let seen_ch = Hashtbl.create 16 in
+  List.iter
+    (fun (c : Network.channel_decl) ->
+      if Hashtbl.mem seen_ch c.ch_name then err (Network.Duplicate_channel c.ch_name)
+      else Hashtbl.add seen_ch c.ch_name ();
+      check_known c.writer;
+      check_known c.reader;
+      if c.writer = c.reader then err (Network.Self_channel c.ch_name))
+    chans;
+  List.iter
+    (fun (hi, lo) ->
+      check_known hi;
+      check_known lo)
+    fp_names;
+  let seen_io = Hashtbl.create 16 in
+  List.iter
+    (fun (io : Network.io_decl) ->
+      if Hashtbl.mem seen_io io.io_name then err (Network.Duplicate_io io.io_name)
+      else Hashtbl.add seen_io io.io_name ();
+      check_known io.owner)
+    ios;
+  if !errors <> [] then Error (List.rev !errors)
+  else begin
+    let n = Array.length procs in
+    let fp_dag = Digraph.create n in
+    let fp =
+      List.map
+        (fun (hi, lo) -> (Hashtbl.find proc_index hi, Hashtbl.find proc_index lo))
+        fp_names
+    in
+    List.iter (fun (hi, lo) -> Digraph.add_edge fp_dag hi lo) fp;
+    List.iter
+      (fun (c : Network.channel_decl) ->
+        let w = Hashtbl.find proc_index c.writer
+        and r = Hashtbl.find proc_index c.reader in
+        if not (Digraph.has_edge fp_dag w r || Digraph.has_edge fp_dag r w) then
+          err
+            (Network.Missing_priority
+               { channel = c.ch_name; writer = c.writer; reader = c.reader }))
+      chans;
+    match Digraph.topo_sort fp_dag with
+    | None ->
+      let cycle =
+        match Digraph.find_cycle fp_dag with
+        | Some vs -> List.map (fun v -> Process.name procs.(v)) vs
+        | None -> []
+      in
+      err (Network.Priority_cycle cycle);
+      Error (List.rev !errors)
+    | Some _ -> if !errors <> [] then Error (List.rev !errors) else Ok fp
+  end
+
+(* [Network.user_map] rescanning every channel for each sporadic process *)
+let user_map_oracle net =
+  let procs = Network.processes net in
+  let errors = ref [] in
+  let err e = errors := e :: !errors in
+  let n = Array.length procs in
+  let result = Array.make n None in
+  for p = 0 to n - 1 do
+    let proc = procs.(p) in
+    if Process.is_sporadic proc then begin
+      let partners =
+        List.sort_uniq Int.compare
+          (List.concat_map
+             (fun (c : Network.channel_decl) ->
+               let w = Network.find net c.writer and r = Network.find net c.reader in
+               if w = p then [ r ] else if r = p then [ w ] else [])
+             (Network.channels net))
+      in
+      match partners with
+      | [] -> err (Network.No_user (Process.name proc))
+      | [ u ] ->
+        let uproc = procs.(u) in
+        if Process.is_sporadic uproc then
+          err
+            (Network.Sporadic_user
+               { sporadic = Process.name proc; user = Process.name uproc })
+        else if Rat.(Process.period uproc > Process.period proc) then
+          err
+            (Network.User_period_too_large
+               { sporadic = Process.name proc; user = Process.name uproc })
+        else result.(p) <- Some u
+      | us ->
+        err
+          (Network.Ambiguous_user
+             (Process.name proc, List.map (fun u -> Process.name procs.(u)) us))
+    end
+  done;
+  if !errors = [] then Ok result else Error (List.rev !errors)
+
+(* 2-12 processes, a third sporadic, periods 50, 100 or 200.  Each
+   sporadic process gets no channel, one, the same partner twice, or two
+   draws (in either direction, to any process, sporadic or of a larger
+   period); each periodic one a channel to another process half the
+   time.  Every channel carries a priority from its lower-numbered end,
+   some declared again after the others.  An eighth of the networks
+   refer to an undeclared process, from priorities declared twice, or
+   from an external channel. *)
+let draw_decls seed =
+  let prng = Prng.create seed in
+  let n = Prng.int_in prng 2 12 in
+  let name i = Printf.sprintf "P%d" i in
+  let is_sporadic = Array.init n (fun _ -> Prng.int prng 3 = 0) in
+  let procs =
+    List.init n (fun i ->
+        let period = Prng.pick prng [ 50; 100; 200 ] in
+        if is_sporadic.(i) then sporadic (name i) period else periodic (name i) period)
+  in
+  let chans = ref [] and fp = ref [] in
+  let other i = (i + 1 + Prng.int prng (n - 1)) mod n in
+  let connect i j =
+    let w, r = if Prng.bool prng then (i, j) else (j, i) in
+    chans :=
+      {
+        Network.ch_name = Printf.sprintf "c%d" (List.length !chans);
+        ch_kind = Fppn.Channel.Blackboard;
+        writer = name w;
+        reader = name r;
+        init = None;
+      }
+      :: !chans;
+    fp := (name (min i j), name (max i j)) :: !fp
+  in
+  for i = 0 to n - 1 do
+    if is_sporadic.(i) then begin
+      match Prng.int prng 4 with
+      | 0 -> ()
+      | 1 -> connect i (other i)
+      | 2 ->
+        let j = other i in
+        connect i j;
+        connect i j
+      | _ ->
+        connect i (other i);
+        connect i (other i)
+    end
+    else if Prng.bool prng then connect i (other i)
+  done;
+  let fp = List.rev !fp in
+  let again = List.filter (fun _ -> Prng.int prng 3 = 0) fp in
+  let ghost_fp, ios =
+    match Prng.int prng 16 with
+    | 0 -> ([ ("Ghost", name 0); (name 1, "Ghost"); ("Ghost", name 0) ], [])
+    | 1 -> ([], [ { Network.io_name = "out"; owner = "Ghost"; dir = Network.Out } ])
+    | _ -> ([], [])
+  in
+  { d_procs = procs; d_chans = List.rev !chans; d_fp = fp @ ghost_fp @ again; d_ios = ios }
+
+(* lint's FPPN030-033 findings as (code, subject), and the ones the user
+   map's errors call for *)
+let subclass_findings net =
+  List.sort compare
+    (List.filter_map
+       (fun (d : D.t) ->
+         match D.code_id d.D.code with
+         | ("FPPN030" | "FPPN031" | "FPPN032" | "FPPN033") as c -> Some (c, d.D.subject)
+         | _ -> None)
+       (Fppn_lint.Lint.lint_network net))
+
+let expected_findings = function
+  | Ok _ -> []
+  | Error errs ->
+    List.sort compare
+      (List.map
+         (function
+           | Network.No_user p -> ("FPPN030", "process " ^ p)
+           | Network.Ambiguous_user (p, _) -> ("FPPN031", "process " ^ p)
+           | Network.Sporadic_user { sporadic; _ } -> ("FPPN032", "process " ^ sporadic)
+           | Network.User_period_too_large { sporadic; _ } ->
+             ("FPPN033", "process " ^ sporadic))
+         errs)
+
+let prop_linear_scans =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"linear scans equal the quadratic oracle"
+       ~count:1000
+       QCheck2.Gen.(int_range 0 999_999)
+       (fun seed ->
+         let d = draw_decls seed in
+         match (Network.Builder.finish (builder_of d), finish_oracle d) with
+         | Error errs, Error errs' -> errs = errs'
+         | Ok net, Ok fp ->
+           let users = Network.user_map net in
+           Network.fp_edges net = fp
+           && users = user_map_oracle net
+           && subclass_findings net = expected_findings users
+         | Ok _, Error _ | Error _, Ok _ -> false))
+
 let () =
   Alcotest.run "network"
     [
@@ -233,6 +478,7 @@ let () =
           Alcotest.test_case "period too large" `Quick test_user_map_period_too_large;
           Alcotest.test_case "ambiguous" `Quick test_user_map_ambiguous;
           Alcotest.test_case "sporadic user" `Quick test_user_map_sporadic_user;
+          prop_linear_scans;
         ] );
       ( "accessors",
         [
