@@ -95,19 +95,23 @@ let pos_of_network_error (n : Ast.network) err =
         | None -> None);
       ]
   in
+  (* duplicates anchor at the last (re-)declaration *)
+  let last_pos pos_of decls =
+    List.fold_left (fun _ d -> Some (pos_of d)) None decls
+  in
   let pos =
     match err with
-    | Network.Duplicate_process name -> (
-      (* anchor at the last (re-)declaration *)
-      match
-        List.filter (fun (p : Ast.process_decl) -> p.Ast.p_name = name) n.Ast.processes
-      with
-      | _ :: _ as ps -> Some (List.nth ps (List.length ps - 1)).Ast.p_pos
-      | [] -> None)
+    | Network.Duplicate_process name ->
+      last_pos
+        (fun (p : Ast.process_decl) -> p.Ast.p_pos)
+        (List.filter (fun (p : Ast.process_decl) -> p.Ast.p_name = name) n.Ast.processes)
     | Network.Unknown_process name -> (
       match mentions name with p :: _ -> Some p | [] -> None)
-    | Network.Duplicate_channel name | Network.Self_channel name ->
-      chan_pos (fun c -> c.Ast.c_name = name)
+    | Network.Duplicate_channel name ->
+      last_pos
+        (fun c -> c.Ast.c_pos)
+        (List.filter (fun c -> c.Ast.c_name = name) n.Ast.channels)
+    | Network.Self_channel name -> chan_pos (fun c -> c.Ast.c_name = name)
     | Network.Missing_priority { channel; _ } ->
       chan_pos (fun c -> c.Ast.c_name = channel)
     | Network.Priority_cycle names -> (
@@ -118,10 +122,10 @@ let pos_of_network_error (n : Ast.network) err =
       with
       | Some (_, _, p) -> Some p
       | None -> None)
-    | Network.Duplicate_io name -> (
-      match List.find_opt (fun io -> io.Ast.io_name = name) n.Ast.ios with
-      | Some io -> Some io.Ast.io_pos
-      | None -> None)
+    | Network.Duplicate_io name ->
+      last_pos
+        (fun io -> io.Ast.io_pos)
+        (List.filter (fun io -> io.Ast.io_name = name) n.Ast.ios)
     | Network.Empty_network -> None
   in
   Option.value pos ~default

@@ -60,7 +60,9 @@ let all_codes =
       "channel, priority or external channel references an undeclared process" );
     (Duplicate_process_decl, Error, "process name declared more than once");
     (Self_channel_decl, Error, "channel connects a process to itself");
-    (Duplicate_channel_decl, Error, "channel name declared more than once");
+    ( Duplicate_channel_decl,
+      Error,
+      "channel or external channel name declared more than once" );
     ( Determinism_race,
       Error,
       "conflicting channel accessors can be invoked simultaneously but no \

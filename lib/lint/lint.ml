@@ -72,11 +72,16 @@ let lint_model ?processors (m : Model.t) =
         !ok)
       m.Model.m_fp
   in
+  let io_seen = Hashtbl.create 16 in
   List.iter
     (fun (io : Model.io) ->
+      let subject = "external channel " ^ io.Model.io_name in
+      if Hashtbl.mem io_seen io.Model.io_name then
+        emit ?pos:io.Model.io_pos D.Duplicate_channel_decl ~subject
+          (spf "external channel %s is declared more than once" io.Model.io_name)
+      else Hashtbl.add io_seen io.Model.io_name ();
       if not (known io.Model.io_owner) then
-        emit ?pos:io.Model.io_pos D.Unknown_process_ref
-          ~subject:("external channel " ^ io.Model.io_name)
+        emit ?pos:io.Model.io_pos D.Unknown_process_ref ~subject
           (spf "owner %s of external channel %s is not a declared process"
              io.Model.io_owner io.Model.io_name))
     m.Model.m_ios;

@@ -1,85 +1,102 @@
 module Rat = Rt_util.Rat
-module Pqueue = Rt_util.Pqueue
-module Graph = Taskgraph.Graph
-module Job = Taskgraph.Job
+module Iheap = Rt_util.Iheap
 
-let schedule ~rank ~n_procs g =
-  Fppn_obs.Trace.with_span "sched.list" @@ fun () ->
-  let n = Graph.n_jobs g in
+let check_rank ~n rank =
   if Array.length rank <> n then
     invalid_arg "List_scheduler.schedule: rank array size mismatch";
+  let seen = Bytes.make n '\000' in
+  Array.iter
+    (fun r ->
+      if r < 0 || r >= n || Bytes.get seen r <> '\000' then
+        invalid_arg "List_scheduler.schedule: rank is not a permutation";
+      Bytes.set seen r '\001')
+    rank
+
+(* Per processor, its jobs ascending by (start, id).  Jobs are bucketed
+   in dispatch order, which is sorted but for same-instant dispatches and
+   held zero-WCET jobs moved behind a later start, so the insertion sort
+   runs in about linear time. *)
+let static_orders ~n_procs ~proc ~start dispatched =
+  let count = Array.make n_procs 0 in
+  Array.iter (fun i -> count.(proc.(i)) <- count.(proc.(i)) + 1) dispatched;
+  let orders = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 n_procs 0;
+  Array.iter
+    (fun i ->
+      let p = proc.(i) in
+      let a = orders.(p) and s = start.(i) in
+      let k = ref count.(p) in
+      while
+        !k > 0
+        &&
+        let j = a.(!k - 1) in
+        start.(j) > s || (start.(j) = s && j > i)
+      do
+        a.(!k) <- a.(!k - 1);
+        decr k
+      done;
+      a.(!k) <- i;
+      count.(p) <- count.(p) + 1)
+    dispatched;
+  orders
+
+let schedule_ticks (v : Tick_graph.t) ~rank ~n_procs =
+  let n = Tick_graph.n_jobs v in
+  check_rank ~n rank;
   if n_procs <= 0 then invalid_arg "List_scheduler.schedule: no processors";
-  let entries =
-    Array.make n { Static_schedule.proc = 0; start = Rat.zero }
-  in
-  let arrival i = (Graph.job g i).Job.arrival in
-  let finish_time = Array.make n Rat.zero in
-  let missing_preds = Array.init n (fun i -> List.length (Graph.preds g i)) in
-  let proc_free = Array.make n_procs Rat.zero in
-  let by_time time a b =
-    let c = Rat.compare (time a) (time b) in
-    if c <> 0 then c else Int.compare a b
-  in
-  (* ready queue ordered by schedule priority *)
-  let ready = Pqueue.create ~cmp:(fun a b -> Int.compare rank.(a) rank.(b)) in
-  (* released jobs still waiting for their arrival, by (arrival, id) *)
-  let pending = Pqueue.create ~cmp:(by_time arrival) in
-  (* started jobs of positive WCET, by (finish, id) *)
-  let running = Pqueue.create ~cmp:(by_time (Array.get finish_time)) in
+  let arrival = v.arrival and wcet = v.wcet in
+  let proc = Array.make n 0 and start = Array.make n 0 in
+  let dispatched = Array.make n 0 and n_dispatched = ref 0 in
+  let missing_preds = Array.copy v.n_preds in
+  let proc_free = Array.make n_procs 0 in
+  (* ready jobs by rank, a permutation: no two keys tie *)
+  let ready = Iheap.create () in
+  (* released jobs still waiting for their arrival, by arrival *)
+  let pending = Iheap.create () in
+  (* started jobs of positive WCET, by finish *)
+  let running = Iheap.create () in
   (* started zero-WCET jobs per processor whose completion is not yet
      processed (see [settle]) *)
   let held = Array.make n_procs [] in
   let release now i =
     (* all predecessors done; becomes ready at max(now, A_i) *)
-    if Rat.(arrival i <= now) then Pqueue.push ready i
-    else Pqueue.push pending i
+    if arrival.(i) <= now then Iheap.push ready ~key:rank.(i) ~pay:i
+    else Iheap.push pending ~key:arrival.(i) ~pay:i
   in
   let complete now i =
-    List.iter
-      (fun s ->
-        missing_preds.(s) <- missing_preds.(s) - 1;
-        if missing_preds.(s) = 0 then release now s)
-      (Graph.succs g i)
+    for e = v.succ_off.(i) to v.succ_off.(i + 1) - 1 do
+      let s = v.succ.(e) in
+      missing_preds.(s) <- missing_preds.(s) - 1;
+      if missing_preds.(s) = 0 then release now s
+    done
   in
-  Array.iteri (fun i k -> if k = 0 then release Rat.zero i) missing_preds;
-  let scheduled_count = ref 0 in
-  let rec pop_due q time now f =
-    match Pqueue.peek q with
-    | Some i when Rat.(time i <= now) ->
-      ignore (Pqueue.pop q);
-      f i;
-      pop_due q time now f
-    | _ -> ()
-  in
+  Array.iteri (fun i k -> if k = 0 then release 0 i) missing_preds;
   let rec dispatch now =
     (* find a free processor: smallest free time <= now, lowest index *)
     let free = ref (-1) in
     for p = n_procs - 1 downto 0 do
-      if Rat.(proc_free.(p) <= now) then free := p
+      if proc_free.(p) <= now then free := p
     done;
-    if !free >= 0 then
-      match Pqueue.pop ready with
-      | None -> ()
-      | Some i ->
-        let p = !free in
-        entries.(i) <- { Static_schedule.proc = p; start = now };
-        incr scheduled_count;
-        let c = (Graph.job g i).Job.wcet in
-        if Rat.sign c = 0 then held.(p) <- i :: held.(p)
-        else begin
-          let e = Rat.add now c in
-          finish_time.(i) <- e;
-          proc_free.(p) <- e;
-          Pqueue.push running i;
-          (* the static order breaks start ties by id, so zero-WCET jobs
-             held here with larger ids move behind [i] *)
-          List.iter
-            (fun z ->
-              if z > i then
-                entries.(z) <- { Static_schedule.proc = p; start = e })
-            held.(p)
-        end;
-        dispatch now
+    if !free >= 0 && not (Iheap.is_empty ready) then begin
+      let i = Iheap.top_pay ready and p = !free in
+      Iheap.drop ready;
+      proc.(i) <- p;
+      start.(i) <- now;
+      dispatched.(!n_dispatched) <- i;
+      incr n_dispatched;
+      let c = wcet.(i) in
+      if c = 0 then held.(p) <- i :: held.(p)
+      else begin
+        (* below the horizon: no overflow *)
+        let e = now + c in
+        proc_free.(p) <- e;
+        Iheap.push running ~key:e ~pay:i;
+        (* the static order breaks start ties by id, so zero-WCET jobs
+           held here with larger ids move behind [i] *)
+        List.iter (fun z -> if z > i then start.(z) <- e) held.(p)
+      end;
+      dispatch now
+    end
   in
   (* Zero-WCET jobs complete one at a time, lowest id first, each after a
      dispatch round at the same instant: a job placed later at this
@@ -90,38 +107,50 @@ let schedule ~rank ~n_procs g =
     let next = ref (-1) in
     Array.iter
       (List.iter (fun z ->
-           if
-             Rat.equal entries.(z).Static_schedule.start now
-             && (!next < 0 || z < !next)
-           then next := z))
+           if start.(z) = now && (!next < 0 || z < !next) then next := z))
       held;
     if !next >= 0 then begin
       let z = !next in
-      let p = entries.(z).Static_schedule.proc in
+      let p = proc.(z) in
       held.(p) <- List.filter (( <> ) z) held.(p);
       complete now z;
       settle now
     end
   in
-  let next_event () =
-    match
-      ( Option.map (Array.get finish_time) (Pqueue.peek running),
-        Option.map arrival (Pqueue.peek pending) )
-    with
-    | Some a, Some b -> Some (Rat.min a b)
-    | t, None | None, t -> t
-  in
+  (* every event due at [now] is drained before the dispatch, so the
+     heaps' order among equal keys does not matter *)
   let rec run now =
     (* completions at [now] release successors, then due arrivals join
        the ready queue *)
-    pop_due running (Array.get finish_time) now (complete now);
-    pop_due pending arrival now (Pqueue.push ready);
+    while (not (Iheap.is_empty running)) && Iheap.top_key running <= now do
+      let i = Iheap.top_pay running in
+      Iheap.drop running;
+      complete now i
+    done;
+    while (not (Iheap.is_empty pending)) && Iheap.top_key pending <= now do
+      let i = Iheap.top_pay pending in
+      Iheap.drop pending;
+      Iheap.push ready ~key:rank.(i) ~pay:i
+    done;
     settle now;
-    match next_event () with None -> () | Some t -> run t
+    match (Iheap.is_empty running, Iheap.is_empty pending) with
+    | true, true -> ()
+    | false, true -> run (Iheap.top_key running)
+    | true, false -> run (Iheap.top_key pending)
+    | false, false -> run (min (Iheap.top_key running) (Iheap.top_key pending))
   in
-  run Rat.zero;
-  assert (!scheduled_count = n || n = 0);
-  Static_schedule.make ~n_procs entries
+  run 0;
+  assert (!n_dispatched = n);
+  let entries =
+    Array.init n (fun i ->
+        { Static_schedule.proc = proc.(i); start = Tick_graph.to_rat v start.(i) })
+  in
+  Static_schedule.of_orders ~n_procs entries
+    (static_orders ~n_procs ~proc ~start dispatched)
+
+let schedule ~rank ~n_procs g =
+  Fppn_obs.Trace.with_span "sched.list" @@ fun () ->
+  schedule_ticks (Tick_graph.compile g) ~rank ~n_procs
 
 let schedule_with ~heuristic ~n_procs g =
   schedule ~rank:(Priority.rank g heuristic) ~n_procs g
@@ -134,10 +163,16 @@ type attempt = {
 }
 
 let auto ?pool ?(heuristics = Priority.all) ~n_procs g =
+  (* one compiled view, read by every attempt, on any domain *)
+  let v = Tick_graph.compile g in
   let attempt heuristic =
     Fppn_obs.Trace.with_span ("sched.auto." ^ Priority.to_string heuristic)
     @@ fun () ->
-    let s = schedule_with ~heuristic ~n_procs g in
+    let rank = Priority.rank_ticks v heuristic in
+    let s =
+      Fppn_obs.Trace.with_span "sched.list" @@ fun () ->
+      schedule_ticks v ~rank ~n_procs
+    in
     {
       heuristic;
       schedule = s;

@@ -13,24 +13,42 @@ val schedule :
     The result maps and starts every job; it satisfies arrival,
     precedence and mutual exclusion by construction — only deadlines can
     be violated, which {!Static_schedule.check} reports.
-    Released jobs wait for their arrival in a heap and started jobs for
-    their completion in another, so a graph of [n] jobs and [E] edges
-    schedules in [O((n + E) log n)] (times [M] for the processor scan).
+
+    The graph is compiled per call into its integer tick view
+    ({!Tick_graph}), and the event loop runs on machine ints: ready jobs
+    wait in a heap keyed by rank, released jobs for their arrival in a
+    heap keyed by arrival tick, and started jobs for their completion in
+    one keyed by finish tick.  Each processor's static order is then
+    sorted by (start, id) in about linear time and handed to
+    {!Static_schedule.of_orders}, and every start is rebuilt once as a
+    {!Rt_util.Rat.t}.  A graph of [n] jobs and [E] edges schedules in
+    [O((n + E) log n)] (times [M] for the processor scan).  The result
+    equals, entry for entry and order for order, the one the same loop
+    computes on rationals.
 
     A zero-WCET job finishes at the instant it starts and releases its
     successors at that instant.  Because the static order breaks equal
     start times by job id ({!Static_schedule.jobs_on}), such a job
     started on a processor moves behind a job of positive WCET and
     smaller id that starts there at the same instant.
-    @raise Invalid_argument on a rank array of the wrong length or
-    [n_procs <= 0]. *)
+
+    [rank] must be a permutation of [0..n-1], as {!Priority.rank} and
+    every caller in this library produce: the ready heap does not break
+    equal keys by insertion order.
+    @raise Invalid_argument on a rank array of the wrong length, a rank
+    that is not a permutation, or [n_procs <= 0].
+    @raise Rt_util.Rat.Overflow when the graph has no integer grid: the
+    common denominator of its times, their ticks, or the horizon
+    [max(0, max A_i) + Σ C_i] in ticks does not fit in an [int]
+    ({!Tick_graph.compile}). *)
 
 val schedule_with :
   heuristic:Priority.heuristic ->
   n_procs:int ->
   Taskgraph.Graph.t ->
   Static_schedule.t
-(** Convenience composition of {!Priority.rank} and {!schedule}. *)
+(** Convenience composition of {!Priority.rank} and {!schedule}.
+    @raise Rt_util.Rat.Overflow as {!schedule}. *)
 
 type attempt = {
   heuristic : Priority.heuristic;
@@ -49,6 +67,11 @@ val auto :
     attempts plus the chosen one: the first feasible schedule, by
     heuristic order; [None] if none is feasible.
 
+    The graph is compiled once, before any heuristic runs, and every
+    attempt reads that one view; each attempt still checks its schedule
+    against all of Def. 3.2 ({!Static_schedule.is_feasible}).
+
     [pool] evaluates the heuristics concurrently; each heuristic is
     independent and the attempt list keeps heuristic order, so the
-    result is identical to the sequential one. *)
+    result is identical to the sequential one.
+    @raise Rt_util.Rat.Overflow as {!schedule}, before any attempt. *)

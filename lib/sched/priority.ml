@@ -1,8 +1,3 @@
-module Rat = Rt_util.Rat
-module Graph = Taskgraph.Graph
-module Job = Taskgraph.Job
-module Analysis = Taskgraph.Analysis
-
 type heuristic =
   | Alap_edf
   | B_level
@@ -24,34 +19,57 @@ let of_string s =
 
 let pp ppf h = Format.pp_print_string ppf (to_string h)
 
-let order g h =
-  let n = Graph.n_jobs g in
-  let key : int -> Rat.t =
-    match h with
-    | Alap_edf ->
-      let times = Analysis.asap_alap g in
-      fun i -> times.Analysis.alap.(i)
-    | B_level ->
-      let bl = Analysis.b_level g in
-      fun i -> Rat.neg bl.(i)
-    | Deadline_monotonic ->
-      fun i ->
-        let j = Graph.job g i in
-        Rat.sub j.Job.deadline j.Job.arrival
-    | Edf_nominal -> fun i -> (Graph.job g i).Job.deadline
-    | Fifo_arrival -> fun i -> (Graph.job g i).Job.arrival
-  in
-  let keys = Array.init n key in
-  let ids = Array.init n Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = Rat.compare keys.(a) keys.(b) in
-      if c <> 0 then c else Int.compare a b)
-    ids;
+(* Keys in ticks, lower = higher priority.  [r ↦ r·D] is strictly
+   increasing and commutes with [+], [−], [min] and [max], so each key
+   orders the jobs as its rational definition does. *)
+let keys (v : Tick_graph.t) h =
+  let n = Tick_graph.n_jobs v in
+  match h with
+  | Alap_edf ->
+    (* D'_i = min(D_i, min_{s ∈ Succ(i)} D'_s − C_s), sinks first *)
+    let alap = Array.copy v.deadline in
+    for k = n - 1 downto 0 do
+      let i = v.topo.(k) in
+      for e = v.succ_off.(i) to v.succ_off.(i + 1) - 1 do
+        let s = v.succ.(e) in
+        alap.(i) <- min alap.(i) (alap.(s) - v.wcet.(s))
+      done
+    done;
+    alap
+  | B_level ->
+    (* longest WCET path to a sink, negated once complete: descending *)
+    let bl = Array.make n 0 in
+    for k = n - 1 downto 0 do
+      let i = v.topo.(k) in
+      let best = ref 0 in
+      for e = v.succ_off.(i) to v.succ_off.(i + 1) - 1 do
+        best := max !best bl.(v.succ.(e))
+      done;
+      bl.(i) <- v.wcet.(i) + !best
+    done;
+    Array.map (fun b -> -b) bl
+  | Deadline_monotonic ->
+    Array.init n (fun i ->
+        let d = v.deadline.(i) and a = v.arrival.(i) in
+        let r = d - a in
+        if (d >= 0) <> (a >= 0) && (r >= 0) <> (d >= 0) then
+          raise Rt_util.Rat.Overflow
+        else r)
+  | Edf_nominal -> v.deadline
+  | Fifo_arrival -> v.arrival
+
+let order_ticks v h =
+  let keys = keys v h in
+  (* stable over ascending ids: equal keys keep id order *)
+  let ids = Array.init (Tick_graph.n_jobs v) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare keys.(a) keys.(b)) ids;
   ids
 
-let rank g h =
-  let ids = order g h in
+let rank_ticks v h =
+  let ids = order_ticks v h in
   let r = Array.make (Array.length ids) 0 in
   Array.iteri (fun pos id -> r.(id) <- pos) ids;
   r
+
+let order g h = order_ticks (Tick_graph.compile g) h
+let rank g h = rank_ticks (Tick_graph.compile g) h

@@ -23,8 +23,21 @@ val pp : Format.formatter -> heuristic -> unit
 val rank : Taskgraph.Graph.t -> heuristic -> int array
 (** [rank.(job) = position] in the priority order: 0 is the highest
     priority.  All heuristics break ties by job id, so the order is
-    total and deterministic. *)
+    total and deterministic, and the result is a permutation of
+    [0..n-1], as {!List_scheduler.schedule} requires.
+
+    The keys are computed on the graph's integer tick view
+    ({!Tick_graph}), compiled per call: ALAP over the reverse
+    topological order, b-level likewise, then [D_i − A_i], [D_i] or
+    [A_i].  Ranking is [O(n log n + E)].
+    @raise Rt_util.Rat.Overflow when the graph has no integer grid
+    ({!Tick_graph.compile}), or, for [Deadline_monotonic], when some
+    [D_i − A_i] in ticks does not fit in an [int]. *)
 
 val order : Taskgraph.Graph.t -> heuristic -> int array
 (** Job ids sorted from highest to lowest priority (the inverse
-    permutation of {!rank}). *)
+    permutation of {!rank}).  @raise Rt_util.Rat.Overflow as {!rank}. *)
+
+val rank_ticks : Tick_graph.t -> heuristic -> int array
+(** {!rank} on an already compiled view, which it only reads: one view
+    serves every heuristic, concurrently too. *)

@@ -10,17 +10,50 @@ type t = {
   orders : int array array; (* per processor: job ids by (start, id) *)
 }
 
-let make ~n_procs entries =
-  if Array.length entries = 0 then
-    invalid_arg "Static_schedule.make: empty schedule";
-  if n_procs <= 0 then invalid_arg "Static_schedule.make: no processors";
+let check_entries who ~n_procs entries =
+  if Array.length entries = 0 then invalid_arg (who ^ ": empty schedule");
+  if n_procs <= 0 then invalid_arg (who ^ ": no processors");
   Array.iter
     (fun e ->
       if e.proc < 0 || e.proc >= n_procs then
-        invalid_arg "Static_schedule.make: processor out of range";
-      if Rat.sign e.start < 0 then
-        invalid_arg "Static_schedule.make: negative start time")
-    entries;
+        invalid_arg (who ^ ": processor out of range");
+      if Rat.sign e.start < 0 then invalid_arg (who ^ ": negative start time"))
+    entries
+
+(* Each order lists only its processor's jobs, strictly ascending by
+   (start, id), so no job appears twice; with [n] entries in all, every
+   job appears once. *)
+let check_orders who ~n_procs entries orders =
+  if Array.length orders <> n_procs then
+    invalid_arg (who ^ ": one order per processor expected");
+  let listed = ref 0 in
+  Array.iteri
+    (fun p order ->
+      Array.iteri
+        (fun k i ->
+          if i < 0 || i >= Array.length entries || entries.(i).proc <> p then
+            invalid_arg (who ^ ": order lists a job of another processor");
+          if k > 0 then begin
+            let prev = order.(k - 1) in
+            let c = Rat.compare entries.(prev).start entries.(i).start in
+            if c > 0 || (c = 0 && prev >= i) then
+              invalid_arg (who ^ ": order not sorted by (start, id)")
+          end)
+        order;
+      listed := !listed + Array.length order)
+    orders;
+  if !listed <> Array.length entries then
+    invalid_arg (who ^ ": orders miss a job")
+
+let of_orders ~n_procs entries orders =
+  let who = "Static_schedule.of_orders" in
+  check_entries who ~n_procs entries;
+  check_orders who ~n_procs entries orders;
+  { n_procs; entries; orders }
+
+let make ~n_procs entries =
+  let who = "Static_schedule.make" in
+  check_entries who ~n_procs entries;
   let orders =
     Array.init n_procs (fun p ->
         let ids = ref [] in
@@ -36,6 +69,7 @@ let make ~n_procs entries =
           arr;
         arr)
   in
+  check_orders who ~n_procs entries orders;
   { n_procs; entries; orders }
 
 let n_procs t = t.n_procs

@@ -7,9 +7,21 @@ type entry = { proc : int; start : Rt_util.Rat.t }
 type t
 
 val make : n_procs:int -> entry array -> t
-(** [entry.(job_id)] for every job of the graph.
+(** [entry.(job_id)] for every job of the graph; the static order of
+    each processor ({!jobs_on}) is sorted here, then checked as
+    {!of_orders} checks it.
     @raise Invalid_argument on an empty array, negative starts, or a
     processor out of range. *)
+
+val of_orders : n_procs:int -> entry array -> int array array -> t
+(** [of_orders ~n_procs entries orders] is {!make} for a caller that
+    has the static orders already: [orders.(p)] must list exactly the
+    jobs mapped to processor [p], ascending by (start, id) under
+    {!Rt_util.Rat.compare}.  Checked in one linear pass; the arrays are
+    kept, not copied.
+    @raise Invalid_argument as {!make} does, on an [orders] array whose
+    length is not [n_procs], or on an order that misses a job, lists a
+    job of another processor, or is not sorted. *)
 
 val n_procs : t -> int
 val n_jobs : t -> int

@@ -4,8 +4,8 @@
    prints every non-zero Fppn_obs.Metrics counter (search nodes among
    them) and the call count of every span, beside its own sizes: graph
    sizes, mode switches and, with tracing and metrics off, the minor
-   words of a memoized engine run and of a service epoch, and the words
-   the epoch promotes.  Per-job spans, whose names carry a
+   words of one List_scheduler.auto call, of a memoized engine run and
+   of a service epoch, and the words the epoch promotes.  Per-job spans, whose names carry a
    job index [k], are left out.  Each value is fixed by the inputs and
    not by the host's speed, so dune diffs this output against
    test_costs.expected and a moved line names the layer and the counter
@@ -60,9 +60,9 @@ let schedule ~n_procs d =
   | None -> failwith "unschedulable"
 
 (* Words allocated by one memoized run, tracing and metrics off: a first
-   call fills the memo and builds the replay program, and the measured
-   one starts from an empty minor heap, so no collection falls inside
-   its window. *)
+   call fills the memo and builds the replay program (or warms up a
+   call that keeps nothing), and the measured one starts from an empty
+   minor heap, so no collection falls inside its window. *)
 let minor_words run =
   run ();
   Gc.minor ();
@@ -72,26 +72,33 @@ let minor_words run =
 
 let toolchain () =
   let s = "toolchain" in
-  measured s (fun () ->
-      let text = In_channel.with_open_bin "sensor_fusion.fppn" In_channel.input_all in
-      let net = Fppn_lang.Elaborate.to_network (Fppn_lang.Parser.parse text) in
-      pin s "sensor_fusion.processes" (Network.n_processes net);
-      pin s "sensor_fusion.channels" (List.length (Network.channels net));
-      let fms = Fppn_apps.Fms.original () in
-      let d = Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet fms in
-      pin s "fms-original.jobs" (Graph.n_jobs d.Derive.graph);
-      pin s "fms-original.raw_edges" d.Derive.raw_edges;
-      pin s "fms-original.edges" (Graph.n_edges d.Derive.graph);
-      ignore (List_scheduler.auto ~n_procs:2 d.Derive.graph);
-      let p = Fppn_apps.Fft.default_params in
-      let cert =
-        Fppn_lint.Certificate.of_network
-          ~wcet:(fun n -> Some (Fppn_apps.Fft.wcet_map p n))
-          (Fppn_apps.Fft.network p)
-      in
-      pin s "fft.certificate.classes" cert.Fppn_lint.Certificate.classes;
-      pin s "fft.certificate.channels"
-        (List.length cert.Fppn_lint.Certificate.channels))
+  let fms_d =
+    measured s (fun () ->
+        let text = In_channel.with_open_bin "sensor_fusion.fppn" In_channel.input_all in
+        let net = Fppn_lang.Elaborate.to_network (Fppn_lang.Parser.parse text) in
+        pin s "sensor_fusion.processes" (Network.n_processes net);
+        pin s "sensor_fusion.channels" (List.length (Network.channels net));
+        let fms = Fppn_apps.Fms.original () in
+        let d = Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet fms in
+        pin s "fms-original.jobs" (Graph.n_jobs d.Derive.graph);
+        pin s "fms-original.raw_edges" d.Derive.raw_edges;
+        pin s "fms-original.edges" (Graph.n_edges d.Derive.graph);
+        ignore (List_scheduler.auto ~n_procs:2 d.Derive.graph);
+        let p = Fppn_apps.Fft.default_params in
+        let cert =
+          Fppn_lint.Certificate.of_network
+            ~wcet:(fun n -> Some (Fppn_apps.Fft.wcet_map p n))
+            (Fppn_apps.Fft.network p)
+        in
+        pin s "fft.certificate.classes" cert.Fppn_lint.Certificate.classes;
+        pin s "fft.certificate.channels"
+          (List.length cert.Fppn_lint.Certificate.channels);
+        d)
+  in
+  (* one auto call: its compiled view and five rank-and-schedule runs *)
+  pin s "fms-original.sched.auto.minor_words"
+    (minor_words (fun () ->
+         ignore (List_scheduler.auto ~n_procs:2 fms_d.Derive.graph)))
 
 (* fig1 replays its steady frames; Alloc_probe's bodies allocate
    nothing, so its 4- and 40-frame runs allocate alike exactly when

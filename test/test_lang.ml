@@ -160,6 +160,34 @@ let test_elaborate_errors () =
      channel fifo c : A -> B;\n\
      }"
 
+(* a repeated channel or external channel is reported at the repeat,
+   as a repeated process is and as lint's FPPN004 reports it *)
+let test_duplicates_at_the_repeat () =
+  let src last =
+    Printf.sprintf
+      "network n {\n\
+      \  process A : periodic 100 deadline 100 {\n\
+      \    loc main { when true goto main; }\n\
+      \  }\n\
+      \  process B : periodic 100 deadline 100 {\n\
+      \    loc main { when true goto main; }\n\
+      \  }\n\
+      \  %s\n\
+      \  %s\n\
+      \  priority A -> B;\n\
+       }"
+      last last
+  in
+  List.iter
+    (fun decl ->
+      match Elaborate.to_network (Parser.parse (src decl)) with
+      | _ -> Alcotest.failf "%s twice must not elaborate" decl
+      | exception Elaborate.Error (_, pos) ->
+        Alcotest.(check (pair int int))
+          (decl ^ " twice: line and column")
+          (9, 3) (pos.Ast.line, pos.Ast.col))
+    [ "channel blackboard c : A -> B;"; "output B -> o;" ]
+
 let test_sporadic_event_syntax () =
   let ast =
     Parser.parse
@@ -457,6 +485,8 @@ let () =
         [
           Alcotest.test_case "run a parsed program" `Quick test_elaborate_and_run;
           Alcotest.test_case "errors" `Quick test_elaborate_errors;
+          Alcotest.test_case "duplicates anchored at the repeat" `Quick
+            test_duplicates_at_the_repeat;
           Alcotest.test_case "sensor_fusion example" `Quick test_sensor_fusion_example;
         ] );
       ( "printer",

@@ -76,6 +76,26 @@ let test_structure_codes () =
     Alcotest.failf "expected one finding on output o and none on input i, got %d and %d"
       (List.length o) (List.length i)
 
+(* an external channel declared twice: lint reports FPPN004 at the
+   repeat, as elaboration refuses the source there *)
+let test_duplicate_external_channel () =
+  let src =
+    {|network t {
+  process A : periodic 100 deadline 100 extern;
+  output A -> o;
+  output A -> o;
+}|}
+  in
+  let d = find_code "FPPN004" (lint_src src) in
+  Alcotest.(check string) "subject" "external channel o" d.D.subject;
+  Alcotest.(check bool) "severity error" true (D.is_error d);
+  check_line "FPPN004" 4 d;
+  let externs = [ ("A", Fppn.Process.Native (fun _ -> ())) ] in
+  match Fppn_lang.Elaborate.to_network ~externs (Fppn_lang.Parser.parse src) with
+  | _ -> Alcotest.fail "a duplicate external channel must not elaborate"
+  | exception Fppn_lang.Elaborate.Error (_, pos) ->
+    Alcotest.(check int) "elaboration anchors at the repeat" 4 pos.Ast.line
+
 let test_determinism_race () =
   let ds =
     lint_src
@@ -546,6 +566,8 @@ let () =
       ( "codes",
         [
           Alcotest.test_case "structure (FPPN001-004)" `Quick test_structure_codes;
+          Alcotest.test_case "duplicate external channel (FPPN004)" `Quick
+            test_duplicate_external_channel;
           Alcotest.test_case "determinism race (FPPN010)" `Quick test_determinism_race;
           Alcotest.test_case "race with sporadic accessor" `Quick test_race_with_sporadic;
           Alcotest.test_case "transitive-only order (FPPN011)" `Quick test_transitive_only;

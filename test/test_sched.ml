@@ -433,6 +433,341 @@ let test_reference_apps () =
         Fppn_apps.Alloc_probe.wcet );
     ]
 
+(* --- integer ticks vs the rational scheduler ------------------------------ *)
+
+(* Ranking and list scheduling as they ran on Rat.t keys, before both
+   moved onto a task graph compiled to integer ticks: kept verbatim as
+   the differential oracle of the tick code. *)
+module Rat_ref = struct
+  module Analysis = Taskgraph.Analysis
+
+  let order g h =
+    let n = Graph.n_jobs g in
+    let key : int -> Rat.t =
+      match h with
+      | Priority.Alap_edf ->
+        let times = Analysis.asap_alap g in
+        fun i -> times.Analysis.alap.(i)
+      | Priority.B_level ->
+        let bl = Analysis.b_level g in
+        fun i -> Rat.neg bl.(i)
+      | Priority.Deadline_monotonic ->
+        fun i ->
+          let j = Graph.job g i in
+          Rat.sub j.Job.deadline j.Job.arrival
+      | Priority.Edf_nominal -> fun i -> (Graph.job g i).Job.deadline
+      | Priority.Fifo_arrival -> fun i -> (Graph.job g i).Job.arrival
+    in
+    let keys = Array.init n key in
+    let ids = Array.init n Fun.id in
+    Array.sort
+      (fun a b ->
+        let c = Rat.compare keys.(a) keys.(b) in
+        if c <> 0 then c else Int.compare a b)
+      ids;
+    ids
+
+  let rank g h =
+    let ids = order g h in
+    let r = Array.make (Array.length ids) 0 in
+    Array.iteri (fun pos id -> r.(id) <- pos) ids;
+    r
+
+  let schedule ~rank ~n_procs g =
+    Fppn_obs.Trace.with_span "sched.list" @@ fun () ->
+    let n = Graph.n_jobs g in
+    if Array.length rank <> n then
+      invalid_arg "List_scheduler.schedule: rank array size mismatch";
+    if n_procs <= 0 then invalid_arg "List_scheduler.schedule: no processors";
+    let entries =
+      Array.make n { Static_schedule.proc = 0; start = Rat.zero }
+    in
+    let arrival i = (Graph.job g i).Job.arrival in
+    let finish_time = Array.make n Rat.zero in
+    let missing_preds = Array.init n (fun i -> List.length (Graph.preds g i)) in
+    let proc_free = Array.make n_procs Rat.zero in
+    let by_time time a b =
+      let c = Rat.compare (time a) (time b) in
+      if c <> 0 then c else Int.compare a b
+    in
+    (* ready queue ordered by schedule priority *)
+    let ready = Pqueue.create ~cmp:(fun a b -> Int.compare rank.(a) rank.(b)) in
+    (* released jobs still waiting for their arrival, by (arrival, id) *)
+    let pending = Pqueue.create ~cmp:(by_time arrival) in
+    (* started jobs of positive WCET, by (finish, id) *)
+    let running = Pqueue.create ~cmp:(by_time (Array.get finish_time)) in
+    (* started zero-WCET jobs per processor whose completion is not yet
+       processed (see [settle]) *)
+    let held = Array.make n_procs [] in
+    let release now i =
+      (* all predecessors done; becomes ready at max(now, A_i) *)
+      if Rat.(arrival i <= now) then Pqueue.push ready i
+      else Pqueue.push pending i
+    in
+    let complete now i =
+      List.iter
+        (fun s ->
+          missing_preds.(s) <- missing_preds.(s) - 1;
+          if missing_preds.(s) = 0 then release now s)
+        (Graph.succs g i)
+    in
+    Array.iteri (fun i k -> if k = 0 then release Rat.zero i) missing_preds;
+    let scheduled_count = ref 0 in
+    let rec pop_due q time now f =
+      match Pqueue.peek q with
+      | Some i when Rat.(time i <= now) ->
+        ignore (Pqueue.pop q);
+        f i;
+        pop_due q time now f
+      | _ -> ()
+    in
+    let rec dispatch now =
+      (* find a free processor: smallest free time <= now, lowest index *)
+      let free = ref (-1) in
+      for p = n_procs - 1 downto 0 do
+        if Rat.(proc_free.(p) <= now) then free := p
+      done;
+      if !free >= 0 then
+        match Pqueue.pop ready with
+        | None -> ()
+        | Some i ->
+          let p = !free in
+          entries.(i) <- { Static_schedule.proc = p; start = now };
+          incr scheduled_count;
+          let c = (Graph.job g i).Job.wcet in
+          if Rat.sign c = 0 then held.(p) <- i :: held.(p)
+          else begin
+            let e = Rat.add now c in
+            finish_time.(i) <- e;
+            proc_free.(p) <- e;
+            Pqueue.push running i;
+            (* the static order breaks start ties by id, so zero-WCET jobs
+               held here with larger ids move behind [i] *)
+            List.iter
+              (fun z ->
+                if z > i then
+                  entries.(z) <- { Static_schedule.proc = p; start = e })
+              held.(p)
+          end;
+          dispatch now
+    in
+    (* Zero-WCET jobs complete one at a time, lowest id first, each after a
+       dispatch round at the same instant: a job placed later at this
+       instant then has a larger id than every completed one (edges point
+       forward in id), and a still-held one can move behind it. *)
+    let rec settle now =
+      dispatch now;
+      let next = ref (-1) in
+      Array.iter
+        (List.iter (fun z ->
+             if
+               Rat.equal entries.(z).Static_schedule.start now
+               && (!next < 0 || z < !next)
+             then next := z))
+        held;
+      if !next >= 0 then begin
+        let z = !next in
+        let p = entries.(z).Static_schedule.proc in
+        held.(p) <- List.filter (( <> ) z) held.(p);
+        complete now z;
+        settle now
+      end
+    in
+    let next_event () =
+      match
+        ( Option.map (Array.get finish_time) (Pqueue.peek running),
+          Option.map arrival (Pqueue.peek pending) )
+      with
+      | Some a, Some b -> Some (Rat.min a b)
+      | t, None | None, t -> t
+    in
+    let rec run now =
+      (* completions at [now] release successors, then due arrivals join
+         the ready queue *)
+      pop_due running (Array.get finish_time) now (complete now);
+      pop_due pending arrival now (Pqueue.push ready);
+      settle now;
+      match next_event () with None -> () | Some t -> run t
+    in
+    run Rat.zero;
+    assert (!scheduled_count = n || n = 0);
+    Static_schedule.make ~n_procs entries
+
+  (* List_scheduler.auto's attempts and choice on the rational code *)
+  let auto ~n_procs g =
+    let attempts =
+      List.map
+        (fun h ->
+          let s = schedule ~rank:(rank g h) ~n_procs g in
+          (h, s, Static_schedule.is_feasible g s, Static_schedule.makespan g s))
+        Priority.all
+    in
+    (attempts, List.find_opt (fun (_, _, feasible, _) -> feasible) attempts)
+end
+
+let overflows f =
+  match f () with _ -> false | exception Rat.Overflow -> true
+
+(* The no-grid rule, stated apart from Tick_graph: the common
+   denominator D of every time, the ticks of every deadline, and the
+   horizon max(0, max A_i) + Σ C_i in ticks must fit in an int. *)
+let has_grid g =
+  not
+    (overflows (fun () ->
+         let jobs = Array.to_list (Graph.jobs g) in
+         let times j = [ j.Job.arrival; j.Job.deadline; j.Job.wcet ] in
+         let d =
+           List.fold_left
+             (fun acc j ->
+               List.fold_left (fun acc r -> Rat.lcm_int acc (Rat.den r)) acc (times j))
+             1 jobs
+         in
+         let fold f = List.fold_left f Rat.zero jobs in
+         let horizon =
+           Rat.add
+             (fold (fun acc j -> Rat.max acc j.Job.arrival))
+             (fold (fun acc j -> Rat.add acc j.Job.wcet))
+         in
+         let latest = fold (fun acc j -> Rat.max acc j.Job.deadline) in
+         List.iter
+           (fun r -> ignore (Rat.to_int_exn (Rat.mul r (Rat.of_int d))))
+           [ horizon; latest ]))
+
+let same_attempts g (ref_attempts, ref_best) (attempts, best) =
+  let same (h, s, feasible, makespan) (a : List_scheduler.attempt) =
+    h = a.List_scheduler.heuristic
+    && feasible = a.List_scheduler.feasible
+    && Rat.equal makespan a.List_scheduler.makespan
+    && same_schedule g s a.List_scheduler.schedule
+  in
+  List.length ref_attempts = List.length attempts
+  && List.for_all2 same ref_attempts attempts
+  &&
+  match (ref_best, best) with
+  | None, None -> true
+  | Some r, Some a -> same r a
+  | _ -> false
+
+(* Ranks, every heuristic's schedule on M = 1..4 and auto's attempts and
+   choice equal the rational oracle's where the graph has an integer
+   grid; where it has none, every entry point raises Rat.Overflow. *)
+let matches_rational g =
+  let m_range = [ 1; 2; 3; 4 ] in
+  if has_grid g then
+    List.for_all
+      (fun h ->
+        let rank = Priority.rank g h in
+        rank = Rat_ref.rank g h
+        && Priority.order g h = Rat_ref.order g h
+        && List.for_all
+             (fun n_procs ->
+               same_schedule g
+                 (List_scheduler.schedule ~rank ~n_procs g)
+                 (Rat_ref.schedule ~rank ~n_procs g))
+             m_range)
+      Priority.all
+    && List.for_all
+         (fun n_procs ->
+           same_attempts g (Rat_ref.auto ~n_procs g)
+             (List_scheduler.auto ~n_procs g))
+         m_range
+  else
+    let rank = Array.init (Graph.n_jobs g) Fun.id in
+    List.for_all
+      (fun h -> overflows (fun () -> Priority.rank g h))
+      Priority.all
+    && List.for_all
+         (fun n_procs ->
+           overflows (fun () -> List_scheduler.schedule ~rank ~n_procs g)
+           && overflows (fun () -> List_scheduler.auto ~n_procs g))
+         m_range
+
+let scales = [| Rat.make 1 7; Rat.make 3 8; Rat.make 1 10; Rat.make 1 1000 |]
+
+(* Randgen nets whose processes draw their WCET scale from [scales]
+   (mixed denominators) and about one in three costs nothing; in one
+   case in five every WCET is an integer and one process's is
+   max_int / k, so that some horizons leave the int range while every
+   single time fits *)
+let tick_case_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* n_periodic = int_range 2 7 in
+    let* n_sporadic = int_range 0 2 in
+    let* huge = frequency [ (4, return 0); (1, int_range 1 4) ] in
+    return (seed, n_periodic, n_sporadic, huge))
+
+let tick_case_graph (seed, n_periodic, n_sporadic, huge) =
+  let params =
+    { Fppn_apps.Randgen.default_params with seed; n_periodic; n_sporadic }
+  in
+  let net = Fppn_apps.Randgen.network params in
+  let scaled p =
+    Fppn_apps.Randgen.wcet ~scale:scales.(Hashtbl.hash (seed, p) mod 4)
+      (Derive.const_wcet Rat.one) net p
+  in
+  let wcet p =
+    if huge > 0 && p = Fppn_apps.Randgen.periodic_name 0 then
+      Rat.of_int (max_int / huge)
+    else if Hashtbl.hash (p, seed) mod 3 = 0 then Rat.zero
+    else if huge > 0 then Rat.of_int (Rat.ceil (scaled p))
+    else scaled p
+  in
+  (Derive.derive_exn ~wcet net).Derive.graph
+
+(* 10^-16 ms: the grid is past Timebase's 2^55 cap, but still in an int *)
+let test_tiny_wcet_grid () =
+  let net = Fppn_apps.Fig1.network () in
+  let tiny = Rat.make 1 10_000_000_000_000_000 in
+  let name = Fppn.Process.name (Fppn.Network.processes net).(0) in
+  let wcet p = if p = name then tiny else Fppn_apps.Fig1.wcet p in
+  let g = (Derive.derive_exn ~wcet net).Derive.graph in
+  let times =
+    List.concat_map
+      (fun j -> [ j.Job.arrival; j.Job.deadline; j.Job.wcet ])
+      (Array.to_list (Graph.jobs g))
+  in
+  Alcotest.(check bool) "ticks past the engine's 2^55 cap" true
+    (match Rt_util.Timebase.create times with
+    | None -> true
+    | Some tb -> not (List.for_all (Rt_util.Timebase.representable tb) times));
+  Alcotest.(check bool) "has an integer grid" true (has_grid g);
+  Alcotest.(check bool) "equals the rational oracle" true (matches_rational g)
+
+(* four independent jobs whose coprime WCETs put D near 1.8·10^19: the
+   rational code scheduled them, with makespan 1/65479 *)
+let test_coprime_wcets_overflow () =
+  let job id c =
+    { (mk_job id 0 100 0) with Job.wcet = Rat.make 1 c }
+  in
+  let g =
+    Graph.make
+      [| job 0 65521; job 1 65519; job 2 65497; job 3 65479 |]
+      (Digraph.create 4)
+  in
+  let _, best = Rat_ref.auto ~n_procs:4 g in
+  Alcotest.check rat "the rational makespan" (Rat.make 1 65479)
+    (match best with Some (_, _, _, m) -> m | None -> Rat.zero);
+  Alcotest.(check bool) "no grid" false (has_grid g);
+  Alcotest.(check bool) "auto raises Rat.Overflow" true
+    (overflows (fun () -> List_scheduler.auto ~n_procs:4 g));
+  Alcotest.(check bool) "schedule raises Rat.Overflow" true
+    (overflows (fun () ->
+         List_scheduler.schedule ~rank:[| 0; 1; 2; 3 |] ~n_procs:4 g))
+
+let test_rank_must_be_permutation () =
+  let g = chain3 () in
+  List.iter
+    (fun rank ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rank [%s] refused"
+           (String.concat ";" (Array.to_list (Array.map string_of_int rank))))
+        true
+        (match List_scheduler.schedule ~rank ~n_procs:2 g with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ [| 0; 0; 1 |]; [| 2; 1; 2 |]; [| 0; 1; 3 |]; [| -1; 0; 1 |]; [| 0; 1 |] ]
+
 (* --- priority optimizer ----------------------------------------------------- *)
 
 let test_optimizer_never_worse () =
@@ -672,6 +1007,10 @@ let prop_heap_matches_reference =
       in
       matches_reference (Derive.derive_exn ~wcet net).Derive.graph)
 
+let prop_ticks_match_rational =
+  qprop "tick ranks, schedules and auto = the rational oracle (M=1..4)"
+    ~count:200 tick_case_gen (fun case -> matches_rational (tick_case_graph case))
+
 let () =
   Alcotest.run "sched"
     [
@@ -704,6 +1043,12 @@ let () =
           Alcotest.test_case "zero WCET on fig1" `Quick test_zero_wcet_fig1;
           Alcotest.test_case "built-in apps match the reference" `Quick
             test_reference_apps;
+          Alcotest.test_case "10^-16 ms WCET on an int grid" `Quick
+            test_tiny_wcet_grid;
+          Alcotest.test_case "coprime WCETs raise Rat.Overflow" `Quick
+            test_coprime_wcets_overflow;
+          Alcotest.test_case "rank must be a permutation" `Quick
+            test_rank_must_be_permutation;
         ] );
       ( "exact",
         [
@@ -726,5 +1071,6 @@ let () =
           prop_necessary_condition_is_necessary;
           prop_exact_dominates_heuristic;
           prop_heap_matches_reference;
+          prop_ticks_match_rational;
         ] );
     ]
