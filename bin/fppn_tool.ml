@@ -248,30 +248,38 @@ let derive_app ?reduce app =
     exit 2
 
 (* 'auto' fans the heuristic attempts out over a domain pool (1 worker
-   per available core), which also gives traces their pool lanes *)
+   per available core), which also gives traces their pool lanes.  A
+   task graph no integer tick grid holds is bad input, as the engine
+   refuses its runs: one line, and exit 2. *)
 let schedule_for g ~heuristic ~n_procs =
-  match String.lowercase_ascii heuristic with
-  | "auto" -> (
-    let jobs = Rt_util.Pool.clamp_jobs (Rt_util.Pool.default_jobs ()) in
-    match
-      snd
-        (Rt_util.Pool.with_pool ~jobs (fun pool ->
-             List_scheduler.auto ~pool ~n_procs g))
-    with
-    | Some a ->
-      Printf.printf "heuristic: %s (first feasible)\n"
-        (Priority.to_string a.List_scheduler.heuristic);
-      a.List_scheduler.schedule
-    | None ->
-      print_endline
-        "no feasible schedule found by any heuristic; using alap-edf best effort";
-      List_scheduler.schedule_with ~heuristic:Priority.Alap_edf ~n_procs g)
-  | h -> (
-    match Priority.of_string h with
-    | Some heuristic -> List_scheduler.schedule_with ~heuristic ~n_procs g
-    | None ->
-      Printf.eprintf "unknown heuristic %S\n" h;
-      exit 2)
+  try
+    match String.lowercase_ascii heuristic with
+    | "auto" -> (
+      let jobs = Rt_util.Pool.clamp_jobs (Rt_util.Pool.default_jobs ()) in
+      match
+        snd
+          (Rt_util.Pool.with_pool ~jobs (fun pool ->
+               List_scheduler.auto ~pool ~n_procs g))
+      with
+      | Some a ->
+        Printf.printf "heuristic: %s (first feasible)\n"
+          (Priority.to_string a.List_scheduler.heuristic);
+        a.List_scheduler.schedule
+      | None ->
+        print_endline
+          "no feasible schedule found by any heuristic; using alap-edf best effort";
+        List_scheduler.schedule_with ~heuristic:Priority.Alap_edf ~n_procs g)
+    | h -> (
+      match Priority.of_string h with
+      | Some heuristic -> List_scheduler.schedule_with ~heuristic ~n_procs g
+      | None ->
+        Printf.eprintf "unknown heuristic %S\n" h;
+        exit 2)
+  with Rat.Overflow ->
+    prerr_endline
+      "fppn-tool: no integer tick grid holds the task graph: its times, or \
+       their sum, overflow an int in ticks";
+    exit 2
 
 (* A run the engine refuses (times no tick grid holds, among its other
    checks) is refused before any job body runs: bad input, one line and

@@ -734,26 +734,45 @@ let test_tiny_wcet_grid () =
   Alcotest.(check bool) "has an integer grid" true (has_grid g);
   Alcotest.(check bool) "equals the rational oracle" true (matches_rational g)
 
-(* four independent jobs whose coprime WCETs put D near 1.8·10^19: the
-   rational code scheduled them, with makespan 1/65479 *)
-let test_coprime_wcets_overflow () =
-  let job id c =
-    { (mk_job id 0 100 0) with Job.wcet = Rat.make 1 c }
-  in
-  let g =
+(* Graphs the rational code scheduled but no int grid holds: four
+   independent jobs whose coprime WCETs put D near 1.8·10^19 (makespan
+   1/65479), and a 10^-17 ms WCET beside a 200 ms deadline, whose ticks
+   are 2·10^19 (the no_grid.fppn of @gate; makespan 1) *)
+let test_no_grid_overflow () =
+  let independent wcets deadlines =
     Graph.make
-      [| job 0 65521; job 1 65519; job 2 65497; job 3 65479 |]
-      (Digraph.create 4)
+      (Array.mapi
+         (fun id (c, d) -> { (mk_job id 0 d 0) with Job.wcet = c })
+         (Array.combine wcets deadlines))
+      (Digraph.create (Array.length wcets))
   in
-  let _, best = Rat_ref.auto ~n_procs:4 g in
-  Alcotest.check rat "the rational makespan" (Rat.make 1 65479)
-    (match best with Some (_, _, _, m) -> m | None -> Rat.zero);
-  Alcotest.(check bool) "no grid" false (has_grid g);
-  Alcotest.(check bool) "auto raises Rat.Overflow" true
-    (overflows (fun () -> List_scheduler.auto ~n_procs:4 g));
-  Alcotest.(check bool) "schedule raises Rat.Overflow" true
-    (overflows (fun () ->
-         List_scheduler.schedule ~rank:[| 0; 1; 2; 3 |] ~n_procs:4 g))
+  List.iter
+    (fun (label, g, n_procs, makespan) ->
+      let _, best = Rat_ref.auto ~n_procs g in
+      Alcotest.check rat (label ^ ": the rational makespan") makespan
+        (match best with Some (_, _, _, m) -> m | None -> Rat.zero);
+      Alcotest.(check bool) (label ^ ": no grid") false (has_grid g);
+      Alcotest.(check bool) (label ^ ": auto raises Rat.Overflow") true
+        (overflows (fun () -> List_scheduler.auto ~n_procs g));
+      Alcotest.(check bool) (label ^ ": schedule raises Rat.Overflow") true
+        (overflows (fun () ->
+             List_scheduler.schedule
+               ~rank:(Array.init (Graph.n_jobs g) Fun.id)
+               ~n_procs g)))
+    [
+      ( "coprime WCETs",
+        independent
+          (Array.map (Rat.make 1) [| 65521; 65519; 65497; 65479 |])
+          [| 100; 100; 100; 100 |],
+        4,
+        Rat.make 1 65479 );
+      ( "10^-17 ms WCET",
+        independent
+          [| Rat.make 1 100_000_000_000_000_000; Rat.one |]
+          [| 40; 200 |],
+        2,
+        Rat.one );
+    ]
 
 let test_rank_must_be_permutation () =
   let g = chain3 () in
@@ -1045,8 +1064,8 @@ let () =
             test_reference_apps;
           Alcotest.test_case "10^-16 ms WCET on an int grid" `Quick
             test_tiny_wcet_grid;
-          Alcotest.test_case "coprime WCETs raise Rat.Overflow" `Quick
-            test_coprime_wcets_overflow;
+          Alcotest.test_case "no int grid raises Rat.Overflow" `Quick
+            test_no_grid_overflow;
           Alcotest.test_case "rank must be a permutation" `Quick
             test_rank_must_be_permutation;
         ] );
