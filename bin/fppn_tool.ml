@@ -277,8 +277,8 @@ let schedule_for g ~heuristic ~n_procs =
         exit 2)
   with Rat.Overflow ->
     prerr_endline
-      "fppn-tool: no integer tick grid holds the task graph: its times, or \
-       their sum, overflow an int in ticks";
+      "fppn-tool: the task graph's times overflow an int when scheduled \
+       (no integer tick grid holds them)";
     exit 2
 
 (* A run the engine refuses (times no tick grid holds, among its other
