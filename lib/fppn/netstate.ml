@@ -352,9 +352,12 @@ let channel_state t name =
     | Some st -> st
     | None -> raise Not_found)
 
+let release_histories t =
+  List.iter (fun (_, st) -> Channel.reset st) t.chan_states;
+  List.iter (fun (_, st) -> Channel.reset st) t.out_states
+
 let reset t =
   Array.iter Instance.reset t.instances;
-  List.iter (fun (_, st) -> Channel.reset st) t.chan_states;
-  List.iter (fun (_, st) -> Channel.reset st) t.out_states;
+  release_histories t;
   t.cur_inputs <- no_inputs;
   t.access_count <- 0

@@ -96,3 +96,8 @@ val channel_state : t -> string -> Channel.t
     @raise Not_found *)
 
 val reset : t -> unit
+
+val release_histories : t -> unit
+(** Empties every channel and output recorder as {!reset} does, leaving
+    the process states alone: the state stops referencing the values
+    written so far, while snapshots taken before keep reading them. *)

@@ -151,7 +151,10 @@ let last_signature s =
 (* in [recent]; an entry joins the [hot] LRU only when its (schedule,   *)
 (* config) recurs among the last [keep] misses, so callers that build   *)
 (* fresh schedules or stamps for every run never keep more than that    *)
-(* one entry.                                                           *)
+(* one entry.  A kept state holds none of a run's channel values: the   *)
+(* result's snapshots own them, and the state lets go of them when the  *)
+(* run returns, so a result the caller drops is garbage at once rather  *)
+(* than promoted by the next minor collection, wherever that falls.     *)
 (* ------------------------------------------------------------------ *)
 
 (* Structural-enough config equality for the memo: scalars compare by
@@ -246,6 +249,8 @@ let run ?monitor net derived sched config =
         | Some _ -> prepare ?monitor memo net derived sched config
         | None -> lookup memo net derived sched config
       in
-      exec e.e_session config ~unhandled_events:e.e_unhandled e.e_placed)
+      let r = exec e.e_session config ~unhandled_events:e.e_unhandled e.e_placed in
+      Netstate.release_histories e.e_session.s_ticks.state;
+      r)
 
 let run_sharded ?shards:_ net derived sched config = run net derived sched config

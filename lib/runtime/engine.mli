@@ -113,7 +113,9 @@ val run :
     missed, so a caller that builds a fresh schedule or fresh stamps
     for every call keeps one entry at most.  An entry is a {!session}
     made for its call's stamps, and keeps its arguments alive while it
-    is kept.  A monitored run is never
+    is kept, but none of the channel values a run wrote: its network
+    state lets go of them when the run returns, so they live exactly as
+    long as the result that snapshots them.  A monitored run is never
     memoized, as its budgets and callbacks are fresh per call; it only
     reuses a kept network state of the same network.
     @raise Invalid_argument if the schedule does not cover the derived

@@ -413,6 +413,47 @@ let test_memo_interleaved () =
       Alcotest.(check bool) name true (identical r (key reference)))
     results
 
+(* The values of frames 0-1 on fig1's outputs in a 4-frame memoized
+   run whose result is then dropped, watched through weak pointers.
+   Later frames are left out, as a process may still hold its last
+   value in a local, and so are the constant constructors, which are
+   not allocated. *)
+let[@inline never] dropped_run_values net d sched config =
+  let r = Engine.run net d sched config in
+  let allocated = function Fppn.Value.Absent | Unit -> false | _ -> true in
+  let early =
+    List.concat_map
+      (fun (_, h) ->
+        List.filter allocated (List.filteri (fun i _ -> i < List.length h / 2) h))
+      (Engine.output_history r)
+  in
+  let w = Weak.create (List.length early) in
+  List.iteri (fun i v -> Weak.set w i (Some v)) early;
+  w
+
+(* The memo keeps the last run's network state, not its values: when
+   the run returns, the state lets go of every history, which the
+   result's snapshots alone own.  A dropped result's values are then
+   garbage, not promoted by whichever minor collection comes next,
+   and a kept result still reads its own after the state is reused. *)
+let test_memo_releases_values () =
+  let net, d, sched = fig1_setup ~n_procs:2 in
+  let config = Engine.default_config ~frames:4 ~n_procs:2 () in
+  let kept = Engine.run net d sched config in
+  let w, hits =
+    with_counter "engine.memo_hits" (fun () -> dropped_run_values net d sched config)
+  in
+  Alcotest.(check int) "the second run is a memo hit" 1 hits;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr live
+  done;
+  Alcotest.(check bool) "values sampled" true (Weak.length w > 0);
+  Alcotest.(check int) "values of the dropped run still reachable" 0 !live;
+  Alcotest.(check bool) "the kept result = the oracle" true
+    (identical kept (Exec_rat.run net d sched config))
+
 (* [f ()] and the span calls of "engine.compile" it made *)
 let compiles f =
   let module Trace = Fppn_obs.Trace in
@@ -1033,6 +1074,8 @@ let () =
           Alcotest.test_case "run memo: interleaved keys" `Quick
             test_memo_interleaved;
           Alcotest.test_case "run memo: admission" `Quick test_memo_admission;
+          Alcotest.test_case "run memo: a dropped run's values are released"
+            `Quick test_memo_releases_values;
           Alcotest.test_case "run memo: access counting on and off" `Quick
             test_access_counting_toggle;
           Alcotest.test_case "profile tick-compiles" `Quick test_profile_tick;
