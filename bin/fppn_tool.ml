@@ -1806,6 +1806,26 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc:serve_doc) term
 
+(* Every subcommand runs under this one handler.  [Rat.Overflow] out of
+   any analysis means the application's times, or sums of them, do not
+   fit an int as exact rationals: bad input, one line and exit 2.  Any
+   other exception is an internal error, reported as Cmdliner reports
+   one (exit 125). *)
+let eval cmd =
+  match Cmd.eval ~catch:false cmd with
+  | code -> code
+  | exception Rat.Overflow ->
+    prerr_endline
+      "fppn-tool: the application's times overflow an int in exact \
+       arithmetic (no rational or integer tick grid holds them)";
+    2
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Format.eprintf "fppn-tool: @[<v>internal error, uncaught exception:@,%s@,%s@]@."
+      (Printexc.to_string e)
+      (Printexc.raw_backtrace_to_string bt);
+    Cmd.Exit.internal_error
+
 let () =
   let doc =
     "Deterministic execution of real-time multiprocessor applications \
@@ -1813,7 +1833,7 @@ let () =
   in
   let info = Cmd.info "fppn-tool" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
+    (eval
        (Cmd.group info
           [
             info_cmd; lint_cmd; certify_cmd; check_cmd; fuzz_cmd; report_cmd; derive_cmd;

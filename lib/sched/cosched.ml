@@ -216,9 +216,8 @@ let schedule_with ?(heuristic = Priority.Alap_edf) ~variant ~n_procs apps =
                Trace.with_span ("sched.cosched.app." ^ app.app_name)
                @@ fun () ->
                let my_slots = Array.of_list slots.(ai) in
-               let rank = Priority.rank app.graph heuristic in
                let local =
-                 List_scheduler.schedule ~rank
+                 List_scheduler.schedule_with ~heuristic
                    ~n_procs:(Array.length my_slots) app.graph
                in
                let entries =

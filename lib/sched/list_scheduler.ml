@@ -40,7 +40,8 @@ let static_orders ~n_procs ~proc ~start dispatched =
     dispatched;
   orders
 
-let schedule_ticks (v : Tick_graph.t) ~rank ~n_procs =
+let schedule_ticks ~rank ~n_procs (v : Tick_graph.t) =
+  Fppn_obs.Trace.with_span "sched.list" @@ fun () ->
   let n = Tick_graph.n_jobs v in
   check_rank ~n rank;
   if n_procs <= 0 then invalid_arg "List_scheduler.schedule: no processors";
@@ -149,11 +150,11 @@ let schedule_ticks (v : Tick_graph.t) ~rank ~n_procs =
     (static_orders ~n_procs ~proc ~start dispatched)
 
 let schedule ~rank ~n_procs g =
-  Fppn_obs.Trace.with_span "sched.list" @@ fun () ->
-  schedule_ticks (Tick_graph.compile g) ~rank ~n_procs
+  schedule_ticks ~rank ~n_procs (Tick_graph.compile g)
 
 let schedule_with ~heuristic ~n_procs g =
-  schedule ~rank:(Priority.rank g heuristic) ~n_procs g
+  let v = Tick_graph.compile g in
+  schedule_ticks ~rank:(Priority.rank_ticks v heuristic) ~n_procs v
 
 type attempt = {
   heuristic : Priority.heuristic;
@@ -168,11 +169,7 @@ let auto ?pool ?(heuristics = Priority.all) ~n_procs g =
   let attempt heuristic =
     Fppn_obs.Trace.with_span ("sched.auto." ^ Priority.to_string heuristic)
     @@ fun () ->
-    let rank = Priority.rank_ticks v heuristic in
-    let s =
-      Fppn_obs.Trace.with_span "sched.list" @@ fun () ->
-      schedule_ticks v ~rank ~n_procs
-    in
+    let s = schedule_ticks ~rank:(Priority.rank_ticks v heuristic) ~n_procs v in
     {
       heuristic;
       schedule = s;

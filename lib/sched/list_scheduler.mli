@@ -42,12 +42,21 @@ val schedule :
     [max(0, max A_i) + Σ C_i] in ticks does not fit in an [int]
     ({!Tick_graph.compile}). *)
 
+val schedule_ticks :
+  rank:int array -> n_procs:int -> Tick_graph.t -> Static_schedule.t
+(** {!schedule} on an already compiled view, which it only reads: a
+    caller that schedules one graph many times (a search over ranks)
+    compiles it once.  Each call is one [sched.list] span, as a
+    {!schedule} call is.
+    @raise Invalid_argument as {!schedule}. *)
+
 val schedule_with :
   heuristic:Priority.heuristic ->
   n_procs:int ->
   Taskgraph.Graph.t ->
   Static_schedule.t
-(** Convenience composition of {!Priority.rank} and {!schedule}.
+(** {!Priority.rank_ticks} and {!schedule_ticks} on one compiled view:
+    the graph is compiled once per call.
     @raise Rt_util.Rat.Overflow as {!schedule}. *)
 
 type attempt = {

@@ -27,8 +27,10 @@ let improve ?(seed = 1) ?(iterations = 400) ?(start = Priority.Alap_edf)
     ~n_procs g =
   let n = Graph.n_jobs g in
   let prng = Prng.create seed in
-  let rank = Priority.rank g start in
-  let schedule = ref (List_scheduler.schedule ~rank ~n_procs g) in
+  (* one compiled view serves the start and every swap *)
+  let v = Tick_graph.compile g in
+  let rank = Priority.rank_ticks v start in
+  let schedule = ref (List_scheduler.schedule_ticks ~rank ~n_procs v) in
   let best = ref (score g !schedule) in
   let improvements = ref 0 in
   let evaluated = ref 0 in
@@ -40,7 +42,7 @@ let improve ?(seed = 1) ?(iterations = 400) ?(start = Priority.Alap_edf)
         let tmp = rank.(a) in
         rank.(a) <- rank.(b);
         rank.(b) <- tmp;
-        let candidate = List_scheduler.schedule ~rank ~n_procs g in
+        let candidate = List_scheduler.schedule_ticks ~rank ~n_procs v in
         let s = score g candidate in
         if better s !best then begin
           best := s;

@@ -130,7 +130,29 @@ let check g t =
   done;
   List.rev !violations
 
-let is_feasible g t = check g t = []
+(* [check g t = []] walked in place: each finish computed once, the
+   successor lists and order arrays read as stored, and the walk stops
+   at the first violation *)
+let is_feasible g t =
+  let n = n_jobs t in
+  let finish = Array.init n (finish g t) in
+  let job_ok i =
+    let j = Graph.job g i and e = finish.(i) in
+    Rat.(start t i >= j.Job.arrival)
+    && Rat.(e <= j.Job.deadline)
+    && List.for_all (fun k -> Rat.(e <= start t k)) (Graph.succs g i)
+  in
+  let rec jobs_ok i = i >= n || (job_ok i && jobs_ok (i + 1)) in
+  let order_ok o =
+    let rec scan k =
+      k >= Array.length o
+      ||
+      let prev = finish.(o.(k - 1)) in
+      Rat.(prev <= start t o.(k)) && scan (k + 1)
+    in
+    scan 1
+  in
+  jobs_ok 0 && Array.for_all order_ok t.orders
 
 let to_gantt_rows g t =
   List.init t.n_procs (fun p ->

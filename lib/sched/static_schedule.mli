@@ -54,6 +54,9 @@ val check : Taskgraph.Graph.t -> t -> violation list
 (** All feasibility violations of Def. 3.2 (empty = feasible). *)
 
 val is_feasible : Taskgraph.Graph.t -> t -> bool
+(** [check g t = \[\]], decided in place: the four conditions over the
+    stored successor lists and static orders, each finish computed
+    once, stopping at the first violation; no violation list is built. *)
 
 val to_gantt_rows : Taskgraph.Graph.t -> t -> Rt_util.Gantt.row list
 (** One row per processor, one bar per job — Fig. 4-style. *)

@@ -1,5 +1,4 @@
 module Rat = Rt_util.Rat
-module Digraph = Rt_util.Digraph
 module Graph = Taskgraph.Graph
 module Job = Taskgraph.Job
 
@@ -46,10 +45,9 @@ let compile g =
   let total = Array.fold_left add 0 wcet in
   ignore (add (Array.fold_left max 0 arrival) total);
   ignore (add (Array.fold_left min 0 deadline) (-total));
-  let dag = Graph.dag g in
   let succ_off = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    succ_off.(i + 1) <- succ_off.(i) + Digraph.out_degree dag i
+    succ_off.(i + 1) <- succ_off.(i) + List.length (Graph.succs g i)
   done;
   let succ = Array.make succ_off.(n) 0 in
   for i = 0 to n - 1 do
@@ -62,7 +60,7 @@ let compile g =
     wcet;
     succ_off;
     succ;
-    n_preds = Array.init n (Digraph.in_degree dag);
+    n_preds = Array.init n (fun i -> List.length (Graph.preds g i));
     topo = Array.of_list (Graph.topo_order g);
   }
 

@@ -3,57 +3,142 @@ module Digraph = Rt_util.Digraph
 
 type t = {
   jobs : Job.t array;
-  dag : Digraph.t;
+  succ : int list array; (* insertion order *)
+  pred : int list array; (* insertion order *)
+  n_edges : int;
   topo : int list;
-  by_proc : (int, int list) Hashtbl.t; (* proc -> job ids ascending k *)
+  by_proc : int list array; (* proc -> job ids ascending k *)
 }
 
-let make jobs dag =
-  if Array.length jobs <> Digraph.n_nodes dag then
-    invalid_arg "Taskgraph.Graph.make: job count and node count differ";
+let check_ids who jobs =
   Array.iteri
     (fun i j ->
-      if j.Job.id <> i then
-        invalid_arg "Taskgraph.Graph.make: job ids must be positional")
-    jobs;
-  let topo =
-    match Digraph.topo_sort dag with
-    | Some o -> o
-    | None -> invalid_arg "Taskgraph.Graph.make: precedence graph is cyclic"
+      if j.Job.id <> i then invalid_arg (who ^ ": job ids must be positional");
+      if j.Job.proc < 0 then invalid_arg (who ^ ": negative process index"))
+    jobs
+
+(* The least topological order by id.  When every edge points forward it
+   is the identity; otherwise Kahn's algorithm, smallest ready id first. *)
+let topo_of who succ pred =
+  let n = Array.length succ in
+  let forward = ref true in
+  Array.iteri
+    (fun u vs -> if !forward then forward := List.for_all (fun v -> v > u) vs)
+    succ;
+  if !forward then List.init n Fun.id
+  else begin
+    let indeg = Array.map List.length pred in
+    let ready = Rt_util.Iheap.create ~capacity:n () in
+    Array.iteri
+      (fun v d -> if d = 0 then Rt_util.Iheap.push ready ~key:v ~pay:v)
+      indeg;
+    let order = ref [] and count = ref 0 in
+    while not (Rt_util.Iheap.is_empty ready) do
+      let u = Rt_util.Iheap.top_pay ready in
+      Rt_util.Iheap.drop ready;
+      order := u :: !order;
+      incr count;
+      List.iter
+        (fun v ->
+          indeg.(v) <- indeg.(v) - 1;
+          if indeg.(v) = 0 then Rt_util.Iheap.push ready ~key:v ~pay:v)
+        succ.(u)
+    done;
+    if !count < n then invalid_arg (who ^ ": precedence graph is cyclic");
+    List.rev !order
+  end
+
+let by_proc_of jobs =
+  let n_procs = 1 + Array.fold_left (fun m j -> max m j.Job.proc) (-1) jobs in
+  let by_proc = Array.make n_procs [] in
+  for i = Array.length jobs - 1 downto 0 do
+    let p = jobs.(i).Job.proc in
+    by_proc.(p) <- i :: by_proc.(p)
+  done;
+  (* ascending k, equal k by descending id; derived graphs number each
+     process's jobs in ascending k already *)
+  let cmp a b =
+    let c = Int.compare jobs.(a).Job.k jobs.(b).Job.k in
+    if c <> 0 then c else Int.compare b a
   in
-  let by_proc = Hashtbl.create 16 in
-  Array.iter
-    (fun j ->
-      let prev = try Hashtbl.find by_proc j.Job.proc with Not_found -> [] in
-      Hashtbl.replace by_proc j.Job.proc (j.Job.id :: prev))
-    jobs;
-  Hashtbl.iter
-    (fun p ids ->
-      let sorted =
-        List.sort (fun a b -> Int.compare jobs.(a).Job.k jobs.(b).Job.k) ids
-      in
-      Hashtbl.replace by_proc p sorted)
-    (Hashtbl.copy by_proc);
-  { jobs; dag; topo; by_proc }
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> cmp a b < 0 && sorted rest
+    | [ _ ] | [] -> true
+  in
+  Array.map (fun ids -> if sorted ids then ids else List.sort cmp ids) by_proc
+
+let build who jobs succ pred n_edges =
+  { jobs; succ; pred; n_edges; topo = topo_of who succ pred; by_proc = by_proc_of jobs }
+
+let make jobs dag =
+  let who = "Taskgraph.Graph.make" in
+  let n = Array.length jobs in
+  if n <> Digraph.n_nodes dag then
+    invalid_arg (who ^ ": job count and node count differ");
+  check_ids who jobs;
+  build who jobs
+    (Array.init n (Digraph.succs dag))
+    (Array.init n (Digraph.preds dag))
+    (Digraph.n_edges dag)
+
+let of_succs jobs succ =
+  let who = "Taskgraph.Graph.of_succs" in
+  let n = Array.length jobs in
+  if Array.length succ <> n then
+    invalid_arg (who ^ ": job count and successor list count differ");
+  check_ids who jobs;
+  (* last.(v) = the source that last listed v: a repeat is a duplicate *)
+  let last = Array.make n (-1) in
+  let pred = Array.make n [] and n_edges = ref 0 in
+  for u = n - 1 downto 0 do
+    List.iter
+      (fun v ->
+        if v < 0 || v >= n then invalid_arg (who ^ ": successor out of range");
+        if last.(v) = u then invalid_arg (who ^ ": duplicate edge");
+        last.(v) <- u;
+        pred.(v) <- u :: pred.(v);
+        incr n_edges)
+      succ.(u)
+  done;
+  build who jobs succ pred !n_edges
 
 let n_jobs t = Array.length t.jobs
-let n_edges t = Digraph.n_edges t.dag
+let n_edges t = t.n_edges
 let job t i = t.jobs.(i)
 let jobs t = t.jobs
-let dag t = t.dag
-let preds t i = Digraph.preds t.dag i
-let succs t i = Digraph.succs t.dag i
-let edges t = Digraph.edges t.dag
-let has_edge t i j = Digraph.has_edge t.dag i j
+
+let dag t =
+  let d = Digraph.create (n_jobs t) in
+  Array.iteri (fun u vs -> List.iter (Digraph.add_edge d u) vs) t.succ;
+  d
+
+let preds t i = t.pred.(i)
+let succs t i = t.succ.(i)
+
+let edges t =
+  let acc = ref [] in
+  for u = n_jobs t - 1 downto 0 do
+    List.iter (fun v -> acc := (u, v) :: !acc) t.succ.(u)
+  done;
+  !acc
+
+let has_edge t i j =
+  let n = n_jobs t in
+  if i < 0 || i >= n || j < 0 || j >= n then
+    invalid_arg
+      (Printf.sprintf "Taskgraph.Graph.has_edge: job %d or %d out of [0,%d)" i j n);
+  List.mem j t.succ.(i)
+
 let topo_order t = t.topo
 
 let sources t =
-  List.filter (fun i -> Digraph.in_degree t.dag i = 0) (List.init (n_jobs t) Fun.id)
+  List.filter (fun i -> t.pred.(i) = []) (List.init (n_jobs t) Fun.id)
 
 let sinks t =
-  List.filter (fun i -> Digraph.out_degree t.dag i = 0) (List.init (n_jobs t) Fun.id)
+  List.filter (fun i -> t.succ.(i) = []) (List.init (n_jobs t) Fun.id)
 
-let jobs_of_process t p = try Hashtbl.find t.by_proc p with Not_found -> []
+let jobs_of_process t p =
+  if p < 0 || p >= Array.length t.by_proc then [] else t.by_proc.(p)
 
 let find_job t ~proc ~k =
   match
@@ -77,7 +162,7 @@ let induced ~keep t =
     Array.mapi (fun n o -> { t.jobs.(o) with Job.id = n }) old_of_new
   in
   (* connect kept jobs that were joined by any path, then minimize *)
-  let closure = Digraph.transitive_closure t.dag in
+  let closure = Digraph.transitive_closure (dag t) in
   let dag' = Digraph.create (Array.length old_of_new) in
   Array.iteri
     (fun na oa ->
@@ -127,8 +212,7 @@ let disjoint_union ?prefixes gs =
   (make jobs' dag', owner)
 
 let map_wcet f t =
-  let jobs' = Array.map (fun j -> { j with Job.wcet = f j }) t.jobs in
-  make jobs' (Digraph.copy t.dag)
+  { t with jobs = Array.map (fun j -> { j with Job.wcet = f j }) t.jobs }
 
 let to_json t =
   let buf = Buffer.create 4096 in

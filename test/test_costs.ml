@@ -4,7 +4,7 @@
    prints every non-zero Fppn_obs.Metrics counter (search nodes among
    them) and the call count of every span, beside its own sizes: graph
    sizes, mode switches and, with tracing and metrics off, the minor
-   words of one List_scheduler.auto call, of a memoized engine run and
+   words of one derivation, of one List_scheduler.auto call, of a memoized engine run and
    of a service epoch, and the words the epoch promotes.  Per-job spans, whose names carry a
    job index [k], are left out.  Each value is fixed by the inputs and
    not by the host's speed, so dune diffs this output against
@@ -95,6 +95,12 @@ let toolchain () =
           (List.length cert.Fppn_lint.Certificate.channels);
         d)
   in
+  (* one derivation: the job sequence, the reduction sweep and the
+     frozen graph *)
+  let fms = Fppn_apps.Fms.original () in
+  pin s "fms-original.derive.minor_words"
+    (minor_words (fun () ->
+         ignore (Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet fms)));
   (* one auto call: its compiled view and five rank-and-schedule runs *)
   pin s "fms-original.sched.auto.minor_words"
     (minor_words (fun () ->

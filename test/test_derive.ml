@@ -352,6 +352,200 @@ let prop_reduction_of_full_relation =
              && sorted (fun a b -> Int.compare b a) (Graph.succs g i))
            (List.init (Graph.n_jobs g) Fun.id))
 
+(* --- differential: the hash-set derivation as the oracle --------------- *)
+
+module Digraph = Rt_util.Digraph
+
+(* Steps 3 and 5 as derivation ran them before it built the frozen graph
+   directly: the step-3 relation inserted edge by edge into a hash-set
+   digraph, [Digraph.transitive_reduction], then [Graph.make].  It reads
+   the job sequence and the servers of the derivation under test, and
+   rebuilds FP' from them as step 1 does. *)
+let oracle_graph ~reduce net (d : Derive.t) =
+  let n = Network.n_processes net in
+  let users = Array.make n None in
+  List.iter
+    (fun s -> users.(s.Derive.sporadic) <- Some s.Derive.user)
+    d.Derive.servers;
+  let fp' = Digraph.create n in
+  List.iter
+    (fun (hi, lo) ->
+      let dropped =
+        (match users.(hi) with Some u -> u = lo | None -> false)
+        || (match users.(lo) with Some u -> u = hi | None -> false)
+      in
+      if not dropped then Digraph.add_edge fp' hi lo)
+    (Network.fp_edges net);
+  List.iter
+    (fun s -> Digraph.add_edge fp' s.Derive.sporadic s.Derive.user)
+    d.Derive.servers;
+  let jobs_arr = Graph.jobs d.Derive.graph in
+  let m = Array.length jobs_arr in
+  let dag = Digraph.create m in
+  let cols = Array.make n [] in
+  for a = m - 1 downto 0 do
+    let p = jobs_arr.(a).Job.proc in
+    cols.(p) <- a :: cols.(p)
+  done;
+  let cols = Array.map Array.of_list cols in
+  let nbrs =
+    Array.init n (fun p ->
+        p
+        :: List.filter
+             (fun q -> q <> p)
+             (List.sort_uniq Int.compare
+                (Digraph.succs fp' p @ Digraph.preds fp' p)))
+  in
+  let cur = Array.make n 0 in
+  let raw_edges = ref 0 in
+  for a = 0 to m - 1 do
+    let targets = ref [] in
+    List.iter
+      (fun q ->
+        let col = cols.(q) in
+        let len = Array.length col in
+        while cur.(q) < len && col.(cur.(q)) <= a do
+          cur.(q) <- cur.(q) + 1
+        done;
+        raw_edges := !raw_edges + (len - cur.(q));
+        if not reduce then
+          for i = cur.(q) to len - 1 do
+            targets := col.(i) :: !targets
+          done
+        else if cur.(q) < len then targets := col.(cur.(q)) :: !targets)
+      nbrs.(jobs_arr.(a).Job.proc);
+    List.iter (Digraph.add_edge dag a) (List.sort Int.compare !targets)
+  done;
+  let dag = if reduce then Digraph.transitive_reduction dag else dag in
+  (Graph.make jobs_arr dag, !raw_edges)
+
+let bursty_net_gen =
+  QCheck2.Gen.(
+    let* params = dense_net_gen in
+    let* reduce = bool in
+    return (params, reduce))
+
+let prop_derive_equals_oracle =
+  qprop "derive = the hash-set oracle, reduced and not" ~count:200
+    bursty_net_gen (fun (params, reduce) ->
+      let net = Fppn_apps.Randgen.network params in
+      let wcet =
+        Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 10) (Derive.const_wcet Rat.one) net
+      in
+      let d = Derive.derive_exn ~reduce ~wcet net in
+      let g = d.Derive.graph in
+      let o, raw_edges = oracle_graph ~reduce net d in
+      let ids = List.init (Graph.n_jobs g) Fun.id in
+      d.Derive.raw_edges = raw_edges
+      && Graph.n_edges g = Graph.n_edges o
+      && Graph.edges g = Graph.edges o
+      && Graph.topo_order g = Graph.topo_order o
+      && Graph.sources g = Graph.sources o
+      && Graph.sinks g = Graph.sinks o
+      && List.for_all
+           (fun i -> Graph.succs g i = Graph.succs o i && Graph.preds g i = Graph.preds o i)
+           ids
+      && List.for_all
+           (fun p -> Graph.jobs_of_process g p = Graph.jobs_of_process o p)
+           (List.init (Network.n_processes net + 1) Fun.id))
+
+(* a random DAG whose ids are not a topological order: edges follow a
+   random permutation, inserted in random order *)
+let shuffled_dag_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 24 in
+    let* perm = shuffle_a (Array.init n Fun.id) in
+    let* pairs = list_size (int_range 0 (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+    let* procs = array_size (return n) (int_bound 3) in
+    return (perm, pairs, procs))
+
+let shuffled_graph (perm, pairs, procs) =
+  let n = Array.length perm in
+  let dag = Digraph.create n in
+  List.iter
+    (fun (x, y) -> if x < y then Digraph.add_edge dag perm.(x) perm.(y))
+    pairs;
+  let jobs =
+    Array.init n (fun i ->
+        {
+          Job.id = i;
+          proc = procs.(i);
+          proc_name = Printf.sprintf "P%d" procs.(i);
+          k = 1 + ((7 * i) mod 5);
+          arrival = Rat.zero;
+          deadline = Rat.one;
+          wcet = Rat.zero;
+          is_server = false;
+        })
+  in
+  (jobs, dag)
+
+let prop_make_agrees_with_digraph =
+  qprop "Graph.make = its Digraph on ids out of topological order" ~count:300
+    shuffled_dag_gen (fun ((perm, _, _) as case) ->
+      let jobs, dag = shuffled_graph case in
+      let n = Array.length jobs in
+      let g = Graph.make jobs dag in
+      let ids = List.init n Fun.id in
+      let cyclic =
+        (* the first and last jobs of the permutation linked both ways
+           (a self-loop when they are one job) *)
+        let c = Digraph.copy dag in
+        Digraph.add_edge c perm.(0) perm.(n - 1);
+        Digraph.add_edge c perm.(n - 1) perm.(0);
+        match Graph.make jobs c with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Graph.n_edges g = Digraph.n_edges dag
+      && Graph.edges g = Digraph.edges dag
+      && Digraph.edges (Graph.dag g) = Digraph.edges dag
+      && Some (Graph.topo_order g) = Digraph.topo_sort dag
+      && List.for_all
+           (fun i ->
+             Graph.succs g i = Digraph.succs dag i
+             && Graph.preds g i = Digraph.preds dag i
+             && List.for_all (fun j -> Graph.has_edge g i j = Digraph.has_edge dag i j) ids)
+           ids
+      && cyclic)
+
+let test_of_succs_checks () =
+  let jobs =
+    Array.init 3 (fun i ->
+        {
+          Job.id = i;
+          proc = 0;
+          proc_name = "P";
+          k = i + 1;
+          arrival = Rat.zero;
+          deadline = Rat.one;
+          wcet = Rat.zero;
+          is_server = false;
+        })
+  in
+  let refused succs =
+    match Graph.of_succs jobs succs with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let g = Graph.of_succs jobs [| [ 2; 1 ]; [ 2 ]; [] |] in
+  Alcotest.(check (list int)) "successors as given" [ 2; 1 ] (Graph.succs g 0);
+  Alcotest.(check (list int)) "predecessors ascending" [ 0; 1 ] (Graph.preds g 2);
+  Alcotest.(check (list (pair int int))) "edges: reverse successor order"
+    [ (0, 1); (0, 2); (1, 2) ] (Graph.edges g);
+  Alcotest.(check (list int)) "identity order" [ 0; 1; 2 ] (Graph.topo_order g);
+  let back = Graph.of_succs jobs [| []; [ 0 ]; [ 1 ] |] in
+  Alcotest.(check (list int)) "least order by id" [ 2; 1; 0 ] (Graph.topo_order back);
+  Alcotest.(check bool) "cycle" true (refused [| [ 1 ]; [ 0 ]; [] |]);
+  Alcotest.(check bool) "self loop" true (refused [| [ 0 ]; []; [] |]);
+  Alcotest.(check bool) "out of range" true (refused [| [ 3 ]; []; [] |]);
+  Alcotest.(check bool) "repeated successor" true (refused [| [ 1; 1 ]; []; [] |]);
+  Alcotest.(check bool) "length" true (refused [| []; [] |]);
+  Alcotest.(check bool) "has_edge out of range" true
+    (match Graph.has_edge g 0 3 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "derive"
     [
@@ -381,5 +575,11 @@ let () =
           prop_edges_follow_the_total_order;
           prop_graph_acyclic;
           prop_reduction_of_full_relation;
+        ] );
+      ( "frozen graph",
+        [
+          prop_derive_equals_oracle;
+          prop_make_agrees_with_digraph;
+          Alcotest.test_case "of_succs orders and checks" `Quick test_of_succs_checks;
         ] );
     ]

@@ -1030,6 +1030,72 @@ let prop_ticks_match_rational =
   qprop "tick ranks, schedules and auto = the rational oracle (M=1..4)"
     ~count:200 tick_case_gen (fun case -> matches_rational (tick_case_graph case))
 
+(* A list schedule of a Randgen net with up to three entries moved: a
+   start shifted by a multiple of a quarter WCET (kept non-negative), or
+   a job put on another processor.  Built with [Static_schedule.make], so
+   arrival, deadline, precedence and overlap violations all occur. *)
+let perturbed_gen =
+  QCheck2.Gen.(
+    let* params, scale = dense_params_gen in
+    let* n_procs = int_range 1 4 in
+    let* heuristic = oneofl Priority.all in
+    let* moves =
+      list_size (int_range 0 3) (triple nat (int_bound 3) (int_range (-6) 6))
+    in
+    return (params, scale, n_procs, heuristic, moves))
+
+let perturbed_schedule (params, scale, n_procs, heuristic, moves) =
+  let net = Fppn_apps.Randgen.network params in
+  let wcet =
+    Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 scale) (Derive.const_wcet Rat.one) net
+  in
+  let g = (Derive.derive_exn ~wcet net).Derive.graph in
+  let s = List_scheduler.schedule_with ~heuristic ~n_procs g in
+  let n = Graph.n_jobs g in
+  let entries = Array.init n (Static_schedule.entry s) in
+  List.iter
+    (fun (j, p, delta) ->
+      let i = j mod n in
+      let e = entries.(i) in
+      entries.(i) <-
+        (if delta = 0 then { e with Static_schedule.proc = p mod n_procs }
+         else
+           let shift = Rat.mul (Rat.make delta 4) (Graph.job g i).Job.wcet in
+           { e with Static_schedule.start = Rat.max Rat.zero (Rat.add e.start shift) }))
+    moves;
+  (g, Static_schedule.make ~n_procs entries)
+
+let prop_is_feasible_is_check =
+  qprop "is_feasible g s = (check g s = [])" ~count:300 perturbed_gen
+    (fun case ->
+      let g, s = perturbed_schedule case in
+      Static_schedule.is_feasible g s = (Static_schedule.check g s = []))
+
+(* the generator above reaches feasible schedules and every kind of
+   violation, so the property compares both answers *)
+let test_perturbed_cover () =
+  let kinds = Hashtbl.create 8 in
+  List.iter
+    (fun case ->
+      let g, s = perturbed_schedule case in
+      match Static_schedule.check g s with
+      | [] -> Hashtbl.replace kinds "feasible" ()
+      | vs ->
+        List.iter
+          (fun v ->
+            Hashtbl.replace kinds
+              (match v with
+              | Static_schedule.Arrival _ -> "arrival"
+              | Deadline _ -> "deadline"
+              | Precedence _ -> "precedence"
+              | Overlap _ -> "overlap")
+              ())
+          vs)
+    (QCheck2.Gen.generate ~rand:(Random.State.make [| 1 |]) ~n:300 perturbed_gen);
+  List.iter
+    (fun k -> Alcotest.(check bool) k true (Hashtbl.mem kinds k))
+    [ "feasible"; "arrival"; "deadline"; "precedence"; "overlap" ]
+
 let () =
   Alcotest.run "sched"
     [
@@ -1091,5 +1157,8 @@ let () =
           prop_exact_dominates_heuristic;
           prop_heap_matches_reference;
           prop_ticks_match_rational;
+          prop_is_feasible_is_check;
+          Alcotest.test_case "perturbed schedules cover every verdict" `Quick
+            test_perturbed_cover;
         ] );
     ]
