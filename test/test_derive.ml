@@ -576,7 +576,7 @@ let () =
           prop_graph_acyclic;
           prop_reduction_of_full_relation;
         ] );
-      ( "frozen graph",
+      ( "frozen",
         [
           prop_derive_equals_oracle;
           prop_make_agrees_with_digraph;
