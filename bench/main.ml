@@ -159,7 +159,7 @@ let e3_fft pool buf =
   let net = Fppn_apps.Fft.network p in
   let d = Derive.derive_exn ~wcet:(Fppn_apps.Fft.wcet_map p) net in
   let g = d.Derive.graph in
-  let load = Analysis.load g in
+  let load = (Analysis.analyse g).load in
   (* paper trick: model the arrival-management overhead as an extra job
      with a precedence edge directed to the generator *)
   let net_oh = Fppn_apps.Fft.network_with_overhead_job p in
@@ -168,7 +168,7 @@ let e3_fft pool buf =
       ~wcet:(Fppn_apps.Fft.wcet_map_with_overhead p ~overhead:(ms 41))
       net_oh
   in
-  let load_oh = Analysis.load d_oh.Derive.graph in
+  let load_oh = (Analysis.analyse d_oh.Derive.graph).load in
   let overhead =
     { Platform.first_frame = ms 41; steady_frame = ms 20; per_access = Rat.zero }
   in
@@ -229,7 +229,7 @@ let e4_fms pool buf =
   let net = Fppn_apps.Fms.reduced () in
   let d = Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet net in
   let g = d.Derive.graph in
-  let load = Analysis.load g in
+  let load = (Analysis.analyse g).load in
   let horizon = d.Derive.hyperperiod in
   let traces =
     Fppn_apps.Fms.random_config_traces ~seed:11 ~horizon ~density:0.5 net
@@ -995,8 +995,7 @@ let microbenchmarks buf =
                (Rt_util.Digraph.transitive_reduction fms_raw_dag)));
       Test.make ~name:"asap-alap-load.fms"
         (Staged.stage (fun () ->
-             let times = Analysis.asap_alap fms_d.Derive.graph in
-             ignore (Analysis.load ~times fms_d.Derive.graph)));
+             ignore (Analysis.analyse fms_d.Derive.graph)));
       Test.make ~name:"list-schedule.fms-m2"
         (Staged.stage (fun () ->
              ignore

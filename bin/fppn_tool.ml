@@ -347,14 +347,14 @@ let derive_cmd =
           (Rat.to_string s.Derive.server_relative_deadline)
           (if s.Derive.boundary_closed_right then "(a,b]" else "[a,b)"))
       d.Derive.servers;
-    let load = Analysis.load g in
-    let w1, w2 = load.Analysis.window in
+    let analysis = Analysis.analyse g in
+    let w1, w2 = analysis.load.window in
     Printf.printf "load: %.3f over window [%s, %s] ms\n"
-      (Rat.to_float load.Analysis.value)
+      (Rat.to_float analysis.load.value)
       (Rat.to_string w1) (Rat.to_string w2);
     List.iter
       (fun m ->
-        match Analysis.necessary_condition g ~processors:m with
+        match Analysis.necessary_condition analysis ~processors:m with
         | Ok () -> Printf.printf "necessary condition (Prop 3.1) for M=%d: holds\n" m
         | Error _ -> Printf.printf "necessary condition (Prop 3.1) for M=%d: violated\n" m)
       [ 1; 2; 4 ]
@@ -916,14 +916,14 @@ let report_cmd =
       (fun p -> Format.printf "- %a@." Process.pp p)
       (Network.processes net);
     let g = d.Derive.graph in
-    let load = Taskgraph.Analysis.load g in
+    let analysis = Analysis.analyse g in
     Printf.printf
       "\n## Task graph (Sec. III-A)\n\nHyperperiod %s ms; %d jobs, %d edges \
        (%d before reduction); load %.3f.\n"
       (Rat.to_string d.Derive.hyperperiod)
       (Graph.n_jobs g) (Graph.n_edges g) d.Derive.raw_edges
-      (Rat.to_float load.Taskgraph.Analysis.value);
-    let v = Sched.Dimension.min_processors g in
+      (Rat.to_float analysis.load.value);
+    let v = Sched.Dimension.min_processors ~analysis g in
     Format.printf "\nDimensioning: %a@." Sched.Dimension.pp v;
     Printf.printf "\n## Static schedule (M=%d)\n\n```\n" n_procs;
     let s = schedule_for g ~heuristic:"auto" ~n_procs in

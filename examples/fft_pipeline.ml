@@ -24,7 +24,7 @@ let () =
   (* task graph: with a single rate, it maps 1:1 to the process network *)
   let d = Taskgraph.Derive.derive_exn ~wcet:(Fft.wcet_map p) net in
   let g = d.Taskgraph.Derive.graph in
-  let load = Taskgraph.Analysis.load g in
+  let load = (Taskgraph.Analysis.analyse g).load in
   Printf.printf "task graph: %d jobs, %d edges, load %.3f (paper: 0.93)\n"
     (Taskgraph.Graph.n_jobs g) (Taskgraph.Graph.n_edges g)
     (Rat.to_float load.Taskgraph.Analysis.value);

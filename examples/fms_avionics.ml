@@ -21,8 +21,7 @@ let () =
     (Rat.to_string d.Taskgraph.Derive.hyperperiod)
     (Taskgraph.Graph.n_jobs g)
     (Taskgraph.Graph.n_edges g)
-    (Rat.to_float
-       (Taskgraph.Analysis.load g).Taskgraph.Analysis.value);
+    (Rat.to_float (Taskgraph.Analysis.analyse g).load.value);
 
   (* pilot commands: random sporadic traces respecting each (m,T) *)
   let horizon = d.Taskgraph.Derive.hyperperiod in

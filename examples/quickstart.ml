@@ -85,7 +85,7 @@ let () =
   Printf.printf "  hyperperiod %s ms, %d jobs, %d edges, load %.3f\n"
     (Rat.to_string d.Taskgraph.Derive.hyperperiod)
     (Taskgraph.Graph.n_jobs g) (Taskgraph.Graph.n_edges g)
-    (Rat.to_float (Taskgraph.Analysis.load g).Taskgraph.Analysis.value);
+    (Rat.to_float (Taskgraph.Analysis.analyse g).load.value);
   let attempts, best = Sched.List_scheduler.auto ~n_procs:2 g in
   ignore attempts;
   let sched =

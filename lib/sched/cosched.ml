@@ -158,20 +158,20 @@ let allocate_slots ~n_procs apps requests =
     order;
   slots
 
-let report_of ~name ~priority ~slots app sched =
+let report_of ~name ~priority ~slots app (analysis : Analysis.t) sched =
   {
     name;
     priority;
     schedule = sched;
     makespan = Static_schedule.makespan app.graph sched;
     feasible = Static_schedule.is_feasible app.graph sched;
-    utilization = (Analysis.load app.graph).Analysis.value;
-    lower_bound = Dimension.lower_bound app.graph;
+    utilization = analysis.load.value;
+    lower_bound = Analysis.lower_bound analysis;
     slots;
   }
 
-let schedule_with ?(heuristic = Priority.Alap_edf) ~variant ~n_procs apps =
-  check_apps ~variant ~n_procs apps;
+(* [schedule_with] on the applications' analyses, in input order *)
+let schedule_analysed ~heuristic ~variant ~n_procs apps analyses =
   Trace.with_span ("sched.cosched." ^ variant_to_string variant) @@ fun () ->
   let union, owner = union_of apps in
   let result =
@@ -181,12 +181,12 @@ let schedule_with ?(heuristic = Priority.Alap_edf) ~variant ~n_procs apps =
       let combined = List_scheduler.schedule ~rank ~n_procs union in
       let slices = slice apps combined owner in
       let reports =
-        List.map2
-          (fun app sched ->
+        List.mapi
+          (fun ai (app, sched) ->
             Trace.with_span ("sched.cosched.app." ^ app.app_name) @@ fun () ->
             report_of ~name:app.app_name ~priority:app.app_priority ~slots:[]
-              app sched)
-          apps slices
+              app analyses.(ai) sched)
+          (List.combine apps slices)
       in
       {
         variant;
@@ -204,9 +204,9 @@ let schedule_with ?(heuristic = Priority.Alap_edf) ~variant ~n_procs apps =
       let requests =
         Array.map
           (fun a ->
-            let lb = Dimension.lower_bound a.graph in
+            let lb = Analysis.lower_bound a in
             if lb = max_int then n_procs else max 1 (min n_procs lb))
-          arr
+          analyses
       in
       let slots = allocate_slots ~n_procs apps requests in
       let reports =
@@ -227,7 +227,7 @@ let schedule_with ?(heuristic = Priority.Alap_edf) ~variant ~n_procs apps =
                in
                let sched = Static_schedule.make ~n_procs entries in
                report_of ~name:app.app_name ~priority:app.app_priority
-                 ~slots:slots.(ai) app sched)
+                 ~slots:slots.(ai) app analyses.(ai) sched)
              arr)
       in
       let per = Array.of_list reports in
@@ -258,13 +258,25 @@ let schedule_with ?(heuristic = Priority.Alap_edf) ~variant ~n_procs apps =
   end;
   result
 
+let analyse apps =
+  Array.of_list (List.map (fun a -> Analysis.analyse a.graph) apps)
+
+let schedule_with ?(heuristic = Priority.Alap_edf) ~variant ~n_procs apps =
+  check_apps ~variant ~n_procs apps;
+  schedule_analysed ~heuristic ~variant ~n_procs apps (analyse apps)
+
 type attempt = { heuristic : Priority.heuristic; result : t }
 
 let auto ?pool ?(heuristics = Priority.all) ~variant ~n_procs apps =
   check_apps ~variant ~n_procs apps;
   Trace.with_span "sched.cosched.auto" @@ fun () ->
+  (* one analysis per application, read by every attempt *)
+  let analyses = analyse apps in
   let attempt h =
-    { heuristic = h; result = schedule_with ~heuristic:h ~variant ~n_procs apps }
+    {
+      heuristic = h;
+      result = schedule_analysed ~heuristic:h ~variant ~n_procs apps analyses;
+    }
   in
   let attempts =
     match pool with
@@ -294,7 +306,7 @@ let admit ?pool ?heuristics ?(variant = Fair) ~n_procs ~admitted candidate =
       (* Prop. 3.1 on the union: a cheap necessary condition before the
          constructive search. *)
       let union, _ = union_of apps in
-      let lb = Dimension.lower_bound union in
+      let lb = Analysis.lower_bound (Analysis.analyse union) in
       if lb > n_procs then
         Rejected
           {

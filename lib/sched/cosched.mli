@@ -42,10 +42,11 @@ type app_report = {
   makespan : Rt_util.Rat.t;
   feasible : bool;  (** no deadline violation for this application *)
   utilization : Rt_util.Rat.t;
-      (** precedence-aware load of Prop. 3.1, [Analysis.load] *)
+      (** precedence-aware load of Prop. 3.1, from the application's
+          {!Taskgraph.Analysis} *)
   lower_bound : int;
-      (** {!Dimension.lower_bound}: [⌈Load⌉], or [max_int] if a job
-          cannot fit its ASAP/ALAP window *)
+      (** {!Taskgraph.Analysis.lower_bound}: [⌈Load⌉], or [max_int] if a
+          job cannot fit its ASAP/ALAP window *)
   slots : int list;
       (** processors reserved for this application ({!Slots} variant;
           empty under {!Fair}) *)
@@ -94,7 +95,9 @@ val auto :
     {!Priority.all}) and chooses the first whose co-schedule is feasible
     for {e every} application.  [pool] evaluates heuristics concurrently;
     attempts keep heuristic order, so the result is identical to the
-    sequential one. *)
+    sequential one.  Each application's Prop. 3.1 analysis (its report's
+    load and lower bound, the {!Slots} requests) is computed once, before
+    the attempts, which all read it. *)
 
 type admission =
   | Admitted of t  (** co-schedule including the candidate *)
@@ -111,7 +114,7 @@ val admit :
 (** Admission control for a multi-tenant platform: can [candidate] join
     the already-admitted set without breaking anyone?  Checks, in order:
     a free slot exists ({!Slots} only), the union's Prop. 3.1 load bound
-    fits in [n_procs] ({!Dimension.lower_bound}), and some heuristic
+    fits in [n_procs] ({!Taskgraph.Analysis.lower_bound}), and some heuristic
     yields a co-schedule in which every application — old and new — meets
     its deadlines.  Default variant is {!Fair}. *)
 

@@ -6,30 +6,14 @@ type verdict = {
   searched_up_to : int;
 }
 
-let lower_bound ?times g =
-  let times = match times with Some t -> t | None -> Analysis.asap_alap g in
-  let job_fit =
-    match Analysis.necessary_condition ~times g ~processors:max_int with
-    | Ok () -> true
-    | Error vs ->
-      (* only per-job violations are processor-independent *)
-      not
-        (List.exists
-           (function Analysis.Job_infeasible _ -> true | _ -> false)
-           vs)
+let min_processors ?heuristics ?(max_procs = 16) ?analysis g =
+  let analysis =
+    match analysis with Some a -> a | None -> Analysis.analyse g
   in
-  if not job_fit then max_int
-  else
-    let load = (Analysis.load ~times g).Analysis.value in
-    max 1 (Rt_util.Rat.ceil load)
-
-let min_processors ?heuristics ?(max_procs = 16) g =
-  let times = Analysis.asap_alap g in
-  let lb = lower_bound ~times g in
-  if lb = max_int then
-    { lower_bound = max_int; found = None; searched_up_to = max_procs }
+  let lower_bound = Analysis.lower_bound analysis in
+  if lower_bound = max_int then
+    { lower_bound; found = None; searched_up_to = max_procs }
   else begin
-    let lower_bound = lb in
     let rec search m =
       if m > max_procs then None
       else

@@ -15,19 +15,15 @@ type verdict = {
   searched_up_to : int;
 }
 
-val lower_bound : ?times:Taskgraph.Analysis.times -> Taskgraph.Graph.t -> int
-(** [⌈Load⌉] of Prop. 3.1 (at least 1), or [max_int] if some job cannot
-    fit its ASAP/ALAP window on any processor count.  This is the value
-    {!min_processors} starts its search from; exposed separately so
-    co-scheduling admission ({!Cosched.admit}) can apply the necessary
-    condition without paying for the constructive search. *)
-
 val min_processors :
   ?heuristics:Priority.heuristic list ->
   ?max_procs:int ->
+  ?analysis:Taskgraph.Analysis.t ->
   Taskgraph.Graph.t ->
   verdict
-(** Searches [M = lower_bound, …, max_procs] (default 16).  List
+(** Searches [M = lower_bound, …, max_procs] (default 16), where
+    [lower_bound] is {!Taskgraph.Analysis.lower_bound} of [analysis],
+    the graph's own analysis (computed here when not given).  List
     scheduling is not optimal, so [found = None] does not prove
     infeasibility, and the gap between [lower_bound] and the found [M]
     measures the heuristic's quality. *)

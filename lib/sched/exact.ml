@@ -35,7 +35,10 @@ let solve ?pool ?(node_budget = 2_000_000) ~n_procs g =
   Fppn_obs.Trace.with_span "sched.exact" @@ fun () ->
   let jobs = Graph.jobs g in
   (* remaining critical-path length from each job (b-level): lower bound *)
-  let b_level = Taskgraph.Analysis.b_level g in
+  let b_level =
+    let v = Taskgraph.Tick_graph.compile g in
+    Array.map (Taskgraph.Tick_graph.to_rat v) (Taskgraph.Analysis.b_level v)
+  in
   let total_work = Graph.total_wcet g in
   (* [bound] is the shared incumbent makespan used for pruning: safe to
      share across domains because it only ever decreases, and pruning

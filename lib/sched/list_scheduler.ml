@@ -1,4 +1,5 @@
 module Rat = Rt_util.Rat
+module Tick_graph = Taskgraph.Tick_graph
 module Iheap = Rt_util.Iheap
 
 let check_rank ~n rank =

@@ -15,13 +15,13 @@ val schedule :
     be violated, which {!Static_schedule.check} reports.
 
     The graph is compiled per call into its integer tick view
-    ({!Tick_graph}), and the event loop runs on machine ints: ready jobs
-    wait in a heap keyed by rank, released jobs for their arrival in a
-    heap keyed by arrival tick, and started jobs for their completion in
-    one keyed by finish tick.  Each processor's static order is then
-    sorted by (start, id) in about linear time and handed to
-    {!Static_schedule.of_orders}, and every start is rebuilt once as a
-    {!Rt_util.Rat.t}.  A graph of [n] jobs and [E] edges schedules in
+    ({!Taskgraph.Tick_graph}), and the event loop runs on machine ints:
+    ready jobs wait in a heap keyed by rank, released jobs for their
+    arrival in a heap keyed by arrival tick, and started jobs for their
+    completion in one keyed by finish tick.  Each processor's static
+    order is then sorted by (start, id) in about linear time and handed
+    to {!Static_schedule.of_orders}, and every start is rebuilt once as
+    a {!Rt_util.Rat.t}.  A graph of [n] jobs and [E] edges schedules in
     [O((n + E) log n)] (times [M] for the processor scan).  The result
     equals, entry for entry and order for order, the one the same loop
     computes on rationals.
@@ -40,10 +40,10 @@ val schedule :
     @raise Rt_util.Rat.Overflow when the graph has no integer grid: the
     common denominator of its times, their ticks, or the horizon
     [max(0, max A_i) + Σ C_i] in ticks does not fit in an [int]
-    ({!Tick_graph.compile}). *)
+    ({!Taskgraph.Tick_graph.compile}). *)
 
 val schedule_ticks :
-  rank:int array -> n_procs:int -> Tick_graph.t -> Static_schedule.t
+  rank:int array -> n_procs:int -> Taskgraph.Tick_graph.t -> Static_schedule.t
 (** {!schedule} on an already compiled view, which it only reads: a
     caller that schedules one graph many times (a search over ranks)
     compiles it once.  Each call is one [sched.list] span, as a

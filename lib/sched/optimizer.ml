@@ -1,4 +1,5 @@
 module Rat = Rt_util.Rat
+module Tick_graph = Taskgraph.Tick_graph
 module Prng = Rt_util.Prng
 module Graph = Taskgraph.Graph
 

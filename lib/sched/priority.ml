@@ -1,3 +1,5 @@
+module Tick_graph = Taskgraph.Tick_graph
+
 type heuristic =
   | Alap_edf
   | B_level
@@ -25,29 +27,10 @@ let pp ppf h = Format.pp_print_string ppf (to_string h)
 let keys (v : Tick_graph.t) h =
   let n = Tick_graph.n_jobs v in
   match h with
-  | Alap_edf ->
-    (* D'_i = min(D_i, min_{s ∈ Succ(i)} D'_s − C_s), sinks first *)
-    let alap = Array.copy v.deadline in
-    for k = n - 1 downto 0 do
-      let i = v.topo.(k) in
-      for e = v.succ_off.(i) to v.succ_off.(i + 1) - 1 do
-        let s = v.succ.(e) in
-        alap.(i) <- min alap.(i) (alap.(s) - v.wcet.(s))
-      done
-    done;
-    alap
+  | Alap_edf -> Taskgraph.Analysis.alap v
   | B_level ->
-    (* longest WCET path to a sink, negated once complete: descending *)
-    let bl = Array.make n 0 in
-    for k = n - 1 downto 0 do
-      let i = v.topo.(k) in
-      let best = ref 0 in
-      for e = v.succ_off.(i) to v.succ_off.(i + 1) - 1 do
-        best := max !best bl.(v.succ.(e))
-      done;
-      bl.(i) <- v.wcet.(i) + !best
-    done;
-    Array.map (fun b -> -b) bl
+    (* longest WCET path to a sink, negated: descending *)
+    Array.map (fun b -> -b) (Taskgraph.Analysis.b_level v)
   | Deadline_monotonic ->
     Array.init n (fun i ->
         let d = v.deadline.(i) and a = v.arrival.(i) in

@@ -27,17 +27,19 @@ val rank : Taskgraph.Graph.t -> heuristic -> int array
     [0..n-1], as {!List_scheduler.schedule} requires.
 
     The keys are computed on the graph's integer tick view
-    ({!Tick_graph}), compiled per call: ALAP over the reverse
-    topological order, b-level likewise, then [D_i − A_i], [D_i] or
-    [A_i].  Ranking is [O(n log n + E)].
+    ({!Taskgraph.Tick_graph}), compiled per call: ALAP and b-level over
+    the reverse topological order ({!Taskgraph.Analysis.alap} and
+    {!Taskgraph.Analysis.b_level}, the recurrences Prop. 3.1's analysis
+    uses), then [D_i − A_i], [D_i] or [A_i].  Ranking is
+    [O(n log n + E)].
     @raise Rt_util.Rat.Overflow when the graph has no integer grid
-    ({!Tick_graph.compile}), or, for [Deadline_monotonic], when some
-    [D_i − A_i] in ticks does not fit in an [int]. *)
+    ({!Taskgraph.Tick_graph.compile}), or, for [Deadline_monotonic],
+    when some [D_i − A_i] in ticks does not fit in an [int]. *)
 
 val order : Taskgraph.Graph.t -> heuristic -> int array
 (** Job ids sorted from highest to lowest priority (the inverse
     permutation of {!rank}).  @raise Rt_util.Rat.Overflow as {!rank}. *)
 
-val rank_ticks : Tick_graph.t -> heuristic -> int array
+val rank_ticks : Taskgraph.Tick_graph.t -> heuristic -> int array
 (** {!rank} on an already compiled view, which it only reads: one view
     serves every heuristic, concurrently too. *)

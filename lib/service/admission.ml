@@ -1,5 +1,6 @@
 module Rat = Rt_util.Rat
 module Json = Rt_util.Json
+module Analysis = Taskgraph.Analysis
 
 type candidate = {
   c_name : string;
@@ -8,13 +9,16 @@ type candidate = {
   c_taskset : Mpr.task list;
 }
 
-let candidate ~name ~wcet net (d : Taskgraph.Derive.t) =
-  let g = d.Taskgraph.Derive.graph in
-  let load = (Taskgraph.Analysis.load g).Taskgraph.Analysis.value in
+let candidate ?analysis ~name ~wcet net (d : Taskgraph.Derive.t) =
+  let a : Analysis.t =
+    match analysis with
+    | Some a -> a
+    | None -> Analysis.analyse d.Taskgraph.Derive.graph
+  in
   {
     c_name = name;
-    c_load = load;
-    c_lower_bound = Sched.Dimension.lower_bound g;
+    c_load = a.load.value;
+    c_lower_bound = Analysis.lower_bound a;
     c_taskset = Mpr.taskset_of_network ~wcet net d;
   }
 
@@ -26,6 +30,7 @@ type reason =
   | Compose_utilization of { total : Rat.t; procs : int }
   | Compose_concurrency of { required : int; procs : int }
   | No_schedule of { procs : int }
+  | Overflow of { step : string }
 
 type decision = Accepted of Mpr.t | Rejected of reason
 
@@ -92,6 +97,8 @@ let reason_to_json = function
       ]
   | No_schedule { procs } ->
     Json.Obj [ ("code", Json.Str "no_schedule"); ("procs", Json.Int procs) ]
+  | Overflow { step } ->
+    Json.Obj [ ("code", Json.Str "overflow"); ("step", Json.Str step) ]
 
 let decision_to_json = function
   | Accepted iface ->
@@ -115,6 +122,11 @@ let pp_reason ppf = function
     Format.fprintf ppf "interface needs m'=%d > M=%d processors" required procs
   | No_schedule { procs } ->
     Format.fprintf ppf "no feasible static schedule up to M=%d" procs
+  | Overflow { step } ->
+    Format.fprintf ppf
+      "the %s step overflows an int in exact arithmetic (no tick grid holds \
+       the tenant's times)"
+      step
 
 let pp_decision ppf = function
   | Accepted iface -> Format.fprintf ppf "accepted %a" Mpr.pp iface

@@ -21,13 +21,17 @@ type candidate = {
 }
 
 val candidate :
+  ?analysis:Taskgraph.Analysis.t ->
   name:string ->
   wcet:Taskgraph.Derive.wcet_map ->
   Fppn.Network.t ->
   Taskgraph.Derive.t ->
   candidate
-(** Folds the derived graph's load and the network's server-transformed
-    task set into an admission candidate. *)
+(** Folds the derived graph's Prop. 3.1 analysis (its load and lower
+    bound) and the network's server-transformed task set into an
+    admission candidate.  [analysis] is the graph's own
+    ({!Taskgraph.Analysis.analyse}), computed here when not given.
+    @raise Rt_util.Rat.Overflow when the graph has no integer grid. *)
 
 type reason =
   | Duplicate_tenant of string
@@ -44,6 +48,11 @@ type reason =
       (** [max m'_i > M] with the candidate included *)
   | No_schedule of { procs : int }
       (** the list scheduler found no feasible static order up to [M] *)
+  | Overflow of { step : string }
+      (** exact arithmetic overflowed an [int] in one step of
+          {!Service.register}: ["candidate"] (the Prop. 3.1 analysis),
+          ["decide"] (the MPR interface and its composition) or ["plan"]
+          (the static schedule) *)
 
 type decision = Accepted of Mpr.t | Rejected of reason
 

@@ -50,13 +50,18 @@ type t = { period : Rat.t; budget : Rat.t; concurrency : int }
 
 let bandwidth m = Rat.div m.budget m.period
 
-let sbf m len =
+(* The linear supply bound of [m], its slope and blackout computed once *)
+let supply m =
   let open Rat in
   let blackout =
     of_int 2 * (m.period - (m.budget / of_int m.concurrency))
   in
-  let supplied = bandwidth m * (len - blackout) in
-  if Stdlib.( < ) (sign supplied) 0 then zero else supplied
+  let bw = bandwidth m in
+  fun len ->
+    let supplied = bw * (len - blackout) in
+    if Stdlib.( < ) (sign supplied) 0 then zero else supplied
+
+let sbf = supply
 
 (* Absolute-deadline checkpoints in (0, hyperperiod]: the points where
    total EDF demand steps.  Demand and (linear) supply are both
@@ -64,38 +69,60 @@ let sbf m len =
    checkpoints, so checking at the steps plus the horizon is exact for
    the horizon, and the slope condition extends the verdict beyond. *)
 let checkpoints ts =
-  match ts with
-  | [] -> []
-  | _ ->
-    let hp = Rat.lcm_list (List.map (fun (t : task) -> t.period) ts) in
-    let pts =
-      List.concat_map
-        (fun (t : task) ->
-          let rec go k acc =
-            let p = Rat.add t.deadline (Rat.mul (Rat.of_int k) t.period) in
-            if Rat.( > ) p hp then acc else go (k + 1) (p :: acc)
-          in
-          go 0 [])
-        ts
-    in
-    List.sort_uniq Rat.compare (hp :: pts)
+  let hp = Rat.lcm_list (List.map (fun (t : task) -> t.period) ts) in
+  let pts =
+    List.concat_map
+      (fun (t : task) ->
+        let rec go k acc =
+          let p = Rat.add t.deadline (Rat.mul (Rat.of_int k) t.period) in
+          if Rat.( > ) p hp then acc else go (k + 1) (p :: acc)
+        in
+        go 0 [])
+      ts
+  in
+  List.sort_uniq Rat.compare (hp :: pts)
+
+(* Everything the demand test reads of a non-empty task set, none of
+   which depends on the interface: the utilization, [C_max], and the
+   total demand [Σ_i dbf_i(t)] at each checkpoint [t]. *)
+type demand = {
+  u : Rat.t;
+  cmax : Rat.t;
+  points : Rat.t array;
+  at : Rat.t array;
+}
+
+let demand ts =
+  let points = Array.of_list (checkpoints ts) in
+  {
+    u = utilization ts;
+    cmax = List.fold_left (fun acc t -> Rat.max acc t.wcet) Rat.zero ts;
+    points;
+    at =
+      Array.map
+        (fun p -> List.fold_left (fun acc t -> Rat.add acc (dbf t p)) Rat.zero ts)
+        points;
+  }
+
+(* [u <= Θ/Π], then [Σ dbf(t) + carry <= sbf(t)] at every checkpoint,
+   [carry] being the interface's [m'·C_max] *)
+let fits dem ~carry m =
+  Rat.( <= ) dem.u (bandwidth m)
+  &&
+  let sbf = supply m in
+  let rec from i =
+    i = Array.length dem.points
+    || Rat.( <= ) (Rat.add dem.at.(i) carry) (sbf dem.points.(i))
+       && from (i + 1)
+  in
+  from 0
 
 let is_schedulable_edf ts m =
   match ts with
   | [] -> true
   | _ ->
-    let cmax =
-      List.fold_left (fun acc t -> Rat.max acc t.wcet) Rat.zero ts
-    in
-    let carry = Rat.mul (Rat.of_int m.concurrency) cmax in
-    Rat.( <= ) (utilization ts) (bandwidth m)
-    && List.for_all
-         (fun p ->
-           let demand =
-             List.fold_left (fun acc t -> Rat.add acc (dbf t p)) carry ts
-           in
-           Rat.( <= ) demand (sbf m p))
-         (checkpoints ts)
+    let dem = demand ts in
+    fits dem ~carry:(Rat.mul (Rat.of_int m.concurrency) dem.cmax) m
 
 let default_period ts =
   let tmin =
@@ -114,8 +141,8 @@ let generate_interface ?period ?(step = 64) ?max_concurrency ts =
     let pi = match period with Some p -> p | None -> default_period ts in
     if Rat.sign pi <= 0 then
       invalid_arg "Mpr.generate_interface: period <= 0";
-    let u = utilization ts in
-    let lo_m = max 1 (Rat.ceil u) in
+    let dem = demand ts in
+    let lo_m = max 1 (Rat.ceil dem.u) in
     let hi_m =
       match max_concurrency with
       | Some m -> max lo_m m
@@ -126,8 +153,12 @@ let generate_interface ?period ?(step = 64) ?max_concurrency ts =
       if m' > hi_m then None
       else begin
         (* sbf is monotone in the budget, so binary search the grid
-           Θ = k·Π/step for the smallest schedulable k *)
-        let ok k = is_schedulable_edf ts { period = pi; budget = budget_of k; concurrency = m' } in
+           Θ = k·Π/step for the smallest schedulable k; only the
+           supply depends on k *)
+        let carry = Rat.mul (Rat.of_int m') dem.cmax in
+        let ok k =
+          fits dem ~carry { period = pi; budget = budget_of k; concurrency = m' }
+        in
         let hi = m' * step in
         if not (ok hi) then try_m (m' + 1)
         else begin

@@ -59,7 +59,8 @@ val is_schedulable_edf : task list -> t -> bool
     [Σ_i dbf_i(t) + m'·C_max <= sbf(t)] (the [m'·C_max] term is the
     BCL-style carry-in envelope), and the long-run demand slope fits
     the supply slope ([Σ C_i/T_i <= Θ/Π]).  The empty task set is
-    schedulable by anything. *)
+    schedulable by anything.  The slope test runs first; the checkpoint
+    tests stop at the first that fails. *)
 
 val generate_interface :
   ?period:Rt_util.Rat.t ->
@@ -77,7 +78,16 @@ val generate_interface :
     (default: the task count).  [None] when no interface within those
     bounds passes — the machine-readable "this tenant fits no MPR
     contract" verdict.  The result is independent of the platform
-    size, which is what makes admission monotone in [M]. *)
+    size, which is what makes admission monotone in [M].
+
+    Nothing of {!is_schedulable_edf}'s test but the supply depends on
+    the interface, so the task set's part is computed once per call:
+    the hyperperiod, its sorted distinct checkpoints, the demand
+    [Σ_i dbf_i(t)] at each checkpoint [t], the utilization and [C_max];
+    the carry [m'·C_max] once per concurrency.  Each probe of the budget
+    search then evaluates only {!sbf} at the checkpoints.  The
+    arithmetic is exact, so the interface is the one a probe that
+    rebuilt everything would find. *)
 
 type overflow =
   | Utilization of { total : Rt_util.Rat.t; procs : int }

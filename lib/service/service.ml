@@ -66,34 +66,43 @@ let register ?pool ?inputs t ~name ~wcet net =
         (Admission.Underivable
            (Format.asprintf "%a" Taskgraph.Derive.pp_error e))
     | Ok derive -> (
-      let cand = Admission.candidate ~name ~wcet net derive in
-      let concurrency =
-        List.fold_left
-          (fun acc ten -> max acc ten.Tenant.interface.Mpr.concurrency)
-          0 t.residents
-      in
-      match
-        Admission.decide_composed ~procs:t.procs ~bandwidth:t.bandwidth
-          ~concurrency cand
-      with
-      | Admission.Rejected r -> Error r
-      | Admission.Accepted interface -> (
-        let min_procs = max 1 cand.Admission.c_lower_bound in
+      (* the step running, named by the reason if exact arithmetic
+         overflows; nothing is mutated before the last one returns *)
+      let step = ref "candidate" in
+      try
+        let cand = Admission.candidate ~name ~wcet net derive in
+        let concurrency =
+          List.fold_left
+            (fun acc ten -> max acc ten.Tenant.interface.Mpr.concurrency)
+            0 t.residents
+        in
+        step := "decide";
         match
-          Tenant.build_plan ?pool ?inputs ~derive ~min_procs ~max_procs:t.procs
-            ~wcet net
+          Admission.decide_composed ~procs:t.procs ~bandwidth:t.bandwidth
+            ~concurrency cand
         with
-        | Error searched -> Error (Admission.No_schedule { procs = searched })
-        | Ok plan ->
-          let ten =
-            Tenant.make ~name ~plan ~interface
-              ~taskset:cand.Admission.c_taskset ~load:cand.Admission.c_load
-              ~lower_bound:cand.Admission.c_lower_bound
-          in
-          t.residents <- t.residents @ [ ten ];
-          t.bandwidth <- Rat.add t.bandwidth (Mpr.bandwidth interface);
-          Metrics.set_gauge g_tenants (float_of_int (List.length t.residents));
-          Ok ten))
+        | Admission.Rejected r -> Error r
+        | Admission.Accepted interface -> (
+          step := "plan";
+          let min_procs = max 1 cand.Admission.c_lower_bound in
+          match
+            Tenant.build_plan ?pool ?inputs ~derive ~min_procs
+              ~max_procs:t.procs ~wcet net
+          with
+          | Error searched -> Error (Admission.No_schedule { procs = searched })
+          | Ok plan ->
+            let bandwidth = Rat.add t.bandwidth (Mpr.bandwidth interface) in
+            let ten =
+              Tenant.make ~name ~plan ~interface
+                ~taskset:cand.Admission.c_taskset ~load:cand.Admission.c_load
+                ~lower_bound:cand.Admission.c_lower_bound
+            in
+            t.residents <- t.residents @ [ ten ];
+            t.bandwidth <- bandwidth;
+            Metrics.set_gauge g_tenants
+              (float_of_int (List.length t.residents));
+            Ok ten)
+      with Rat.Overflow -> Error (Admission.Overflow { step = !step }))
 
 let retire t name =
   match find t name with

@@ -70,7 +70,9 @@ val register :
     construction of a feasible static schedule ({!Tenant.build_plan}) —
     any failure is a machine-readable {!Admission.reason}, a network
     outside the derivable subclass of Sec. III-A included
-    ({!Admission.Underivable}).  The composition reads the running
+    ({!Admission.Underivable}) and times whose exact arithmetic
+    overflows an [int] ({!Admission.Overflow}, naming the step; the
+    service is left as it was).  The composition reads the running
     {!bandwidth} and the residents' largest concurrency
     ({!Admission.decide_composed}), so it costs O(1) in bandwidth
     arithmetic; its decision is {!Admission.decide}'s against

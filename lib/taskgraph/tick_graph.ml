@@ -1,6 +1,4 @@
 module Rat = Rt_util.Rat
-module Graph = Taskgraph.Graph
-module Job = Taskgraph.Job
 
 type t = {
   den : int;

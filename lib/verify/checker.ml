@@ -94,7 +94,8 @@ let run ?(config = default_config) ~wcet net =
                ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
                Fppn_lint.Diagnostic.pp)
             diags));
-    let load = (Analysis.load g).Analysis.value in
+    let analysis = Analysis.analyse g in
+    let load = analysis.load.value in
     let horizon = Rat.mul d.Derive.hyperperiod (Rat.of_int config.frames) in
     let traces =
       Engine.handled_traces net d ~frames:config.frames
@@ -117,7 +118,8 @@ let run ?(config = default_config) ~wcet net =
        rejection is a legitimate verdict, surfaced in the detail. *)
     (let m = List.fold_left max 1 config.processor_counts in
      let cand =
-       Fppn_service.Admission.candidate ~name:(Network.name net) ~wcet net d
+       Fppn_service.Admission.candidate ~analysis ~name:(Network.name net)
+         ~wcet net d
      in
      let decision = Fppn_service.Admission.decide ~procs:m ~resident:[] cand in
      let passed =
@@ -141,7 +143,7 @@ let run ?(config = default_config) ~wcet net =
         else begin
         add
           (Printf.sprintf "necessary condition (Prop. 3.1), M=%d" m)
-          (Analysis.necessary_condition g ~processors:m = Ok ())
+          (Analysis.necessary_condition analysis ~processors:m = Ok ())
           (Printf.sprintf "load %.3f" (Rat.to_float load));
         match snd (List_scheduler.auto ~n_procs:m g) with
         | None ->

@@ -183,7 +183,7 @@ let test_fms_task_graph_counts () =
 
 let test_fms_load () =
   let d = Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet (Fppn_apps.Fms.reduced ()) in
-  let l = Analysis.load d.Derive.graph in
+  let l = (Analysis.analyse d.Derive.graph).load in
   let v = Rat.to_float l.Analysis.value in
   Alcotest.(check bool) "load ~ 0.23 as reported" true (v > 0.18 && v < 0.28)
 

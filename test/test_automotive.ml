@@ -47,7 +47,7 @@ let test_structure () =
   (* 20+20+20+10+2+1 periodic + 30 knock server + 20 driver server *)
   Alcotest.(check int) "123 jobs over the 200 ms hyperperiod" 123
     (Graph.n_jobs d.Derive.graph);
-  let load = (Analysis.load d.Derive.graph).Analysis.value in
+  let load = (Analysis.analyse d.Derive.graph).load.value in
   Alcotest.(check bool) "load in a schedulable band" true
     (Rat.to_float load > 0.3 && Rat.to_float load < 1.0)
 

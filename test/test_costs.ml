@@ -4,8 +4,9 @@
    prints every non-zero Fppn_obs.Metrics counter (search nodes among
    them) and the call count of every span, beside its own sizes: graph
    sizes, mode switches and, with tracing and metrics off, the minor
-   words of one derivation, of one List_scheduler.auto call, of a memoized engine run and
-   of a service epoch, and the words the epoch promotes.  Per-job spans, whose names carry a
+   words of one derivation, of one List_scheduler.auto call, of a
+   memoized engine run, of a service epoch, and the words the epoch
+   promotes, of one admission candidate and of one register and retire.  Per-job spans, whose names carry a
    job index [k], are left out.  Each value is fixed by the inputs and
    not by the host's speed, so dune diffs this output against
    test_costs.expected and a moved line names the layer and the counter
@@ -27,6 +28,7 @@ module Cosched = Sched.Cosched
 module Engine = Runtime.Engine
 module Service = Fppn_service.Service
 module Tenant = Fppn_service.Tenant
+module Admission = Fppn_service.Admission
 module Mc_engine = Mixedcrit.Mc_engine
 module Spec = Mixedcrit.Spec
 module Dual_schedule = Mixedcrit.Dual_schedule
@@ -196,27 +198,31 @@ let sporadic () =
    promotes at its end, one at its start having emptied the minor heap.
    The tenants' sessions are built by then, so the fourth epoch pins
    the steady cost of an epoch and what it leaves for the major heap. *)
+let fixture_tenant i =
+  let params =
+    {
+      Fppn_apps.Randgen.seed = 1_000_003 + (7919 * i);
+      n_periodic = 4;
+      n_sporadic = 1;
+      periods = [ 50; 100 ];
+      channel_density = 0.4;
+      max_burst = 2;
+    }
+  in
+  let net = Fppn_apps.Randgen.network params in
+  let wcet =
+    Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 2000) (Derive.const_wcet Rat.one) net
+  in
+  (Printf.sprintf "t%02d" i, net, wcet)
+
 let service () =
   let s = "service" in
   let svc, submit =
     measured s (fun () ->
       let svc = Service.create ~queue_capacity:1024 ~procs:4 ~frames:2 () in
       for i = 0 to 19 do
-        let params =
-          {
-            Fppn_apps.Randgen.seed = 1_000_003 + (7919 * i);
-            n_periodic = 4;
-            n_sporadic = 1;
-            periods = [ 50; 100 ];
-            channel_density = 0.4;
-            max_burst = 2;
-          }
-        in
-        let net = Fppn_apps.Randgen.network params in
-        let wcet =
-          Fppn_apps.Randgen.wcet ~scale:(Rat.make 1 2000) (Derive.const_wcet Rat.one) net
-        in
-        ignore (Service.register svc ~name:(Printf.sprintf "t%02d" i) ~wcet net)
+        let name, net, wcet = fixture_tenant i in
+        ignore (Service.register svc ~name ~wcet net)
       done;
       pin s "tenants.admitted" (List.length (Service.tenants svc));
       let targets =
@@ -255,7 +261,21 @@ let service () =
   Gc.minor ();
   pin s "service.epoch.minor_words" (int_of_float (w1 -. w0));
   pin s "service.epoch.survivor_words"
-    (int_of_float ((Gc.quick_stat ()).Gc.promoted_words -. p0))
+    (int_of_float ((Gc.quick_stat ()).Gc.promoted_words -. p0));
+  (* admission: one Prop. 3.1 candidate on FMS original, then one
+     register and retire of a 21st tenant beside the 20 *)
+  let fms = Fppn_apps.Fms.original () in
+  let fms_d = Derive.derive_exn ~wcet:Fppn_apps.Fms.wcet fms in
+  pin s "fms-original.admission.candidate.minor_words"
+    (minor_words (fun () ->
+         ignore
+           (Admission.candidate ~name:"fms-original" ~wcet:Fppn_apps.Fms.wcet
+              fms fms_d)));
+  let name, net, wcet = fixture_tenant 20 in
+  pin s "register.minor_words"
+    (minor_words (fun () ->
+         ignore (Service.register svc ~name ~wcet net);
+         ignore (Service.retire svc name)))
 
 let fuzz () =
   measured "fuzz" (fun () ->

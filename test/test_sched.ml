@@ -439,7 +439,7 @@ let test_reference_apps () =
    moved onto a task graph compiled to integer ticks: kept verbatim as
    the differential oracle of the tick code. *)
 module Rat_ref = struct
-  module Analysis = Taskgraph.Analysis
+  module Analysis = Analysis_ref
 
   let order g h =
     let n = Graph.n_jobs g in
@@ -849,7 +849,7 @@ let test_exact_beats_or_matches_heuristics () =
   (* ALAP-EDF achieved 125; the optimum can be no larger *)
   Alcotest.(check bool) "optimum <= heuristic" true Rat.(opt <= ms 125);
   (* and no smaller than the critical path *)
-  let cp, _ = Taskgraph.Analysis.critical_path g in
+  let cp, _ = Analysis_ref.critical_path g in
   ignore cp;
   let s =
     List_scheduler.schedule_with ~heuristic:Priority.Alap_edf ~n_procs:2 g
@@ -993,7 +993,8 @@ let prop_necessary_condition_is_necessary =
       | None -> true
       | Some _ ->
         (* a feasible schedule exists: the necessary condition must hold *)
-        Taskgraph.Analysis.necessary_condition g ~processors:n_procs = Ok ())
+        Taskgraph.Analysis.(necessary_condition (analyse g) ~processors:n_procs)
+        = Ok ())
 
 (* Randgen nets with sporadic servers, bursts and sparse to dense
    channels; positive WCETs, since the reference cannot schedule a

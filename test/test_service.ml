@@ -159,6 +159,7 @@ let test_admission_reason_json () =
       Admission.Compose_concurrency { required = 5; procs = 4 };
       Admission.No_schedule { procs = 4 };
       Admission.Underivable "scheduling subclass violated";
+      Admission.Overflow { step = "decide" };
     ]
   in
   List.iter
@@ -289,6 +290,64 @@ let test_admission_differential () =
       (Json.to_string (Admission.reason_to_json r)));
   Alcotest.(check bool) "RTA agrees automotive is uniproc schedulable" true
     (Rta.schedulable (Rta.analyse ~wcet:Fppn_apps.Automotive.wcet auto_net))
+
+(* --- QCheck: the hoisted interface search against the per-probe one ---- *)
+
+(* Periods on a small grid (one of them fractional), WCETs up to the
+   whole period so that some sets need m' > 1, and deadlines from half
+   to two and a half periods, so that in some sets every deadline falls
+   past the hyperperiod and only the hyperperiod checkpoint is left *)
+let mpr_taskset_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 4 in
+    list_size (return n)
+      (let* p =
+         oneofl [ Rat.of_int 10; Rat.of_int 20; Rat.make 15 2; Rat.of_int 50 ]
+       in
+       let* k = int_range 1 64 in
+       let* f =
+         oneofl
+           [ Rat.make 1 2; Rat.make 3 4; Rat.one; Rat.make 3 2; Rat.make 5 2 ]
+       in
+       return (p, k, f)))
+
+let mpr_taskset raw =
+  List.mapi
+    (fun i (p, k, f) ->
+      task (Printf.sprintf "t%d" i)
+        ~c:(Rat.div (Rat.mul (Rat.of_int k) p) (ms 64))
+        ~t:p ~d:(Rat.mul f p))
+    raw
+
+let same_interface a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (x : Mpr.t), Some (y : Mpr.t) ->
+    Rat.equal x.period y.period && Rat.equal x.budget y.budget
+    && x.concurrency = y.concurrency
+  | _ -> false
+
+let prop_interface_equals_oracle =
+  qprop "generate_interface = the per-probe oracle (step 1, 7, 64)" ~count:400
+    QCheck2.Gen.(
+      triple mpr_taskset_gen (oneofl [ 1; 7; 64 ])
+        (oneofl [ None; Some 1; Some 2; Some 4 ]))
+    (fun (raw, step, max_concurrency) ->
+      let ts = mpr_taskset raw in
+      same_interface
+        (Mpr.generate_interface ~step ?max_concurrency ts)
+        (Mpr_ref.generate_interface ~step ?max_concurrency ts))
+
+let prop_edf_test_equals_oracle =
+  qprop "is_schedulable_edf = the per-probe oracle" ~count:400
+    QCheck2.Gen.(
+      triple mpr_taskset_gen (int_range 0 128) (int_range 1 3))
+    (fun (raw, k, concurrency) ->
+      let ts = mpr_taskset raw in
+      let period = Rat.of_int 2 in
+      let budget = Rat.div (Rat.mul (Rat.of_int k) period) (ms 64) in
+      let m = { Mpr.period; budget; concurrency } in
+      Mpr.is_schedulable_edf ts m = Mpr_ref.is_schedulable_edf ts m)
 
 (* --- QCheck: admission monotonicity ------------------------------------ *)
 
@@ -872,6 +931,35 @@ let test_service_hyperperiod_overflow () =
       (Json.to_string (Admission.reason_to_json r))
   | Ok _ -> Alcotest.fail "an underivable network was admitted"
 
+(* fig1 with every WCET 10^-16 ms: a tick grid holds its task graph
+   (D = 10^16), but the rational steps after it overflow *)
+let test_service_overflow_reason () =
+  let svc = Service.create ~procs:4 ~frames:2 () in
+  (match
+     Service.register svc ~name:"fig1" ~wcet:Fppn_apps.Fig1.wcet
+       (Fppn_apps.Fig1.network ())
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "fig1 rejected");
+  let before = Json.to_string (Service.status_json svc) in
+  let tiny = Derive.const_wcet (Rat.make 1 10_000_000_000_000_000) in
+  (match
+     Service.register svc ~name:"tiny" ~wcet:tiny (Fppn_apps.Fig1.network ())
+   with
+  | Error (Admission.Overflow _ as r) ->
+    let json = Admission.reason_to_json r in
+    let field name = Option.bind (Json.member name json) Json.as_string in
+    Alcotest.(check (option string)) "code" (Some "overflow") (field "code");
+    (* the analysis and the interface hold; the list scheduler's
+       rational makespan does not *)
+    Alcotest.(check (option string)) "step" (Some "plan") (field "step")
+  | Error r ->
+    Alcotest.failf "expected an overflow reason, got %s"
+      (Json.to_string (Admission.reason_to_json r))
+  | Ok _ -> Alcotest.fail "the 10^-16 ms tenant was admitted");
+  Alcotest.(check string) "status unchanged" before
+    (Json.to_string (Service.status_json svc))
+
 let () =
   Alcotest.run "service"
     [
@@ -902,6 +990,8 @@ let () =
           prop_admission_set_monotone;
           prop_retire_never_flips;
           prop_register_equals_decide;
+          prop_interface_equals_oracle;
+          prop_edf_test_equals_oracle;
           Alcotest.test_case "register meets both compose rejections" `Quick
             test_register_compose_rejections;
         ] );
@@ -929,5 +1019,7 @@ let () =
             test_service_underivable;
           Alcotest.test_case "hyperperiod overflow underivable" `Quick
             test_service_hyperperiod_overflow;
+          Alcotest.test_case "10^-16 ms WCETs: an overflow reason" `Quick
+            test_service_overflow_reason;
         ] );
     ]
