@@ -78,6 +78,10 @@ let () =
     (eq (Engine.signature rt) (Fppn.Semantics.signature zd));
   Printf.printf "RM uniprocessor prototype = zero-delay reference: %b\n"
     (eq (Runtime.Preemptive.signature up) (Fppn.Semantics.signature zd));
+  (* end-to-end: each Performance job against its SensorInput ancestors *)
+  Format.printf "%a" Runtime.Latency.pp
+    (Runtime.Latency.analyse g ~source:"SensorInput" ~sink:"Performance"
+       (Engine.trace rt));
 
   (* a peek at the flight outputs *)
   let show name n =

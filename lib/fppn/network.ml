@@ -177,7 +177,6 @@ let inputs t = List.filter (fun io -> io.dir = In) t.ios
 let outputs t = List.filter (fun io -> io.dir = Out) t.ios
 let io_of t pname = List.filter (fun io -> io.owner = pname) t.ios
 let fp_edges t = t.fp
-let fp_graph t = Digraph.copy t.fp_dag
 
 let related t p q = Digraph.has_edge t.fp_dag p q || Digraph.has_edge t.fp_dag q p
 let higher_priority t p q = Digraph.has_edge t.fp_dag p q

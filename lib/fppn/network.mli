@@ -93,9 +93,6 @@ val io_of : t -> string -> io_decl list
 val fp_edges : t -> (int * int) list
 (** Functional-priority edges over process indices. *)
 
-val fp_graph : t -> Rt_util.Digraph.t
-(** A copy of the FP DAG; mutating it does not affect the network. *)
-
 val related : t -> int -> int -> bool
 (** The [p ./ q] relation: a direct FP edge in either direction. *)
 

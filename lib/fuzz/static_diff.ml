@@ -120,10 +120,9 @@ module Derive = Taskgraph.Derive
 module Graph = Taskgraph.Graph
 module Network = Fppn.Network
 
-(* Per-job descendant bitsets, built in one reverse-topological sweep:
-   O(J^2) bits, which is why the certificate's class sweep replaced it. *)
+(* Per-job descendant rows of [Graph.reach]: O(J^2) bits, which is why
+   the certificate's class sweep replaced it. *)
 let closure_conflicts_ordered (g : Graph.t) net =
-  let n = Graph.n_jobs g in
   let pairs =
     List.filter_map
       (fun (c : Network.channel_decl) ->
@@ -134,24 +133,8 @@ let closure_conflicts_ordered (g : Graph.t) net =
   in
   pairs = []
   ||
-  let wds = (n + 62) / 63 in
-  let reach = Array.make (n * wds) 0 in
-  List.iter
-    (fun v ->
-      let base = v * wds in
-      reach.(base + (v / 63)) <- reach.(base + (v / 63)) lor (1 lsl (v mod 63));
-      List.iter
-        (fun s ->
-          let sb = s * wds in
-          for w = 0 to wds - 1 do
-            reach.(base + w) <- reach.(base + w) lor reach.(sb + w)
-          done)
-        (Graph.succs g v))
-    (List.rev (Graph.topo_order g));
-  let ordered a b =
-    reach.((a * wds) + (b / 63)) land (1 lsl (b mod 63)) <> 0
-    || reach.((b * wds) + (a / 63)) land (1 lsl (a mod 63)) <> 0
-  in
+  let reach = Graph.reach g in
+  let ordered a b = Graph.reaches reach a b || Graph.reaches reach b a in
   List.for_all
     (fun (w, r) ->
       List.for_all

@@ -69,7 +69,7 @@ val pp : Format.formatter -> summary -> unit
 val closure_conflicts_ordered : Taskgraph.Graph.t -> Fppn.Network.t -> bool
 (** The legacy job-level check: every pair of jobs of
     channel-conflicting processes is ordered by a precedence path,
-    decided with per-job descendant bitsets — O(J^2) bits.  The
+    decided with {!Taskgraph.Graph.reach} — O(J^2) bits.  The
     ground-truth oracle the certificate is tested against; no engine
     path calls it. *)
 

@@ -29,10 +29,9 @@ let analyse g ~source ~sink trace =
     invalid_arg (Printf.sprintf "Latency.analyse: no jobs of source %S" source);
   if snk_jobs = [] then
     invalid_arg (Printf.sprintf "Latency.analyse: no jobs of sink %S" sink);
-  (* ancestors via the transitive closure of the task-graph DAG *)
-  let closure = Rt_util.Digraph.transitive_closure (Graph.dag g) in
+  let reach = Graph.reach g in
   let ancestors_of snk_id =
-    List.filter (fun s -> Rt_util.Bitset.mem closure.(s) snk_id) src_jobs
+    List.filter (fun s -> Graph.reaches reach s snk_id) src_jobs
   in
   if not (List.exists (fun j -> ancestors_of j <> []) snk_jobs) then
     invalid_arg

@@ -220,45 +220,13 @@ let derive ?(reduce = true) ~wcet net =
           nbrs.(jobs_arr.(a).Job.proc);
         succ.(a) <- List.sort Int.compare !targets
       done;
-      let raw_edges = !raw_edges in
-      (* step 5: transitive reduction, one sweep in descending id.  Row a
-         of [reach] is the set of jobs reachable from a, complete once a
-         is swept: edges point to higher ids, so every successor's row is
-         complete before a's.  Only a smaller successor can reach a
-         larger one, so taking a's successors in ascending id, one
-         already in a's row is reachable through a kept smaller one and
-         redundant; any other is kept, and it and its row join a's.  The
-         kept edges are the transitive reduction, consed in descending
-         id. *)
-      if reduce then begin
-        let bits = 63 in
-        let words = (m / bits) + 1 in
-        let reach = Array.make (m * words) 0 in
-        for a = m - 1 downto 0 do
-          let row = a * words in
-          succ.(a) <-
-            List.fold_left
-              (fun kept s ->
-                let w = row + (s / bits) and bit = 1 lsl (s mod bits) in
-                if reach.(w) land bit <> 0 then kept
-                else begin
-                  reach.(w) <- reach.(w) lor bit;
-                  (* row s holds only ids above s *)
-                  let srow = s * words in
-                  for k = s / bits to words - 1 do
-                    reach.(row + k) <- reach.(row + k) lor reach.(srow + k)
-                  done;
-                  s :: kept
-                end)
-              [] succ.(a)
-        done
-      end;
+      (* step 5: transitive reduction, one sweep over the generator *)
       Ok
         {
-          graph = Graph.of_succs jobs_arr succ;
+          graph = (if reduce then Graph.reduction else Graph.of_succs) jobs_arr succ;
           hyperperiod;
           servers;
-          raw_edges;
+          raw_edges = !raw_edges;
           order = List.init m Fun.id;
         })
 

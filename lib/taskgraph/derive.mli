@@ -75,15 +75,11 @@ val derive : ?reduce:bool -> wcet:wcet_map -> Fppn.Network.t -> (t, error) resul
     Either way the predecessors are in ascending id order and the
     topological order is the identity, since job ids follow [<J].
 
-    The graph is built directly as successor lists
-    ({!Graph.of_succs}).  The reduction is one sweep in descending job
-    id: each job takes its generator successors in ascending id,
-    drops one already reachable through a smaller one, and adds a kept
-    one and everything it reaches to its own reachability row.  The
-    rows are one flat int matrix of [m·(⌊m/63⌋+1)] words for [m] jobs
-    (about 35 MB at 16 500 jobs), allocated once on the major heap and
-    dropped when the call returns; each kept edge ORs only the words of
-    its successor's row above that successor's id. *)
+    The graph is built directly from successor lists: the generator
+    goes to {!Graph.reduction}, whose one reachability sweep keeps a
+    bit matrix of [m·(⌊m/63⌋+1)] words for [m] jobs (about 35 MB at
+    16 500 jobs) until the call returns, and the full relation to
+    {!Graph.of_succs}. *)
 
 val derive_exn : ?reduce:bool -> wcet:wcet_map -> Fppn.Network.t -> t
 

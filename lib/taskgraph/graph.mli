@@ -8,35 +8,33 @@
 
 type t
 
-val make : Job.t array -> Rt_util.Digraph.t -> t
-(** [make jobs dag] — [jobs.(i).id] must equal [i], every process index
-    must be non-negative, and the digraph must be an acyclic graph over
-    the same node count.  The digraph is read once and not kept: [succs]
-    and [preds] are its {!Rt_util.Digraph.succs} and
-    {!Rt_util.Digraph.preds}, in its insertion order.
-    @raise Invalid_argument otherwise. *)
-
 val of_succs : Job.t array -> int list array -> t
 (** [of_succs jobs succs] is the graph whose job [u] has the successors
     [succs.(u)], kept in that order (the array is kept, not copied).
-    The predecessors of each job are listed in ascending source id.
-    Checked as {!make} checks its input, and each successor must be a
-    job id listed at most once per source.  This is the constructor of
-    {!Derive}, whose edges all point to higher ids.
+    [jobs.(i).id] must equal [i], every process index must be
+    non-negative, each successor must be a job id listed at most once
+    per source, and the edges must be acyclic.  The predecessors of each
+    job are listed in ascending source id.
     @raise Invalid_argument on a length mismatch, a non-positional id,
     a negative process index, a successor out of range or repeated, or
     a cycle. *)
+
+val reduction : Job.t array -> int list array -> t
+(** [reduction jobs succs] is the transitive reduction of
+    [of_succs jobs succs] (unique for a DAG), built without building
+    that graph: the constructor of {!Derive} and {!induced}.  One sweep
+    of {!reach} in reverse topological order drops each edge whose
+    target another successor reaches, and overwrites [succs.(u)] with
+    [u]'s kept successors in the reverse of their given order, so an
+    ascending list comes out descending; a successor listed twice is
+    kept once.  The array is then kept as {!of_succs} keeps it.
+    Checked as {!of_succs} checks its input, repeats aside.
+    @raise Invalid_argument as {!of_succs} does. *)
 
 val n_jobs : t -> int
 val n_edges : t -> int
 val job : t -> int -> Job.t
 val jobs : t -> Job.t array
-
-val dag : t -> Rt_util.Digraph.t
-(** A fresh {!Rt_util.Digraph.t} with the same edges, each job's
-    successors inserted in {!succs} order: [O(n + E)] and one hash-set
-    insertion per edge.  The graph does not keep it, so it is the
-    caller's to mutate. *)
 
 val preds : t -> int -> int list
 (** The stored predecessor list, [O(1)]. *)
@@ -46,16 +44,14 @@ val succs : t -> int -> int list
 
 val edges : t -> (int * int) list
 (** Every edge, by ascending source; each source's successors in the
-    reverse of {!succs} order (the rule of {!Rt_util.Digraph.edges}).
-    A fresh list, [O(n + E)]. *)
+    reverse of {!succs} order.  A fresh list, [O(n + E)]. *)
 
 val has_edge : t -> int -> int -> bool
 (** Scans the source's successor list, [O(out-degree)].
     @raise Invalid_argument when either job is out of range. *)
 
 val topo_order : t -> int list
-(** The least topological order by job id (the one
-    {!Rt_util.Digraph.topo_sort} returns), computed once when the graph
+(** The least topological order by job id, computed once when the graph
     is built: the identity when every edge points to a higher id, as in
     every derived graph, else Kahn's algorithm, smallest ready id
     first. *)
@@ -73,22 +69,39 @@ val find_job : t -> proc:int -> k:int -> int
 
 val total_wcet : t -> Rt_util.Rat.t
 
+type reach
+(** Job-level reachability: one bit per ordered pair of jobs,
+    [n·(⌊n/63⌋+1)] words for [n] jobs. *)
+
+val reach : t -> reach
+(** The reachability of a graph, by lib's one job-level sweep: rows are
+    filled in reverse {!topo_order}, each the OR of its successors'
+    rows, and when ids are a topological order (every derived graph) a
+    successor's row is ORed only from its own id up.  [O(n + E·n/63)]. *)
+
+val reaches : reach -> int -> int -> bool
+(** [reaches r a b]: a non-empty path leads from job [a] to job [b].
+    [O(1)].  @raise Invalid_argument when either job is out of range. *)
+
 val induced : keep:(Job.t -> bool) -> t -> t * int array
 (** [induced ~keep g] is the subgraph on the jobs satisfying [keep],
     with ids renumbered positionally; the returned array maps new ids
     back to the original ones.  Precedence is preserved through dropped
     jobs: two kept jobs are connected iff a path joined them in [g]
-    (computed via the transitive closure, then reduced), so scheduling
-    the restriction still respects the original ordering constraints.
+    (read from {!reach}, then {!reduction}), so scheduling the
+    restriction still respects the original ordering constraints.
+    Successors come out in descending id, predecessors ascending.
     @raise Invalid_argument if no job is kept. *)
 
 val disjoint_union : ?prefixes:string array -> t list -> t * (int * int) array
 (** [disjoint_union gs] merges several task graphs into one: job ids are
     renumbered positionally (graphs in list order), process indices are
     offset per graph so [jobs_of_process] stays disjoint across members,
-    and no cross-graph edges are added.  [prefixes.(i)], if given, is
-    prepended to every process name of graph [i] (useful to keep Gantt
-    and trace labels distinguishable when co-scheduling applications).
+    and no cross-graph edges are added.  Each member's successor lists
+    come out reversed, in the order of its {!edges}.  [prefixes.(i)], if
+    given, is prepended to every process name of graph [i] (useful to
+    keep Gantt and trace labels distinguishable when co-scheduling
+    applications).
     The returned array maps each merged job id to
     [(graph index, original job id)].
     @raise Invalid_argument on an empty list, an empty member graph, or

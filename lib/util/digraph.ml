@@ -46,40 +46,24 @@ let preds t v =
   check t v;
   List.rev t.pred.(v)
 
-let out_degree t v = check t v; List.length t.succ.(v)
-let in_degree t v = check t v; List.length t.pred.(v)
-
-let edges t =
-  let acc = ref [] in
-  for u = t.n - 1 downto 0 do
-    List.iter (fun v -> acc := (u, v) :: !acc) (List.rev t.succ.(u))
-  done;
-  !acc
-
-let copy t =
-  {
-    n = t.n;
-    succ = Array.copy t.succ;
-    pred = Array.copy t.pred;
-    edge_set = Hashtbl.copy t.edge_set;
-    m = t.m;
-  }
-
 let topo_sort t =
   let indeg = Array.init t.n (fun v -> List.length t.pred.(v)) in
   (* min-heap on node index for a deterministic order *)
-  let ready = Pqueue.create ~cmp:Int.compare in
-  Array.iteri (fun v d -> if d = 0 then Pqueue.push ready v) indeg;
+  let ready = Iheap.create ~capacity:t.n () in
+  Array.iteri (fun v d -> if d = 0 then Iheap.push ready ~key:v ~pay:v) indeg;
   let rec loop acc count =
-    match Pqueue.pop ready with
-    | None -> if count = t.n then Some (List.rev acc) else None
-    | Some v ->
+    if Iheap.is_empty ready then
+      if count = t.n then Some (List.rev acc) else None
+    else begin
+      let v = Iheap.top_pay ready in
+      Iheap.drop ready;
       List.iter
         (fun w ->
           indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then Pqueue.push ready w)
+          if indeg.(w) = 0 then Iheap.push ready ~key:w ~pay:w)
         t.succ.(v);
       loop (v :: acc) (count + 1)
+    end
   in
   loop [] 0
 
@@ -148,18 +132,5 @@ let transitive_closure t =
           t.succ.(v))
       (List.rev order);
     closure
-
-let transitive_reduction t =
-  let closure = transitive_closure t in
-  let reduced = create t.n in
-  List.iter
-    (fun (u, v) ->
-      (* (u,v) is redundant iff some other successor of u reaches v *)
-      let redundant =
-        List.exists (fun s -> s <> v && Bitset.mem closure.(s) v) t.succ.(u)
-      in
-      if not redundant then add_edge reduced u v)
-    (edges t);
-  reduced
 
 let path_exists t u v = Bitset.mem (reachable_from t u) v

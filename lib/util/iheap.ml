@@ -1,10 +1,10 @@
 (* Binary min-heap specialized to immediate-int keys with an int
-   payload, held in two parallel arrays.  Unlike [Pqueue] it is neither
-   polymorphic nor stable: the tick-engine drains every event of an
-   instant into a worklist before acting on any of them, so same-key pop
-   order is immaterial and the per-element sequence stamp (and the
-   closure-based comparator) can be dropped.  Nothing here allocates
-   after the backing arrays reach their high-water capacity. *)
+   payload, held in two parallel arrays.  It is neither polymorphic nor
+   stable: the tick-engine drains every event of an instant into a
+   worklist before acting on any of them, so same-key pop order is
+   immaterial and needs no per-element sequence stamp (nor a
+   closure-based comparator).  Nothing here allocates after the backing
+   arrays reach their high-water capacity. *)
 
 type t = {
   mutable key : int array;

@@ -1,14 +1,11 @@
 (** Min-heap of [(int key, int payload)] pairs in two parallel flat
     arrays — the allocation-free event queue of the compiled tick
-    engine.
+    engine, and the ready queue of every topological sort.
 
-    Compared with {!Pqueue} this drops polymorphism, the comparator
-    closure and the insertion-order tie-break: callers that drain every
+    It is neither polymorphic nor stable: callers either drain every
     equal-key element before acting (as the tick engine's same-instant
-    batching does) are insensitive to same-key pop order, and keys wide
-    enough to need no payload packing lift {!Pqueue}'s encoding limits
-    (the tick engine previously packed the processor index into 6 low
-    bits of the event, capping networks at 64 processors).
+    batching does), so same-key pop order is immaterial, or push each
+    key once (a topological sort keyed by node index).
 
     Pushes and pops allocate only when the backing arrays double. *)
 

@@ -13,7 +13,6 @@
 (* ------------------------------------------------------------------ *)
 
 module Rat = Rt_util.Rat
-module Pqueue = Rt_util.Pqueue
 module Network = Fppn.Network
 module Process = Fppn.Process
 module Netstate = Fppn.Netstate

@@ -1,10 +1,10 @@
 (** Imperative binary-heap priority queue, {e stable}: elements that
     compare equal under [cmp] pop in insertion order (FIFO).
 
-    Backbone of the discrete-event simulators (runtime engine, timed
-    automata) and of the list scheduler's event loop; stability keeps
-    those loops deterministic when distinct payloads share a key, which
-    the differential fuzzing oracle relies on. *)
+    The event and ready queues of the rational oracles: the exact
+    interpreter [Exec_rat] and test_sched's rational list scheduler.
+    Stability keeps those loops deterministic when distinct payloads
+    share a key.  The library's own queues are [Rt_util.Iheap]. *)
 
 type 'a t
 

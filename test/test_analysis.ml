@@ -1,5 +1,4 @@
 module Rat = Rt_util.Rat
-module Digraph = Rt_util.Digraph
 module Graph = Taskgraph.Graph
 module Job = Taskgraph.Job
 module Analysis = Taskgraph.Analysis
@@ -29,10 +28,7 @@ let sample () =
   let jobs =
     [| mk 0 "J0" 0 100 30; mk 1 "J1" 0 60 20; mk 2 "J2" 0 100 40; mk 3 "J3" 100 200 50 |]
   in
-  let dag = Digraph.create 4 in
-  Digraph.add_edge dag 0 2;
-  Digraph.add_edge dag 1 2;
-  Graph.make jobs dag
+  Graph.of_succs jobs [| [ 2 ]; [ 2 ]; []; [] |]
 
 let ticks_of (a : Analysis.t) = Array.map (Tick_graph.to_rat a.ticks)
 
@@ -57,7 +53,7 @@ let test_load () =
   Alcotest.check rat "window end" (ms 100) t2
 
 let test_load_empty () =
-  let g = Graph.make [||] (Digraph.create 0) in
+  let g = Graph.of_succs [||] [||] in
   (* empty arrays are rejected by Static_schedule but Graph accepts them *)
   let a = Analysis.analyse g in
   Alcotest.check rat "empty load" Rat.zero a.load.value;
@@ -85,7 +81,7 @@ let test_necessary_condition () =
         is_server = false;
       }
     in
-    Analysis.analyse (Graph.make [| mk 0 0 50 80 |] (Digraph.create 1))
+    Analysis.analyse (Graph.of_succs [| mk 0 0 50 80 |] [| [] |])
   in
   Alcotest.(check int) "no processor count helps" max_int
     (Analysis.lower_bound bad);
@@ -109,7 +105,7 @@ let test_load_exceeds () =
       is_server = false;
     }
   in
-  let g = Graph.make [| mk 0 0 100 100; mk 1 0 100 100 |] (Digraph.create 2) in
+  let g = Graph.of_succs [| mk 0 0 100 100; mk 1 0 100 100 |] [| []; [] |] in
   let a = Analysis.analyse g in
   Alcotest.check rat "load 2" (ms 2) a.load.value;
   Alcotest.(check int) "lower bound 2" 2 (Analysis.lower_bound a);

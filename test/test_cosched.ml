@@ -10,7 +10,6 @@
    sequential one. *)
 
 module Rat = Rt_util.Rat
-module Digraph = Rt_util.Digraph
 module Graph = Taskgraph.Graph
 module Job = Taskgraph.Job
 module Derive = Taskgraph.Derive
@@ -65,11 +64,11 @@ let mk_job id ?(proc = 0) ?(name = "P") a d c =
 
 let test_disjoint_union () =
   let ga =
-    let dag = Digraph.create 2 in
-    Digraph.add_edge dag 0 1;
-    Graph.make [| mk_job 0 ~name:"A" 0 100 10; mk_job 1 ~proc:1 ~name:"B" 0 100 10 |] dag
+    Graph.of_succs
+      [| mk_job 0 ~name:"A" 0 100 10; mk_job 1 ~proc:1 ~name:"B" 0 100 10 |]
+      [| [ 1 ]; [] |]
   in
-  let gb = Graph.make [| mk_job 0 ~name:"C" 0 50 5 |] (Digraph.create 1) in
+  let gb = Graph.of_succs [| mk_job 0 ~name:"C" 0 50 5 |] [| [] |] in
   let u, owner = Graph.disjoint_union ~prefixes:[| "x/"; "y/" |] [ ga; gb ] in
   Alcotest.(check int) "job count" 3 (Graph.n_jobs u);
   Alcotest.(check (list (pair int int))) "owner map"
@@ -140,7 +139,7 @@ let test_single_app_auto_identity () =
 (* --- fair variant semantics --------------------------------------------- *)
 
 let one_job_graph name =
-  Graph.make [| mk_job 0 ~name 0 100 25 |] (Digraph.create 1)
+  Graph.of_succs [| mk_job 0 ~name 0 100 25 |] [| [] |]
 
 let test_fair_priority_dominates () =
   (* two identical single-job apps contending for one processor: the

@@ -93,7 +93,7 @@ let test_fig3_edges () =
   Alcotest.(check bool) "InputA->NormA removed by transitive reduction" false
     (e "InputA[1]" "NormA[1]");
   Alcotest.(check bool) "but reachability retained" true
-    (Rt_util.Digraph.path_exists (Graph.dag g) (find g "InputA[1]")
+    (Rt_util.Digraph.path_exists (Graph_ref.dag g) (find g "InputA[1]")
        (find g "NormA[1]"));
   Alcotest.(check bool) "reduction removed edges" true
     (d.Derive.raw_edges > Graph.n_edges g)
@@ -107,8 +107,8 @@ let test_reduce_flag () =
   Alcotest.(check bool) "reduced has fewer edges" true
     (Graph.n_edges with_red.Derive.graph < Graph.n_edges without.Derive.graph);
   (* same reachability *)
-  let cg = Rt_util.Digraph.transitive_closure (Graph.dag with_red.Derive.graph)
-  and cu = Rt_util.Digraph.transitive_closure (Graph.dag without.Derive.graph) in
+  let cg = Rt_util.Digraph.transitive_closure (Graph_ref.dag with_red.Derive.graph)
+  and cu = Rt_util.Digraph.transitive_closure (Graph_ref.dag without.Derive.graph) in
   Alcotest.(check bool) "same transitive closure" true
     (Array.for_all2 Rt_util.Bitset.equal cg cu)
 
@@ -292,7 +292,7 @@ let prop_edges_follow_the_total_order =
         (fun p ->
           let rec chain = function
             | a :: (b :: _ as rest) ->
-              Rt_util.Digraph.path_exists (Graph.dag g) a b && chain rest
+              Rt_util.Digraph.path_exists (Graph_ref.dag g) a b && chain rest
             | [ _ ] | [] -> true
           in
           chain (Graph.jobs_of_process g p))
@@ -301,7 +301,7 @@ let prop_edges_follow_the_total_order =
 let prop_graph_acyclic =
   qprop "derived task graph is a DAG" random_net_gen (fun params ->
       let _, d = derive_random params in
-      Rt_util.Digraph.is_acyclic (Graph.dag d.Derive.graph))
+      Rt_util.Digraph.is_acyclic (Graph_ref.dag d.Derive.graph))
 
 (* step 3 links each job to the next job of every related column only;
    the reduced graph must still be exactly the transitive reduction of
@@ -333,7 +333,7 @@ let prop_reduction_of_full_relation =
       in
       let d = Derive.derive_exn ~wcet net in
       let full = Derive.derive_exn ~reduce:false ~wcet net in
-      let reference = Rt_util.Digraph.transitive_reduction (Graph.dag full.Derive.graph) in
+      let reference = Graph_ref.transitive_reduction (Graph_ref.dag full.Derive.graph) in
       let g = d.Derive.graph in
       let rec sorted cmp = function
         | a :: (b :: _ as rest) -> cmp a b < 0 && sorted cmp rest
@@ -341,7 +341,7 @@ let prop_reduction_of_full_relation =
       in
       d.Derive.raw_edges = full.Derive.raw_edges
       && full.Derive.raw_edges = Graph.n_edges full.Derive.graph
-      && Graph.edges g = Rt_util.Digraph.edges reference
+      && Graph.edges g = Graph_ref.edges reference
       && List.for_all
            (fun i ->
              Graph.preds g i = Rt_util.Digraph.preds reference i
@@ -358,7 +358,7 @@ module Digraph = Rt_util.Digraph
 
 (* Steps 3 and 5 as derivation ran them before it built the frozen graph
    directly: the step-3 relation inserted edge by edge into a hash-set
-   digraph, [Digraph.transitive_reduction], then [Graph.make].  It reads
+   digraph, [Graph_ref.transitive_reduction], then [Graph_ref.make].  It reads
    the job sequence and the servers of the derivation under test, and
    rebuilds FP' from them as step 1 does. *)
 let oracle_graph ~reduce net (d : Derive.t) =
@@ -416,8 +416,8 @@ let oracle_graph ~reduce net (d : Derive.t) =
       nbrs.(jobs_arr.(a).Job.proc);
     List.iter (Digraph.add_edge dag a) (List.sort Int.compare !targets)
   done;
-  let dag = if reduce then Digraph.transitive_reduction dag else dag in
-  (Graph.make jobs_arr dag, !raw_edges)
+  let dag = if reduce then Graph_ref.transitive_reduction dag else dag in
+  (Graph_ref.make jobs_arr dag, !raw_edges)
 
 let bursty_net_gen =
   QCheck2.Gen.(
@@ -480,34 +480,127 @@ let shuffled_graph (perm, pairs, procs) =
   in
   (jobs, dag)
 
-let prop_make_agrees_with_digraph =
-  qprop "Graph.make = its Digraph on ids out of topological order" ~count:300
+let succs_of dag = Array.init (Digraph.n_nodes dag) (Digraph.succs dag)
+
+let prop_of_succs_agrees_with_digraph =
+  qprop "Graph.of_succs = its Digraph on ids out of topological order" ~count:300
     shuffled_dag_gen (fun ((perm, _, _) as case) ->
       let jobs, dag = shuffled_graph case in
       let n = Array.length jobs in
-      let g = Graph.make jobs dag in
+      let g = Graph.of_succs jobs (succs_of dag) in
       let ids = List.init n Fun.id in
       let cyclic =
         (* the first and last jobs of the permutation linked both ways
            (a self-loop when they are one job) *)
-        let c = Digraph.copy dag in
+        let c = Digraph.create n in
+        List.iter (fun (u, v) -> Digraph.add_edge c u v) (Graph_ref.edges dag);
         Digraph.add_edge c perm.(0) perm.(n - 1);
         Digraph.add_edge c perm.(n - 1) perm.(0);
-        match Graph.make jobs c with
+        match Graph.of_succs jobs (succs_of c) with
         | _ -> false
         | exception Invalid_argument _ -> true
       in
       Graph.n_edges g = Digraph.n_edges dag
-      && Graph.edges g = Digraph.edges dag
-      && Digraph.edges (Graph.dag g) = Digraph.edges dag
+      && Graph.edges g = Graph_ref.edges dag
+      && Graph_ref.edges (Graph_ref.dag g) = Graph_ref.edges dag
       && Some (Graph.topo_order g) = Digraph.topo_sort dag
       && List.for_all
            (fun i ->
              Graph.succs g i = Digraph.succs dag i
-             && Graph.preds g i = Digraph.preds dag i
+             && Graph.preds g i = List.sort Int.compare (Digraph.preds dag i)
              && List.for_all (fun j -> Graph.has_edge g i j = Digraph.has_edge dag i j) ids)
            ids
       && cyclic)
+
+(* Random DAGs of up to 150 jobs (rows of three words), their ids in
+   topological order half of the time, as in every derived graph, and
+   shuffled otherwise. *)
+let dag_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 150 in
+    let* shuffled = bool in
+    let* perm =
+      if shuffled then shuffle_a (Array.init n Fun.id) else return (Array.init n Fun.id)
+    in
+    let* pairs =
+      list_size (int_range 0 (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    in
+    let* procs = array_size (return n) (int_bound 3) in
+    return (perm, pairs, procs))
+
+(* [g]'s adjacency equals the digraph's, both lists of every job in
+   order, and so do its edge count and topological order. *)
+let same_as_digraph g d =
+  Graph.n_jobs g = Digraph.n_nodes d
+  && Graph.n_edges g = Digraph.n_edges d
+  && Some (Graph.topo_order g) = Digraph.topo_sort d
+  && List.for_all
+       (fun i ->
+         Graph.succs g i = Digraph.succs d i && Graph.preds g i = Digraph.preds d i)
+       (List.init (Graph.n_jobs g) Fun.id)
+
+let prop_reduction_equals_oracle =
+  qprop "Graph.reduction = the Digraph reduction, repeats merged" ~count:300
+    dag_gen (fun case ->
+      let jobs, dag = shuffled_graph case in
+      let reference = Graph_ref.transitive_reduction dag in
+      same_as_digraph (Graph.reduction jobs (succs_of dag)) reference
+      && same_as_digraph
+           (Graph.reduction jobs (Array.map (fun l -> l @ l) (succs_of dag)))
+           reference)
+
+let prop_reach_equals_closure =
+  qprop "Graph.reach = the Digraph closure" ~count:300 dag_gen (fun case ->
+      let jobs, dag = shuffled_graph case in
+      let r = Graph.reach (Graph_ref.make jobs dag) in
+      let closure = Digraph.transitive_closure dag in
+      let ids = List.init (Array.length jobs) Fun.id in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b -> Graph.reaches r a b = Rt_util.Bitset.mem closure.(a) b)
+            ids)
+        ids)
+
+let prop_induced_equals_oracle =
+  qprop "Graph.induced = the Digraph closure, reduced" ~count:300
+    QCheck2.Gen.(
+      pair dag_gen
+        (frequency
+           [ (1, return (Array.make 150 false)); (9, array_size (return 150) bool) ]))
+    (fun (case, keep) ->
+      let jobs, dag = shuffled_graph case in
+      let g = Graph_ref.make jobs dag in
+      let keep j = keep.(j.Job.id) in
+      let result f = match f () with v -> Some v | exception Invalid_argument _ -> None in
+      match
+        ( result (fun () -> Graph.induced ~keep g),
+          result (fun () -> Graph_ref.induced ~keep g) )
+      with
+      | Some (g', map), Some (jobs', d', map') ->
+        Graph.jobs g' = jobs' && map = map' && same_as_digraph g' d'
+      | None, None -> true (* no job kept *)
+      | Some _, None | None, Some _ -> false)
+
+let prop_disjoint_union_equals_oracle =
+  qprop "Graph.disjoint_union = one Digraph fed each member's edges" ~count:200
+    QCheck2.Gen.(pair (list_size (int_range 1 3) dag_gen) bool)
+    (fun (cases, prefixed) ->
+      let gs =
+        List.map
+          (fun case ->
+            let jobs, dag = shuffled_graph case in
+            Graph_ref.make jobs dag)
+          cases
+      in
+      let prefixes =
+        if prefixed then
+          Some (Array.of_list (List.mapi (fun i _ -> Printf.sprintf "m%d/" i) gs))
+        else None
+      in
+      let u, owner = Graph.disjoint_union ?prefixes gs in
+      let jobs', d', owner' = Graph_ref.disjoint_union ?prefixes gs in
+      Graph.jobs u = jobs' && owner = owner' && same_as_digraph u d')
 
 let test_of_succs_checks () =
   let jobs =
@@ -579,7 +672,11 @@ let () =
       ( "frozen",
         [
           prop_derive_equals_oracle;
-          prop_make_agrees_with_digraph;
+          prop_of_succs_agrees_with_digraph;
           Alcotest.test_case "of_succs orders and checks" `Quick test_of_succs_checks;
+          prop_reduction_equals_oracle;
+          prop_reach_equals_closure;
+          prop_induced_equals_oracle;
+          prop_disjoint_union_equals_oracle;
         ] );
     ]

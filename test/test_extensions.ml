@@ -227,7 +227,7 @@ let test_dimension_infeasible_job () =
       is_server = false;
     }
   in
-  let g = Graph.make [| job |] (Rt_util.Digraph.create 1) in
+  let g = Graph.of_succs [| job |] [| [] |] in
   let v = Dimension.min_processors g in
   Alcotest.(check int) "job-infeasible lower bound" max_int v.Dimension.lower_bound;
   Alcotest.(check bool) "nothing found" true (v.Dimension.found = None)

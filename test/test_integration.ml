@@ -161,6 +161,31 @@ let prop_latency_wcet_bound_random =
           let jittered = run (Exec_time.uniform ~seed:params.Fppn_apps.Randgen.seed ~min_fraction:0.2) in
           Rat.(jittered <= bound)))
 
+(* every ordered process pair, the refusals included, against the
+   analysis with its ancestors read from the digraph closure *)
+let prop_latency_equals_oracle =
+  qprop "latency = the Digraph closure's, every process pair" ~count:15
+    random_params
+    (fun params ->
+      match pipeline params with
+      | None -> true
+      | Some (net, d, _, rt, _) ->
+        let g = d.Derive.graph and trace = Engine.trace rt in
+        let names =
+          Array.to_list (Array.map Fppn.Process.name (Network.processes net))
+        in
+        let result f =
+          match f () with v -> Ok v | exception Invalid_argument m -> Error m
+        in
+        List.for_all
+          (fun source ->
+            List.for_all
+              (fun sink ->
+                result (fun () -> Runtime.Latency.analyse g ~source ~sink trace)
+                = result (fun () -> Graph_ref.latency g ~source ~sink trace))
+              names)
+          names)
+
 let prop_ta_backend_on_random_networks =
   qprop "generated TA networks reproduce the zero-delay histories" ~count:10
     random_params
@@ -343,6 +368,7 @@ let () =
           prop_processor_count_invariance;
           prop_ta_backend_on_random_networks;
           prop_latency_wcet_bound_random;
+          prop_latency_equals_oracle;
         ] );
       ( "jitter",
         [ Alcotest.test_case "fig1 jitter invariance" `Quick test_fig1_jitter_invariance ] );

@@ -10,7 +10,6 @@ module Network = Fppn.Network
 module Graph = Taskgraph.Graph
 module Job = Taskgraph.Job
 module Derive = Taskgraph.Derive
-module Digraph = Rt_util.Digraph
 module Spec = Mixedcrit.Spec
 module Dual_schedule = Mixedcrit.Dual_schedule
 module Mc_engine = Mixedcrit.Mc_engine
@@ -41,10 +40,7 @@ let mk_job id name a d c =
 let test_induced_preserves_paths () =
   (* A -> B -> C; dropping B must keep A -> C *)
   let jobs = [| mk_job 0 "A" 0 100 10; mk_job 1 "B" 0 100 10; mk_job 2 "C" 0 100 10 |] in
-  let dag = Digraph.create 3 in
-  Digraph.add_edge dag 0 1;
-  Digraph.add_edge dag 1 2;
-  let g = Graph.make jobs dag in
+  let g = Graph.of_succs jobs [| [ 1 ]; [ 2 ]; [] |] in
   let g', back = Graph.induced ~keep:(fun j -> j.Job.proc_name <> "B") g in
   Alcotest.(check int) "two jobs kept" 2 (Graph.n_jobs g');
   Alcotest.(check (array int)) "id mapping" [| 0; 2 |] back;
@@ -58,7 +54,7 @@ let test_induced_preserves_paths () =
 
 let test_map_wcet () =
   let jobs = [| mk_job 0 "A" 0 100 10 |] in
-  let g = Graph.make jobs (Digraph.create 1) in
+  let g = Graph.of_succs jobs [| [] |] in
   let g' = Graph.map_wcet (fun _ -> ms 42) g in
   Alcotest.(check bool) "wcet replaced" true
     (Rat.equal (Graph.job g' 0).Job.wcet (ms 42));

@@ -1,12 +1,10 @@
 module Rat = Rt_util.Rat
-module Digraph = Rt_util.Digraph
 module Graph = Taskgraph.Graph
 module Job = Taskgraph.Job
 module Derive = Taskgraph.Derive
 module Priority = Sched.Priority
 module Static_schedule = Sched.Static_schedule
 module List_scheduler = Sched.List_scheduler
-module Pqueue = Rt_util.Pqueue
 
 let ms = Rat.of_int
 let rat = Alcotest.testable Rat.pp Rat.equal
@@ -26,10 +24,7 @@ let mk_job id ?(name = Printf.sprintf "P%d" id) ?(k = 1) a d c =
 let chain3 () =
   (* J0 -> J1 -> J2, plenty of slack *)
   let jobs = [| mk_job 0 0 300 50; mk_job 1 0 300 50; mk_job 2 0 300 50 |] in
-  let dag = Digraph.create 3 in
-  Digraph.add_edge dag 0 1;
-  Digraph.add_edge dag 1 2;
-  Graph.make jobs dag
+  Graph.of_succs jobs [| [ 1 ]; [ 2 ]; [] |]
 
 (* --- priority heuristics ------------------------------------------------ *)
 
@@ -37,7 +32,7 @@ let test_heuristic_orders () =
   let jobs =
     [| mk_job 0 0 300 10; mk_job 1 0 100 10; mk_job 2 50 200 10 |]
   in
-  let g = Graph.make jobs (Digraph.create 3) in
+  let g = Graph.of_succs jobs [| []; []; [] |] in
   Alcotest.(check (array int)) "EDF-nominal sorts by deadline" [| 1; 2; 0 |]
     (Priority.order g Priority.Edf_nominal);
   Alcotest.(check (array int)) "FIFO sorts by arrival" [| 0; 1; 2 |]
@@ -92,7 +87,7 @@ let test_check_violations () =
 
 let test_check_arrival_deadline () =
   let jobs = [| mk_job 0 100 150 20 |] in
-  let g = Graph.make jobs (Digraph.create 1) in
+  let g = Graph.of_succs jobs [| [] |] in
   let early = Static_schedule.make ~n_procs:1 [| entry 0 50 |] in
   Alcotest.(check bool) "arrival violation" true
     (List.exists
@@ -128,7 +123,7 @@ let test_list_scheduling_chain () =
 let test_list_scheduling_parallelism () =
   (* two independent jobs must run in parallel on two processors *)
   let jobs = [| mk_job 0 0 100 80; mk_job 1 0 100 80 |] in
-  let g = Graph.make jobs (Digraph.create 2) in
+  let g = Graph.of_succs jobs [| []; [] |] in
   let s1 = List_scheduler.schedule_with ~heuristic:Priority.Alap_edf ~n_procs:1 g in
   Alcotest.(check bool) "M=1 infeasible (160 > 100)" false
     (Static_schedule.is_feasible g s1);
@@ -140,14 +135,14 @@ let test_list_scheduling_parallelism () =
 
 let test_list_scheduling_respects_arrival () =
   let jobs = [| mk_job 0 100 300 50 |] in
-  let g = Graph.make jobs (Digraph.create 1) in
+  let g = Graph.of_succs jobs [| [] |] in
   let s = List_scheduler.schedule_with ~heuristic:Priority.Fifo_arrival ~n_procs:1 g in
   Alcotest.check rat "waits for arrival" (ms 100) (Static_schedule.start s 0)
 
 let test_list_scheduling_priority_decides () =
   (* two ready jobs, one processor: the higher-priority one goes first *)
   let jobs = [| mk_job 0 0 400 50; mk_job 1 0 100 50 |] in
-  let g = Graph.make jobs (Digraph.create 2) in
+  let g = Graph.of_succs jobs [| []; [] |] in
   let s = List_scheduler.schedule_with ~heuristic:Priority.Edf_nominal ~n_procs:1 g in
   Alcotest.check rat "urgent job first" (ms 0) (Static_schedule.start s 1);
   Alcotest.check rat "other second" (ms 50) (Static_schedule.start s 0)
@@ -740,11 +735,11 @@ let test_tiny_wcet_grid () =
    are 2·10^19 (the no_grid.fppn of @gate; makespan 1) *)
 let test_no_grid_overflow () =
   let independent wcets deadlines =
-    Graph.make
+    Graph.of_succs
       (Array.mapi
          (fun id (c, d) -> { (mk_job id 0 d 0) with Job.wcet = c })
          (Array.combine wcets deadlines))
-      (Digraph.create (Array.length wcets))
+      (Array.make (Array.length wcets) [])
   in
   List.iter
     (fun (label, g, n_procs, makespan) ->
@@ -864,9 +859,7 @@ let test_exact_beats_or_matches_heuristics () =
 let test_exact_detects_infeasibility () =
   (* two serialized 80 ms jobs, both due at 100: infeasible on any M *)
   let jobs = [| mk_job 0 0 100 80; mk_job 1 0 100 80 |] in
-  let dag = Digraph.create 2 in
-  Digraph.add_edge dag 0 1;
-  let g = Graph.make jobs dag in
+  let g = Graph.of_succs jobs [| [ 1 ]; [] |] in
   let r = Sched.Exact.solve ~n_procs:4 g in
   Alcotest.(check bool) "exhausted" true r.Sched.Exact.optimal;
   Alcotest.(check bool) "no feasible schedule exists" true
